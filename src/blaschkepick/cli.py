@@ -29,10 +29,10 @@ import numpy as np
 from . import __version__
 from .blaschke import BlaschkeProduct, blaschke_from_json, blaschke_to_json, make_blaschke, taylor_jet
 from .errors import BlaschkePickError, RankMismatch
-from .hermitian import HermitianReport, make_report, numerical_rank
+from .hermitian import HermitianReport, make_report
 from .pick import admissible, extract_data
 from .realization import realize, sp_via_realization
-from .schwarz_pick import sp_boundary_radial, sp_boundary_structured
+from .schwarz_pick import SchwarzPickMatrix, sp_boundary_radial, sp_boundary_structured
 from .serialize import complex_to_pair, matrix_to_json
 from .uniqueness import (
     ContactProblem,
@@ -60,14 +60,21 @@ class ProblemFileError(Exception):
 # ---------------------------------------------------------------- parsing
 
 
+def _real(value, where: str) -> float:
+    """A finite JSON number; booleans and strings are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ProblemFileError(f"{where}: expected a finite number, got {json.dumps(value)}")
+    return float(value)
+
+
 def _parse_point(obj, where: str) -> complex:
     if isinstance(obj, dict):
         if set(obj.keys()) != {"angle"}:
             raise ProblemFileError(f"{where}: point objects must be {{\"angle\": radians}}")
-        theta = float(obj["angle"])
+        theta = _real(obj["angle"], f"{where}.angle")
         return complex(math.cos(theta), math.sin(theta))
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        t = complex(float(obj[0]), float(obj[1]))
+        t = complex(_real(obj[0], f"{where}[0]"), _real(obj[1], f"{where}[1]"))
         if abs(abs(t) - 1.0) > POINT_MODULUS_SLACK:
             raise ProblemFileError(f"{where}: |t| = {abs(t)} is not within {POINT_MODULUS_SLACK} of 1")
         return t / abs(t)
@@ -101,14 +108,18 @@ def _load_problem(path: str):
     raw_orders = obj["orders"]
     if not isinstance(raw_orders, list) or len(raw_orders) != len(points):
         raise ProblemFileError("\"orders\" must be a list matching \"points\" in length")
-    try:
-        orders = [int(m) for m in raw_orders]
-    except (TypeError, ValueError) as exc:
-        raise ProblemFileError(f"orders must be integers: {exc}") from exc
+    for i, m in enumerate(raw_orders):
+        if isinstance(m, bool) or not isinstance(m, int):
+            raise ProblemFileError(f"orders[{i}]: expected an integer, got {json.dumps(m)}")
     tol = obj.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ProblemFileError("\"tolerances\" must be an object")
-    return b, points, orders, tol
+    tol = {
+        key: _real(tol[key], f"tolerances.{key}")
+        for key in ("rank", "pd")
+        if tol.get(key) is not None
+    }
+    return b, points, raw_orders, tol
 
 
 def _tolerances(args, file_tol: dict) -> Tolerances:
@@ -170,15 +181,24 @@ def _certificate_json(verdict: Verdict) -> dict:
     }
 
 
-def _route_residuals(b: BlaschkeProduct, points, ks) -> dict:
+def _compare_routes(
+    b: BlaschkeProduct, points, ks
+) -> tuple[SchwarzPickMatrix, np.ndarray, float, float]:
+    """Structured and realization matrices, their max-abs difference, and
+    that difference relative to 1 + the largest structured entry."""
     jets = [taylor_jet(b, t, 2 * k - 1) for t, k in zip(points, ks)]
-    structured = sp_boundary_structured(jets, points, ks).flat
+    structured = sp_boundary_structured(jets, points, ks)
     via_real = sp_via_realization(realize(b), points, ks)
-    diff = float(np.max(np.abs(structured - via_real))) if structured.size else 0.0
-    norm = float(np.max(np.abs(structured))) if structured.size else 0.0
+    diff = float(np.max(np.abs(structured.flat - via_real))) if structured.flat.size else 0.0
+    norm = float(np.max(np.abs(structured.flat))) if structured.flat.size else 0.0
+    return structured, via_real, diff, diff / (1.0 + norm)
+
+
+def _route_residuals(b: BlaschkeProduct, points, ks) -> dict:
+    _, _, diff, residual = _compare_routes(b, points, ks)
     return {
         "structured_vs_realization_max_abs": diff,
-        "structured_vs_realization": diff / (1.0 + norm),
+        "structured_vs_realization": residual,
     }
 
 
@@ -262,17 +282,12 @@ def cmd_crosscheck(args) -> int:
     schedule = tuple(1.0 - 2.0 ** -m for m in range(4, depth + 1))
     start = time.perf_counter()
     try:
-        jets = [taylor_jet(b, t, 2 * k - 1) for t, k in zip(points, orders)]
-        structured = sp_boundary_structured(jets, points, orders)
-        via_real = sp_via_realization(realize(b), points, orders)
+        structured, via_real, diff_real, residual = _compare_routes(b, points, orders)
         radial, diags = sp_boundary_radial(b, points, orders, schedule)
     except (BlaschkePickError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     elapsed = time.perf_counter() - start
-    norm = float(np.max(np.abs(structured.flat))) if structured.flat.size else 0.0
-    diff_real = float(np.max(np.abs(structured.flat - via_real))) if structured.flat.size else 0.0
-    residual = diff_real / (1.0 + norm)
     radial_gap = float(np.max(np.abs(structured.flat - radial.flat))) if structured.flat.size else 0.0
     report = {
         "schema": 1,
@@ -323,8 +338,8 @@ def _check_instance(inst) -> tuple[str, str] | None:
     b = make_blaschke(inst["zeros"], inst["u"])
     points = inst["points"]
     ks = inst["orders"]
-    jets = [taylor_jet(b, t, 2 * k - 1) for t, k in zip(points, ks)]
-    structured = sp_boundary_structured(jets, points, ks).flat
+    sp, _, diff, residual = _compare_routes(b, points, ks)
+    structured = sp.flat
     norm = float(np.max(np.abs(structured))) if structured.size else 0.0
 
     defect = float(np.max(np.abs(structured - structured.conj().T))) if structured.size else 0.0
@@ -337,8 +352,8 @@ def _check_instance(inst) -> tuple[str, str] | None:
         # A spectrum can straddle any single cutoff when sum(ks) and the
         # degree collide, so call the law broken only when no cutoff in a
         # wide band reads the expected rank.
-        certain = numerical_rank(structured, 1e-6)
-        plausible = numerical_rank(structured, 1e-10)
+        certain = report.rank_at(1e-6)
+        plausible = report.rank_at(1e-10)
         if not certain <= expected <= plausible:
             return (
                 "rank_law",
@@ -346,10 +361,11 @@ def _check_instance(inst) -> tuple[str, str] | None:
                 f"bracket [{certain}, {plausible}]",
             )
 
-    via_real = sp_via_realization(realize(b), points, ks)
-    diff = float(np.max(np.abs(structured - via_real))) if structured.size else 0.0
-    if diff > 1e-8 * (1.0 + norm):
-        return ("route_agreement", f"max abs diff {diff} exceeds {1e-8 * (1.0 + norm)}")
+    if residual > ROUTE_RESIDUAL_LIMIT:
+        return (
+            "route_agreement",
+            f"max abs diff {diff} exceeds {ROUTE_RESIDUAL_LIMIT * (1.0 + norm)}",
+        )
 
     data = extract_data(b, points, [2 * k - 1 for k in ks])
     verdict = admissible(data, ks)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceFailure, PrincipalNotPD
 
@@ -70,14 +69,19 @@ def eigen_h(m) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def _rank_above(w: np.ndarray, tol: float) -> int:
+    """Count of ascending eigenvalues w above tol * max(1, lambda_max)."""
+    if w.size == 0:
+        return 0
+    return int(np.count_nonzero(w > tol * max(1.0, float(w[-1]))))
+
+
 def numerical_rank(m, tol: float = DEFAULT_RANK_TOL) -> int:
     """Count of eigenvalues above tol * max(1, lambda_max)."""
     h = _as_hermitian(m)
     if h.n == 0:
         return 0
-    w, _ = eigen_h(h)
-    cutoff = tol * max(1.0, float(w[-1]))
-    return int(np.count_nonzero(w > cutoff))
+    return _rank_above(eigen_h(h)[0], tol)
 
 
 def schur_complement(m, head: Sequence[int]) -> HermitianMatrix:
@@ -86,6 +90,10 @@ def schur_complement(m, head: Sequence[int]) -> HermitianMatrix:
     `head` selects the rows/columns of the leading block P in the partition
     [[P, R*], [R, D]]; the complement lives on the remaining indices in
     ascending order.  P must be positive definite (Cholesky is the test).
+
+    With P = L L*, the complement is formed as D - Y* Y with Y = L^{-1} R*,
+    which is Hermitian by construction however much D and R P^{-1} R*
+    cancel.
     """
     h = _as_hermitian(m)
     n = h.n
@@ -104,10 +112,8 @@ def schur_complement(m, head: Sequence[int]) -> HermitianMatrix:
         raise PrincipalNotPD(f"principal block on {head} is not positive definite") from exc
     if not tail:
         return HermitianMatrix(matrix=np.zeros((0, 0), dtype=complex), defect=0.0)
-    r = mat[np.ix_(tail, head)]
-    x = scipy.linalg.cho_solve((chol, True), r.conj().T)
-    s = mat[np.ix_(tail, tail)] - r @ x
-    return make_hermitian(s)
+    y = np.linalg.solve(chol, mat[np.ix_(tail, head)].conj().T)
+    return make_hermitian(mat[np.ix_(tail, tail)] - y.conj().T @ y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,6 +137,10 @@ class HermitianReport:
     def lambda_max(self) -> float:
         return float(self.eigenvalues[-1]) if self.eigenvalues.size else 0.0
 
+    def rank_at(self, tol: float) -> int:
+        """Numerical rank read at another cutoff, from the same eigenvalues."""
+        return _rank_above(self.eigenvalues, tol)
+
 
 def make_report(
     m,
@@ -142,17 +152,25 @@ def make_report(
     """Full eigenvalue report: rank at rank_tol, definiteness at pd_tol."""
     h = make_hermitian(m, strict=strict) if not isinstance(m, HermitianMatrix) else m
     w, _ = eigen_h(h)
+    return report_from_eigenvalues(h, w, rank_tol, pd_tol)
+
+
+def report_from_eigenvalues(
+    h: HermitianMatrix, eigenvalues: np.ndarray, rank_tol: float, pd_tol: float
+) -> HermitianReport:
+    """The report of :func:`make_report`, read from the ascending spectrum of
+    h.matrix that :func:`eigen_h` already returned, without decomposing again."""
+    w = eigenvalues
     if w.size:
         scale = max(1.0, float(w[-1]))
-        rank = int(np.count_nonzero(w > rank_tol * scale))
         psd = bool(w[0] >= -pd_tol * scale)
         pd = bool(w[0] > pd_tol * scale)
     else:
-        rank, psd, pd = 0, True, True
+        psd, pd = True, True
     return HermitianReport(
         matrix=h.matrix,
         eigenvalues=w,
-        numerical_rank=rank,
+        numerical_rank=_rank_above(w, rank_tol),
         psd=psd,
         pd=pd,
         rank_tol=rank_tol,

@@ -12,15 +12,15 @@ singular PSD matrix leaves room for at most one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .blaschke import CIRCLE_TOL, BlaschkeProduct, Jet, _require_finite, taylor_jet
-from .errors import CoincidentPoints, InsufficientJet, ZeroLeadingValue
+from .blaschke import BlaschkeProduct, Jet, _require_finite, taylor_jet
+from .errors import InsufficientJet, ZeroLeadingValue
 from .hermitian import HermitianReport, eigen_h, make_hermitian, make_report, schur_complement
-from .schwarz_pick import DISTINCT_POINT_TOL, psi_matrix, sp_boundary_structured
+from .schwarz_pick import SchwarzPickMatrix, psi_matrix, sp_boundary_structured, validate_points
 
 SUPPLEMENTARY_RESIDUAL_TOL = 1e-10
 LEADING_VALUE_FLOOR = 0.5
@@ -34,14 +34,7 @@ class JetData:
     values: tuple[tuple[complex, ...], ...]
 
     def __post_init__(self):
-        pts = tuple(_require_finite(t, "point") for t in self.points)
-        for t in pts:
-            if abs(abs(t) - 1.0) > CIRCLE_TOL:
-                raise ValueError(f"data points must lie on the unit circle, got |t| = {abs(t)!r}")
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if abs(pts[i] - pts[j]) < DISTINCT_POINT_TOL:
-                    raise CoincidentPoints(f"data points {pts[i]!r} and {pts[j]!r} coincide")
+        pts = validate_points(self.points, on_circle=True)
         if len(self.values) != len(pts):
             raise ValueError("points and values must have equal length")
         vals = tuple(
@@ -52,36 +45,6 @@ class JetData:
                 raise ValueError("every point needs at least one prescribed value")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
-
-
-@dataclass(frozen=True, eq=False)
-class PickMatrix:
-    """Flat Hermitian-structured matrix with its (point, derivative) row map."""
-
-    flat: np.ndarray
-    points: tuple[complex, ...]
-    orders: tuple[int, ...]
-
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for k in self.orders:
-            out.append(acc)
-            acc += k
-        return tuple(out)
-
-    def row_index(self, point_index: int, derivative: int) -> int:
-        if not 0 <= derivative < self.orders[point_index]:
-            raise IndexError(
-                f"derivative {derivative} out of range for order {self.orders[point_index]}"
-            )
-        return self.offsets[point_index] + derivative
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        off = self.offsets
-        return self.flat[
-            off[i] : off[i] + self.orders[i], off[j] : off[j] + self.orders[j]
-        ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,9 +67,10 @@ class Completion:
     """Record of a positive definite completion.
 
     `shift` was added to the diagonal entries listed in `complementary`
-    (flat indices); everything else is unchanged.  `corner_targets` maps
-    point indices to the completed corner values when the caller knows the
-    block layout; :func:`complete_to_pd` itself leaves it empty.
+    (flat indices); everything else is unchanged.  `eigenvalues` is the
+    ascending spectrum of the symmetrized modified matrix.  `corner_targets`
+    maps point indices to the completed corner values when the caller knows
+    the block layout; :func:`complete_to_pd` itself leaves it empty.
     """
 
     original: object
@@ -114,8 +78,12 @@ class Completion:
     shift: float
     complementary: tuple[int, ...]
     margin: float
-    min_eigenvalue: float
+    eigenvalues: np.ndarray
     corner_targets: tuple[tuple[int, complex], ...] = field(default=())
+
+    @property
+    def min_eigenvalue(self) -> float:
+        return float(self.eigenvalues[0]) if self.eigenvalues.size else 0.0
 
 
 def extract_data(b: BlaschkeProduct, points, max_orders) -> JetData:
@@ -129,16 +97,14 @@ def extract_data(b: BlaschkeProduct, points, max_orders) -> JetData:
     return JetData(points=pts, values=tuple(values))
 
 
-def build_pick(data: JetData, orders) -> PickMatrix:
+def build_pick(data: JetData, orders) -> SchwarzPickMatrix:
     """Pick matrix of the data at derivative orders k_i.
 
     Identical formulas to the structured boundary route; requires
     values[i] of length >= 2 k_i.
     """
-    ks = tuple(int(k) for k in orders)
     jets = [Jet(center=t, coefficients=row) for t, row in zip(data.points, data.values, strict=True)]
-    sp = sp_boundary_structured(jets, data.points, ks)
-    return PickMatrix(flat=sp.flat, points=data.points, orders=ks)
+    return sp_boundary_structured(jets, data.points, orders)
 
 
 def admissible(data: JetData, orders, tol: float = 1e-8) -> AdmissibilityReport:
@@ -152,19 +118,17 @@ def admissible(data: JetData, orders, tol: float = 1e-8) -> AdmissibilityReport:
     defects = tuple(abs(abs(row[0]) - 1.0) for row in data.values)
     modulus_ok = all(d <= tol for d in defects)
     report = make_report(p.flat, rank_tol=tol, pd_tol=tol, strict=False)
-    scale = max(1.0, report.lambda_max)
-    psd_ok = bool(report.eigenvalues.size == 0 or report.lambda_min >= -tol * scale)
     return AdmissibilityReport(
-        ok=modulus_ok and psd_ok,
+        ok=modulus_ok and report.psd,
         modulus_ok=modulus_ok,
-        psd_ok=psd_ok,
+        psd_ok=report.psd,
         modulus_defects=defects,
         pick=report,
         tol=tol,
     )
 
 
-def extend_pick(data: JetData, orders, extend_set) -> PickMatrix:
+def extend_pick(data: JetData, orders, extend_set) -> SchwarzPickMatrix:
     """Pick matrix with orders raised by one on the points in extend_set.
 
     Extended points need values through index 2 k_i + 1.
@@ -232,7 +196,7 @@ def complete_to_pd(p_tilde, principal, margin: float = 1.0) -> Completion:
     """Raise the complementary diagonal until the whole matrix is PD.
 
     Args:
-        p_tilde: PickMatrix or plain square array.
+        p_tilde: SchwarzPickMatrix or plain square array.
         principal: flat indices of the block that must already be PD.
         margin: extra slack beyond the minimal shift; the shift is
             max(0, -lambda_min(S)) + margin with S the Schur complement of
@@ -241,36 +205,24 @@ def complete_to_pd(p_tilde, principal, margin: float = 1.0) -> Completion:
     Only the diagonal entries outside `principal` change.  Raises
     PrincipalNotPD when the principal block is not positive definite.
     """
-    is_pick = isinstance(p_tilde, PickMatrix)
+    is_pick = isinstance(p_tilde, SchwarzPickMatrix)
     flat = p_tilde.flat if is_pick else np.asarray(p_tilde, dtype=complex)
     n = flat.shape[0]
     head = list(dict.fromkeys(int(i) for i in principal))
     comp = [i for i in range(n) if i not in set(head)]
-    if comp:
-        s = schur_complement(make_hermitian(flat, strict=False), head)
-        w, _ = eigen_h(s)
-        shift = max(0.0, -float(w[0])) + float(margin)
-        modified_flat = flat.copy()
-        for i in comp:
-            modified_flat[i, i] += shift
-    else:
-        # Nothing to complete; the matrix must already be PD on its own.
-        schur_complement(make_hermitian(flat, strict=False), head)
-        shift = 0.0
-        modified_flat = flat.copy()
+    # With an empty complement this only checks that the whole matrix is PD.
+    s = schur_complement(make_hermitian(flat, strict=False), head)
+    shift = max(0.0, -float(eigen_h(s)[0][0])) + float(margin) if comp else 0.0
+    modified_flat = flat.copy()
+    modified_flat[comp, comp] += shift
     wmod, _ = eigen_h(make_hermitian(modified_flat, strict=False))
-    modified = (
-        PickMatrix(flat=modified_flat, points=p_tilde.points, orders=p_tilde.orders)
-        if is_pick
-        else modified_flat
-    )
     return Completion(
         original=p_tilde,
-        modified=modified,
+        modified=replace(p_tilde, flat=modified_flat) if is_pick else modified_flat,
         shift=shift,
         complementary=tuple(comp),
         margin=float(margin),
-        min_eigenvalue=float(wmod[0]) if wmod.size else 0.0,
+        eigenvalues=wmod,
     )
 
 

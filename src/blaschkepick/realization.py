@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .blaschke import INTERIOR_MARGIN, BlaschkeProduct, _require_finite
 from .errors import SingularResolvent, ZeroOnOrOutsideDisk
@@ -135,7 +134,8 @@ def realize(b: BlaschkeProduct) -> UnitaryRealization:
     return UnitaryRealization(A=r.A, B=r.B, C=u * r.C, D=u * r.D)
 
 
-def _resolvent_lu(r: UnitaryRealization, z: complex):
+def _resolvent(r: UnitaryRealization, z: complex) -> np.ndarray:
+    """I - z A, after checking that it is safely invertible."""
     m = np.eye(r.state_dim, dtype=complex) - z * r.A
     cond = abs(np.linalg.cond(m, 1))
     rcond = 0.0 if not np.isfinite(cond) or cond == 0.0 else 1.0 / float(cond)
@@ -143,7 +143,7 @@ def _resolvent_lu(r: UnitaryRealization, z: complex):
         raise SingularResolvent(
             f"I - z A at z = {z!r} has reciprocal condition {rcond}, below {RESOLVENT_RCOND}"
         )
-    return scipy.linalg.lu_factor(m)
+    return m
 
 
 def transfer_eval(r: UnitaryRealization, z: complex) -> complex:
@@ -151,8 +151,7 @@ def transfer_eval(r: UnitaryRealization, z: complex) -> complex:
     z = _require_finite(z, "z")
     if r.state_dim == 0:
         return r.D
-    lu = _resolvent_lu(r, z)
-    x = scipy.linalg.lu_solve(lu, r.B)
+    x = np.linalg.solve(_resolvent(r, z), r.B)
     return complex(r.D + z * (r.C @ x)[0, 0])
 
 
@@ -160,8 +159,8 @@ def resolvent_rows(r: UnitaryRealization, z: complex, order: int) -> np.ndarray:
     """Rows C A^l (I - z A)^{-l-1} for l = 0 .. order-1, as an order x d array.
 
     A and the resolvent commute, so each row follows from the previous one
-    with one multiplication by A and one triangular solve against the LU
-    factorization of I - z A, computed once.
+    with one multiplication by A and one solve against the transpose of
+    I - z A.
     """
     z = _require_finite(z, "z")
     if order < 1:
@@ -169,16 +168,12 @@ def resolvent_rows(r: UnitaryRealization, z: complex, order: int) -> np.ndarray:
     d = r.state_dim
     if d == 0:
         return np.zeros((order, 0), dtype=complex)
-    lu = _resolvent_lu(r, z)
-
-    def solve_right(row):
-        # x (I - zA) = row  <=>  (I - zA)^T x^T = row^T
-        return scipy.linalg.lu_solve(lu, row.reshape(d, 1), trans=1)[:, 0]
-
+    # x (I - zA) = row  <=>  (I - zA)^T x^T = row^T
+    m_t = _resolvent(r, z).T
     rows = np.zeros((order, d), dtype=complex)
-    rows[0] = solve_right(r.C[0])
+    rows[0] = np.linalg.solve(m_t, r.C[0])
     for ell in range(1, order):
-        rows[ell] = solve_right(rows[ell - 1] @ r.A)
+        rows[ell] = np.linalg.solve(m_t, rows[ell - 1] @ r.A)
     return rows
 
 

@@ -28,8 +28,10 @@ check; they share no code beyond Taylor jets of w itself.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -66,25 +68,30 @@ class BivariateJet:
 
 @dataclass(frozen=True, eq=False)
 class SchwarzPickMatrix:
-    """Flat Hermitian-by-construction matrix plus its block layout.
+    """Flat Hermitian-structured matrix plus its (point, derivative) block layout.
 
     Row block i spans offsets[i] .. offsets[i] + orders[i] - 1 and holds the
-    derivative directions at points[i].
+    derivative directions at points[i].  Schwarz-Pick matrices of functions
+    and Pick matrices of raw jet data share this layout.
     """
 
     flat: np.ndarray
     points: tuple[complex, ...]
     orders: tuple[int, ...]
 
-    @property
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for k in self.orders:
-            out.append(acc)
-            acc += k
-        return tuple(out)
+        return tuple(itertools.accumulate(self.orders, initial=0))[:-1]
+
+    def row_index(self, point_index: int, derivative: int) -> int:
+        if not 0 <= derivative < self.orders[point_index]:
+            raise IndexError(
+                f"derivative {derivative} out of range for order {self.orders[point_index]}"
+            )
+        return self.offsets[point_index] + derivative
 
     def block(self, i: int, j: int) -> np.ndarray:
+        """View of block (i, j); writing to it writes to `flat`."""
         off = self.offsets
         return self.flat[
             off[i] : off[i] + self.orders[i], off[j] : off[j] + self.orders[j]
@@ -173,8 +180,18 @@ def _validate_orders(orders) -> tuple[int, ...]:
     return ks
 
 
-def _validate_distinct(points) -> tuple[complex, ...]:
+def validate_points(points, *, on_circle: bool = False) -> tuple[complex, ...]:
+    """Points as complex numbers, checked finite, pairwise distinct and, with
+    on_circle, of modulus one within CIRCLE_TOL.
+
+    Raises ValueError for a non-finite or off-circle point and
+    CoincidentPoints for two points closer than DISTINCT_POINT_TOL.
+    """
     pts = tuple(_require_finite(z, "point") for z in points)
+    if on_circle:
+        for t in pts:
+            if abs(abs(t) - 1.0) > CIRCLE_TOL:
+                raise ValueError(f"points must lie on the unit circle, got |t| = {abs(t)!r}")
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if abs(pts[i] - pts[j]) < DISTINCT_POINT_TOL:
@@ -203,7 +220,7 @@ def sp_interior(b: BlaschkeProduct, points, orders) -> SchwarzPickMatrix:
     points approach the circle.
     """
     ks = _validate_orders(orders)
-    pts = _validate_distinct(points)
+    pts = validate_points(points)
     if len(pts) != len(ks):
         raise ValueError("points and orders must have equal length")
     for z in pts:
@@ -214,15 +231,13 @@ def sp_interior(b: BlaschkeProduct, points, orders) -> SchwarzPickMatrix:
         Jet(center=z.conjugate(), coefficients=tuple(c.conjugate() for c in jet.coefficients))
         for z, jet in zip(pts, jets)
     ]
-    total = sum(ks)
-    offsets = np.concatenate([[0], np.cumsum(ks)]).astype(int)
-    flat = np.zeros((total, total), dtype=complex)
+    sp = SchwarzPickMatrix(flat=np.zeros((sum(ks), sum(ks)), dtype=complex), points=pts, orders=ks)
     for i in range(len(pts)):
         for j in range(len(pts)):
             constants = _conjugate_pair_constants(b, pts[i]) if i == j else None
             kj = kernel_jet(jets[i], conj_jets[j], (ks[i] - 1, ks[j] - 1), constants)
-            flat[offsets[i] : offsets[i + 1], offsets[j] : offsets[j + 1]] = kj.coefficients
-    return SchwarzPickMatrix(flat=flat, points=pts, orders=ks)
+            sp.block(i, j)[...] = kj.coefficients
+    return sp
 
 
 def psi_matrix(t: complex, k: int) -> np.ndarray:
@@ -232,9 +247,7 @@ def psi_matrix(t: complex, k: int) -> np.ndarray:
     |t| = 1 the determinant has modulus one, so the matrix is always
     invertible on the circle.
     """
-    t = _require_finite(t, "t")
-    if abs(abs(t) - 1.0) > CIRCLE_TOL:
-        raise ValueError(f"t must lie on the unit circle, got |t| = {abs(t)!r}")
+    (t,) = validate_points([t], on_circle=True)
     if k < 1:
         raise ValueError("k must be positive")
     psi = np.zeros((k, k), dtype=complex)
@@ -296,7 +309,7 @@ def sp_boundary_structured(jets: Sequence[Jet], points, orders) -> SchwarzPickMa
     Requires distinct points on the circle and jet i of length >= 2 k_i.
     """
     ks = _validate_orders(orders)
-    pts = _validate_distinct(points)
+    pts = validate_points(points)
     if not (len(jets) == len(pts) == len(ks)):
         raise ValueError("jets, points and orders must have equal length")
     coeff = []
@@ -308,17 +321,15 @@ def sp_boundary_structured(jets: Sequence[Jet], points, orders) -> SchwarzPickMa
         coeff.append(np.asarray(jet.coefficients, dtype=complex))
     psis = [psi_matrix(t, k) for t, k in zip(pts, ks)]
     tstars = [_toeplitz_lower(c, k).conj().T for c, k in zip(coeff, ks)]
-    total = sum(ks)
-    offsets = np.concatenate([[0], np.cumsum(ks)]).astype(int)
-    flat = np.zeros((total, total), dtype=complex)
+    sp = SchwarzPickMatrix(flat=np.zeros((sum(ks), sum(ks)), dtype=complex), points=pts, orders=ks)
     for i in range(len(pts)):
         for j in range(len(pts)):
             if i == j:
                 h = _hankel(coeff[i], ks[i])
             else:
                 h = _cross_matrix(coeff[i], coeff[j], pts[i], pts[j], ks[i], ks[j])
-            flat[offsets[i] : offsets[i + 1], offsets[j] : offsets[j + 1]] = h @ psis[j] @ tstars[j]
-    return SchwarzPickMatrix(flat=flat, points=pts, orders=ks)
+            sp.block(i, j)[...] = h @ psis[j] @ tstars[j]
+    return sp
 
 
 def _validate_schedule(schedule) -> tuple[float, ...]:
@@ -357,10 +368,7 @@ def sp_boundary_radial(
     converge through the whole default schedule.
     """
     ks = _validate_orders(orders)
-    pts = _validate_distinct(points)
-    for t in pts:
-        if abs(abs(t) - 1.0) > CIRCLE_TOL:
-            raise ValueError(f"radial route needs |t| = 1, got |t| = {abs(t)!r}")
+    pts = validate_points(points, on_circle=True)
     rs = _validate_schedule(schedule)
     iterates = [sp_interior(b, [r * t for t in pts], ks).flat for r in rs]
     deltas = [float(np.max(np.abs(cur - prev))) for prev, cur in zip(iterates, iterates[1:])]
@@ -390,20 +398,8 @@ def membership_probe(b: BlaschkeProduct, t: complex, k: int, schedule=None) -> l
     regularity at t.  For a finite Blaschke product it increases to the
     bottom diagonal entry of the order-k boundary block.
     """
-    t = _require_finite(t, "t")
-    if abs(abs(t) - 1.0) > CIRCLE_TOL:
-        raise ValueError(f"t must lie on the unit circle, got |t| = {abs(t)!r}")
-    if k < 1:
-        raise ValueError("k must be positive")
-    rs = _validate_schedule(schedule)
-    values = []
-    for r in rs:
-        z0 = r * t
-        jet = taylor_jet(b, z0, k - 1)
-        cjet = Jet(
-            center=z0.conjugate(),
-            coefficients=tuple(c.conjugate() for c in jet.coefficients),
-        )
-        kj = kernel_jet(jet, cjet, (k - 1, k - 1), _conjugate_pair_constants(b, z0))
-        values.append(float(kj.coefficients[k - 1, k - 1].real))
-    return values
+    (t,) = validate_points([t], on_circle=True)
+    return [
+        float(sp_interior(b, [r * t], [k]).flat[k - 1, k - 1].real)
+        for r in _validate_schedule(schedule)
+    ]

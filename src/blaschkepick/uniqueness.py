@@ -32,9 +32,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .blaschke import CIRCLE_TOL, BlaschkeProduct, _require_finite, taylor_jet
-from .errors import CoincidentPoints, RankMismatch
-from .hermitian import HermitianReport, eigen_h, make_hermitian, make_report
+from .blaschke import BlaschkeProduct, taylor_jet
+from .errors import RankMismatch
+from .hermitian import HermitianReport, eigen_h, make_hermitian, make_report, report_from_eigenvalues
 from .pick import (
     Completion,
     JetData,
@@ -44,7 +44,7 @@ from .pick import (
     extract_data,
     solve_supplementary,
 )
-from .schwarz_pick import DISTINCT_POINT_TOL
+from .schwarz_pick import validate_points
 
 
 @dataclass(frozen=True)
@@ -69,16 +69,9 @@ class ContactProblem:
     contact_orders: tuple[int, ...]
 
     def __post_init__(self):
-        pts = tuple(_require_finite(t, "point") for t in self.points)
+        pts = validate_points(self.points, on_circle=True)
         if not pts:
             raise ValueError("need at least one contact point")
-        for t in pts:
-            if abs(abs(t) - 1.0) > CIRCLE_TOL:
-                raise ValueError(f"contact points must lie on the circle, got |t| = {abs(t)!r}")
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if abs(pts[i] - pts[j]) < DISTINCT_POINT_TOL:
-                    raise CoincidentPoints(f"contact points {pts[i]!r} and {pts[j]!r} coincide")
         ms = tuple(int(m) for m in self.contact_orders)
         if len(ms) != len(pts):
             raise ValueError("points and contact_orders must have equal length")
@@ -191,42 +184,54 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
         )
     odd = tuple(i for i, m in enumerate(problem.contact_orders) if m % 2 == 1)
     even = tuple(i for i, m in enumerate(problem.contact_orders) if m % 2 == 0)
-    p_tilde = extend_pick(data, ks, even)
-    ext_orders = tuple(k + 1 if i in set(even) else k for i, k in enumerate(ks))
-    offsets = np.concatenate([[0], np.cumsum(ext_orders)]).astype(int)
-    corner_indices = {i: int(offsets[i] + ks[i]) for i in even}
-    principal = [
-        j for j in range(int(offsets[-1])) if j not in set(corner_indices.values())
-    ]
-    w_tilde, _ = eigen_h(make_hermitian(p_tilde.flat, strict=False))
-    scale = max(1.0, float(w_tilde[-1])) if w_tilde.size else 1.0
-    margin = tolerances.completion_margin * scale
-    completion = complete_to_pd(p_tilde, principal, margin)
-
-    corner_targets = []
-    supplementary = []
-    supplemented_values = [list(row) for row in data.values]
-    for i in even:
-        idx = corner_indices[i]
-        target = complex(completion.modified.flat[idx, idx])
-        corner_targets.append((i, target))
-        b_sup = solve_supplementary(data.values[i], problem.points[i], ks[i], target)
-        supplementary.append((i, b_sup))
-        supplemented_values[i][2 * ks[i] + 1] = b_sup
-    completion = replace(completion, corner_targets=tuple(corner_targets))
-
     if even:
+        p_tilde = extend_pick(data, ks, even)
+        corner_indices = {i: p_tilde.row_index(i, ks[i]) for i in even}
+        principal = [
+            j for j in range(p_tilde.flat.shape[0]) if j not in set(corner_indices.values())
+        ]
+        w_tilde, _ = eigen_h(make_hermitian(p_tilde.flat, strict=False))
+        margin = tolerances.completion_margin * max(1.0, float(w_tilde[-1]))
+        completion = complete_to_pd(p_tilde, principal, margin)
+
+        corner_targets = []
+        supplementary = []
+        supplemented_values = [list(row) for row in data.values]
+        for i in even:
+            idx = corner_indices[i]
+            target = complex(completion.modified.flat[idx, idx])
+            corner_targets.append((i, target))
+            b_sup = solve_supplementary(data.values[i], problem.points[i], ks[i], target)
+            supplementary.append((i, b_sup))
+            supplemented_values[i][2 * ks[i] + 1] = b_sup
+        completion = replace(completion, corner_targets=tuple(corner_targets))
+
         redone = extend_pick(
             JetData(points=data.points, values=tuple(tuple(r) for r in supplemented_values)),
             ks,
             even,
         )
         roundtrip = float(np.max(np.abs(redone.flat - completion.modified.flat)))
+        # The strict Hermitian check, then the spectrum that complete_to_pd
+        # computed from the same symmetrized matrix.
+        extended_report = report_from_eigenvalues(
+            make_hermitian(completion.modified.flat),
+            completion.eigenvalues,
+            rank_tol=tolerances.rank,
+            pd_tol=tolerances.pd,
+        )
     else:
-        roundtrip = 0.0
-    extended_report = make_report(
-        completion.modified.flat, rank_tol=tolerances.rank, pd_tol=tolerances.pd
-    )
+        # Nothing to extend: the completed matrix is the truncated one, whose
+        # report has just shown it positive definite.
+        completion = Completion(
+            original=p,
+            modified=p,
+            shift=0.0,
+            complementary=(),
+            margin=tolerances.completion_margin * max(1.0, pick_report.lambda_max),
+            eigenvalues=pick_report.eigenvalues,
+        )
+        supplementary, roundtrip, extended_report = [], 0.0, pick_report
     if not extended_report.pd:
         raise RankMismatch(
             f"completed extension failed to be positive definite "

@@ -98,6 +98,27 @@ class TestValidation:
         assert main(["analyze", path]) == 2
         assert "not within" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "crosscheck"])
+    @pytest.mark.parametrize("orders", [[2.7], [True], [3.0], ["3"]])
+    def test_non_integer_orders(self, tmp_path, capsys, command, orders):
+        path = write_problem(tmp_path, orders=orders)
+        assert main([command, path]) == 2
+        assert "orders[0]: expected an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "crosscheck"])
+    @pytest.mark.parametrize(
+        "point", [{"angle": "abc"}, {"angle": None}, {"angle": True}, ["x", 0], [1.0, None]]
+    )
+    def test_non_numeric_point(self, tmp_path, capsys, command, point):
+        path = write_problem(tmp_path, points=[point], orders=[1])
+        assert main([command, path]) == 2
+        assert "expected a finite number" in capsys.readouterr().err
+
+    def test_non_numeric_tolerance(self, tmp_path, capsys):
+        path = write_problem(tmp_path, tolerances={"rank": "abc"})
+        assert main(["analyze", path]) == 2
+        assert "tolerances.rank" in capsys.readouterr().err
+
     def test_orders_length_mismatch(self, tmp_path, capsys):
         path = write_problem(tmp_path, orders=[1, 1])
         assert main(["analyze", path]) == 2

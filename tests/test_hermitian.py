@@ -90,6 +90,20 @@ class TestSchurComplement:
         det_p = np.linalg.det(m[:2, :2])
         assert np.linalg.det(m) == pytest.approx(det_p * np.linalg.det(s), rel=1e-9)
 
+    def test_cancelling_complement_stays_hermitian(self):
+        # D = R P^{-1} R* + I/2 with |R| ~ 1e3: the complement cancels terms
+        # of size 1e6 down to I/2, which must not leave a Hermitian defect
+        # large enough to be rejected.
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            f = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            p = f @ f.conj().T + np.eye(4)
+            r = 1e3 * (rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)))
+            d = r @ np.linalg.solve(p, r.conj().T) + 0.5 * np.eye(3)
+            m = np.block([[p, r.conj().T], [r, d]])
+            s = schur_complement(0.5 * (m + m.conj().T), head=range(4))
+            assert_allclose(s.matrix, 0.5 * np.eye(3), atol=1e-6)
+
     def test_principal_block_must_be_pd(self):
         with pytest.raises(PrincipalNotPD):
             schur_complement(np.array([[-1.0, 0.0], [0.0, 2.0]]), head=[0])

@@ -10,8 +10,8 @@ from blaschkepick import (
     CoincidentPoints,
     InsufficientJet,
     JetData,
-    PickMatrix,
     PrincipalNotPD,
+    SchwarzPickMatrix,
     ZeroLeadingValue,
     admissible,
     build_pick,
@@ -76,7 +76,7 @@ class TestExtractAndBuild:
         assert np.max(np.abs(p.flat - gram)) <= 1e-9 * scale
 
     def test_row_index_and_blocks(self):
-        p = PickMatrix(flat=np.arange(9.0).reshape(3, 3), points=(1.0, -1.0), orders=(2, 1))
+        p = SchwarzPickMatrix(flat=np.arange(9.0).reshape(3, 3), points=(1.0, -1.0), orders=(2, 1))
         assert p.offsets == (0, 2)
         assert p.row_index(0, 1) == 1
         assert p.row_index(1, 0) == 2
@@ -220,7 +220,7 @@ class TestCompleteToPd:
         data = extract_data(b, [1.0, -1.0], [1, 1])
         p = build_pick(data, (1, 1))
         completion = complete_to_pd(p, principal=[0], margin=1.0)
-        assert isinstance(completion.modified, PickMatrix)
+        assert isinstance(completion.modified, SchwarzPickMatrix)
         assert completion.modified.points == p.points
         assert completion.modified.orders == p.orders
 
