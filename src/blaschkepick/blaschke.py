@@ -24,7 +24,6 @@ from .errors import (
     RootFindingFailure,
     ZeroOnOrOutsideDisk,
 )
-from .series import divide_trunc, mul_trunc
 
 INTERIOR_MARGIN = 1e-12
 UNIMODULAR_TOL = 1e-12
@@ -156,8 +155,13 @@ def modulus_defect(b: BlaschkeProduct, z: complex, complement: float | None = No
 def taylor_jet(b: BlaschkeProduct, z0: complex, order: int) -> Jet:
     """Jet of coefficients w_0 .. w_order of b at z0.
 
-    Computed with truncated series arithmetic on the factored form, one
-    division per zero, so the result stays accurate on the unit circle
+    Each factor (z - a) / (1 - conj(a) z), with D = 1 - conj(a) z0, has
+    Taylor coefficients
+
+        f_0 = (z0 - a) / D,  f_1 = (1 + conj(a) f_0) / D,  f_m = conj(a) f_(m-1) / D,
+
+    one division per coefficient, and the factor series are multiplied by
+    truncated convolution.  The result stays accurate on the unit circle
     where finite differencing would not.
     """
     z0 = _require_finite(z0, "z0")
@@ -167,10 +171,16 @@ def taylor_jet(b: BlaschkeProduct, z0: complex, order: int) -> Jet:
     n = order + 1
     series = np.zeros(n, dtype=complex)
     series[0] = b.unimodular_constant
+    f = np.zeros(n, dtype=complex)
     for a in b.zeros:
-        num = np.array([z0 - a, 1.0], dtype=complex)
-        den = np.array([1.0 - a.conjugate() * z0, -a.conjugate()], dtype=complex)
-        series = mul_trunc(series, divide_trunc(num, den, n), n)
+        ac = np.complex128(a.conjugate())
+        d = np.complex128(1.0 - a.conjugate() * z0)
+        f[0] = np.complex128(z0 - a) / d
+        if n > 1:
+            f[1] = (1.0 + ac * f[0]) / d
+        for m in range(2, n):
+            f[m] = ac * f[m - 1] / d
+        series = np.convolve(series, f)[:n]
     return Jet(center=z0, coefficients=tuple(series))
 
 
@@ -223,8 +233,18 @@ def blaschke_to_json(b: BlaschkeProduct) -> dict:
     }
 
 
+def _pair_from_json(pair, what: str) -> complex:
+    re, im = pair
+    for x in (re, im):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise TypeError(f"{what} parts must be numbers, got {x!r}")
+    return complex(re, im)
+
+
 def blaschke_from_json(obj: dict) -> BlaschkeProduct:
-    """Inverse of :func:`blaschke_to_json`, with full validation."""
-    zeros = [complex(re, im) for re, im in obj["zeros"]]
-    u = complex(obj["u"][0], obj["u"][1])
-    return make_blaschke(zeros, u)
+    """Inverse of :func:`blaschke_to_json`, with full validation.
+
+    Every part must be a JSON number; booleans and strings raise TypeError.
+    """
+    zeros = [_pair_from_json(pair, "zero") for pair in obj["zeros"]]
+    return make_blaschke(zeros, _pair_from_json(obj["u"], "u"))

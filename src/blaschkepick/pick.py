@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, Jet, _require_finite, taylor_jet
+from .blaschke import BlaschkeProduct, Jet, _pair_from_json, _require_finite, taylor_jet
 from .errors import InsufficientJet, ZeroLeadingValue
 from .hermitian import HermitianReport, eigen_h, make_hermitian, make_report, schur_complement
 from .schwarz_pick import SchwarzPickMatrix, psi_matrix, sp_boundary_structured, validate_points
@@ -169,9 +169,10 @@ def solve_supplementary(
     """The unique top coefficient b_{2k+1} that makes the corner equal `target`.
 
     values must supply b_0 .. b_{2k} (a provided b_{2k+1} is ignored).  The
-    corner is affine in b_{2k+1} with a slope of modulus |b_0|, so the
-    solve is a single division; it refuses data with |b_0| < 0.5 and checks
-    its own residual against 1e-10 in the scale of the target.
+    corner is affine in b_{2k+1} with the exact slope (-1)^k t^(2k+1) conj(b_0)
+    of :func:`corner_value`, of modulus |b_0|, so the solve is a single
+    division; it refuses data with |b_0| < 0.5 and checks its own residual
+    against 1e-10 in the scale of the target.
     """
     k = int(order)
     vals = [complex(v) for v in values]
@@ -181,8 +182,7 @@ def solve_supplementary(
         raise ZeroLeadingValue(f"|b_0| = {abs(vals[0])!r} is below {LEADING_VALUE_FLOOR}")
     base = vals[: 2 * k + 1]
     gamma0 = corner_value(base + [0.0], point, k)
-    gamma1 = corner_value(base + [1.0], point, k)
-    slope = gamma1 - gamma0
+    slope = (-1.0) ** k * complex(point) ** (2 * k + 1) * vals[0].conjugate()
     supplement = (complex(target) - gamma0) / slope
     achieved = corner_value(base + [supplement], point, k)
     residual = abs(achieved - complex(target))
@@ -236,6 +236,6 @@ def jet_data_to_json(data: JetData) -> dict:
 
 def jet_data_from_json(obj: dict) -> JetData:
     """Inverse of :func:`jet_data_to_json`, with full validation."""
-    points = tuple(complex(re, im) for re, im in obj["points"])
-    values = tuple(tuple(complex(re, im) for re, im in row) for row in obj["values"])
+    points = tuple(_pair_from_json(p, "point") for p in obj["points"])
+    values = tuple(tuple(_pair_from_json(v, "value") for v in row) for row in obj["values"])
     return JetData(points=points, values=values)

@@ -45,7 +45,6 @@ from .blaschke import (
     taylor_jet,
 )
 from .errors import CoincidentPoints, DegenerateDenominator, InsufficientJet
-from .series import mul_trunc2, recip_trunc2
 
 DEGENERATE_DENOMINATOR_TOL = 1e-13
 DISTINCT_POINT_TOL = 1e-12
@@ -138,11 +137,25 @@ def kernel_jet(
             pair in a cancellation-free way, and from one shared value of
             1 - |z0|**2, should pass it here.
 
-    The quotient is evaluated as numerator times reciprocal-of-denominator
-    series; see :func:`blaschkepick.series.recip_trunc2` for why that order
-    of operations is the stable one against this denominator.  Raises
-    DegenerateDenominator when |1 - z0 u0| < 1e-13, and InsufficientJet when
-    a jet is shorter than the requested order needs.
+    The quotient is evaluated as numerator times the reciprocal series
+    R = 1 / (1 - z u), whose coefficients follow from multiplying out
+    (c - z0 g - u0 h - h g) R = 1 in h = z - z0, g = u - u0:
+
+        R[0, 0] = 1 / c,
+        R[i, j] = (z0 R[i, j-1] + u0 R[i-1, j] + R[i-1, j-1]) / c,
+
+    a missing index counting as zero.  When z0 u0 = 1 - c is real and
+    positive, as for a conjugate pair of centers, the three terms share one
+    phase, so each coefficient keeps a relative error of order (i + j) eps
+    even when c is tiny; dividing the numerator series directly would
+    instead divide every rounding error by c again at each later index it
+    feeds.  The product is one shifted add of R per numerator coefficient,
+    so each output coefficient adds its terms in the lexicographic order of
+    the numerator index, as a direct double sum would.  The order matters:
+    for orders k >= 3 the deep radial iterates are rounding noise, so
+    regrouping the sums moves them and can flip the radial convergence
+    verdict.  Raises DegenerateDenominator when |1 - z0 u0| < 1e-13, and
+    InsufficientJet when a jet is shorter than the requested order needs.
     """
     lmax, rmax = int(orders[0]), int(orders[1])
     if lmax < 0 or rmax < 0:
@@ -164,9 +177,24 @@ def kernel_jet(
     v = np.asarray(w_conj_jet_u.coefficients[: rmax + 1], dtype=complex)
     num = -np.outer(w, v)
     num[0, 0] = 1.0 - w[0] * v[0] if constants is None else complex(constants[1])
-    den = np.array([[c, -z0], [-u0, -1.0]], dtype=complex)
-    shape = (lmax + 1, rmax + 1)
-    coeffs = mul_trunc2(num, recip_trunc2(den, shape), shape)
+    rows, cols = lmax + 1, rmax + 1
+    c, z0c, u0c = np.complex128(c), np.complex128(z0), np.complex128(u0)
+    recip = np.zeros((rows, cols), dtype=complex)
+    recip[0, 0] = 1.0 / c
+    for i in range(rows):
+        for j in range(cols):
+            if i == 0 and j == 0:
+                continue
+            acc = z0c * recip[i, j - 1] if j else 0.0
+            if i:
+                acc = acc + u0c * recip[i - 1, j]
+                if j:
+                    acc = acc + recip[i - 1, j - 1]
+            recip[i, j] = acc / c
+    coeffs = np.zeros((rows, cols), dtype=complex)
+    for p in range(rows):
+        for q in range(cols):
+            coeffs[p:, q:] += num[p, q] * recip[: rows - p, : cols - q]
     return BivariateJet(center_z=z0, center_u=u0, coefficients=coeffs)
 
 
@@ -259,19 +287,13 @@ def psi_matrix(t: complex, k: int) -> np.ndarray:
 
 
 def _toeplitz_lower(coeffs: np.ndarray, k: int) -> np.ndarray:
-    t = np.zeros((k, k), dtype=complex)
-    for i in range(k):
-        for j in range(i + 1):
-            t[i, j] = coeffs[i - j]
-    return t
+    idx = np.arange(k)
+    return np.tril(coeffs[np.abs(idx[:, None] - idx[None, :])])
 
 
 def _hankel(coeffs: np.ndarray, k: int) -> np.ndarray:
-    h = np.zeros((k, k), dtype=complex)
-    for r in range(k):
-        for c in range(k):
-            h[r, c] = coeffs[r + c + 1]
-    return h
+    idx = np.arange(k)
+    return coeffs[idx[:, None] + idx[None, :] + 1]
 
 
 def _cross_matrix(ci, cj, ti, tj, ki, kj) -> np.ndarray:

@@ -14,19 +14,6 @@ def complex_to_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def pair_to_complex(pair) -> complex:
-    re, im = pair
-    return complex(float(re), float(im))
-
-
 def matrix_to_json(m) -> list[list[list[float]]]:
     m = np.asarray(m, dtype=complex)
     return [[complex_to_pair(entry) for entry in row] for row in m]
-
-
-def matrix_from_json(rows) -> np.ndarray:
-    return np.array([[pair_to_complex(entry) for entry in row] for row in rows], dtype=complex)
-
-
-def vector_to_json(v) -> list[list[float]]:
-    return [complex_to_pair(entry) for entry in np.asarray(v, dtype=complex)]

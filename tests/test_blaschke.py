@@ -233,3 +233,20 @@ class TestJson:
     def test_from_json_validates(self):
         with pytest.raises(ZeroOnOrOutsideDisk):
             blaschke_from_json({"zeros": [[2.0, 0.0]], "u": [1.0, 0.0]})
+
+    def test_from_json_accepts_integers(self):
+        assert blaschke_from_json({"zeros": [[0, 0]], "u": [0, 1]}) == make_blaschke([0.0], 1j)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"zeros": [[False, True]], "u": [True, 0]},
+            {"zeros": [[0.5, False]], "u": [1.0, 0.0]},
+            {"zeros": [], "u": [True, False]},
+            {"zeros": [["0.5", 0.0]], "u": [1.0, 0.0]},
+        ],
+    )
+    def test_from_json_rejects_non_numbers(self, obj):
+        # JSON booleans are not numbers: [false, true] must not read as 1j.
+        with pytest.raises(TypeError):
+            blaschke_from_json(obj)

@@ -129,6 +129,13 @@ class TestValidation:
         assert main(["analyze", path]) == 2
         assert "invalid blaschke description" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "crosscheck"])
+    def test_boolean_blaschke_description(self, tmp_path, capsys, command):
+        # Read as numbers this would be the valid product z.
+        path = write_problem(tmp_path, blaschke={"zeros": [[False, 0.0]], "u": [True, False]}, orders=[1])
+        assert main([command, path]) == 2
+        assert "must be numbers" in capsys.readouterr().err
+
     def test_shallow_radial_depth(self, tmp_path, capsys):
         path = write_problem(tmp_path, orders=[1])
         assert main(["crosscheck", path, "--radial-depth", "4"]) == 2

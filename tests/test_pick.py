@@ -247,3 +247,9 @@ class TestJson:
     def test_from_json_validates(self):
         with pytest.raises(ValueError):
             jet_data_from_json({"points": [[0.5, 0.0]], "values": [[[1.0, 0.0]]]})
+
+    def test_from_json_rejects_booleans(self):
+        with pytest.raises(TypeError):
+            jet_data_from_json({"points": [[True, False]], "values": [[[1.0, 0.0]]]})
+        with pytest.raises(TypeError):
+            jet_data_from_json({"points": [[1.0, 0.0]], "values": [[[True, 0.0]]]})

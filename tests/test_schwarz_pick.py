@@ -104,6 +104,26 @@ class TestKernelJet:
         seeded = kernel_jet(jet, cjet, (2, 2), constants=(c, n0)).coefficients
         assert_allclose(seeded, plain, rtol=1e-12)
 
+    def test_reciprocal_survives_small_constant_kernel_denominator(self):
+        # With zero jets and constants (c, 1) the kernel jet is the reciprocal
+        # series of 1 - z u at a conjugate pair of centers close to the unit
+        # circle.  Differentiating 1 / (1 - z u) by hand gives it in closed
+        # form, and the relative error must stay at rounding level even
+        # though c is 2e-5.
+        z0 = complex((1.0 - 1e-5) * np.exp(0.3j))
+        u0 = z0.conjugate()
+        c = 1.0 - z0 * u0
+        zero_z = Jet(center=z0, coefficients=(0.0, 0.0))
+        zero_u = Jet(center=u0, coefficients=(0.0, 0.0))
+        rec = kernel_jet(zero_z, zero_u, (1, 1), constants=(c, 1.0)).coefficients
+        want = np.array(
+            [
+                [1.0 / c, z0 / c**2],
+                [u0 / c**2, (2.0 - c) / c**3],
+            ]
+        )
+        assert_allclose(rec, want, rtol=1e-12)
+
 
 class TestInterior:
     def test_single_point_worked_value(self):

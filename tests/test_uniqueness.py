@@ -157,6 +157,31 @@ class TestNonUniqueVerdicts:
         supplied = cert.supplementary[0][1]
         assert abs(supplied - own) == pytest.approx(cert.completion.shift, rel=1e-9)
 
+    def test_supplementary_solve_at_high_order(self):
+        # Degree 8 with eighth-order contact: the corner reaches 1e7, where a
+        # finite-difference slope carries enough rounding to break the
+        # supplementary solve's own residual check.  The exact slope
+        # (-1)^k t^(2k+1) conj(b_0) does not.
+        zeros = [
+            -0.4384365834628262 + 0.4710563454850222j,
+            -0.25950082684223025 - 0.3975872555316651j,
+            -0.2223709559871426 - 0.6887171095806882j,
+            0.2438858474208645 - 0.12125757247362216j,
+            -0.1884364986778621 + 0.09656969848403937j,
+            -0.39970705102677145 - 0.5269650284264978j,
+            -0.0020481151941723055 - 0.7220975476683578j,
+            0.1680427855334846 + 0.07512788521229861j,
+        ]
+        b = make_blaschke(zeros, 0.14240402792098028 + 0.9898086142441278j)
+        t = -0.1450171364159253 - 0.989429143570031j
+        verdict = decide(ContactProblem(b=b, points=(t,), contact_orders=(8,)))
+        assert not verdict.unique
+        cert = verdict.certificate
+        assert cert.extended_report.pd
+        scale = float(np.max(np.abs(cert.completion.modified.flat)))
+        assert scale > 1e6
+        assert cert.roundtrip_residual <= 1e-9 * scale
+
 
 class TestEvidenceContradictions:
     def test_unique_path_rank_failure(self):
