@@ -123,7 +123,9 @@ def poles(b: BlaschkeProduct) -> list[complex]:
     return [1.0 / a.conjugate() for a in b.zeros if a != 0]
 
 
-def modulus_defect(b: BlaschkeProduct, z: complex, complement: float | None = None) -> float:
+def modulus_defect(
+    b: BlaschkeProduct, z: complex | np.ndarray, complement: float | np.ndarray | None = None
+) -> float | np.ndarray:
     """1 - |b(z)|**2, evaluated without cancellation.
 
     Near the circle |b(z)| is close to one and the direct subtraction loses
@@ -141,15 +143,22 @@ def modulus_defect(b: BlaschkeProduct, z: complex, complement: float | None = No
     the exact same value used elsewhere in a computation keeps tiny
     quantities consistent with each other, which matters when they are
     later divided.
+
+    z may also be an array of points, with `complement` of the same shape;
+    the accumulation then runs on whole arrays and the result is an array
+    of that shape.  A single point gives a float.
     """
-    z = _require_finite(z, "z")
-    m = complement if complement is not None else 1.0 - (z.real * z.real + z.imag * z.imag)
-    acc = 0.0
-    for a in b.zeros:
-        den = 1.0 - a.conjugate() * z
-        scale = (1.0 - abs(a)) * (1.0 + abs(a)) / (den.real * den.real + den.imag * den.imag)
-        acc += scale * m * (1.0 - acc)
-    return acc
+    zs = np.asarray(z, dtype=complex)
+    if not np.isfinite(zs).all():
+        raise ValueError(f"z must be finite, got {z!r}")
+    m = 1.0 - (zs.real * zs.real + zs.imag * zs.imag) if complement is None else complement
+    a = np.array(b.zeros, dtype=complex).reshape((-1,) + (1,) * zs.ndim)
+    den = 1.0 - a.conj() * zs
+    x = (1.0 - abs(a)) * (1.0 + abs(a)) / (den.real * den.real + den.imag * den.imag) * m
+    acc = np.zeros(zs.shape)
+    for xk in x:
+        acc += xk * (1.0 - acc)
+    return float(acc) if acc.ndim == 0 else acc
 
 
 def taylor_jet(b: BlaschkeProduct, z0: complex, order: int) -> Jet:
@@ -182,6 +191,42 @@ def taylor_jet(b: BlaschkeProduct, z0: complex, order: int) -> Jet:
             f[m] = ac * f[m - 1] / d
         series = np.convolve(series, f)[:n]
     return Jet(center=z0, coefficients=tuple(series))
+
+
+def _jet_array(b: BlaschkeProduct, centers: np.ndarray, order: int) -> np.ndarray:
+    """Coefficients w_0 .. w_order of b at every entry of `centers`.
+
+    The result has shape centers.shape + (order + 1,).  The factor
+    recurrence of :func:`taylor_jet` runs on every zero and center at once,
+    and each factor's truncated convolution is a stacked product with the
+    lower triangular Toeplitz matrix of its coefficients.  The result agrees
+    with taylor_jet to rounding but not bit for bit; taylor_jet keeps its
+    scalar arithmetic because the decision procedure reads boundary jets to
+    the last bit.  Raises PoleEvaluation for a center within 1e-12 of a pole.
+    """
+    poles = np.array([1.0 / a.conjugate() for a in b.zeros if a != 0], dtype=complex)
+    near = np.abs(centers[..., None] - poles) < POLE_TOL
+    if near.any():
+        *at, k = np.argwhere(near)[0]
+        z, pole = complex(centers[tuple(at)]), complex(poles[k])
+        raise PoleEvaluation(f"{z!r} lies within {POLE_TOL} of the pole at {pole!r}")
+    n = order + 1
+    a = np.array(b.zeros, dtype=complex).reshape((-1,) + (1,) * centers.ndim)
+    ac = a.conj()
+    d = 1.0 - ac * centers
+    f = np.zeros(d.shape + (n,), dtype=complex)
+    f[..., 0] = (centers - a) / d
+    if n > 1:
+        f[..., 1] = (1.0 + ac * f[..., 0]) / d
+    for m in range(2, n):
+        f[..., m] = ac * f[..., m - 1] / d
+    lag = np.subtract.outer(np.arange(n), np.arange(n))
+    lower, index = lag >= 0, np.maximum(lag, 0)
+    series = np.zeros(centers.shape + (n, 1), dtype=complex)
+    series[..., 0, 0] = b.unimodular_constant
+    for factor in f:
+        series = np.where(lower, factor[..., index], 0.0) @ series
+    return series[..., 0]
 
 
 def level_set(b: BlaschkeProduct, tau: complex) -> list[complex]:

@@ -32,7 +32,12 @@ from .errors import BlaschkePickError, RankMismatch
 from .hermitian import HermitianReport, make_report
 from .pick import admissible, extract_data
 from .realization import realize, sp_via_realization
-from .schwarz_pick import SchwarzPickMatrix, sp_boundary_radial, sp_boundary_structured
+from .schwarz_pick import (
+    DEGENERATE_DENOMINATOR_TOL,
+    SchwarzPickMatrix,
+    sp_boundary_radial,
+    sp_boundary_structured,
+)
 from .serialize import complex_to_pair, matrix_to_json
 from .uniqueness import (
     ContactProblem,
@@ -45,6 +50,14 @@ from .uniqueness import (
 
 ROUTE_RESIDUAL_LIMIT = 1e-8
 POINT_MODULUS_SLACK = 1e-6
+MIN_RADIAL_DEPTH = 5
+# The deepest radius r = 1 - 2^-m whose diagonal kernel constant 1 - r^2
+# still clears the interior route's degeneracy cutoff.
+MAX_RADIAL_DEPTH = max(
+    m
+    for m in range(MIN_RADIAL_DEPTH, 53)
+    if 1.0 - (1.0 - 2.0**-m) ** 2 >= DEGENERATE_DENOMINATOR_TOL
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -270,6 +283,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
+    depth = args.radial_depth
+    if not MIN_RADIAL_DEPTH <= depth <= MAX_RADIAL_DEPTH:
+        print(
+            f"error: --radial-depth must be between {MIN_RADIAL_DEPTH} and {MAX_RADIAL_DEPTH}",
+            file=sys.stderr,
+        )
+        return EXIT_VALIDATION
     try:
         b, points, orders, _ = _load_problem(args.problem)
         for k in orders:
@@ -278,7 +298,6 @@ def cmd_crosscheck(args) -> int:
     except ProblemFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    depth = args.radial_depth
     schedule = tuple(1.0 - 2.0 ** -m for m in range(4, depth + 1))
     start = time.perf_counter()
     try:
@@ -453,12 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=["text", "json"], default="text", help="report format")
     common.add_argument("--tol-rank", type=float, default=None, help="numerical rank cutoff")
     common.add_argument("--tol-pd", type=float, default=None, help="positive definiteness cutoff")
-    common.add_argument(
-        "--radial-depth",
-        type=int,
-        default=20,
-        help="last exponent m of the radial schedule r = 1 - 2^-m",
-    )
     parser = argparse.ArgumentParser(
         prog="blaschkepick",
         description="Boundary Schwarz-Pick and Pick matrices for finite Blaschke products",
@@ -480,6 +493,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare the three boundary routes (orders are derivative orders k)",
     )
     p_cross.add_argument("problem", help="path to a JSON problem file")
+    p_cross.add_argument(
+        "--radial-depth",
+        type=int,
+        default=20,
+        help=f"last exponent m of the radial schedule r = 1 - 2^-m "
+        f"({MIN_RADIAL_DEPTH} to {MAX_RADIAL_DEPTH})",
+    )
     p_cross.set_defaults(func=cmd_crosscheck)
 
     p_fuzz = sub.add_parser(
@@ -497,9 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "crosscheck" and args.radial_depth < 5:
-        print("error: --radial-depth must be at least 5", file=sys.stderr)
-        return EXIT_VALIDATION
     return args.func(args)
 
 

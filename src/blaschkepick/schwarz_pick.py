@@ -40,9 +40,9 @@ from .blaschke import (
     CIRCLE_TOL,
     BlaschkeProduct,
     Jet,
+    _jet_array,
     _require_finite,
     modulus_defect,
-    taylor_jet,
 )
 from .errors import CoincidentPoints, DegenerateDenominator, InsufficientJet
 
@@ -104,7 +104,8 @@ class RadialDiagnostics:
     step_deltas[m] is the max-abs entrywise change between schedule steps m
     and m+1; final_delta is the last per-entry change; `converged` states
     whether the last step moved every entry by less than `tol` relative to
-    max(1, largest entry magnitude of the final iterate).
+    max(1, s), where s is the smallest over the iterates of each iterate's
+    largest entry magnitude.
     """
 
     radii: tuple[float, ...]
@@ -137,25 +138,11 @@ def kernel_jet(
             pair in a cancellation-free way, and from one shared value of
             1 - |z0|**2, should pass it here.
 
-    The quotient is evaluated as numerator times the reciprocal series
-    R = 1 / (1 - z u), whose coefficients follow from multiplying out
-    (c - z0 g - u0 h - h g) R = 1 in h = z - z0, g = u - u0:
-
-        R[0, 0] = 1 / c,
-        R[i, j] = (z0 R[i, j-1] + u0 R[i-1, j] + R[i-1, j-1]) / c,
-
-    a missing index counting as zero.  When z0 u0 = 1 - c is real and
-    positive, as for a conjugate pair of centers, the three terms share one
-    phase, so each coefficient keeps a relative error of order (i + j) eps
-    even when c is tiny; dividing the numerator series directly would
-    instead divide every rounding error by c again at each later index it
-    feeds.  The product is one shifted add of R per numerator coefficient,
-    so each output coefficient adds its terms in the lexicographic order of
-    the numerator index, as a direct double sum would.  The order matters:
-    for orders k >= 3 the deep radial iterates are rounding noise, so
-    regrouping the sums moves them and can flip the radial convergence
-    verdict.  Raises DegenerateDenominator when |1 - z0 u0| < 1e-13, and
-    InsufficientJet when a jet is shorter than the requested order needs.
+    This is the one-pair case of :func:`_kernel_series`, the recurrence that
+    :func:`sp_interior` and :func:`sp_boundary_radial` run on whole stacks
+    of center pairs; see there for the arithmetic.  Raises
+    DegenerateDenominator when |1 - z0 u0| < 1e-13, and InsufficientJet when
+    a jet is shorter than the requested order needs.
     """
     lmax, rmax = int(orders[0]), int(orders[1])
     if lmax < 0 or rmax < 0:
@@ -170,32 +157,72 @@ def kernel_jet(
         )
     z0 = w_jet_z.center
     u0 = w_conj_jet_u.center
-    c = (1.0 - z0 * u0) if constants is None else complex(constants[0])
-    if abs(c) < DEGENERATE_DENOMINATOR_TOL:
-        raise DegenerateDenominator(f"1 - z0*u0 = {c!r} at centers ({z0!r}, {u0!r})")
     w = np.asarray(w_jet_z.coefficients[: lmax + 1], dtype=complex)
     v = np.asarray(w_conj_jet_u.coefficients[: rmax + 1], dtype=complex)
-    num = -np.outer(w, v)
-    num[0, 0] = 1.0 - w[0] * v[0] if constants is None else complex(constants[1])
-    rows, cols = lmax + 1, rmax + 1
-    c, z0c, u0c = np.complex128(c), np.complex128(z0), np.complex128(u0)
-    recip = np.zeros((rows, cols), dtype=complex)
-    recip[0, 0] = 1.0 / c
+    if constants is None:
+        c, n0 = 1.0 - z0 * u0, 1.0 - w[0] * v[0]
+    else:
+        c, n0 = complex(constants[0]), complex(constants[1])
+    coeffs = _kernel_series(w, v, z0, u0, c, n0)
+    return BivariateJet(center_z=z0, center_u=u0, coefficients=coeffs)
+
+
+def _first(mask: np.ndarray) -> tuple:
+    """Index of the first True entry of `mask`, in row-major order."""
+    return tuple(np.argwhere(mask)[0])
+
+
+def _kernel_series(w, v, z0, u0, c, n0) -> np.ndarray:
+    """Kernel coefficients for a stack of center pairs, shape (..., P, Q).
+
+    w (..., P) and v (..., Q) are the jets of w at z0 and of wh at u0; z0,
+    u0, the denominator constants c = 1 - z0 u0 and the numerator constants
+    n0 broadcast over the stack dimensions.  The quotient is evaluated as
+    numerator times the reciprocal series R = 1 / (1 - z u), whose
+    coefficients follow from multiplying out (c - z0 g - u0 h - h g) R = 1
+    in h = z - z0, g = u - u0:
+
+        R[0, 0] = 1 / c,
+        R[i, j] = (z0 R[i, j-1] + u0 R[i-1, j] + R[i-1, j-1]) / c,
+
+    a missing index counting as zero.  When z0 u0 = 1 - c is real and
+    positive, as for a conjugate pair of centers, the three terms share one
+    phase, so each coefficient keeps a relative error of order (i + j) eps
+    even when c is tiny; dividing the numerator series directly would
+    instead divide every rounding error by c again at each later index it
+    feeds.  The product is one shifted add of R per numerator coefficient.
+    Coefficient (i, j) depends only on lower indices, so a block truncated
+    to fewer terms is the leading corner of the full one.  Raises
+    DegenerateDenominator when some |c| < 1e-13.
+    """
+    c = np.asarray(c)
+    bad = np.abs(c) < DEGENERATE_DENOMINATOR_TOL
+    if bad.any():
+        at = _first(bad)
+        zc, uc = np.broadcast_to(z0, bad.shape)[at], np.broadcast_to(u0, bad.shape)[at]
+        raise DegenerateDenominator(
+            f"1 - z0*u0 = {complex(c[at])!r} at centers ({complex(zc)!r}, {complex(uc)!r})"
+        )
+    num = -w[..., :, None] * v[..., None, :]
+    num[..., 0, 0] = n0
+    rows, cols = num.shape[-2:]
+    recip = np.zeros(num.shape, dtype=complex)
+    recip[..., 0, 0] = 1.0 / c
     for i in range(rows):
         for j in range(cols):
             if i == 0 and j == 0:
                 continue
-            acc = z0c * recip[i, j - 1] if j else 0.0
+            acc = z0 * recip[..., i, j - 1] if j else 0.0
             if i:
-                acc = acc + u0c * recip[i - 1, j]
+                acc = acc + u0 * recip[..., i - 1, j]
                 if j:
-                    acc = acc + recip[i - 1, j - 1]
-            recip[i, j] = acc / c
-    coeffs = np.zeros((rows, cols), dtype=complex)
+                    acc = acc + recip[..., i - 1, j - 1]
+            recip[..., i, j] = acc / c
+    coeffs = np.zeros(num.shape, dtype=complex)
     for p in range(rows):
         for q in range(cols):
-            coeffs[p:, q:] += num[p, q] * recip[: rows - p, : cols - q]
-    return BivariateJet(center_z=z0, center_u=u0, coefficients=coeffs)
+            coeffs[..., p:, q:] += num[..., p, q, None, None] * recip[..., : rows - p, : cols - q]
+    return coeffs
 
 
 def _validate_orders(orders) -> tuple[int, ...]:
@@ -229,43 +256,57 @@ def validate_points(points, *, on_circle: bool = False) -> tuple[complex, ...]:
     return pts
 
 
-def _conjugate_pair_constants(b: BlaschkeProduct, z0: complex) -> tuple[float, float]:
-    """Constant terms (1 - |z0|**2, 1 - |b(z0)|**2) for a diagonal kernel jet.
+def _interior_stack(b: BlaschkeProduct, centers: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
+    """Flat Schwarz-Pick matrices at every row of `centers`, shape (R, N, N).
 
-    Both come from the same evaluation of 1 - |z0|**2, so their ratio stays
-    accurate to relative rounding error arbitrarily close to the circle.
+    Row r of the (R, n) array `centers` holds the n points of one matrix
+    with derivative orders ks; every row must be distinct points inside the
+    disk, away from the poles.  One kernel recurrence runs on the
+    (R, n, n, K, K) stack of all center pairs, K = max(ks), and the blocks
+    are sliced out of it.  Diagonal pairs get the constant terms 1 - |z|**2
+    and the modulus defect evaluated from that same value, so their ratio
+    stays accurate to relative rounding error arbitrarily close to the
+    circle.
     """
-    m = 1.0 - (z0.real * z0.real + z0.imag * z0.imag)
-    return m, modulus_defect(b, z0, complement=m)
+    if centers.shape[1] != len(ks):
+        raise ValueError("points and orders must have equal length")
+    outside = np.abs(centers) >= 1.0
+    if outside.any():
+        z = complex(centers[_first(outside)])
+        raise ValueError(f"interior route needs |z| < 1, got |z| = {abs(z)!r}")
+    close = np.triu(np.abs(centers[:, :, None] - centers[:, None, :]) < DISTINCT_POINT_TOL, 1)
+    if close.any():
+        r, i, j = _first(close)
+        zi, zj = complex(centers[r, i]), complex(centers[r, j])
+        raise CoincidentPoints(f"points {zi!r} and {zj!r} coincide within {DISTINCT_POINT_TOL}")
+    jets = _jet_array(b, centers, max(ks) - 1)
+    w, v = jets[:, :, None, :], jets.conj()[:, None, :, :]
+    z0, u0 = centers[:, :, None], centers.conj()[:, None, :]
+    c = 1.0 - z0 * u0
+    n0 = 1.0 - w[..., 0] * v[..., 0]
+    diag = np.arange(len(ks))
+    m = 1.0 - (centers.real * centers.real + centers.imag * centers.imag)
+    c[:, diag, diag] = m
+    n0[:, diag, diag] = modulus_defect(b, centers, complement=m)
+    coeffs = _kernel_series(w, v, z0, u0, c, n0)
+    point = np.repeat(diag, ks)
+    derivative = np.concatenate([np.arange(k) for k in ks])
+    return coeffs[:, point[:, None], point[None, :], derivative[:, None], derivative[None, :]]
 
 
 def sp_interior(b: BlaschkeProduct, points, orders) -> SchwarzPickMatrix:
     """Schwarz-Pick matrix at points of the open disk, via kernel series.
 
     Block (i, j) is the kernel jet at (z_i, conj(z_j)) through orders
-    (k_i - 1, k_j - 1).  Diagonal blocks get their constant terms through
-    :func:`_conjugate_pair_constants`, which keeps them accurate as the
-    points approach the circle.
+    (k_i - 1, k_j - 1).  Diagonal blocks take their constant terms from one
+    shared value of 1 - |z_i|**2, which keeps them accurate as the points
+    approach the circle.  This is the one-radius case of the stacked
+    evaluation behind :func:`sp_boundary_radial`.
     """
     ks = _validate_orders(orders)
     pts = validate_points(points)
-    if len(pts) != len(ks):
-        raise ValueError("points and orders must have equal length")
-    for z in pts:
-        if abs(z) >= 1.0:
-            raise ValueError(f"interior route needs |z| < 1, got |z| = {abs(z)!r}")
-    jets = [taylor_jet(b, z, k - 1) for z, k in zip(pts, ks)]
-    conj_jets = [
-        Jet(center=z.conjugate(), coefficients=tuple(c.conjugate() for c in jet.coefficients))
-        for z, jet in zip(pts, jets)
-    ]
-    sp = SchwarzPickMatrix(flat=np.zeros((sum(ks), sum(ks)), dtype=complex), points=pts, orders=ks)
-    for i in range(len(pts)):
-        for j in range(len(pts)):
-            constants = _conjugate_pair_constants(b, pts[i]) if i == j else None
-            kj = kernel_jet(jets[i], conj_jets[j], (ks[i] - 1, ks[j] - 1), constants)
-            sp.block(i, j)[...] = kj.coefficients
-    return sp
+    flat = _interior_stack(b, np.array([pts], dtype=complex), ks)[0]
+    return SchwarzPickMatrix(flat=flat, points=pts, orders=ks)
 
 
 def psi_matrix(t: complex, k: int) -> np.ndarray:
@@ -373,38 +414,42 @@ def sp_boundary_radial(
 ) -> tuple[SchwarzPickMatrix, RadialDiagnostics]:
     """Boundary matrix as a radial limit of interior matrices.
 
-    Evaluates :func:`sp_interior` at r * t_i for each radius r of the
-    schedule (default r_m = 1 - 2^-m, m = 4 .. 20) and returns the final
-    iterate together with the successive-difference diagnostics.
-    Convergence means the last step changed no entry by more than 1e-3
-    relative to max(1, largest entry magnitude); the iterates approach the
-    limit linearly in 1 - r, so an absolute reading of the final step would
-    say more about the matrix scale than about the route.
+    Evaluates the interior matrix of :func:`sp_interior` at r * t_i for
+    every radius r of the schedule (default r_m = 1 - 2^-m, m = 4 .. 20) in
+    one stacked kernel evaluation, with the interior route's checks applied
+    at every radius, and returns the final iterate together with the
+    successive-difference diagnostics.  Convergence means the last step
+    changed no entry by more than 1e-3 relative to max(1, s), where s is
+    the smallest over the iterates of each iterate's largest entry
+    magnitude; the iterates approach the limit linearly in 1 - r, so an
+    absolute reading of the final step would say more about the matrix
+    scale than about the route.  Taking s from the quietest iterate rather
+    than the last one keeps a final iterate inflated by rounding noise from
+    widening its own acceptance test.
 
     The truncation error of an iterate shrinks linearly in 1 - r, but the
     rounding error of a diagonal block grows like (1 - r**2)**-(2k - 2), so
     orders k >= 3 hit a noise floor partway down the schedule (around
     r = 1 - 2^-10 in double precision) and the deeper iterates move away
-    again.  The diagnostics report that honestly: `converged` stays False
-    whenever the last step still moved more than `tol`.  Orders one and two
-    converge through the whole default schedule.
+    again, by far more than `tol` allows; `converged` then stays False.
+    Orders one and two converge through the whole default schedule.
     """
     ks = _validate_orders(orders)
     pts = validate_points(points, on_circle=True)
     rs = _validate_schedule(schedule)
-    iterates = [sp_interior(b, [r * t for t in pts], ks).flat for r in rs]
-    deltas = [float(np.max(np.abs(cur - prev))) for prev, cur in zip(iterates, iterates[1:])]
-    if len(iterates) >= 2:
+    iterates = _interior_stack(b, np.multiply.outer(rs, pts), ks)
+    deltas = np.max(np.abs(np.diff(iterates, axis=0)), axis=(1, 2))
+    if len(rs) >= 2:
         final_delta = np.abs(iterates[-1] - iterates[-2])
-        scale = max(1.0, float(np.max(np.abs(iterates[-1]))))
-        converged = deltas[-1] < RADIAL_CONVERGENCE_TOL * scale
+        scale = max(1.0, float(np.min(np.max(np.abs(iterates), axis=(1, 2)))))
+        converged = bool(deltas[-1] < RADIAL_CONVERGENCE_TOL * scale)
     else:
-        final_delta = np.full_like(np.abs(iterates[-1]), np.inf)
+        final_delta = np.full(iterates.shape[1:], np.inf)
         converged = False
     estimate = SchwarzPickMatrix(flat=iterates[-1], points=pts, orders=ks)
     diags = RadialDiagnostics(
         radii=rs,
-        step_deltas=tuple(deltas),
+        step_deltas=tuple(float(d) for d in deltas),
         final_delta=final_delta,
         converged=converged,
         tol=RADIAL_CONVERGENCE_TOL,
@@ -418,10 +463,11 @@ def membership_probe(b: BlaschkeProduct, t: complex, k: int, schedule=None) -> l
     Value m is the (k-1, k-1) mixed kernel coefficient at z = r_m * t, the
     quantity whose boundedness as r -> 1 characterizes order-k boundary
     regularity at t.  For a finite Blaschke product it increases to the
-    bottom diagonal entry of the order-k boundary block.
+    bottom diagonal entry of the order-k boundary block.  All radii share
+    one stacked interior evaluation.
     """
     (t,) = validate_points([t], on_circle=True)
-    return [
-        float(sp_interior(b, [r * t], [k]).flat[k - 1, k - 1].real)
-        for r in _validate_schedule(schedule)
-    ]
+    ks = _validate_orders([k])
+    rs = _validate_schedule(schedule)
+    iterates = _interior_stack(b, np.multiply.outer(rs, [t]), ks)
+    return [float(v) for v in iterates[:, ks[0] - 1, ks[0] - 1].real]

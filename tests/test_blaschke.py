@@ -223,6 +223,13 @@ class TestModulusDefect:
         m = 1.0 - abs(z) ** 2
         assert modulus_defect(b, z, complement=m) == pytest.approx(modulus_defect(b, z), rel=1e-12)
 
+    def test_array_of_points_matches_pointwise(self):
+        b = make_blaschke([0.4, -0.3 + 0.5j])
+        zs = np.array([[0.1, 0.6 + 0.2j], [-0.5j, 0.999]])
+        out = modulus_defect(b, zs)
+        assert out.shape == zs.shape
+        assert_allclose(out, [[modulus_defect(b, z) for z in row] for row in zs], rtol=1e-15)
+
 
 class TestJson:
     def test_roundtrip(self):

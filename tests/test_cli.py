@@ -141,6 +141,20 @@ class TestValidation:
         assert main(["crosscheck", path, "--radial-depth", "4"]) == 2
         assert "radial-depth" in capsys.readouterr().err
 
+    def test_too_deep_radial_depth(self, tmp_path, capsys):
+        # At m = 45, 1 - r**2 = 2^-44 falls below the interior route's
+        # degeneracy cutoff, so the schedule could not be evaluated.
+        path = write_problem(tmp_path, orders=[1])
+        assert main(["crosscheck", path, "--radial-depth", "45"]) == 2
+        assert "--radial-depth must be between 5 and 44" in capsys.readouterr().err
+
+    def test_radial_depth_belongs_to_crosscheck(self, tmp_path, capsys):
+        path = write_problem(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", path, "--radial-depth", "20"])
+        assert exc.value.code == 2
+        assert "--radial-depth" in capsys.readouterr().err
+
 
 class TestCrosscheck:
     def test_routes_agree(self, tmp_path, capsys):
@@ -168,6 +182,13 @@ class TestCrosscheck:
         assert main(["crosscheck", path, "--radial-depth", "5", "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["radial_final_radius"] == pytest.approx(1.0 - 2.0**-5)
+
+    def test_maximum_depth_accepted(self, tmp_path, capsys):
+        path = write_problem(tmp_path, orders=[1])
+        assert main(["crosscheck", path, "--radial-depth", "44", "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["radial_depth"] == 44
+        assert report["radial_final_radius"] == 1.0 - 2.0**-44
 
 
 class TestFuzz:

@@ -14,6 +14,7 @@ from blaschkepick import (
     kernel_jet,
     make_blaschke,
     membership_probe,
+    modulus_defect,
     psi_matrix,
     realize,
     sp_boundary_radial,
@@ -289,6 +290,67 @@ class TestBoundaryRadial:
         with pytest.raises(ValueError):
             sp_boundary_radial(make_blaschke([0.5]), [0.9], [1])
 
+    def test_noisy_final_iterate_does_not_widen_its_own_test(self):
+        # Third order at the second point: the deep iterates are rounding
+        # noise that grows to about 3e8 while the boundary matrix is about
+        # 5e3.  Scaled by the last iterate, the tolerance used to accept the
+        # last step of that noise as convergence.
+        zeros = [
+            0.1341307744235378 + 0.11374654040942764j,
+            -0.4318955148873633 - 0.575896871548212j,
+            0.3466901824544982 + 0.5528281933908026j,
+            -0.24789395583032423 + 0.03321005399472177j,
+            -0.2690189246742432 - 0.06479618625198413j,
+            0.23559605347690318 - 0.6371536434875291j,
+            0.473567828454242 - 0.4510948801072886j,
+            0.5856512950545737 + 0.4366988996616246j,
+        ]
+        b = make_blaschke(zeros, 0.05764460195631234 + 0.9983371674265655j)
+        pts = [-0.4276834440822611 - 0.9039285766353089j, 0.5746670569917082 - 0.8183873004931643j]
+        _, diags = sp_boundary_radial(b, pts, [1, 3])
+        assert not diags.converged
+
+    def test_step_deltas_match_separate_interior_matrices(self):
+        rng = np.random.default_rng(36)
+        radii = [0.6, 0.8, 0.95]
+        for ks in ([1, 2], [2, 2, 1]):
+            b = random_blaschke(rng, 4)
+            pts = random_circle_points(rng, len(ks))
+            _, diags = sp_boundary_radial(b, pts, ks, schedule=radii)
+            iterates = [sp_interior(b, [r * t for t in pts], ks).flat for r in radii]
+            want = [np.max(np.abs(cur - prev)) for prev, cur in zip(iterates, iterates[1:])]
+            assert_allclose(diags.step_deltas, want, rtol=1e-12)
+
+    def test_mixed_orders_slice_every_block(self):
+        rng = np.random.default_rng(37)
+        b = random_blaschke(rng, 5)
+        pts = random_circle_points(rng, 3)
+        ks = [1, 3, 2]
+        est, _ = sp_boundary_radial(b, pts, ks, schedule=[0.5])
+        zs = [0.5 * t for t in pts]
+        interior = sp_interior(b, zs, ks)
+        scale = max(1.0, float(np.max(np.abs(interior.flat))))
+        assert np.max(np.abs(est.flat - interior.flat)) <= 1e-13 * scale
+        # Each block against a kernel jet of exactly its own orders.
+        jets = [taylor_jet(b, z, k - 1) for z, k in zip(zs, ks)]
+        for i, (zi, ki) in enumerate(zip(zs, ks)):
+            for j, kj in enumerate(ks):
+                constants = (1.0 - abs(zi) ** 2, modulus_defect(b, zi)) if i == j else None
+                pair = kernel_jet(jets[i], conjugated_jet(jets[j]), (ki - 1, kj - 1), constants)
+                assert np.max(np.abs(interior.block(i, j) - pair.coefficients)) <= 1e-13 * scale
+
+    def test_points_coinciding_at_some_radius_rejected(self):
+        # 1.5e-12 apart on the circle, so distinct there, but closer than
+        # the 1e-12 distinctness tolerance at radius one half.
+        pts = [1.0, cmath.exp(1.5e-12j)]
+        with pytest.raises(CoincidentPoints):
+            sp_boundary_radial(make_blaschke([0.5]), pts, [1, 1], schedule=[0.5, 0.9])
+
+    def test_degenerate_radius_rejected(self):
+        # 1 - r**2 is about 2.8e-14 at r = 1 - 2^-46, below the 1e-13 cutoff.
+        with pytest.raises(DegenerateDenominator):
+            sp_boundary_radial(make_blaschke([0.5]), [1.0], [1], schedule=[0.5, 1.0 - 2.0**-46])
+
 
 class TestMembershipProbe:
     def test_square_probe_values(self):
@@ -302,6 +364,13 @@ class TestMembershipProbe:
         assert all(v2 >= v1 - 1e-9 for v1, v2 in zip(values, values[1:]))
         limit = sum((1.0 - abs(a) ** 2) / abs(t - a) ** 2 for a in b.zeros)
         assert values[-1] == pytest.approx(limit, rel=1e-4)
+
+    def test_values_are_interior_bottom_corners(self):
+        b = make_blaschke([0.5, -0.3j], cmath.exp(0.4j))
+        t = cmath.exp(1.1j)
+        radii = [0.5, 0.9, 0.99]
+        want = [sp_interior(b, [r * t], [2]).flat[1, 1].real for r in radii]
+        assert_allclose(membership_probe(b, t, 2, schedule=radii), want, rtol=1e-12)
 
     def test_validation(self):
         b = make_blaschke([0.5])
