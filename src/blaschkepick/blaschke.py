@@ -220,13 +220,18 @@ def _jet_array(b: BlaschkeProduct, centers: np.ndarray, order: int) -> np.ndarra
         f[..., 1] = (1.0 + ac * f[..., 0]) / d
     for m in range(2, n):
         f[..., m] = ac * f[..., m - 1] / d
-    lag = np.subtract.outer(np.arange(n), np.arange(n))
-    lower, index = lag >= 0, np.maximum(lag, 0)
     series = np.zeros(centers.shape + (n, 1), dtype=complex)
     series[..., 0, 0] = b.unimodular_constant
-    for factor in f:
-        series = np.where(lower, factor[..., index], 0.0) @ series
+    for factor in _toeplitz_lower(f, n):
+        series = factor @ series
     return series[..., 0]
+
+
+def _toeplitz_lower(coeffs: np.ndarray, k: int) -> np.ndarray:
+    """Lower triangular k x k Toeplitz matrices of coeffs[..., :k], stacked
+    over the leading axes; entry (i, j) is coeffs[..., i - j] for i >= j."""
+    idx = np.arange(k)
+    return np.tril(coeffs[..., np.abs(idx[:, None] - idx[None, :])])
 
 
 def level_set(b: BlaschkeProduct, tau: complex) -> list[complex]:

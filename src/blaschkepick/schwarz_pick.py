@@ -42,6 +42,7 @@ from .blaschke import (
     Jet,
     _jet_array,
     _require_finite,
+    _toeplitz_lower,
     modulus_defect,
 )
 from .errors import CoincidentPoints, DegenerateDenominator, InsufficientJet
@@ -50,6 +51,7 @@ DEGENERATE_DENOMINATOR_TOL = 1e-13
 DISTINCT_POINT_TOL = 1e-12
 DEFAULT_RADIAL_SCHEDULE: tuple[float, ...] = tuple(1.0 - 2.0 ** -m for m in range(4, 21))
 RADIAL_CONVERGENCE_TOL = 1e-3
+_STACK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,8 +106,8 @@ class RadialDiagnostics:
     step_deltas[m] is the max-abs entrywise change between schedule steps m
     and m+1; final_delta is the last per-entry change; `converged` states
     whether the last step moved every entry by less than `tol` relative to
-    max(1, s), where s is the smallest over the iterates of each iterate's
-    largest entry magnitude.
+    max(1, s), where s is the largest entry magnitude of the iterate that
+    ends the smallest step.
     """
 
     radii: tuple[float, ...]
@@ -263,7 +265,10 @@ def _interior_stack(b: BlaschkeProduct, centers: np.ndarray, ks: tuple[int, ...]
     with derivative orders ks; every row must be distinct points inside the
     disk, away from the poles.  One kernel recurrence runs on the
     (R, n, n, K, K) stack of all center pairs, K = max(ks), and the blocks
-    are sliced out of it.  Diagonal pairs get the constant terms 1 - |z|**2
+    are sliced out of it.  The stack is split along R into pieces of at
+    most _STACK_ENTRIES coefficients, so that many points with one high
+    order, which pad every pair to K x K, do not hold the whole padded
+    stack in memory at once.  Diagonal pairs get the constant terms 1 - |z|**2
     and the modulus defect evaluated from that same value, so their ratio
     stays accurate to relative rounding error arbitrarily close to the
     circle.
@@ -279,7 +284,8 @@ def _interior_stack(b: BlaschkeProduct, centers: np.ndarray, ks: tuple[int, ...]
         r, i, j = _first(close)
         zi, zj = complex(centers[r, i]), complex(centers[r, j])
         raise CoincidentPoints(f"points {zi!r} and {zj!r} coincide within {DISTINCT_POINT_TOL}")
-    jets = _jet_array(b, centers, max(ks) - 1)
+    size = max(ks)
+    jets = _jet_array(b, centers, size - 1)
     w, v = jets[:, :, None, :], jets.conj()[:, None, :, :]
     z0, u0 = centers[:, :, None], centers.conj()[:, None, :]
     c = 1.0 - z0 * u0
@@ -288,10 +294,15 @@ def _interior_stack(b: BlaschkeProduct, centers: np.ndarray, ks: tuple[int, ...]
     m = 1.0 - (centers.real * centers.real + centers.imag * centers.imag)
     c[:, diag, diag] = m
     n0[:, diag, diag] = modulus_defect(b, centers, complement=m)
-    coeffs = _kernel_series(w, v, z0, u0, c, n0)
-    point = np.repeat(diag, ks)
-    derivative = np.concatenate([np.arange(k) for k in ks])
-    return coeffs[:, point[:, None], point[None, :], derivative[:, None], derivative[None, :]]
+    point = np.repeat(diag, ks)[:, None]
+    derivative = np.concatenate([np.arange(k) for k in ks])[:, None]
+    flat = np.empty((len(centers), len(point), len(point)), dtype=complex)
+    step = max(1, _STACK_ENTRIES // (len(ks) * size) ** 2)
+    for lo in range(0, len(centers), step):
+        part = slice(lo, lo + step)
+        coeffs = _kernel_series(w[part], v[part], z0[part], u0[part], c[part], n0[part])
+        flat[part] = coeffs[:, point, point.T, derivative, derivative.T]
+    return flat
 
 
 def sp_interior(b: BlaschkeProduct, points, orders) -> SchwarzPickMatrix:
@@ -325,11 +336,6 @@ def psi_matrix(t: complex, k: int) -> np.ndarray:
         for r in range(ell + 1):
             psi[r, ell] = sign * math.comb(ell, r) * t ** (ell + r + 1)
     return psi
-
-
-def _toeplitz_lower(coeffs: np.ndarray, k: int) -> np.ndarray:
-    idx = np.arange(k)
-    return np.tril(coeffs[np.abs(idx[:, None] - idx[None, :])])
 
 
 def _hankel(coeffs: np.ndarray, k: int) -> np.ndarray:
@@ -420,11 +426,13 @@ def sp_boundary_radial(
     at every radius, and returns the final iterate together with the
     successive-difference diagnostics.  Convergence means the last step
     changed no entry by more than 1e-3 relative to max(1, s), where s is
-    the smallest over the iterates of each iterate's largest entry
-    magnitude; the iterates approach the limit linearly in 1 - r, so an
-    absolute reading of the final step would say more about the matrix
-    scale than about the route.  Taking s from the quietest iterate rather
-    than the last one keeps a final iterate inflated by rounding noise from
+    the largest entry magnitude of the iterate that ends the smallest step;
+    the iterates approach the limit linearly in 1 - r, so an absolute
+    reading of the final step would say more about the matrix scale than
+    about the route.  A converging schedule takes its smallest step last,
+    so s is then the final iterate's own scale, however much the iterates
+    grew on the way.  Iterates swamped by rounding noise instead grow far
+    past the scale of the quietest step, which keeps the noise from
     widening its own acceptance test.
 
     The truncation error of an iterate shrinks linearly in 1 - r, but the
@@ -441,7 +449,8 @@ def sp_boundary_radial(
     deltas = np.max(np.abs(np.diff(iterates, axis=0)), axis=(1, 2))
     if len(rs) >= 2:
         final_delta = np.abs(iterates[-1] - iterates[-2])
-        scale = max(1.0, float(np.min(np.max(np.abs(iterates), axis=(1, 2)))))
+        quietest = iterates[int(np.argmin(deltas)) + 1]
+        scale = max(1.0, float(np.max(np.abs(quietest))))
         converged = bool(deltas[-1] < RADIAL_CONVERGENCE_TOL * scale)
     else:
         final_delta = np.full(iterates.shape[1:], np.inf)

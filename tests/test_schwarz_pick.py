@@ -292,9 +292,9 @@ class TestBoundaryRadial:
 
     def test_noisy_final_iterate_does_not_widen_its_own_test(self):
         # Third order at the second point: the deep iterates are rounding
-        # noise that grows to about 3e8 while the boundary matrix is about
-        # 5e3.  Scaled by the last iterate, the tolerance used to accept the
-        # last step of that noise as convergence.
+        # noise that grows by orders of magnitude past the boundary matrix,
+        # about 5e3.  Scaled by the last iterate, the tolerance used to
+        # accept the last step of that noise as convergence.
         zeros = [
             0.1341307744235378 + 0.11374654040942764j,
             -0.4318955148873633 - 0.575896871548212j,
@@ -309,6 +309,14 @@ class TestBoundaryRadial:
         pts = [-0.4276834440822611 - 0.9039285766353089j, 0.5746670569917082 - 0.8183873004931643j]
         _, diags = sp_boundary_radial(b, pts, [1, 3])
         assert not diags.converged
+
+    def test_iterates_growing_toward_a_large_limit_converge(self):
+        # The first-order kernel is 0.0199 / (1 - 0.99 r)**2: about 3.9 at
+        # the first radius and 199 at the limit.  The last step, about 0.04,
+        # is small against the limit but not against the first iterate.
+        est, diags = sp_boundary_radial(make_blaschke([0.99]), [1.0], [1])
+        assert diags.converged
+        assert est.flat[0, 0].real == pytest.approx(199.0, rel=1e-3)
 
     def test_step_deltas_match_separate_interior_matrices(self):
         rng = np.random.default_rng(36)
@@ -338,6 +346,20 @@ class TestBoundaryRadial:
                 constants = (1.0 - abs(zi) ** 2, modulus_defect(b, zi)) if i == j else None
                 pair = kernel_jet(jets[i], conjugated_jet(jets[j]), (ki - 1, kj - 1), constants)
                 assert np.max(np.abs(interior.block(i, j) - pair.coefficients)) <= 1e-13 * scale
+
+    def test_stack_split_into_pieces_matches_separate_radii(self):
+        # Twelve points padded to order 6 hold 5184 coefficients per
+        # radius, so five radii are evaluated in more than one piece.
+        rng = np.random.default_rng(38)
+        b = random_blaschke(rng, 3)
+        pts = [cmath.exp(2j * cmath.pi * (m + 0.3) / 12) for m in range(12)]
+        ks = [6] + [1] * 11
+        radii = [0.5, 0.6, 0.7, 0.8, 0.9]
+        est, diags = sp_boundary_radial(b, pts, ks, schedule=radii)
+        iterates = [sp_interior(b, [r * t for t in pts], ks).flat for r in radii]
+        assert_allclose(est.flat, iterates[-1], rtol=0, atol=1e-13 * np.max(np.abs(iterates[-1])))
+        want = [np.max(np.abs(cur - prev)) for prev, cur in zip(iterates, iterates[1:])]
+        assert_allclose(diags.step_deltas, want, rtol=1e-12)
 
     def test_points_coinciding_at_some_radius_rejected(self):
         # 1.5e-12 apart on the circle, so distinct there, but closer than
