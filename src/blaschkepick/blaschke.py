@@ -230,8 +230,8 @@ def _jet_array(b: BlaschkeProduct, centers: np.ndarray, order: int) -> np.ndarra
 def _toeplitz_lower(coeffs: np.ndarray, k: int) -> np.ndarray:
     """Lower triangular k x k Toeplitz matrices of coeffs[..., :k], stacked
     over the leading axes; entry (i, j) is coeffs[..., i - j] for i >= j."""
-    idx = np.arange(k)
-    return np.tril(coeffs[..., np.abs(idx[:, None] - idx[None, :])])
+    lag = np.arange(k)[:, None] - np.arange(k)
+    return np.where(lag >= 0, coeffs[..., np.abs(lag)], 0.0)
 
 
 def level_set(b: BlaschkeProduct, tau: complex) -> list[complex]:

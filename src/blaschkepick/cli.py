@@ -470,8 +470,6 @@ def cmd_fuzz(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["text", "json"], default="text", help="report format")
-    common.add_argument("--tol-rank", type=float, default=None, help="numerical rank cutoff")
-    common.add_argument("--tol-pd", type=float, default=None, help="positive definiteness cutoff")
     parser = argparse.ArgumentParser(
         prog="blaschkepick",
         description="Boundary Schwarz-Pick and Pick matrices for finite Blaschke products",
@@ -485,6 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="decide uniqueness of a boundary contact problem (orders are contact orders m)",
     )
     p_analyze.add_argument("problem", help="path to a JSON problem file")
+    p_analyze.add_argument("--tol-rank", type=float, default=None, help="numerical rank cutoff")
+    p_analyze.add_argument("--tol-pd", type=float, default=None, help="positive definiteness cutoff")
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_cross = sub.add_parser(

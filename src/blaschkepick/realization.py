@@ -24,7 +24,6 @@ import numpy as np
 
 from .blaschke import INTERIOR_MARGIN, BlaschkeProduct, _require_finite
 from .errors import SingularResolvent, ZeroOnOrOutsideDisk
-from .serialize import complex_to_pair, matrix_to_json
 
 RESOLVENT_RCOND = 1e-14
 UNITARITY_TOL = 1e-12
@@ -211,13 +210,3 @@ def check_minimality(r: UnitaryRealization, tol: float = 1e-8) -> bool:
         return True
     s = np.linalg.svd(observability_matrix(r), compute_uv=False)
     return int(np.count_nonzero(s > tol * max(1.0, float(s[0])))) == d
-
-
-def to_json_dict(r: UnitaryRealization) -> dict:
-    """Debug-friendly JSON encoding of the state-space data."""
-    return {
-        "A": matrix_to_json(r.A),
-        "B": matrix_to_json(r.B),
-        "C": matrix_to_json(r.C),
-        "D": complex_to_pair(r.D),
-    }

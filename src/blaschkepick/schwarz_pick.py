@@ -29,9 +29,8 @@ check; they share no code beyond Taylor jets of w itself.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -258,6 +257,13 @@ def validate_points(points, *, on_circle: bool = False) -> tuple[complex, ...]:
     return pts
 
 
+def _flat_layout(ks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Point index and derivative of every flat row, as (N, 1) columns."""
+    point = np.repeat(np.arange(len(ks)), ks)[:, None]
+    derivative = np.concatenate([np.arange(k) for k in ks])[:, None]
+    return point, derivative
+
+
 def _interior_stack(b: BlaschkeProduct, centers: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
     """Flat Schwarz-Pick matrices at every row of `centers`, shape (R, N, N).
 
@@ -294,8 +300,7 @@ def _interior_stack(b: BlaschkeProduct, centers: np.ndarray, ks: tuple[int, ...]
     m = 1.0 - (centers.real * centers.real + centers.imag * centers.imag)
     c[:, diag, diag] = m
     n0[:, diag, diag] = modulus_defect(b, centers, complement=m)
-    point = np.repeat(diag, ks)[:, None]
-    derivative = np.concatenate([np.arange(k) for k in ks])[:, None]
+    point, derivative = _flat_layout(ks)
     flat = np.empty((len(centers), len(point), len(point)), dtype=complex)
     step = max(1, _STACK_ENTRIES // (len(ks) * size) ** 2)
     for lo in range(0, len(centers), step):
@@ -320,6 +325,24 @@ def sp_interior(b: BlaschkeProduct, points, orders) -> SchwarzPickMatrix:
     return SchwarzPickMatrix(flat=flat, points=pts, orders=ks)
 
 
+@lru_cache(maxsize=None)
+def _pascal(size: int) -> np.ndarray:
+    """Read-only size x size table of binom(x, y), zero for y > x; the float
+    sums are exact while the entries stay below 2**53."""
+    table = np.zeros((size, size))
+    table[:, 0] = 1.0
+    for x in range(1, size):
+        table[x, 1:] = table[x - 1, 1:] + table[x - 1, :-1]
+    table.flags.writeable = False
+    return table
+
+
+def _psi(t, r, ell) -> np.ndarray:
+    """Psi entries (-1)^l binom(l, r) t^(l+r+1) for broadcast index arrays; zero for r > l."""
+    n = r + ell
+    return (-1) ** ell * _pascal(int(n.max()) + 1)[ell, r] * t ** (n + 1)
+
+
 def psi_matrix(t: complex, k: int) -> np.ndarray:
     """Upper triangular k x k matrix with entries (-1)^l binom(l, r) t^(l+r+1).
 
@@ -330,75 +353,56 @@ def psi_matrix(t: complex, k: int) -> np.ndarray:
     (t,) = validate_points([t], on_circle=True)
     if k < 1:
         raise ValueError("k must be positive")
-    psi = np.zeros((k, k), dtype=complex)
-    for ell in range(k):
-        sign = -1.0 if ell % 2 else 1.0
-        for r in range(ell + 1):
-            psi[r, ell] = sign * math.comb(ell, r) * t ** (ell + r + 1)
-    return psi
-
-
-def _hankel(coeffs: np.ndarray, k: int) -> np.ndarray:
     idx = np.arange(k)
-    return coeffs[idx[:, None] + idx[None, :] + 1]
-
-
-def _cross_matrix(ci, cj, ti, tj, ki, kj) -> np.ndarray:
-    """Two-point block combining the jets at t_i and t_j.
-
-    Entry (r, l) is
-        sum_{a=0}^{r} (-1)^(r-a) binom(l+r-a, l) ci[a] / (ti-tj)^(l+r-a+1)
-      - sum_{b=0}^{l} (-1)^r     binom(l+r-b, r) cj[b] / (ti-tj)^(l+r-b+1).
-    """
-    h = np.zeros((ki, kj), dtype=complex)
-    dt = ti - tj
-    for r in range(ki):
-        sign_r = -1.0 if r % 2 else 1.0
-        for ell in range(kj):
-            acc = 0.0 + 0.0j
-            for a in range(r + 1):
-                sign = -1.0 if (r - a) % 2 else 1.0
-                acc += sign * math.comb(ell + r - a, ell) * ci[a] / dt ** (ell + r - a + 1)
-            for bb in range(ell + 1):
-                acc -= sign_r * math.comb(ell + r - bb, r) * cj[bb] / dt ** (ell + r - bb + 1)
-            h[r, ell] = acc
-    return h
+    return _psi(t, idx[:, None], idx[None, :])
 
 
 def sp_boundary_structured(jets: Sequence[Jet], points, orders) -> SchwarzPickMatrix:
     """Boundary Schwarz-Pick matrix from boundary Taylor coefficients alone.
 
-    Block (i, j) is H_ij Psi_{k_j}(t_j) T_j^*, where T_j is the lower
-    triangular Toeplitz matrix of coefficients 0 .. k_j - 1 at t_j, the
-    diagonal H_ii is the Hankel matrix of coefficients 1 .. 2 k_i - 1, and
-    off-diagonal H_ij is the two-point form of :func:`_cross_matrix`.  The
-    formula looks one-sided but produces a Hermitian PSD matrix whenever the
-    coefficients really are boundary jets of a Schur-class function.
+    With rows and columns indexed by (point, derivative) pairs,
+
+        P = (Hk + T M - M T^T) Psi T^*,
+
+    where Hk, T and Psi are block diagonal: block i of Hk is the Hankel
+    matrix of coefficients 1 .. 2 k_i - 1 at t_i, block i of T the lower
+    triangular Toeplitz matrix of coefficients 0 .. k_i - 1, and block i of
+    Psi is :func:`psi_matrix` at (t_i, k_i).  M vanishes on the diagonal
+    blocks, and its entry in row (i, x), column (j, y), i != j, is the
+    Taylor coefficient of 1 / (z - u) at (t_i, t_j),
+
+        M[(i, x), (j, y)] = (-1)^x binom(x + y, x) / (t_i - t_j)^(x + y + 1).
+
+    The formula looks one-sided but produces a Hermitian PSD matrix
+    whenever the coefficients really are boundary jets of a Schur-class
+    function.
 
     Requires distinct points on the circle and jet i of length >= 2 k_i.
     """
     ks = _validate_orders(orders)
-    pts = validate_points(points)
+    pts = validate_points(points, on_circle=True)
     if not (len(jets) == len(pts) == len(ks)):
         raise ValueError("jets, points and orders must have equal length")
-    coeff = []
+    size = max(ks)
+    coeff = np.zeros((len(ks), 2 * size), dtype=complex)
     for i, (jet, k) in enumerate(zip(jets, ks)):
         if len(jet.coefficients) < 2 * k:
             raise InsufficientJet(
                 f"jet {i} has {len(jet.coefficients)} coefficients, need {2 * k}"
             )
-        coeff.append(np.asarray(jet.coefficients, dtype=complex))
-    psis = [psi_matrix(t, k) for t, k in zip(pts, ks)]
-    tstars = [_toeplitz_lower(c, k).conj().T for c, k in zip(coeff, ks)]
-    sp = SchwarzPickMatrix(flat=np.zeros((sum(ks), sum(ks)), dtype=complex), points=pts, orders=ks)
-    for i in range(len(pts)):
-        for j in range(len(pts)):
-            if i == j:
-                h = _hankel(coeff[i], ks[i])
-            else:
-                h = _cross_matrix(coeff[i], coeff[j], pts[i], pts[j], ks[i], ks[j])
-            sp.block(i, j)[...] = h @ psis[j] @ tstars[j]
-    return sp
+        coeff[i, : 2 * k] = jet.coefficients[: 2 * k]
+    point, r = _flat_layout(ks)
+    ell = r.T
+    n = r + ell
+    same = point == point.T
+    t = np.array(pts, dtype=complex)[point]
+    dt = np.where(same, 1.0, t - t.T)
+    m = np.where(same, 0.0, (-1) ** r * _pascal(2 * size)[n, r] / dt ** (n + 1))
+    tri = np.where(same, _toeplitz_lower(coeff, size)[point, r, ell], 0.0)
+    hankel = np.where(same, coeff[point, n + 1], 0.0)
+    psi = np.where(same, _psi(t, r, ell), 0.0)
+    flat = (hankel + tri @ m - m @ tri.T) @ psi @ tri.conj().T
+    return SchwarzPickMatrix(flat=flat, points=pts, orders=ks)
 
 
 def _validate_schedule(schedule) -> tuple[float, ...]:
@@ -420,8 +424,8 @@ def sp_boundary_radial(
 ) -> tuple[SchwarzPickMatrix, RadialDiagnostics]:
     """Boundary matrix as a radial limit of interior matrices.
 
-    Evaluates the interior matrix of :func:`sp_interior` at r * t_i for
-    every radius r of the schedule (default r_m = 1 - 2^-m, m = 4 .. 20) in
+    Evaluates the interior matrix of :func:`sp_interior` at r * t_i / |t_i|
+    for every radius r of the schedule (default r_m = 1 - 2^-m, m = 4 .. 20) in
     one stacked kernel evaluation, with the interior route's checks applied
     at every radius, and returns the final iterate together with the
     successive-difference diagnostics.  Convergence means the last step
@@ -445,7 +449,8 @@ def sp_boundary_radial(
     ks = _validate_orders(orders)
     pts = validate_points(points, on_circle=True)
     rs = _validate_schedule(schedule)
-    iterates = _interior_stack(b, np.multiply.outer(rs, pts), ks)
+    units = np.array(pts, dtype=complex)
+    iterates = _interior_stack(b, np.multiply.outer(rs, units / np.abs(units)), ks)
     deltas = np.max(np.abs(np.diff(iterates, axis=0)), axis=(1, 2))
     if len(rs) >= 2:
         final_delta = np.abs(iterates[-1] - iterates[-2])
@@ -469,8 +474,8 @@ def sp_boundary_radial(
 def membership_probe(b: BlaschkeProduct, t: complex, k: int, schedule=None) -> list[float]:
     """Diagonal Caratheodory-Julia quantity along the radius toward t.
 
-    Value m is the (k-1, k-1) mixed kernel coefficient at z = r_m * t, the
-    quantity whose boundedness as r -> 1 characterizes order-k boundary
+    Value m is the (k-1, k-1) mixed kernel coefficient at z = r_m * t / |t|,
+    the quantity whose boundedness as r -> 1 characterizes order-k boundary
     regularity at t.  For a finite Blaschke product it increases to the
     bottom diagonal entry of the order-k boundary block.  All radii share
     one stacked interior evaluation.
@@ -478,5 +483,5 @@ def membership_probe(b: BlaschkeProduct, t: complex, k: int, schedule=None) -> l
     (t,) = validate_points([t], on_circle=True)
     ks = _validate_orders([k])
     rs = _validate_schedule(schedule)
-    iterates = _interior_stack(b, np.multiply.outer(rs, [t]), ks)
+    iterates = _interior_stack(b, np.multiply.outer(rs, [t / abs(t)]), ks)
     return [float(v) for v in iterates[:, ks[0] - 1, ks[0] - 1].real]

@@ -155,6 +155,17 @@ class TestValidation:
         assert exc.value.code == 2
         assert "--radial-depth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--tol-rank", "--tol-pd"])
+    def test_tolerance_flags_belong_to_analyze(self, tmp_path, capsys, flag):
+        path = write_problem(tmp_path)
+        assert main(["analyze", path, flag, "1e-8"]) == 0
+        capsys.readouterr()
+        for argv in (["crosscheck", path], ["fuzz", "--trials", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, flag, "1e30"])
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err
+
 
 class TestCrosscheck:
     def test_routes_agree(self, tmp_path, capsys):

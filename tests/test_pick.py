@@ -75,6 +75,56 @@ class TestExtractAndBuild:
         scale = max(1.0, float(np.max(np.abs(gram))))
         assert np.max(np.abs(p.flat - gram)) <= 1e-9 * scale
 
+    def test_raw_data_matches_block_definition_in_mpmath(self):
+        # Coefficients that are jets of no function: only the block
+        # definition itself fixes the off-diagonal blocks.
+        mp = pytest.importorskip("mpmath").mp
+        mp.dps = 50
+        rng = np.random.default_rng(42)
+        ks = (3, 1, 2)
+        pts = random_circle_points(rng, len(ks))
+        values = [tuple(complex(*rng.normal(size=2)) for _ in range(2 * k)) for k in ks]
+        p = build_pick(JetData(points=tuple(pts), values=tuple(values)), ks).flat
+
+        t = [mp.mpc(z) for z in pts]
+        c = [[mp.mpc(v) for v in row] for row in values]
+
+        def block(i, j):
+            if i == j:
+                h = mp.matrix(ks[i], ks[i])
+                for r in range(ks[i]):
+                    for ell in range(ks[i]):
+                        h[r, ell] = c[i][r + ell + 1]
+            else:
+                h = mp.matrix(ks[i], ks[j])
+                dt = t[i] - t[j]
+                for r in range(ks[i]):
+                    for ell in range(ks[j]):
+                        h[r, ell] = sum(
+                            (-1) ** (r - a) * mp.binomial(ell + r - a, ell) * c[i][a] / dt ** (ell + r - a + 1)
+                            for a in range(r + 1)
+                        ) - sum(
+                            (-1) ** r * mp.binomial(ell + r - b, r) * c[j][b] / dt ** (ell + r - b + 1)
+                            for b in range(ell + 1)
+                        )
+            psi = mp.matrix(ks[j], ks[j])
+            tstar = mp.matrix(ks[j], ks[j])
+            for r in range(ks[j]):
+                for ell in range(r, ks[j]):
+                    psi[r, ell] = (-1) ** ell * mp.binomial(ell, r) * t[j] ** (ell + r + 1)
+                    tstar[r, ell] = mp.conj(c[j][ell - r])
+            return h * psi * tstar
+
+        offsets = np.cumsum((0,) + ks)
+        want = np.zeros_like(p)
+        for i in range(len(ks)):
+            for j in range(len(ks)):
+                b = block(i, j)
+                for r in range(ks[i]):
+                    for ell in range(ks[j]):
+                        want[offsets[i] + r, offsets[j] + ell] = complex(b[r, ell])
+        assert np.max(np.abs(p - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_row_index_and_blocks(self):
         p = SchwarzPickMatrix(flat=np.arange(9.0).reshape(3, 3), points=(1.0, -1.0), orders=(2, 1))
         assert p.offsets == (0, 2)

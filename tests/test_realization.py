@@ -21,7 +21,7 @@ from blaschkepick import (
     transfer_eval,
     unitarity_defect,
 )
-from blaschkepick.realization import observability_matrix, system_matrix, to_json_dict
+from blaschkepick.realization import observability_matrix, system_matrix
 from helpers import random_blaschke, random_circle_points
 
 
@@ -180,10 +180,3 @@ class TestValidationAndJson:
             UnitaryRealization(A=np.zeros((2, 2)), B=np.zeros((1, 1)), C=np.zeros((1, 2)), D=0.0)
         with pytest.raises(ValueError):
             UnitaryRealization(A=np.zeros((2, 2)), B=np.zeros((2, 1)), C=np.zeros((2, 2)), D=0.0)
-
-    def test_json_dict_layout(self):
-        r = realize(make_blaschke([0.5], 1j))
-        obj = to_json_dict(r)
-        assert set(obj) == {"A", "B", "C", "D"}
-        assert obj["A"] == [[[0.5, 0.0]]]
-        assert obj["D"] == pytest.approx([0.0, -0.5])

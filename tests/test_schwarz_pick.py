@@ -211,10 +211,10 @@ class TestBoundaryStructured:
 
     def test_agrees_with_realization_gram(self):
         rng = np.random.default_rng(33)
-        for _ in range(5):
+        for _ in range(40):
             b = random_blaschke(rng, int(rng.integers(1, 6)))
-            pts = random_circle_points(rng, int(rng.integers(1, 4)))
-            ks = [int(rng.integers(1, 4)) for _ in pts]
+            pts = random_circle_points(rng, int(rng.integers(1, 6)))
+            ks = [int(rng.integers(1, 7)) for _ in pts]
             jets = [taylor_jet(b, t, 2 * k - 1) for t, k in zip(pts, ks)]
             p = sp_boundary_structured(jets, pts, ks)
             gram = sp_via_realization(realize(b), pts, ks)
@@ -241,6 +241,11 @@ class TestBoundaryStructured:
         jets = [taylor_jet(b, 1.0, 1)]
         with pytest.raises(ValueError):
             sp_boundary_structured(jets, [1.0, -1.0], [1, 1])
+
+    def test_point_off_circle_rejected(self):
+        jets = [taylor_jet(make_blaschke([0.5]), 0.5, 1)]
+        with pytest.raises(ValueError, match="unit circle"):
+            sp_boundary_structured(jets, [0.5], [1])
 
 
 class TestBoundaryRadial:
@@ -318,6 +323,15 @@ class TestBoundaryRadial:
         assert diags.converged
         assert est.flat[0, 0].real == pytest.approx(199.0, rel=1e-3)
 
+    def test_point_just_off_the_circle_stays_inside_the_disk(self):
+        # Points within CIRCLE_TOL of the circle are accepted; the radii
+        # must scale t / |t|, or r = 1 - 2^-32 would step outside the disk.
+        b = make_blaschke([0.5])
+        schedule = [0.5, 1 - 2**-32]
+        est, _ = sp_boundary_radial(b, [1 + 5e-10], [1], schedule=schedule)
+        want, _ = sp_boundary_radial(b, [1.0], [1], schedule=schedule)
+        assert_allclose(est.flat, want.flat, rtol=1e-12)
+
     def test_step_deltas_match_separate_interior_matrices(self):
         rng = np.random.default_rng(36)
         radii = [0.6, 0.8, 0.95]
@@ -386,6 +400,12 @@ class TestMembershipProbe:
         assert all(v2 >= v1 - 1e-9 for v1, v2 in zip(values, values[1:]))
         limit = sum((1.0 - abs(a) ** 2) / abs(t - a) ** 2 for a in b.zeros)
         assert values[-1] == pytest.approx(limit, rel=1e-4)
+
+    def test_point_just_off_the_circle_stays_inside_the_disk(self):
+        b = make_blaschke([0.5])
+        schedule = [0.5, 1 - 2**-32]
+        want = membership_probe(b, 1.0, 1, schedule=schedule)
+        assert_allclose(membership_probe(b, 1 + 5e-10, 1, schedule=schedule), want, rtol=1e-12)
 
     def test_values_are_interior_bottom_corners(self):
         b = make_blaschke([0.5, -0.3j], cmath.exp(0.4j))
