@@ -51,6 +51,11 @@ from .uniqueness import (
 ROUTE_RESIDUAL_LIMIT = 1e-8
 POINT_MODULUS_SLACK = 1e-6
 MIN_RADIAL_DEPTH = 5
+# Fuzz points are redrawn until they sit FUZZ_SPACING radians apart.  The
+# acceptance rate collapses with the point count: a draw takes over a tenth
+# of a second from 11 points and never ends from 18 (18 * 0.35 > 2 pi).
+FUZZ_SPACING = 0.35
+FUZZ_POINTS_MAX = 10
 # The deepest radius r = 1 - 2^-m whose diagonal kernel constant 1 - r^2
 # still clears the interior route's degeneracy cutoff.
 MAX_RADIAL_DEPTH = max(
@@ -346,7 +351,7 @@ def _random_instance(rng, degree_max: int, points_max: int, order_max: int) -> d
     while True:
         angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
         wrap = np.concatenate([np.diff(angles), [angles[0] + 2.0 * math.pi - angles[-1]]])
-        if n == 1 or float(np.min(wrap)) >= 0.35:
+        if n == 1 or float(np.min(wrap)) >= FUZZ_SPACING:
             break
     points = [complex(math.cos(a), math.sin(a)) for a in angles]
     orders = [int(rng.integers(1, order_max + 1)) for _ in range(n)]
@@ -431,7 +436,23 @@ def _instance_json(inst) -> dict:
     }
 
 
+def _fuzz_bound_error(args) -> str | None:
+    if args.trials < 1:
+        return "--trials must be at least 1"
+    if args.degree_max < 0:
+        return "--degree-max must be at least 0"
+    if args.order_max < 1:
+        return "--order-max must be at least 1"
+    if not 1 <= args.points_max <= FUZZ_POINTS_MAX:
+        return f"--points-max must be between 1 and {FUZZ_POINTS_MAX}"
+    return None
+
+
 def cmd_fuzz(args) -> int:
+    error = _fuzz_bound_error(args)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_VALIDATION
     rng = np.random.default_rng(args.seed)
     start = time.perf_counter()
     for trial in range(args.trials):
@@ -505,10 +526,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz = sub.add_parser(
         "fuzz", parents=[common], help="randomized self-checks of the matrix laws"
     )
-    p_fuzz.add_argument("--trials", type=int, default=100)
-    p_fuzz.add_argument("--degree-max", type=int, default=6)
-    p_fuzz.add_argument("--points-max", type=int, default=3)
-    p_fuzz.add_argument("--order-max", type=int, default=3)
+    p_fuzz.add_argument("--trials", type=int, default=100, help="at least 1")
+    p_fuzz.add_argument("--degree-max", type=int, default=6, help="at least 0")
+    p_fuzz.add_argument("--points-max", type=int, default=3, help=f"1 to {FUZZ_POINTS_MAX}")
+    p_fuzz.add_argument("--order-max", type=int, default=3, help="at least 1")
     p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.set_defaults(func=cmd_fuzz)
     return parser

@@ -6,27 +6,27 @@ A degree-d product is written as w(z) = D + z C (I - z A)^{-1} B with the
     U = [[A, B],
          [C, D]]
 
-unitary.  One elementary 2 x 2 unitary factor per zero, cascaded in the
-order the zeros are listed, realizes the whole product; the unimodular
-constant scales the output row, which keeps U unitary.  With all
-eigenvalues of A strictly inside the disk, the resolvent (I - z A)^{-1}
-exists for every z of modulus at most one, and powers of it give the
-derivative structure used by the Gram-matrix route to Schwarz-Pick
-matrices.
+unitary.  :func:`realize` writes U down in closed form: it is the product
+of one elementary 2 x 2 unitary section per zero, in the order the zeros
+are listed, with the unimodular constant scaling the output row.  A is
+lower triangular with the conjugate zeros on its diagonal, so the
+resolvent (I - z A)^{-1} exists for every z of modulus at most one, and
+powers of it give the derivative structure of the Gram-matrix route to
+Schwarz-Pick matrices: P = R R* with R the stacked rows of
+:func:`resolvent_rows`.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import INTERIOR_MARGIN, BlaschkeProduct, _require_finite
-from .errors import SingularResolvent, ZeroOnOrOutsideDisk
+from .blaschke import BlaschkeProduct, _require_finite
+from .errors import SingularResolvent
 
 RESOLVENT_RCOND = 1e-14
-UNITARITY_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,9 +34,9 @@ class UnitaryRealization:
     """State-space data (A, B, C, D) with a unitary system matrix.
 
     Shapes are (d, d), (d, 1), (1, d) and scalar.  Instances produced by
-    :func:`elementary_realization`, :func:`cascade` and :func:`realize`
-    satisfy the unitarity bound checked by :func:`unitarity_defect`;
-    hand-built instances are allowed (tests use them) and can violate it.
+    :func:`realize` satisfy the unitarity bound checked by
+    :func:`unitarity_defect`; hand-built instances are allowed (tests use
+    them) and can violate it.
     """
 
     A: np.ndarray
@@ -85,95 +85,77 @@ def unitarity_defect(r: UnitaryRealization) -> float:
     )
 
 
-def elementary_realization(a: complex) -> UnitaryRealization:
-    """Degree-one factor (z - a) / (1 - conj(a) z) as a 2 x 2 unitary system.
-
-    A = [conj(a)], B = C = [sqrt(1 - |a|^2)], D = -a.
-    """
-    a = _require_finite(a, "zero")
-    if abs(a) > 1.0 - INTERIOR_MARGIN:
-        raise ZeroOnOrOutsideDisk(f"zero {a!r} has modulus {abs(a)!r}")
-    s = math.sqrt(1.0 - abs(a) ** 2)
-    return UnitaryRealization(
-        A=np.array([[a.conjugate()]]),
-        B=np.array([[s]]),
-        C=np.array([[s]]),
-        D=-a,
-    )
-
-
-def cascade(first: UnitaryRealization, second: UnitaryRealization) -> UnitaryRealization:
-    """Series interconnection feeding the output of `first` into `second`.
-
-    The transfer function is the product of the two transfers, and the
-    cascade of unitary systems is unitary: its system matrix factors as the
-    product of the two embedded system matrices.
-    """
-    d1, d2 = first.state_dim, second.state_dim
-    a = np.zeros((d1 + d2, d1 + d2), dtype=complex)
-    a[:d1, :d1] = first.A
-    a[d1:, :d1] = second.B @ first.C
-    a[d1:, d1:] = second.A
-    b = np.vstack([first.B, second.B * first.D])
-    c = np.hstack([second.D * first.C, second.C])
-    return UnitaryRealization(A=a, B=b, C=c, D=second.D * first.D)
-
-
 def realize(b: BlaschkeProduct) -> UnitaryRealization:
-    """Unitary realization of the product, one cascade step per zero."""
-    r = UnitaryRealization(
-        A=np.zeros((0, 0), dtype=complex),
-        B=np.zeros((0, 1), dtype=complex),
-        C=np.zeros((1, 0), dtype=complex),
-        D=1.0,
+    """Unitary realization of the product in closed form.
+
+    With s_i = sqrt(1 - |a_i|^2) and the zeros a_i in listed order,
+    A_ii = conj(a_i), A_ij = s_i s_j prod_{j<l<i} (-a_l) for i > j,
+    B_i = s_i prod_{l<i} (-a_l), C_j = u s_j prod_{l>j} (-a_l) and
+    D = u prod_l (-a_l).  With the input at position 0 and the output at
+    d + 1, one strictly lower triangular matrix of such run products holds
+    all four blocks.  Cumulative products down its columns build it with
+    no division, so zeros at the origin need no special case.
+    """
+    a = np.asarray(b.zeros, dtype=complex)
+    n = a.size + 2
+    weights = np.concatenate([[1.0], np.sqrt(1.0 - np.abs(a) ** 2), [b.unimodular_constant]])
+    # Row e of `steps` carries -a at position e - 1, and only below the
+    # subdiagonal, so that runs[e, f] = prod_{f<l<e} (-a_l).
+    previous = np.concatenate([[1.0, 1.0], -a])
+    steps = np.where(np.tri(n, k=-2, dtype=bool), previous[:, None], 1.0)
+    runs = np.tril(np.cumprod(steps, axis=0), -1) * np.outer(weights, weights)
+    return UnitaryRealization(
+        A=runs[1:-1, 1:-1] + np.diag(a.conj()),
+        B=runs[1:-1, :1],
+        C=runs[-1:, 1:-1],
+        D=runs[-1, 0],
     )
-    for a in b.zeros:
-        r = cascade(r, elementary_realization(a))
-    u = b.unimodular_constant
-    return UnitaryRealization(A=r.A, B=r.B, C=u * r.C, D=u * r.D)
 
 
-def _resolvent(r: UnitaryRealization, z: complex) -> np.ndarray:
-    """I - z A, after checking that it is safely invertible."""
-    m = np.eye(r.state_dim, dtype=complex) - z * r.A
-    cond = abs(np.linalg.cond(m, 1))
-    rcond = 0.0 if not np.isfinite(cond) or cond == 0.0 else 1.0 / float(cond)
-    if rcond < RESOLVENT_RCOND:
+def resolvent_rows(r: UnitaryRealization, points, orders) -> np.ndarray:
+    """The sum(orders) x d factor R of stacked rows C A^l (I - z A)^{-l-1}.
+
+    Point z with order k contributes the rows l = 0 .. k-1, in point order.
+    A and the resolvent commute, so each row follows from the previous one
+    with one multiplication by A and one solve against the transpose of
+    I - z A; every point's solve for one l is a single stacked solve.
+    Raises :class:`SingularResolvent` at the first point whose I - z A has
+    1-norm reciprocal condition below ``RESOLVENT_RCOND``.
+    """
+    zs = np.array([_require_finite(z, "z") for z in points], dtype=complex)
+    ks = np.array([operator.index(k) for k in orders], dtype=int)
+    if zs.size != ks.size:
+        raise ValueError(f"{zs.size} points but {ks.size} orders")
+    if np.any(ks < 1):
+        raise ValueError("orders must be at least one")
+    d = r.state_dim
+    if d == 0 or zs.size == 0:
+        return np.zeros((int(ks.sum()), d), dtype=complex)
+    m = np.eye(d) - zs[:, None, None] * r.A
+    # An exactly singular matrix has infinite condition, so rcond 0.
+    rcond = 1.0 / np.linalg.cond(m, 1)
+    bad = np.flatnonzero(~(rcond >= RESOLVENT_RCOND))
+    if bad.size:
+        i = int(bad[0])
         raise SingularResolvent(
-            f"I - z A at z = {z!r} has reciprocal condition {rcond}, below {RESOLVENT_RCOND}"
+            f"I - z A at z = {complex(zs[i])!r} has reciprocal condition {float(rcond[i])}, "
+            f"below {RESOLVENT_RCOND}"
         )
-    return m
+    # x (I - zA) = row  <=>  (I - zA)^T x^T = row^T; the first solve
+    # broadcasts C across the points.
+    m_t = m.transpose(0, 2, 1)
+    rows = np.empty((zs.size, int(ks.max()), d), dtype=complex)
+    x = r.C[0]
+    for ell in range(rows.shape[1]):
+        x = np.linalg.solve(m_t, x[..., None])[..., 0]
+        rows[:, ell] = x
+        x = x @ r.A
+    return rows[np.arange(rows.shape[1]) < ks[:, None]]
 
 
 def transfer_eval(r: UnitaryRealization, z: complex) -> complex:
     """Transfer function value D + z C (I - z A)^{-1} B."""
-    z = _require_finite(z, "z")
-    if r.state_dim == 0:
-        return r.D
-    x = np.linalg.solve(_resolvent(r, z), r.B)
-    return complex(r.D + z * (r.C @ x)[0, 0])
-
-
-def resolvent_rows(r: UnitaryRealization, z: complex, order: int) -> np.ndarray:
-    """Rows C A^l (I - z A)^{-l-1} for l = 0 .. order-1, as an order x d array.
-
-    A and the resolvent commute, so each row follows from the previous one
-    with one multiplication by A and one solve against the transpose of
-    I - z A.
-    """
-    z = _require_finite(z, "z")
-    if order < 1:
-        raise ValueError("order must be at least one")
-    d = r.state_dim
-    if d == 0:
-        return np.zeros((order, 0), dtype=complex)
-    # x (I - zA) = row  <=>  (I - zA)^T x^T = row^T
-    m_t = _resolvent(r, z).T
-    rows = np.zeros((order, d), dtype=complex)
-    rows[0] = np.linalg.solve(m_t, r.C[0])
-    for ell in range(1, order):
-        rows[ell] = np.linalg.solve(m_t, rows[ell - 1] @ r.A)
-    return rows
+    return complex(r.D + z * (resolvent_rows(r, [z], [1]) @ r.B)[0, 0])
 
 
 def sp_via_realization(r: UnitaryRealization, points, orders) -> np.ndarray:
@@ -182,31 +164,21 @@ def sp_via_realization(r: UnitaryRealization, points, orders) -> np.ndarray:
     Hermitian positive semidefinite by construction, with rank
     min(sum(orders), d) when the realization is minimal.
     """
-    stacked = [resolvent_rows(r, z, k) for z, k in zip(points, orders, strict=True)]
-    rr = np.vstack(stacked) if stacked else np.zeros((0, r.state_dim), dtype=complex)
+    rr = resolvent_rows(r, points, orders)
     return rr @ rr.conj().T
-
-
-def observability_matrix(r: UnitaryRealization) -> np.ndarray:
-    """Stacked rows C, CA, ..., CA^{d-1}."""
-    d = r.state_dim
-    rows = []
-    v = r.C.copy()
-    for _ in range(d):
-        rows.append(v)
-        v = v @ r.A
-    return np.vstack(rows) if rows else np.zeros((0, 0), dtype=complex)
 
 
 def check_minimality(r: UnitaryRealization, tol: float = 1e-8) -> bool:
     """True when the observability matrix has full numerical rank d.
 
-    Rank counts singular values above tol * max(1, sigma_max).  For SISO
-    systems with B and C produced by :func:`realize`, observability is
-    equivalent to minimality.
+    The observability matrix, rows C, CA, ..., CA^{d-1}, is the resolvent
+    factor at z = 0 with order d, exactly, since I - 0 A = I.  Rank counts
+    singular values above tol * max(1, sigma_max).  For SISO systems with B
+    and C produced by :func:`realize`, observability is equivalent to
+    minimality.
     """
     d = r.state_dim
     if d == 0:
         return True
-    s = np.linalg.svd(observability_matrix(r), compute_uv=False)
+    s = np.linalg.svd(resolvent_rows(r, [0.0], [d]), compute_uv=False)
     return int(np.count_nonzero(s > tol * max(1.0, float(s[0])))) == d

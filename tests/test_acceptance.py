@@ -27,13 +27,13 @@ from blaschkepick import (
     make_blaschke,
     make_report,
     realize,
+    resolvent_rows,
     sp_boundary_radial,
     sp_boundary_structured,
     sp_via_realization,
     taylor_jet,
     unitarity_defect,
 )
-from blaschkepick.realization import observability_matrix
 from helpers import random_blaschke, random_circle_points
 
 SUITE_SEED = 20260822
@@ -245,7 +245,7 @@ def test_criterion_9_realization_quality(capsys):
         b = random_blaschke(rng, d)
         r = realize(b)
         worst_defect = max(worst_defect, unitarity_defect(r))
-        s = np.linalg.svd(observability_matrix(r), compute_uv=False) if d else np.array([])
+        s = np.linalg.svd(resolvent_rows(r, [0.0], [d]), compute_uv=False) if d else np.array([])
         rank = int(np.count_nonzero(s > 1e-8 * max(1.0, float(s[0])))) if d else 0
         assert rank == d
         assert check_minimality(r)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -214,6 +215,26 @@ class TestFuzz:
             "route_agreement",
             "admissibility",
         }
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--trials", "0"),
+            ("--trials", "-3"),
+            ("--degree-max", "-1"),
+            ("--order-max", "0"),
+            ("--points-max", "0"),
+            ("--points-max", "11"),
+            ("--points-max", "18"),
+        ],
+    )
+    def test_out_of_range_bound_is_refused(self, capsys, flag, value):
+        start = time.perf_counter()
+        assert main(["fuzz", flag, value, "--format", "json"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
 
     def test_rank_property_tolerates_a_threshold_straddle(self):
         # Degree 6 with two third-order points: the matrix is full rank in

@@ -23,3 +23,9 @@ def test_import_does_not_load_scipy():
         timeout=60,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in blaschkepick.__all__ if not hasattr(blaschkepick, name)]
+    assert missing == []
+    assert len(set(blaschkepick.__all__)) == len(blaschkepick.__all__)

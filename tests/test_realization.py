@@ -1,18 +1,16 @@
 """Unitary state-space realizations and the Gram-matrix route."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from blaschkepick import (
     SingularResolvent,
     UnitaryRealization,
-    ZeroOnOrOutsideDisk,
-    cascade,
     check_minimality,
-    elementary_realization,
     evaluate,
     make_blaschke,
     realize,
@@ -21,13 +19,41 @@ from blaschkepick import (
     transfer_eval,
     unitarity_defect,
 )
-from blaschkepick.realization import observability_matrix, system_matrix
+from blaschkepick.realization import system_matrix
 from helpers import random_blaschke, random_circle_points
 
 
+def section(a: complex) -> UnitaryRealization:
+    """Degree-one factor (z - a) / (1 - conj(a) z) as a 2 x 2 unitary system."""
+    s = math.sqrt(1.0 - abs(a) ** 2)
+    return UnitaryRealization(A=[[a.conjugate()]], B=[[s]], C=[[s]], D=-a)
+
+
+def cascade(first: UnitaryRealization, second: UnitaryRealization) -> UnitaryRealization:
+    """Series interconnection feeding the output of `first` into `second`."""
+    d1, d2 = first.state_dim, second.state_dim
+    a = np.zeros((d1 + d2, d1 + d2), dtype=complex)
+    a[:d1, :d1] = first.A
+    a[d1:, :d1] = second.B @ first.C
+    a[d1:, d1:] = second.A
+    b = np.vstack([first.B, second.B * first.D])
+    c = np.hstack([second.D * first.C, second.C])
+    return UnitaryRealization(A=a, B=b, C=c, D=second.D * first.D)
+
+
+def cascaded(zeros, u: complex) -> UnitaryRealization:
+    """One section per zero in listed order, output row scaled by u."""
+    r = UnitaryRealization(A=np.zeros((0, 0)), B=np.zeros((0, 1)), C=np.zeros((1, 0)), D=1.0)
+    for a in zeros:
+        r = cascade(r, section(complex(a)))
+    return UnitaryRealization(A=r.A, B=r.B, C=u * r.C, D=u * r.D)
+
+
 class TestElementary:
+    """A degree-one product realizes its elementary section."""
+
     def test_zero_at_origin_realizes_identity_map(self):
-        r = elementary_realization(0.0)
+        r = realize(make_blaschke([0.0]))
         assert_allclose(r.A, [[0.0]])
         assert_allclose(r.B, [[1.0]])
         assert_allclose(r.C, [[1.0]])
@@ -37,35 +63,38 @@ class TestElementary:
 
     def test_transfer_matches_moebius_factor(self):
         a = 0.4 - 0.3j
-        r = elementary_realization(a)
+        r = realize(make_blaschke([a]))
         for z in (0.0, 0.5j, cmath.exp(1.2j)):
             want = (z - a) / (1.0 - a.conjugate() * z)
             assert transfer_eval(r, z) == pytest.approx(want, rel=1e-13)
 
     def test_system_matrix_unitary(self):
-        r = elementary_realization(0.6j)
+        r = realize(make_blaschke([0.6j]))
         u = system_matrix(r)
         assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-15)
         assert unitarity_defect(r) < 1e-15
 
-    def test_rejects_zero_outside_disk(self):
-        with pytest.raises(ZeroOnOrOutsideDisk):
-            elementary_realization(1.0)
-
 
 class TestCascade:
+    """The closed form against a cascade of 2 x 2 sections built here."""
+
     def test_transfer_multiplies(self):
-        r1 = elementary_realization(0.5)
-        r2 = elementary_realization(-0.3j)
-        r = cascade(r1, r2)
+        r = realize(make_blaschke([0.5, -0.3j]))
         assert r.state_dim == 2
         for z in (0.2, 0.4 - 0.1j, cmath.exp(2.0j)):
-            want = transfer_eval(r1, z) * transfer_eval(r2, z)
+            want = transfer_eval(section(0.5), z) * transfer_eval(section(-0.3j), z)
             assert transfer_eval(r, z) == pytest.approx(want, rel=1e-13)
 
-    def test_cascade_of_unitaries_is_unitary(self):
-        r = cascade(elementary_realization(0.5), elementary_realization(0.1 + 0.2j))
-        assert unitarity_defect(r) < 1e-14
+    @pytest.mark.parametrize(
+        "zeros",
+        [[0.5, -0.3j], [0.0, 0.4 + 0.2j, 0.0, 0.0], [0.3 - 0.6j, -0.2, 0.3 - 0.6j, 0.3 - 0.6j]],
+        ids=["two", "origin", "repeated"],
+    )
+    def test_system_matrix_matches_cascade(self, zeros):
+        u = cmath.exp(0.7j)
+        got = system_matrix(realize(make_blaschke(zeros, u)))
+        want = system_matrix(cascaded(zeros, u))
+        assert_allclose(got, want, rtol=0.0, atol=1e-15)
 
 
 class TestRealize:
@@ -100,7 +129,7 @@ class TestResolventRows:
         a = 0.4 + 0.2j
         r = realize(make_blaschke([a]))
         z = cmath.exp(0.5j)
-        rows = resolvent_rows(r, z, 3)
+        rows = resolvent_rows(r, [z], [3])
         s = np.sqrt(1.0 - abs(a) ** 2)
         res = 1.0 / (1.0 - z * a.conjugate())
         for ell in range(3):
@@ -110,18 +139,34 @@ class TestResolventRows:
     def test_order_must_be_positive(self):
         r = realize(make_blaschke([0.5]))
         with pytest.raises(ValueError):
-            resolvent_rows(r, 1.0, 0)
+            resolvent_rows(r, [1.0], [0])
 
     def test_singular_resolvent_at_reflected_point(self):
         r = realize(make_blaschke([0.5]))
         with pytest.raises(SingularResolvent):
-            resolvent_rows(r, 2.0, 1)
+            resolvent_rows(r, [2.0], [1])
         with pytest.raises(SingularResolvent):
             transfer_eval(r, 2.0)
+        # One stacked condition check still names the offending point.
+        r = realize(make_blaschke([0.5, 0.5]))
+        with pytest.raises(SingularResolvent, match=r"z = \(2\.000000001\+0j\)"):
+            resolvent_rows(r, [1.0, 2.0 + 1e-9], [1, 2])
 
     def test_degree_zero_rows_are_empty(self):
         r = realize(make_blaschke([], 1j))
-        assert resolvent_rows(r, 0.5, 2).shape == (2, 0)
+        assert resolvent_rows(r, [0.5], [2]).shape == (2, 0)
+
+    def test_stacks_points_in_order(self):
+        r = realize(make_blaschke([0.3, -0.5j, 0.1 + 0.6j]))
+        pts, ks = [1.0, 1j, cmath.exp(2.5j)], [2, 3, 1]
+        stacked = resolvent_rows(r, pts, ks)
+        singles = np.vstack([resolvent_rows(r, [t], [k]) for t, k in zip(pts, ks)])
+        assert_allclose(stacked, singles, rtol=0.0, atol=1e-15)
+
+    def test_lengths_must_match(self):
+        r = realize(make_blaschke([0.5]))
+        with pytest.raises(ValueError):
+            resolvent_rows(r, [1.0, -1.0], [1])
 
 
 class TestGramRoute:
@@ -153,8 +198,11 @@ class TestGramRoute:
 
 class TestMinimality:
     def test_observability_matrix_shape(self):
+        # At z = 0 the resolvent is the identity, so the factor is C, CA exactly.
         r = realize(make_blaschke([0.1, 0.2]))
-        assert observability_matrix(r).shape == (2, 2)
+        obs = resolvent_rows(r, [0.0], [2])
+        assert obs.shape == (2, 2)
+        assert_array_equal(obs, np.vstack([r.C, r.C @ r.A]))
 
     def test_realized_products_are_minimal(self):
         rng = np.random.default_rng(24)
