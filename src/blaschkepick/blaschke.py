@@ -12,7 +12,6 @@ reflected points 1 / conj(a_k), all of modulus greater than one.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,7 +33,7 @@ CIRCLE_TOL = 1e-9
 
 def _require_finite(z: complex, what: str) -> complex:
     z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if not cmath.isfinite(z):
         raise ValueError(f"{what} must be finite, got {z!r}")
     return z
 
@@ -190,7 +189,7 @@ def taylor_jet(b: BlaschkeProduct, z0: complex, order: int) -> Jet:
         for m in range(2, n):
             f[m] = ac * f[m - 1] / d
         series = np.convolve(series, f)[:n]
-    return Jet(center=z0, coefficients=tuple(series))
+    return Jet(center=z0, coefficients=tuple(series.tolist()))
 
 
 def _jet_array(b: BlaschkeProduct, centers: np.ndarray, order: int) -> np.ndarray:

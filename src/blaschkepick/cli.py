@@ -27,10 +27,10 @@ import time
 import numpy as np
 
 from . import __version__
-from .blaschke import BlaschkeProduct, blaschke_from_json, blaschke_to_json, make_blaschke, taylor_jet
+from .blaschke import BlaschkeProduct, Jet, blaschke_from_json, blaschke_to_json, make_blaschke, taylor_jet
 from .errors import BlaschkePickError, RankMismatch
 from .hermitian import HermitianReport, make_report
-from .pick import admissible, extract_data
+from .pick import ADMISSIBLE_TOL
 from .realization import realize, sp_via_realization
 from .schwarz_pick import (
     DEGENERATE_DENOMINATOR_TOL,
@@ -201,19 +201,20 @@ def _certificate_json(verdict: Verdict) -> dict:
 
 def _compare_routes(
     b: BlaschkeProduct, points, ks
-) -> tuple[SchwarzPickMatrix, np.ndarray, float, float]:
-    """Structured and realization matrices, their max-abs difference, and
-    that difference relative to 1 + the largest structured entry."""
+) -> tuple[list[Jet], SchwarzPickMatrix, np.ndarray, float, float]:
+    """The boundary jets, the structured and realization matrices, their
+    max-abs difference, and that difference relative to 1 + the largest
+    structured entry."""
     jets = [taylor_jet(b, t, 2 * k - 1) for t, k in zip(points, ks)]
     structured = sp_boundary_structured(jets, points, ks)
     via_real = sp_via_realization(realize(b), points, ks)
     diff = float(np.max(np.abs(structured.flat - via_real))) if structured.flat.size else 0.0
     norm = float(np.max(np.abs(structured.flat))) if structured.flat.size else 0.0
-    return structured, via_real, diff, diff / (1.0 + norm)
+    return jets, structured, via_real, diff, diff / (1.0 + norm)
 
 
 def _route_residuals(b: BlaschkeProduct, points, ks) -> dict:
-    _, _, diff, residual = _compare_routes(b, points, ks)
+    _, _, _, diff, residual = _compare_routes(b, points, ks)
     return {
         "structured_vs_realization_max_abs": diff,
         "structured_vs_realization": residual,
@@ -257,7 +258,11 @@ def cmd_analyze(args) -> int:
     except ProblemFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    tol = _tolerances(args, file_tol)
+    try:
+        tol = _tolerances(args, file_tol)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     start = time.perf_counter()
     try:
         problem = ContactProblem(b=b, points=tuple(points), contact_orders=tuple(orders))
@@ -306,7 +311,7 @@ def cmd_crosscheck(args) -> int:
     schedule = tuple(1.0 - 2.0 ** -m for m in range(4, depth + 1))
     start = time.perf_counter()
     try:
-        structured, via_real, diff_real, residual = _compare_routes(b, points, orders)
+        _, structured, via_real, diff_real, residual = _compare_routes(b, points, orders)
         radial, diags = sp_boundary_radial(b, points, orders, schedule)
     except (BlaschkePickError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -362,16 +367,18 @@ def _check_instance(inst) -> tuple[str, str] | None:
     b = make_blaschke(inst["zeros"], inst["u"])
     points = inst["points"]
     ks = inst["orders"]
-    sp, _, diff, residual = _compare_routes(b, points, ks)
+    jets, sp, _, diff, residual = _compare_routes(b, points, ks)
     structured = sp.flat
     norm = float(np.max(np.abs(structured))) if structured.size else 0.0
+    # One report serves every property: the rank law reads the default rank
+    # cutoff (also 1e-8), and admissibility the PSD test that `admissible`
+    # makes on the same matrix at its default tolerance.
+    report = make_report(structured, rank_tol=ADMISSIBLE_TOL, pd_tol=ADMISSIBLE_TOL, strict=False)
 
-    defect = float(np.max(np.abs(structured - structured.conj().T))) if structured.size else 0.0
-    if defect > 1e-9 * max(1.0, norm):
-        return ("hermitian", f"defect {defect} exceeds {1e-9 * max(1.0, norm)}")
+    if report.defect > 1e-9 * max(1.0, norm):
+        return ("hermitian", f"defect {report.defect} exceeds {1e-9 * max(1.0, norm)}")
 
     expected = min(sum(ks), b.degree)
-    report = make_report(structured, strict=False)
     if report.numerical_rank != expected:
         # A spectrum can straddle any single cutoff when sum(ks) and the
         # degree collide, so call the law broken only when no cutoff in a
@@ -391,10 +398,9 @@ def _check_instance(inst) -> tuple[str, str] | None:
             f"max abs diff {diff} exceeds {ROUTE_RESIDUAL_LIMIT * (1.0 + norm)}",
         )
 
-    data = extract_data(b, points, [2 * k - 1 for k in ks])
-    verdict = admissible(data, ks)
-    if not verdict:
-        return ("admissibility", f"modulus_ok={verdict.modulus_ok} psd_ok={verdict.psd_ok}")
+    modulus_ok = all(abs(abs(jet.coefficients[0]) - 1.0) <= ADMISSIBLE_TOL for jet in jets)
+    if not (modulus_ok and report.psd):
+        return ("admissibility", f"modulus_ok={modulus_ok} psd_ok={report.psd}")
     return None
 
 

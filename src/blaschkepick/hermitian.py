@@ -48,11 +48,21 @@ def make_hermitian(m, *, strict: bool = True, defect_tol: float = HERMITIAN_DEFE
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.size == 0:
         return HermitianMatrix(matrix=m.copy(), defect=0.0)
-    defect = float(np.max(np.abs(m - m.conj().T)))
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if strict and defect > defect_tol * scale:
-        raise ValueError(f"matrix is not Hermitian: defect {defect} exceeds {defect_tol * scale}")
-    return HermitianMatrix(matrix=0.5 * (m + m.conj().T), defect=defect)
+    mh = m.conj().T
+    h = HermitianMatrix(matrix=0.5 * (m + mh), defect=float(np.abs(m - mh).max()))
+    if strict:
+        _require_hermitian(h, m, defect_tol)
+    return h
+
+
+def _require_hermitian(h: HermitianMatrix, m, defect_tol: float = HERMITIAN_DEFECT_TOL) -> None:
+    """The strict test of :func:`make_hermitian` on h, already symmetrized
+    from m: raises ValueError when h.defect exceeds defect_tol * max(1, |m|_inf)."""
+    if h.n == 0:
+        return
+    scale = max(1.0, float(np.abs(m).max()))
+    if h.defect > defect_tol * scale:
+        raise ValueError(f"matrix is not Hermitian: defect {h.defect} exceeds {defect_tol * scale}")
 
 
 def _as_hermitian(m) -> HermitianMatrix:
@@ -101,7 +111,8 @@ def schur_complement(m, head: Sequence[int]) -> HermitianMatrix:
     for i in head:
         if not 0 <= i < n:
             raise ValueError(f"index {i} out of range for a {n} x {n} matrix")
-    tail = [i for i in range(n) if i not in set(head)]
+    in_head = set(head)
+    tail = [i for i in range(n) if i not in in_head]
     mat = h.matrix
     if not head:
         return make_hermitian(mat[np.ix_(tail, tail)])

@@ -17,13 +17,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, Jet, _pair_from_json, _require_finite, taylor_jet
+from .blaschke import BlaschkeProduct, _pair_from_json, _require_finite, taylor_jet
 from .errors import InsufficientJet, ZeroLeadingValue
-from .hermitian import HermitianReport, eigen_h, make_hermitian, make_report, schur_complement
-from .schwarz_pick import SchwarzPickMatrix, psi_matrix, sp_boundary_structured, validate_points
+from .hermitian import HermitianMatrix, HermitianReport, eigen_h, make_hermitian, make_report, schur_complement
+from .schwarz_pick import SchwarzPickMatrix, _structured_flat, _validate_orders, psi_matrix, validate_points
 
 SUPPLEMENTARY_RESIDUAL_TOL = 1e-10
 LEADING_VALUE_FLOOR = 0.5
+ADMISSIBLE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -100,14 +101,22 @@ def extract_data(b: BlaschkeProduct, points, max_orders) -> JetData:
 def build_pick(data: JetData, orders) -> SchwarzPickMatrix:
     """Pick matrix of the data at derivative orders k_i.
 
-    Identical formulas to the structured boundary route; requires
-    values[i] of length >= 2 k_i.
+    Identical formulas to the structured boundary route, on data that
+    JetData has already checked; requires values[i] of length >= 2 k_i.
     """
-    jets = [Jet(center=t, coefficients=row) for t, row in zip(data.points, data.values, strict=True)]
-    return sp_boundary_structured(jets, data.points, orders)
+    ks = _validate_orders(orders)
+    if len(ks) != len(data.points):
+        raise ValueError("jets, points and orders must have equal length")
+    return _pick_from_values(data.values, data.points, ks)
 
 
-def admissible(data: JetData, orders, tol: float = 1e-8) -> AdmissibilityReport:
+def _pick_from_values(values, points: tuple[complex, ...], ks: tuple[int, ...]) -> SchwarzPickMatrix:
+    """:func:`build_pick` on rows of finite values at checked points, without
+    checking them again; orders ks must be a tuple of positive ints."""
+    return SchwarzPickMatrix(flat=_structured_flat(values, points, ks), points=points, orders=ks)
+
+
+def admissible(data: JetData, orders, tol: float = ADMISSIBLE_TOL) -> AdmissibilityReport:
     """Feasibility check: unimodular leading values and a PSD Pick matrix.
 
     The matrix from raw data need not be Hermitian; it is symmetrized with
@@ -142,6 +151,12 @@ def extend_pick(data: JetData, orders, extend_set) -> SchwarzPickMatrix:
     return build_pick(data, ks)
 
 
+def _corner(vals: list[complex], psi: np.ndarray, k: int) -> complex:
+    row = np.array(vals[k + 1 : 2 * k + 2], dtype=complex)
+    col = np.conj(np.array(vals[k::-1], dtype=complex))
+    return complex(row @ psi @ col)
+
+
 def corner_value(values: Sequence[complex], point: complex, order: int) -> complex:
     """Bottom diagonal entry of the one-step-extended diagonal block.
 
@@ -157,10 +172,7 @@ def corner_value(values: Sequence[complex], point: complex, order: int) -> compl
     vals = [complex(v) for v in values]
     if len(vals) < 2 * k + 2:
         raise InsufficientJet(f"need {2 * k + 2} values for order {k}, got {len(vals)}")
-    row = np.array(vals[k + 1 : 2 * k + 2], dtype=complex)
-    col = np.conj(np.array(vals[k::-1], dtype=complex))
-    psi = psi_matrix(point, k + 1)
-    return complex(row @ psi @ col)
+    return _corner(vals, psi_matrix(point, k + 1), k)
 
 
 def solve_supplementary(
@@ -172,7 +184,7 @@ def solve_supplementary(
     corner is affine in b_{2k+1} with the exact slope (-1)^k t^(2k+1) conj(b_0)
     of :func:`corner_value`, of modulus |b_0|, so the solve is a single
     division; it refuses data with |b_0| < 0.5 and checks its own residual
-    against 1e-10 in the scale of the target.
+    against 1e-10 in the scale of the target.  Both corners share one Psi.
     """
     k = int(order)
     vals = [complex(v) for v in values]
@@ -180,11 +192,14 @@ def solve_supplementary(
         raise InsufficientJet(f"need {2 * k + 1} values for order {k}, got {len(vals)}")
     if abs(vals[0]) < LEADING_VALUE_FLOOR:
         raise ZeroLeadingValue(f"|b_0| = {abs(vals[0])!r} is below {LEADING_VALUE_FLOOR}")
+    if k < 0:
+        raise ValueError("order must be nonnegative")
+    psi = psi_matrix(point, k + 1)
     base = vals[: 2 * k + 1]
-    gamma0 = corner_value(base + [0.0], point, k)
+    gamma0 = _corner(base + [0.0], psi, k)
     slope = (-1.0) ** k * complex(point) ** (2 * k + 1) * vals[0].conjugate()
     supplement = (complex(target) - gamma0) / slope
-    achieved = corner_value(base + [supplement], point, k)
+    achieved = _corner(base + [supplement], psi, k)
     residual = abs(achieved - complex(target))
     bound = SUPPLEMENTARY_RESIDUAL_TOL * max(1.0, abs(complex(target)), abs(gamma0))
     if residual > bound:
@@ -205,18 +220,31 @@ def complete_to_pd(p_tilde, principal, margin: float = 1.0) -> Completion:
     Only the diagonal entries outside `principal` change.  Raises
     PrincipalNotPD when the principal block is not positive definite.
     """
-    is_pick = isinstance(p_tilde, SchwarzPickMatrix)
-    flat = p_tilde.flat if is_pick else np.asarray(p_tilde, dtype=complex)
+    flat = p_tilde.flat if isinstance(p_tilde, SchwarzPickMatrix) else np.asarray(p_tilde, dtype=complex)
     n = flat.shape[0]
     head = list(dict.fromkeys(int(i) for i in principal))
-    comp = [i for i in range(n) if i not in set(head)]
+    in_head = set(head)
+    comp = [i for i in range(n) if i not in in_head]
+    completion, _ = _complete(p_tilde, make_hermitian(flat, strict=False), head, comp, margin)
+    return completion
+
+
+def _complete(
+    p_tilde, h: HermitianMatrix, head: list[int], comp: list[int], margin: float
+) -> tuple[Completion, HermitianMatrix]:
+    """:func:`complete_to_pd` given h = make_hermitian(p_tilde, strict=False)
+    and the principal indices split into head and ascending complement;
+    also returns the modified matrix symmetrized the same way."""
+    is_pick = isinstance(p_tilde, SchwarzPickMatrix)
+    flat = p_tilde.flat if is_pick else np.asarray(p_tilde, dtype=complex)
     # With an empty complement this only checks that the whole matrix is PD.
-    s = schur_complement(make_hermitian(flat, strict=False), head)
+    s = schur_complement(h, head)
     shift = max(0.0, -float(eigen_h(s)[0][0])) + float(margin) if comp else 0.0
     modified_flat = flat.copy()
     modified_flat[comp, comp] += shift
-    wmod, _ = eigen_h(make_hermitian(modified_flat, strict=False))
-    return Completion(
+    h_mod = make_hermitian(modified_flat, strict=False)
+    wmod, _ = eigen_h(h_mod)
+    completion = Completion(
         original=p_tilde,
         modified=replace(p_tilde, flat=modified_flat) if is_pick else modified_flat,
         shift=shift,
@@ -224,6 +252,7 @@ def complete_to_pd(p_tilde, principal, margin: float = 1.0) -> Completion:
         margin=float(margin),
         eigenvalues=wmod,
     )
+    return completion, h_mod
 
 
 def jet_data_to_json(data: JetData) -> dict:

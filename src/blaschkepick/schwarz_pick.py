@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .blaschke import (
     Jet,
     _jet_array,
     _require_finite,
-    _toeplitz_lower,
     modulus_defect,
 )
 from .errors import CoincidentPoints, DegenerateDenominator, InsufficientJet
@@ -51,6 +50,9 @@ DISTINCT_POINT_TOL = 1e-12
 DEFAULT_RADIAL_SCHEDULE: tuple[float, ...] = tuple(1.0 - 2.0 ** -m for m in range(4, 21))
 RADIAL_CONVERGENCE_TOL = 1e-3
 _STACK_ENTRIES = 1 << 14
+# Order tuples whose shape plans stay cached; a plan of N flat rows holds
+# about 50 N^2 bytes.
+PLAN_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,6 +98,27 @@ class SchwarzPickMatrix:
         return self.flat[
             off[i] : off[i] + self.orders[i], off[j] : off[j] + self.orders[j]
         ]
+
+
+class _ShapePlan(NamedTuple):
+    """The read-only arrays of the structured identity that depend on the
+    orders alone.  At flat row (i, x), column (j, y): `same` marks i == j,
+    `pair_index` is i n + j, `exponent` is x + y + 1, and `factor` is
+    (-1)^y binom(y, x) (Psi) where i == j and (-1)^x binom(x + y, x) (M)
+    elsewhere, stored complex so that no arithmetic casts it again.
+    `tri_index` and `hankel_index` gather T and Hk from the raveled
+    coefficient table of :func:`_structured_flat`.
+    """
+
+    point: np.ndarray
+    derivative: np.ndarray
+    same: np.ndarray
+    diagonal: np.ndarray
+    pair_index: np.ndarray
+    exponent: np.ndarray
+    factor: np.ndarray
+    tri_index: np.ndarray
+    hankel_index: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,11 +280,30 @@ def validate_points(points, *, on_circle: bool = False) -> tuple[complex, ...]:
     return pts
 
 
-def _flat_layout(ks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Point index and derivative of every flat row, as (N, 1) columns."""
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _shape_plan(ks: tuple[int, ...]) -> _ShapePlan:
+    """The plan of orders ks, built on first use and kept in a bounded cache."""
     point = np.repeat(np.arange(len(ks)), ks)[:, None]
-    derivative = np.concatenate([np.arange(k) for k in ks])[:, None]
-    return point, derivative
+    r = np.concatenate([np.arange(k) for k in ks])[:, None]
+    ell = r.T
+    n = r + ell
+    same = point == point.T
+    width = 2 * max(ks) + 1
+    binom = _pascal(width)
+    plan = _ShapePlan(
+        point=point,
+        derivative=r,
+        same=same,
+        diagonal=np.arange(len(ks)),
+        pair_index=point * len(ks) + point.T,
+        exponent=n + 1,
+        factor=np.where(same, (-1) ** ell * binom[ell, r], (-1) ** r * binom[n, r]).astype(complex),
+        tri_index=point * width + np.where(same & (r >= ell), r - ell, width - 1),
+        hankel_index=point * width + np.where(same, n + 1, width - 1),
+    )
+    for array in plan:
+        array.flags.writeable = False
+    return plan
 
 
 def _interior_stack(b: BlaschkeProduct, centers: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
@@ -300,7 +342,8 @@ def _interior_stack(b: BlaschkeProduct, centers: np.ndarray, ks: tuple[int, ...]
     m = 1.0 - (centers.real * centers.real + centers.imag * centers.imag)
     c[:, diag, diag] = m
     n0[:, diag, diag] = modulus_defect(b, centers, complement=m)
-    point, derivative = _flat_layout(ks)
+    plan = _shape_plan(ks)
+    point, derivative = plan.point, plan.derivative
     flat = np.empty((len(centers), len(point), len(point)), dtype=complex)
     step = max(1, _STACK_ENTRIES // (len(ks) * size) ** 2)
     for lo in range(0, len(centers), step):
@@ -337,12 +380,6 @@ def _pascal(size: int) -> np.ndarray:
     return table
 
 
-def _psi(t, r, ell) -> np.ndarray:
-    """Psi entries (-1)^l binom(l, r) t^(l+r+1) for broadcast index arrays; zero for r > l."""
-    n = r + ell
-    return (-1) ** ell * _pascal(int(n.max()) + 1)[ell, r] * t ** (n + 1)
-
-
 def psi_matrix(t: complex, k: int) -> np.ndarray:
     """Upper triangular k x k matrix with entries (-1)^l binom(l, r) t^(l+r+1).
 
@@ -353,8 +390,35 @@ def psi_matrix(t: complex, k: int) -> np.ndarray:
     (t,) = validate_points([t], on_circle=True)
     if k < 1:
         raise ValueError("k must be positive")
-    idx = np.arange(k)
-    return _psi(t, idx[:, None], idx[None, :])
+    plan = _shape_plan((int(k),))
+    return plan.factor * t ** plan.exponent
+
+
+def _structured_flat(rows, pts: tuple[complex, ...], ks: tuple[int, ...]) -> np.ndarray:
+    """The flat matrix of :func:`sp_boundary_structured` from coefficient
+    rows at checked points, with ks a tuple of positive ints.
+
+    Row i fills columns 0 .. 2 k_i - 1 of a table whose last column stays
+    zero for the gathers to point at.  M and Psi share one power array:
+    base^(x + y + 1) with base t_i - t_j off the diagonal blocks and t_i
+    on them.  Raises InsufficientJet for a row shorter than 2 k_i.
+    """
+    plan = _shape_plan(ks)
+    table = np.zeros((len(ks), 2 * max(ks) + 1), dtype=complex)
+    for i, (row, k) in enumerate(zip(rows, ks)):
+        if len(row) < 2 * k:
+            raise InsufficientJet(f"jet {i} has {len(row)} coefficients, need {2 * k}")
+        table[i, : 2 * k] = row[: 2 * k]
+    t = np.array(pts, dtype=complex)
+    base = t[:, None] - t
+    base[plan.diagonal, plan.diagonal] = t
+    powers = base.ravel()[plan.pair_index] ** plan.exponent
+    m = np.where(plan.same, 0.0, plan.factor / powers)
+    psi = np.where(plan.same, plan.factor * powers, 0.0)
+    coeff = table.ravel()
+    tri = coeff[plan.tri_index]
+    hankel = coeff[plan.hankel_index]
+    return (hankel + tri @ m - m @ tri.T) @ psi @ tri.conj().T
 
 
 def sp_boundary_structured(jets: Sequence[Jet], points, orders) -> SchwarzPickMatrix:
@@ -375,33 +439,20 @@ def sp_boundary_structured(jets: Sequence[Jet], points, orders) -> SchwarzPickMa
 
     The formula looks one-sided but produces a Hermitian PSD matrix
     whenever the coefficients really are boundary jets of a Schur-class
-    function.
+    function.  Everything that depends on the orders alone comes from a
+    cache of PLAN_CACHE_SIZE shapes.
 
-    Requires distinct points on the circle and jet i of length >= 2 k_i.
+    Requires distinct points on the circle, jet i centered at t_i (within
+    DISTINCT_POINT_TOL) and of length >= 2 k_i.
     """
     ks = _validate_orders(orders)
     pts = validate_points(points, on_circle=True)
     if not (len(jets) == len(pts) == len(ks)):
         raise ValueError("jets, points and orders must have equal length")
-    size = max(ks)
-    coeff = np.zeros((len(ks), 2 * size), dtype=complex)
-    for i, (jet, k) in enumerate(zip(jets, ks)):
-        if len(jet.coefficients) < 2 * k:
-            raise InsufficientJet(
-                f"jet {i} has {len(jet.coefficients)} coefficients, need {2 * k}"
-            )
-        coeff[i, : 2 * k] = jet.coefficients[: 2 * k]
-    point, r = _flat_layout(ks)
-    ell = r.T
-    n = r + ell
-    same = point == point.T
-    t = np.array(pts, dtype=complex)[point]
-    dt = np.where(same, 1.0, t - t.T)
-    m = np.where(same, 0.0, (-1) ** r * _pascal(2 * size)[n, r] / dt ** (n + 1))
-    tri = np.where(same, _toeplitz_lower(coeff, size)[point, r, ell], 0.0)
-    hankel = np.where(same, coeff[point, n + 1], 0.0)
-    psi = np.where(same, _psi(t, r, ell), 0.0)
-    flat = (hankel + tri @ m - m @ tri.T) @ psi @ tri.conj().T
+    for i, (jet, t) in enumerate(zip(jets, pts)):
+        if abs(jet.center - t) > DISTINCT_POINT_TOL:
+            raise ValueError(f"jet {i} is centered at {jet.center!r}, not at its point {t!r}")
+    flat = _structured_flat([jet.coefficients for jet in jets], pts, ks)
     return SchwarzPickMatrix(flat=flat, points=pts, orders=ks)
 
 

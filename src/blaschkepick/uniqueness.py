@@ -27,19 +27,27 @@ raises RankMismatch instead of silently overriding either side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, taylor_jet
+from .blaschke import BlaschkeProduct, _require_finite, taylor_jet
 from .errors import RankMismatch
-from .hermitian import HermitianReport, eigen_h, make_hermitian, make_report, report_from_eigenvalues
+from .hermitian import (
+    HermitianReport,
+    _require_hermitian,
+    eigen_h,
+    make_hermitian,
+    make_report,
+    report_from_eigenvalues,
+)
 from .pick import (
     Completion,
-    JetData,
+    _complete,
+    _pick_from_values,
     build_pick,
-    complete_to_pd,
     extend_pick,
     extract_data,
     solve_supplementary,
@@ -58,6 +66,15 @@ class Tolerances:
     rank: float = 1e-8
     pd: float = 1e-10
     completion_margin: float = 1.0
+
+    def __post_init__(self):
+        for name in ("rank", "pd"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} tolerance must be finite and nonnegative, got {value!r}")
+        margin = self.completion_margin
+        if not (math.isfinite(margin) and margin > 0.0):
+            raise ValueError(f"completion margin must be finite and positive, got {margin!r}")
 
 
 @dataclass(frozen=True)
@@ -186,36 +203,35 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
     even = tuple(i for i, m in enumerate(problem.contact_orders) if m % 2 == 0)
     if even:
         p_tilde = extend_pick(data, ks, even)
-        corner_indices = {i: p_tilde.row_index(i, ks[i]) for i in even}
-        principal = [
-            j for j in range(p_tilde.flat.shape[0]) if j not in set(corner_indices.values())
-        ]
-        w_tilde, _ = eigen_h(make_hermitian(p_tilde.flat, strict=False))
+        corners = [p_tilde.row_index(i, ks[i]) for i in even]
+        in_corners = set(corners)
+        principal = [j for j in range(p_tilde.flat.shape[0]) if j not in in_corners]
+        h_tilde = make_hermitian(p_tilde.flat, strict=False)
+        w_tilde, _ = eigen_h(h_tilde)
         margin = tolerances.completion_margin * max(1.0, float(w_tilde[-1]))
-        completion = complete_to_pd(p_tilde, principal, margin)
+        completion, h_completed = _complete(p_tilde, h_tilde, principal, corners, margin)
 
         corner_targets = []
         supplementary = []
-        supplemented_values = [list(row) for row in data.values]
-        for i in even:
-            idx = corner_indices[i]
+        for i, idx in zip(even, corners):
             target = complex(completion.modified.flat[idx, idx])
             corner_targets.append((i, target))
             b_sup = solve_supplementary(data.values[i], problem.points[i], ks[i], target)
             supplementary.append((i, b_sup))
-            supplemented_values[i][2 * ks[i] + 1] = b_sup
         completion = replace(completion, corner_targets=tuple(corner_targets))
 
-        redone = extend_pick(
-            JetData(points=data.points, values=tuple(tuple(r) for r in supplemented_values)),
-            ks,
-            even,
-        )
+        # Rebuild the extended matrix from the data with the supplements in
+        # place of the product's own top coefficients.
+        values = [list(row) for row in data.values]
+        for i, b_sup in supplementary:
+            values[i][2 * ks[i] + 1] = _require_finite(b_sup, "value")
+        redone = _pick_from_values(values, data.points, p_tilde.orders)
         roundtrip = float(np.max(np.abs(redone.flat - completion.modified.flat)))
-        # The strict Hermitian check, then the spectrum that complete_to_pd
+        # The strict Hermitian check, then the spectrum that the completion
         # computed from the same symmetrized matrix.
+        _require_hermitian(h_completed, completion.modified.flat)
         extended_report = report_from_eigenvalues(
-            make_hermitian(completion.modified.flat),
+            h_completed,
             completion.eigenvalues,
             rank_tol=tolerances.rank,
             pd_tol=tolerances.pd,

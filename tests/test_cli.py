@@ -156,6 +156,31 @@ class TestValidation:
         assert exc.value.code == 2
         assert "--radial-depth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--tol-rank", "nan"),
+            ("--tol-rank", "-1"),
+            ("--tol-rank", "inf"),
+            ("--tol-pd", "-1"),
+            ("--tol-pd", "nan"),
+        ],
+    )
+    def test_invalid_tolerance_flag(self, tmp_path, capsys, flag, value):
+        path = write_problem(tmp_path)
+        assert main(["analyze", path, flag, value, "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance must be finite and nonnegative" in captured.err
+
+    @pytest.mark.parametrize("tolerances", [{"rank": -1.0}, {"pd": -0.5}, {"pd": -1}])
+    def test_invalid_tolerance_in_file(self, tmp_path, capsys, tolerances):
+        path = write_problem(tmp_path, tolerances=tolerances)
+        assert main(["analyze", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance must be finite and nonnegative" in captured.err
+
     @pytest.mark.parametrize("flag", ["--tol-rank", "--tol-pd"])
     def test_tolerance_flags_belong_to_analyze(self, tmp_path, capsys, flag):
         path = write_problem(tmp_path)

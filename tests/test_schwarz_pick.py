@@ -191,6 +191,20 @@ class TestPsiMatrix:
 
 
 class TestBoundaryStructured:
+    def test_jet_centered_elsewhere_rejected(self):
+        b = make_blaschke([0.5])
+        with pytest.raises(ValueError, match="centered at"):
+            sp_boundary_structured([taylor_jet(b, 1j, 3)], [1.0], [2])
+        jets = [taylor_jet(b, 1.0, 1), taylor_jet(b, 1j, 1)]
+        with pytest.raises(ValueError, match="jet 1"):
+            sp_boundary_structured(jets, [1.0, -1.0], [1, 1])
+
+    def test_jet_center_within_point_tolerance_accepted(self):
+        jet = taylor_jet(make_blaschke([0.5]), 1.0, 1)
+        shifted = Jet(center=1.0 + 1e-13, coefficients=jet.coefficients)
+        p = sp_boundary_structured([shifted], [1.0], [1])
+        assert_allclose(p.flat, [[3.0]], rtol=1e-12)
+
     def test_single_point_first_order(self):
         b = make_blaschke([0.5])
         jets = [taylor_jet(b, 1.0, 1)]

@@ -19,6 +19,7 @@ from blaschkepick import (
     make_blaschke,
     matches_jets,
 )
+from helpers import random_blaschke, random_circle_points
 
 
 class TestCriterion:
@@ -193,6 +194,77 @@ class TestEvidenceContradictions:
         problem = ContactProblem(b=make_blaschke([0.0]), points=(1.0,), contact_orders=(2,))
         with pytest.raises(RankMismatch):
             decide(problem, Tolerances(pd=1e30))
+
+
+class TestTolerances:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"rank": -1.0},
+            {"rank": float("nan")},
+            {"rank": float("inf")},
+            {"pd": -1e-12},
+            {"pd": float("nan")},
+            {"pd": float("-inf")},
+            {"completion_margin": 0.0},
+            {"completion_margin": -1.0},
+            {"completion_margin": float("nan")},
+            {"completion_margin": float("inf")},
+        ],
+    )
+    def test_invalid_values_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="must be finite"):
+            Tolerances(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"rank": 0.0}, {"pd": 0.0}, {"rank": 1e30}, {"completion_margin": 1e-12}]
+    )
+    def test_edge_values_accepted(self, kwargs):
+        Tolerances(**kwargs)
+
+
+class TestOrderIndependence:
+    def test_forward_and_reverse_runs_give_identical_bits(self):
+        rng = np.random.default_rng(41)
+        problems = []
+        for _ in range(40):
+            n = int(rng.integers(1, 4))
+            problems.append(
+                ContactProblem(
+                    b=random_blaschke(rng, int(rng.integers(0, 9))),
+                    points=tuple(random_circle_points(rng, n)),
+                    contact_orders=tuple(int(m) for m in rng.integers(1, 7, size=n)),
+                )
+            )
+        forward = [verdict_bits(p) for p in problems]
+        reverse = [verdict_bits(p) for p in reversed(problems)][::-1]
+        assert forward == reverse
+        assert sum(bits[0] == "unique" for bits in forward) >= 5
+        assert sum(bits[0] == "non-unique" for bits in forward) >= 5
+
+
+def verdict_bits(problem: ContactProblem) -> tuple:
+    """Everything a verdict or refusal says, with arrays as raw bytes."""
+    try:
+        verdict = decide(problem)
+    except Exception as exc:  # a refusal is part of the answer too
+        return (type(exc).__name__, str(exc))
+    bits = [verdict.tag, verdict.pick.matrix.tobytes(), verdict.pick.eigenvalues.tobytes()]
+    cert = verdict.certificate
+    if isinstance(cert, NonUniqueCertificate):
+        comp = cert.completion
+        bits += [
+            comp.modified.flat.tobytes(),
+            comp.shift,
+            comp.eigenvalues.tobytes(),
+            comp.corner_targets,
+            cert.supplementary,
+            cert.roundtrip_residual,
+            cert.extended_report.matrix.tobytes(),
+        ]
+    else:
+        bits.append(cert.rank)
+    return tuple(bits)
 
 
 class TestMatchesJets:
