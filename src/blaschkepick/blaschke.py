@@ -171,6 +171,13 @@ def taylor_jet(b: BlaschkeProduct, z0: complex, order: int) -> Jet:
     one division per coefficient, and the factor series are multiplied by
     truncated convolution.  The result stays accurate on the unit circle
     where finite differencing would not.
+
+    This scalar form serves callers that need one center at a time:
+    ``sp_boundary_structured`` callers, the CLI route comparison and fuzz,
+    and :func:`blaschkepick.uniqueness.matches_jets`.  At one center it is
+    faster than :func:`_jet_array` (about 4 against 22 us at degree 0,
+    order 1, and 13 against 35 us at degree 2, order 3), whose fixed numpy
+    overhead only pays off over several centers.
     """
     z0 = _require_finite(z0, "z0")
     if order < 0:
@@ -199,9 +206,18 @@ def _jet_array(b: BlaschkeProduct, centers: np.ndarray, order: int) -> np.ndarra
     recurrence of :func:`taylor_jet` runs on every zero and center at once,
     and each factor's truncated convolution is a stacked product with the
     lower triangular Toeplitz matrix of its coefficients.  The result agrees
-    with taylor_jet to rounding but not bit for bit; taylor_jet keeps its
-    scalar arithmetic because the decision procedure reads boundary jets to
-    the last bit.  Raises PoleEvaluation for a center within 1e-12 of a pole.
+    with taylor_jet to rounding but not bit for bit, and is as accurate:
+    against a 40-digit series product, over random products of degree <= 12
+    with |a| <= 0.95 and orders <= 17, both stay within about 3e-14 of
+    max(1, |w_j|).
+
+    Callers with several centers use it: the radial route for every radius
+    and point, and ``decide`` and ``extract_data`` for all of a problem's
+    points in one call, which cuts their jet time by about 40% on the
+    decide-mix benchmark pool (about 55 against 97 us per problem).  A
+    single center is faster through taylor_jet.  Callers check that the
+    result is finite.  Raises PoleEvaluation for a center within 1e-12 of a
+    pole.
     """
     poles = np.array([1.0 / a.conjugate() for a in b.zeros if a != 0], dtype=complex)
     near = np.abs(centers[..., None] - poles) < POLE_TOL

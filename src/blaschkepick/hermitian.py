@@ -9,6 +9,7 @@ lambda_min against the same scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -79,6 +80,12 @@ def eigen_h(m) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def _require_tolerance(name: str, tol: float) -> None:
+    """Raise ValueError unless tol is a finite nonnegative number."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"{name} tolerance must be finite and nonnegative, got {tol!r}")
+
+
 def _rank_above(w: np.ndarray, tol: float) -> int:
     """Count of ascending eigenvalues w above tol * max(1, lambda_max)."""
     if w.size == 0:
@@ -87,7 +94,9 @@ def _rank_above(w: np.ndarray, tol: float) -> int:
 
 
 def numerical_rank(m, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Count of eigenvalues above tol * max(1, lambda_max)."""
+    """Count of eigenvalues above tol * max(1, lambda_max); tol must be
+    finite and nonnegative."""
+    _require_tolerance("rank", tol)
     h = _as_hermitian(m)
     if h.n == 0:
         return 0
@@ -102,8 +111,9 @@ def schur_complement(m, head: Sequence[int]) -> HermitianMatrix:
     ascending order.  P must be positive definite (Cholesky is the test).
 
     With P = L L*, the complement is formed as D - Y* Y with Y = L^{-1} R*,
-    which is Hermitian by construction however much D and R P^{-1} R*
-    cancel.
+    which is Hermitian up to the rounding of Y* Y however much D and
+    R P^{-1} R* cancel; the strict Hermitian test reads that rounding
+    against the scale of Y* Y.
     """
     h = _as_hermitian(m)
     n = h.n
@@ -124,7 +134,12 @@ def schur_complement(m, head: Sequence[int]) -> HermitianMatrix:
     if not tail:
         return HermitianMatrix(matrix=np.zeros((0, 0), dtype=complex), defect=0.0)
     y = np.linalg.solve(chol, mat[np.ix_(tail, head)].conj().T)
-    return make_hermitian(mat[np.ix_(tail, tail)] - y.conj().T @ y)
+    yy = y.conj().T @ y
+    s = make_hermitian(mat[np.ix_(tail, tail)] - yy, strict=False)
+    # D is exactly Hermitian, so any defect is rounding in Y* Y; judge it on
+    # that product's scale, not on the complement's, which can be far smaller.
+    _require_hermitian(s, yy)
+    return s
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,6 +165,7 @@ class HermitianReport:
 
     def rank_at(self, tol: float) -> int:
         """Numerical rank read at another cutoff, from the same eigenvalues."""
+        _require_tolerance("rank", tol)
         return _rank_above(self.eigenvalues, tol)
 
 
@@ -160,7 +176,10 @@ def make_report(
     *,
     strict: bool = True,
 ) -> HermitianReport:
-    """Full eigenvalue report: rank at rank_tol, definiteness at pd_tol."""
+    """Full eigenvalue report: rank at rank_tol, definiteness at pd_tol.
+
+    Both tolerances must be finite and nonnegative (ValueError otherwise).
+    """
     h = make_hermitian(m, strict=strict) if not isinstance(m, HermitianMatrix) else m
     w, _ = eigen_h(h)
     return report_from_eigenvalues(h, w, rank_tol, pd_tol)
@@ -171,6 +190,8 @@ def report_from_eigenvalues(
 ) -> HermitianReport:
     """The report of :func:`make_report`, read from the ascending spectrum of
     h.matrix that :func:`eigen_h` already returned, without decomposing again."""
+    _require_tolerance("rank", rank_tol)
+    _require_tolerance("pd", pd_tol)
     w = eigenvalues
     if w.size:
         scale = max(1.0, float(w[-1]))

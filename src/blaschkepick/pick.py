@@ -12,14 +12,23 @@ singular PSD matrix leaves room for at most one.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, _pair_from_json, _require_finite, taylor_jet
+from .blaschke import BlaschkeProduct, _jet_array, _pair_from_json, _require_finite
 from .errors import InsufficientJet, ZeroLeadingValue
-from .hermitian import HermitianMatrix, HermitianReport, eigen_h, make_hermitian, make_report, schur_complement
+from .hermitian import (
+    HermitianMatrix,
+    HermitianReport,
+    _require_tolerance,
+    eigen_h,
+    make_hermitian,
+    make_report,
+    schur_complement,
+)
 from .schwarz_pick import SchwarzPickMatrix, _structured_flat, _validate_orders, psi_matrix, validate_points
 
 SUPPLEMENTARY_RESIDUAL_TOL = 1e-10
@@ -88,14 +97,35 @@ class Completion:
 
 
 def extract_data(b: BlaschkeProduct, points, max_orders) -> JetData:
-    """Read jets of b at the given circle points, through order max_orders[i]."""
-    pts = tuple(points)
-    values = []
-    for t, j in zip(pts, max_orders, strict=True):
-        if j < 0:
-            raise ValueError("max_orders must be nonnegative")
-        values.append(taylor_jet(b, t, j).coefficients)
-    return JetData(points=pts, values=tuple(values))
+    """Read jets of b at the given circle points, through order max_orders[i].
+
+    The points get the checks of JetData before any jet is computed;
+    raises PoleEvaluation for a point within 1e-12 of a pole.
+    """
+    pts = validate_points(points, on_circle=True)
+    orders = tuple(operator.index(j) for j in max_orders)
+    if len(orders) != len(pts):
+        raise ValueError(f"{len(pts)} points but {len(orders)} max_orders")
+    if any(j < 0 for j in orders):
+        raise ValueError("max_orders must be nonnegative")
+    return _jet_data(b, pts, orders)
+
+
+def _jet_data(b: BlaschkeProduct, pts: tuple[complex, ...], orders: tuple[int, ...]) -> JetData:
+    """:func:`extract_data` at points JetData would accept, with one
+    nonnegative int order per point, from one stacked evaluation through
+    the largest order; each coefficient is checked finite once, here."""
+    if not pts:
+        return JetData(points=(), values=())
+    jets = _jet_array(b, np.array(pts), max(orders))
+    if not np.isfinite(jets).all():
+        raise ValueError(f"jet coefficients of b must be finite at {pts!r}")
+    values = tuple(tuple(row[: j + 1]) for row, j in zip(jets.tolist(), orders))
+    # Everything JetData checks holds already; build it without the checks.
+    data = object.__new__(JetData)
+    object.__setattr__(data, "points", pts)
+    object.__setattr__(data, "values", values)
+    return data
 
 
 def build_pick(data: JetData, orders) -> SchwarzPickMatrix:
@@ -121,8 +151,10 @@ def admissible(data: JetData, orders, tol: float = ADMISSIBLE_TOL) -> Admissibil
 
     The matrix from raw data need not be Hermitian; it is symmetrized with
     the defect recorded in the report, and the eigenvalue test reads
-    lambda_min >= -tol * max(1, lambda_max).
+    lambda_min >= -tol * max(1, lambda_max).  tol must be finite and
+    nonnegative (ValueError otherwise).
     """
+    _require_tolerance("admissibility", tol)
     p = build_pick(data, orders)
     defects = tuple(abs(abs(row[0]) - 1.0) for row in data.values)
     modulus_ok = all(d <= tol for d in defects)

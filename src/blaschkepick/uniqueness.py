@@ -38,6 +38,7 @@ from .errors import RankMismatch
 from .hermitian import (
     HermitianReport,
     _require_hermitian,
+    _require_tolerance,
     eigen_h,
     make_hermitian,
     make_report,
@@ -46,10 +47,10 @@ from .hermitian import (
 from .pick import (
     Completion,
     _complete,
+    _jet_data,
     _pick_from_values,
     build_pick,
     extend_pick,
-    extract_data,
     solve_supplementary,
 )
 from .schwarz_pick import validate_points
@@ -68,10 +69,8 @@ class Tolerances:
     completion_margin: float = 1.0
 
     def __post_init__(self):
-        for name in ("rank", "pd"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} tolerance must be finite and nonnegative, got {value!r}")
+        _require_tolerance("rank", self.rank)
+        _require_tolerance("pd", self.pd)
         margin = self.completion_margin
         if not (math.isfinite(margin) and margin > 0.0):
             raise ValueError(f"completion margin must be finite and positive, got {margin!r}")
@@ -171,7 +170,7 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
     ks = derivative_orders(problem.contact_orders)
     k_total = sum(ks)
     d = problem.b.degree
-    data = extract_data(problem.b, problem.points, [2 * k + 1 for k in ks])
+    data = _jet_data(problem.b, problem.points, tuple(2 * k + 1 for k in ks))
     p = build_pick(data, ks)
     pick_report = make_report(p.flat, rank_tol=tolerances.rank, pd_tol=tolerances.pd)
     unique = k_total > d

@@ -18,13 +18,15 @@ from blaschkepick import (
     blaschke_from_json,
     blaschke_to_json,
     evaluate,
+    extract_data,
     level_set,
     make_blaschke,
     modulus_defect,
     poles,
     taylor_jet,
 )
-from helpers import random_blaschke
+from blaschkepick.blaschke import _jet_array
+from helpers import random_blaschke, random_circle_points
 
 
 class TestConstruction:
@@ -156,6 +158,69 @@ class TestTaylorJet:
     def test_jet_at_pole_rejected(self):
         with pytest.raises(PoleEvaluation):
             taylor_jet(make_blaschke([0.5]), 2.0, 2)
+
+
+# Jets of the stacked evaluation (one call for all points, as in `decide`)
+# against the scalar recurrence and an exact series product.  The tolerance
+# is fixed from eps, relative to max(1, |w_j|): 512 eps is about 1.1e-13.
+JET_TOL = 512 * np.finfo(float).eps
+
+
+def _random_jet_case(rng):
+    """Degree <= 12 with |a| <= 0.95, 1-5 points, one order <= 17 per point."""
+    b = random_blaschke(rng, int(rng.integers(0, 13)), radius=0.95)
+    n = int(rng.integers(1, 6))
+    points = random_circle_points(rng, n)
+    return b, points, [int(j) for j in rng.integers(0, 18, size=n)]
+
+
+def _assert_jets_close(got, want):
+    want = np.asarray(want, dtype=complex)
+    assert np.all(np.abs(np.asarray(got) - want) <= JET_TOL * np.maximum(1.0, np.abs(want)))
+
+
+class TestStackedJets:
+    def test_stacked_matches_scalar(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            b, points, orders = _random_jet_case(rng)
+            stacked = _jet_array(b, np.array(points), max(orders))
+            data = extract_data(b, points, orders)
+            for t, j, row, values in zip(points, orders, stacked, data.values):
+                scalar = taylor_jet(b, t, j).coefficients
+                assert len(values) == j + 1
+                _assert_jets_close(row[: j + 1], scalar)
+                _assert_jets_close(values, scalar)
+
+    def test_stacked_matches_mpmath_series_product(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(13)
+        with mpmath.workdps(40):
+            for _ in range(40):
+                b, points, orders = _random_jet_case(rng)
+                stacked = extract_data(b, points, orders).values
+                for t, j, values in zip(points, orders, stacked):
+                    _assert_jets_close(values, _mp_jet(mpmath, b, t, j))
+
+    def test_stacked_rejects_center_at_pole(self):
+        with pytest.raises(PoleEvaluation):
+            _jet_array(make_blaschke([0.5, 0.0]), np.array([1.0, 2.0]), 2)
+
+
+def _mp_jet(mpmath, b, z0, order):
+    """Coefficients w_0 .. w_order of b at z0 at the working precision: each
+    factor's closed-form coefficients (z0 - a) / D and (1 - |a|^2) conj(a)^(m-1)
+    / D^(m+1), D = 1 - conj(a) z0, multiplied out by truncated convolution."""
+    z0 = mpmath.mpc(z0)
+    series = [mpmath.mpc(b.unimodular_constant)] + [mpmath.mpc(0)] * order
+    for a in b.zeros:
+        a = mpmath.mpc(a)
+        den = 1 - mpmath.conj(a) * z0
+        factor = [(z0 - a) / den] + [
+            (1 - abs(a) ** 2) * mpmath.conj(a) ** (m - 1) / den ** (m + 1) for m in range(1, order + 1)
+        ]
+        series = [mpmath.fsum(series[i] * factor[m - i] for i in range(m + 1)) for m in range(order + 1)]
+    return [complex(c) for c in series]
 
 
 class TestLevelSet:

@@ -9,12 +9,16 @@ from numpy.testing import assert_allclose
 from blaschkepick import (
     ConvergenceFailure,  # noqa: F401  (re-export check)
     PrincipalNotPD,
+    admissible,
     eigen_h,
+    extract_data,
+    make_blaschke,
     make_hermitian,
     make_report,
     numerical_rank,
     schur_complement,
 )
+from blaschkepick.hermitian import report_from_eigenvalues
 
 
 class TestMakeHermitian:
@@ -104,6 +108,20 @@ class TestSchurComplement:
             s = schur_complement(0.5 * (m + m.conj().T), head=range(4))
             assert_allclose(s.matrix, 0.5 * np.eye(3), atol=1e-6)
 
+    def test_complement_cancelling_terms_of_1e8(self):
+        # As above with |R| ~ 1e4: the rounding of R P^{-1} R* is about
+        # 1e-8, above 1e-9 times the complement's scale of one but not
+        # above it times the scale of the cancelled terms.
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            f = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            p = f @ f.conj().T + np.eye(4)
+            r = 1e4 * (rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)))
+            d = r @ np.linalg.solve(p, r.conj().T) + 0.5 * np.eye(3)
+            m = np.block([[p, r.conj().T], [r, d]])
+            s = schur_complement(0.5 * (m + m.conj().T), head=range(4))
+            assert_allclose(s.matrix, 0.5 * np.eye(3), atol=1e-13 * np.abs(d).max())
+
     def test_principal_block_must_be_pd(self):
         with pytest.raises(PrincipalNotPD):
             schur_complement(np.array([[-1.0, 0.0], [0.0, 2.0]]), head=[0])
@@ -154,3 +172,36 @@ class TestMakeReport:
         assert report.psd and report.pd
         assert report.numerical_rank == 0
         assert report.lambda_min == 0.0
+
+
+_DIAG = np.diag([1.0, 0.5])
+_BAD_TOLERANCES = [-1.0, -1e-300, float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("tol", _BAD_TOLERANCES)
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda tol: make_report(_DIAG, rank_tol=tol),
+        lambda tol: make_report(_DIAG, pd_tol=tol),
+        lambda tol: report_from_eigenvalues(make_hermitian(_DIAG), np.array([0.5, 1.0]), tol, 1e-10),
+        lambda tol: report_from_eigenvalues(make_hermitian(_DIAG), np.array([0.5, 1.0]), 1e-8, tol),
+        lambda tol: numerical_rank(_DIAG, tol=tol),
+        lambda tol: numerical_rank(np.zeros((0, 0)), tol=tol),
+        lambda tol: make_report(_DIAG).rank_at(tol),
+        lambda tol: admissible(extract_data(make_blaschke([0.5]), [1.0], [1]), [1], tol=tol),
+    ],
+    ids=[
+        "make_report-rank",
+        "make_report-pd",
+        "report_from_eigenvalues-rank",
+        "report_from_eigenvalues-pd",
+        "numerical_rank",
+        "numerical_rank-empty",
+        "rank_at",
+        "admissible",
+    ],
+)
+def test_negative_or_nonfinite_tolerance_rejected(read, tol):
+    with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+        read(tol)

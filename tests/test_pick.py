@@ -64,6 +64,34 @@ class TestExtractAndBuild:
         with pytest.raises(ValueError):
             extract_data(make_blaschke([0.5]), [1.0], [-1])
 
+    def test_extract_of_no_points_is_empty(self):
+        data = extract_data(make_blaschke([0.5]), [], [])
+        assert data == JetData(points=(), values=())
+
+    @pytest.mark.parametrize(
+        ("points", "max_orders", "error"),
+        [
+            ([1.0, -1.0], [3], ValueError),
+            ([1.0], [3, 1], ValueError),
+            ([0.5], [1], ValueError),
+            ([1.0, -1.0, 1.0], [1, 1, 1], CoincidentPoints),
+            ([complex("nan")], [1], ValueError),
+            ([complex(1.0, float("inf"))], [1], ValueError),
+            ([1.0, -1.0], [1, -2], ValueError),
+        ],
+        ids=["fewer-orders", "fewer-points", "off-circle", "coincident", "nan-point", "inf-point", "negative-second"],
+    )
+    def test_extract_rejects_invalid_input(self, points, max_orders, error):
+        with pytest.raises(error):
+            extract_data(make_blaschke([0.5, -0.2j]), points, max_orders)
+
+    def test_extract_rejects_overflowing_jet(self):
+        # |1 - conj(a) t| = 2e-12 at t = 1: the coefficients grow like
+        # (5e11)^j and overflow well before order 30.
+        b = make_blaschke([1.0 - 2e-12])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            extract_data(b, [1.0, -1.0], [30, 1])
+
     def test_build_matches_realization_gram(self):
         rng = np.random.default_rng(41)
         b = random_blaschke(rng, 4)

@@ -9,15 +9,19 @@ from numpy.testing import assert_allclose
 from blaschkepick import (
     CoincidentPoints,
     ContactProblem,
+    JetData,
     NonUniqueCertificate,
     RankMismatch,
     Tolerances,
     UniqueCertificate,
+    build_pick,
     criterion,
     decide,
     derivative_orders,
     make_blaschke,
+    make_report,
     matches_jets,
+    taylor_jet,
 )
 from helpers import random_blaschke, random_circle_points
 
@@ -265,6 +269,89 @@ def verdict_bits(problem: ContactProblem) -> tuple:
     else:
         bits.append(cert.rank)
     return tuple(bits)
+
+
+# Of decide-mix seeds 1-10 (bench/), the problem whose Pick matrix has an
+# eigenvalue closest to a cutoff (seed 10, input 1102): d = 9 and
+# k = (3, 3, 3, 2), so the criterion says unique, but the ninth eigenvalue
+# sits 0.16% below the rank cutoff and decide refuses with rank 8.
+CLOSEST_TO_CUTOFF = ContactProblem(
+    b=make_blaschke(
+        [
+            (0.06763545740694538 - 0.4078149561379425j),
+            (0.372841107674842 + 0.012385522253042954j),
+            (-0.04685554273106236 + 0.5955115703506316j),
+            (0.705110327913206 - 0.2288287872522009j),
+            (-0.32481693110583554 + 0.38682736236743537j),
+            (0.5128281081308206 + 0.2660546862017581j),
+            (0.37167969252166533 + 0.2627139315726015j),
+            (-0.06432958850301476 - 0.5761206401246551j),
+            (0.4733645502940054 - 0.16347255129287175j),
+        ],
+        (-0.9878276392072619 + 0.15555241951897603j),
+    ),
+    points=(
+        (-0.3347691981461022 + 0.94230015598673j),
+        (-0.6766794941096707 + 0.7362777072894984j),
+        (-0.9955665591144375 + 0.0940596957949544j),
+        (0.9159651886321866 - 0.4012577391328457j),
+    ),
+    contact_orders=(5, 6, 6, 4),
+)
+
+
+class TestScalarJetReference:
+    """decide reads its jets from one stacked evaluation; the verdict must be
+    the one read from a Pick matrix of scalar taylor_jet data."""
+
+    @staticmethod
+    def scalar_report(problem: ContactProblem):
+        ks = derivative_orders(problem.contact_orders)
+        values = tuple(taylor_jet(problem.b, t, 2 * k + 1).coefficients for t, k in zip(problem.points, ks))
+        data = JetData(points=problem.points, values=values)
+        return make_report(build_pick(data, ks).flat, rank_tol=Tolerances().rank, pd_tol=Tolerances().pd)
+
+    def check(self, problem: ContactProblem) -> str:
+        report = self.scalar_report(problem)
+        d = problem.b.degree
+        unique = criterion(problem.contact_orders, d)
+        try:
+            verdict = decide(problem)
+        except RankMismatch as exc:
+            # The refusal must be the one the scalar matrix reads, or come
+            # from the completion, which the scalar truncated matrix passes.
+            if "criterion says unique" in str(exc):
+                assert unique and report.numerical_rank != d
+            elif "criterion says non-unique" in str(exc):
+                assert not unique and not report.pd
+            else:
+                assert not unique and report.pd
+            return "refused"
+        assert verdict.tag == ("unique" if unique else "non-unique")
+        assert verdict.pick.numerical_rank == report.numerical_rank
+        assert verdict.pick.pd == report.pd
+        return verdict.tag
+
+    def test_seeded_problems(self):
+        rng = np.random.default_rng(808)
+        tags = []
+        for _ in range(300):
+            n = int(rng.integers(1, 5))
+            problem = ContactProblem(
+                b=random_blaschke(rng, int(rng.integers(0, 13))),
+                points=tuple(random_circle_points(rng, n)),
+                contact_orders=tuple(int(m) for m in rng.integers(1, 9, size=n)),
+            )
+            tags.append(self.check(problem))
+        assert tags.count("unique") >= 50
+        assert tags.count("non-unique") >= 50
+
+    def test_problem_closest_to_a_cutoff(self):
+        assert self.check(CLOSEST_TO_CUTOFF) == "refused"
+        report = self.scalar_report(CLOSEST_TO_CUTOFF)
+        assert report.numerical_rank == 8
+        cutoff = report.rank_tol * report.lambda_max
+        assert np.min(np.abs(report.eigenvalues - cutoff)) < 0.01 * cutoff
 
 
 class TestMatchesJets:
