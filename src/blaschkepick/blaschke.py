@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -98,22 +99,19 @@ def make_blaschke(zeros: Sequence[complex], unimodular_constant: complex = 1.0) 
     return BlaschkeProduct(tuple(complex(a) for a in zeros), complex(unimodular_constant))
 
 
-def _check_not_pole(b: BlaschkeProduct, z: complex) -> None:
-    for a in b.zeros:
-        if a != 0 and abs(z - 1.0 / a.conjugate()) < POLE_TOL:
-            raise PoleEvaluation(f"{z!r} lies within {POLE_TOL} of the pole at {1.0 / a.conjugate()!r}")
-
-
 def evaluate(b: BlaschkeProduct, z: complex) -> complex:
     """Value b(z), for z away from the poles.
 
-    Raises PoleEvaluation when z lies within 1e-12 of some 1 / conj(a_k).
+    Raises PoleEvaluation when z lies within 1e-12 of some 1 / conj(a_k),
+    read as |1 - conj(a_k) z| < |a_k| 1e-12.
     """
     z = _require_finite(z, "z")
-    _check_not_pole(b, z)
     value = complex(b.unimodular_constant)
     for a in b.zeros:
-        value *= (z - a) / (1.0 - a.conjugate() * z)
+        den = 1.0 - a.conjugate() * z
+        if abs(den) < abs(a) * POLE_TOL:
+            raise PoleEvaluation(f"{z!r} lies within {POLE_TOL} of the pole at {1.0 / a.conjugate()!r}")
+        value *= (z - a) / den
     return value
 
 
@@ -161,92 +159,73 @@ def modulus_defect(
 
 
 def taylor_jet(b: BlaschkeProduct, z0: complex, order: int) -> Jet:
-    """Jet of coefficients w_0 .. w_order of b at z0.
+    """Jet of coefficients w_0 .. w_order of b at z0: :func:`_jet_array` at
+    one center.
 
-    Each factor (z - a) / (1 - conj(a) z), with D = 1 - conj(a) z0, has
-    Taylor coefficients
-
-        f_0 = (z0 - a) / D,  f_1 = (1 + conj(a) f_0) / D,  f_m = conj(a) f_(m-1) / D,
-
-    one division per coefficient, and the factor series are multiplied by
-    truncated convolution.  The result stays accurate on the unit circle
-    where finite differencing would not.
-
-    This scalar form serves callers that need one center at a time:
-    ``sp_boundary_structured`` callers, the CLI route comparison and fuzz,
-    and :func:`blaschkepick.uniqueness.matches_jets`.  At one center it is
-    faster than :func:`_jet_array` (about 4 against 22 us at degree 0,
-    order 1, and 13 against 35 us at degree 2, order 3), whose fixed numpy
-    overhead only pays off over several centers.
+    Raises ValueError for a non-finite z0 or a negative order and
+    PoleEvaluation for z0 within 1e-12 of a pole.
     """
     z0 = _require_finite(z0, "z0")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    _check_not_pole(b, z0)
-    n = order + 1
-    series = np.zeros(n, dtype=complex)
-    series[0] = b.unimodular_constant
-    f = np.zeros(n, dtype=complex)
-    for a in b.zeros:
-        ac = np.complex128(a.conjugate())
-        d = np.complex128(1.0 - a.conjugate() * z0)
-        f[0] = np.complex128(z0 - a) / d
-        if n > 1:
-            f[1] = (1.0 + ac * f[0]) / d
-        for m in range(2, n):
-            f[m] = ac * f[m - 1] / d
-        series = np.convolve(series, f)[:n]
-    return Jet(center=z0, coefficients=tuple(series.tolist()))
+    return Jet(center=z0, coefficients=tuple(_jet_array(b, np.array(z0), order).tolist()))
 
 
 def _jet_array(b: BlaschkeProduct, centers: np.ndarray, order: int) -> np.ndarray:
     """Coefficients w_0 .. w_order of b at every entry of `centers`.
 
-    The result has shape centers.shape + (order + 1,).  The factor
-    recurrence of :func:`taylor_jet` runs on every zero and center at once,
-    and each factor's truncated convolution is a stacked product with the
-    lower triangular Toeplitz matrix of its coefficients.  The result agrees
-    with taylor_jet to rounding but not bit for bit, and is as accurate:
-    against a 40-digit series product, over random products of degree <= 12
-    with |a| <= 0.95 and orders <= 17, both stay within about 3e-14 of
-    max(1, |w_j|).
+    The result has shape centers.shape + (order + 1,).  Each factor
+    (z - a) / (1 - conj(a) z), with D = 1 - conj(a) z0, has Taylor
+    coefficients
 
-    Callers with several centers use it: the radial route for every radius
-    and point, and ``decide`` and ``extract_data`` for all of a problem's
-    points in one call, which cuts their jet time by about 40% on the
-    decide-mix benchmark pool (about 55 against 97 us per problem).  A
-    single center is faster through taylor_jet.  Callers check that the
-    result is finite.  Raises PoleEvaluation for a center within 1e-12 of a
-    pole.
+        f_0 = (z0 - a) / D,  f_1 = (1 + conj(a) f_0) / D,  f_m = f_1 (conj(a) / D)^(m-1),
+
+    the powers read by one cumulative product along the order axis for
+    every zero and center at once.  Each factor's truncated convolution is
+    a stacked product with the lower triangular Toeplitz matrix of its
+    coefficients.  The result stays accurate on the unit circle where
+    finite differencing would not: against a 40-digit series product, over
+    random products of degree <= 12 with |a| <= 0.995, orders <= 17 and
+    centers on the circle or at r = 1 - 2^-m, it stays within about 1e-14
+    of max(1, |w_j|).
+
+    Every jet of the package comes from here: :func:`taylor_jet` at one
+    center, the radial route for every radius and point, and ``decide``,
+    ``extract_data``, ``matches_jets`` and the CLI route comparison for all
+    of a problem's points in one call.  Callers check that the result is
+    finite.  Raises PoleEvaluation for a center within 1e-12 of a pole
+    1 / conj(a), read as |D| < |a| 1e-12.
     """
-    poles = np.array([1.0 / a.conjugate() for a in b.zeros if a != 0], dtype=complex)
-    near = np.abs(centers[..., None] - poles) < POLE_TOL
-    if near.any():
-        *at, k = np.argwhere(near)[0]
-        z, pole = complex(centers[tuple(at)]), complex(poles[k])
-        raise PoleEvaluation(f"{z!r} lies within {POLE_TOL} of the pole at {pole!r}")
     n = order + 1
     a = np.array(b.zeros, dtype=complex).reshape((-1,) + (1,) * centers.ndim)
     ac = a.conj()
     d = 1.0 - ac * centers
-    f = np.zeros(d.shape + (n,), dtype=complex)
+    near = np.abs(d) < np.abs(a) * POLE_TOL
+    if near.any():
+        k, *at = np.argwhere(near)[0]
+        z, pole = complex(centers[tuple(at)]), 1.0 / complex(ac.flat[k])
+        raise PoleEvaluation(f"{z!r} lies within {POLE_TOL} of the pole at {pole!r}")
+    # A last column of zeros fills the Toeplitz gather above the diagonal.
+    f = np.zeros(d.shape + (n + 1,), dtype=complex)
     f[..., 0] = (centers - a) / d
     if n > 1:
         f[..., 1] = (1.0 + ac * f[..., 0]) / d
-    for m in range(2, n):
-        f[..., m] = ac * f[..., m - 1] / d
+        f[..., 2:n] = (ac / d)[..., None]
+        np.cumprod(f[..., 1:n], axis=-1, out=f[..., 1:n])
     series = np.zeros(centers.shape + (n, 1), dtype=complex)
     series[..., 0, 0] = b.unimodular_constant
-    for factor in _toeplitz_lower(f, n):
+    for factor in f[..., _toeplitz_index(n)]:
         series = factor @ series
     return series[..., 0]
 
 
-def _toeplitz_lower(coeffs: np.ndarray, k: int) -> np.ndarray:
-    """Lower triangular k x k Toeplitz matrices of coeffs[..., :k], stacked
-    over the leading axes; entry (i, j) is coeffs[..., i - j] for i >= j."""
-    lag = np.arange(k)[:, None] - np.arange(k)
-    return np.where(lag >= 0, coeffs[..., np.abs(lag)], 0.0)
+@lru_cache(maxsize=64)
+def _toeplitz_index(n: int) -> np.ndarray:
+    """Gather index of the lower triangular n x n Toeplitz matrix of n
+    coefficients followed by a zero: entry (i, j) is i - j for i >= j and n
+    above the diagonal."""
+    lag = np.arange(n)[:, None] - np.arange(n)
+    return np.where(lag >= 0, lag, n)
 
 
 def level_set(b: BlaschkeProduct, tau: complex) -> list[complex]:

@@ -27,16 +27,15 @@ import time
 import numpy as np
 
 from . import __version__
-from .blaschke import BlaschkeProduct, Jet, blaschke_from_json, blaschke_to_json, make_blaschke, taylor_jet
+from .blaschke import BlaschkeProduct, blaschke_from_json, blaschke_to_json, make_blaschke
 from .errors import BlaschkePickError, RankMismatch
 from .hermitian import HermitianReport, make_report
-from .pick import ADMISSIBLE_TOL
+from .pick import ADMISSIBLE_TOL, JetData, build_pick, extract_data
 from .realization import realize, sp_via_realization
 from .schwarz_pick import (
     DEGENERATE_DENOMINATOR_TOL,
     SchwarzPickMatrix,
     sp_boundary_radial,
-    sp_boundary_structured,
 )
 from .serialize import complex_to_pair, matrix_to_json
 from .uniqueness import (
@@ -201,16 +200,16 @@ def _certificate_json(verdict: Verdict) -> dict:
 
 def _compare_routes(
     b: BlaschkeProduct, points, ks
-) -> tuple[list[Jet], SchwarzPickMatrix, np.ndarray, float, float]:
-    """The boundary jets, the structured and realization matrices, their
-    max-abs difference, and that difference relative to 1 + the largest
-    structured entry."""
-    jets = [taylor_jet(b, t, 2 * k - 1) for t, k in zip(points, ks)]
-    structured = sp_boundary_structured(jets, points, ks)
+) -> tuple[JetData, SchwarzPickMatrix, np.ndarray, float, float]:
+    """The boundary jets of all points from one evaluation, the structured
+    and realization matrices, their max-abs difference, and that difference
+    relative to 1 + the largest structured entry."""
+    data = extract_data(b, points, [2 * k - 1 for k in ks])
+    structured = build_pick(data, ks)
     via_real = sp_via_realization(realize(b), points, ks)
     diff = float(np.max(np.abs(structured.flat - via_real))) if structured.flat.size else 0.0
     norm = float(np.max(np.abs(structured.flat))) if structured.flat.size else 0.0
-    return jets, structured, via_real, diff, diff / (1.0 + norm)
+    return data, structured, via_real, diff, diff / (1.0 + norm)
 
 
 def _route_residuals(b: BlaschkeProduct, points, ks) -> dict:
@@ -367,7 +366,7 @@ def _check_instance(inst) -> tuple[str, str] | None:
     b = make_blaschke(inst["zeros"], inst["u"])
     points = inst["points"]
     ks = inst["orders"]
-    jets, sp, _, diff, residual = _compare_routes(b, points, ks)
+    data, sp, _, diff, residual = _compare_routes(b, points, ks)
     structured = sp.flat
     norm = float(np.max(np.abs(structured))) if structured.size else 0.0
     # One report serves every property: the rank law reads the default rank
@@ -398,7 +397,7 @@ def _check_instance(inst) -> tuple[str, str] | None:
             f"max abs diff {diff} exceeds {ROUTE_RESIDUAL_LIMIT * (1.0 + norm)}",
         )
 
-    modulus_ok = all(abs(abs(jet.coefficients[0]) - 1.0) <= ADMISSIBLE_TOL for jet in jets)
+    modulus_ok = all(abs(abs(row[0]) - 1.0) <= ADMISSIBLE_TOL for row in data.values)
     if not (modulus_ok and report.psd):
         return ("admissibility", f"modulus_ok={modulus_ok} psd_ok={report.psd}")
     return None

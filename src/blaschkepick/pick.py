@@ -174,7 +174,7 @@ def extend_pick(data: JetData, orders, extend_set) -> SchwarzPickMatrix:
 
     Extended points need values through index 2 k_i + 1.
     """
-    ks = list(int(k) for k in orders)
+    ks = list(operator.index(k) for k in orders)
     extend = set(int(i) for i in extend_set)
     for i in extend:
         if not 0 <= i < len(ks):
@@ -198,7 +198,7 @@ def corner_value(values: Sequence[complex], point: complex, order: int) -> compl
 
     which is affine in b_{2k+1} with slope (-1)^k t^(2k+1) conj(b_0).
     """
-    k = int(order)
+    k = operator.index(order)
     if k < 0:
         raise ValueError("order must be nonnegative")
     vals = [complex(v) for v in values]
@@ -218,14 +218,14 @@ def solve_supplementary(
     division; it refuses data with |b_0| < 0.5 and checks its own residual
     against 1e-10 in the scale of the target.  Both corners share one Psi.
     """
-    k = int(order)
+    k = operator.index(order)
+    if k < 0:
+        raise ValueError("order must be nonnegative")
     vals = [complex(v) for v in values]
     if len(vals) < 2 * k + 1:
         raise InsufficientJet(f"need {2 * k + 1} values for order {k}, got {len(vals)}")
     if abs(vals[0]) < LEADING_VALUE_FLOOR:
         raise ZeroLeadingValue(f"|b_0| = {abs(vals[0])!r} is below {LEADING_VALUE_FLOOR}")
-    if k < 0:
-        raise ValueError("order must be nonnegative")
     psi = psi_matrix(point, k + 1)
     base = vals[: 2 * k + 1]
     gamma0 = _corner(base + [0.0], psi, k)

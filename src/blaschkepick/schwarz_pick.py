@@ -29,6 +29,7 @@ check; they share no code beyond Taylor jets of w itself.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
@@ -250,7 +251,7 @@ def _kernel_series(w, v, z0, u0, c, n0) -> np.ndarray:
 
 
 def _validate_orders(orders) -> tuple[int, ...]:
-    ks = tuple(int(k) for k in orders)
+    ks = tuple(operator.index(k) for k in orders)
     if not ks:
         raise ValueError("need at least one point")
     for k in ks:
@@ -388,9 +389,10 @@ def psi_matrix(t: complex, k: int) -> np.ndarray:
     invertible on the circle.
     """
     (t,) = validate_points([t], on_circle=True)
+    k = operator.index(k)
     if k < 1:
         raise ValueError("k must be positive")
-    plan = _shape_plan((int(k),))
+    plan = _shape_plan((k,))
     return plan.factor * t ** plan.exponent
 
 

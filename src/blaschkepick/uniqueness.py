@@ -28,12 +28,13 @@ raises RankMismatch instead of silently overriding either side.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, _require_finite, taylor_jet
+from .blaschke import BlaschkeProduct, _require_finite
 from .errors import RankMismatch
 from .hermitian import (
     HermitianReport,
@@ -88,7 +89,7 @@ class ContactProblem:
         pts = validate_points(self.points, on_circle=True)
         if not pts:
             raise ValueError("need at least one contact point")
-        ms = tuple(int(m) for m in self.contact_orders)
+        ms = tuple(operator.index(m) for m in self.contact_orders)
         if len(ms) != len(pts):
             raise ValueError("points and contact_orders must have equal length")
         for m in ms:
@@ -143,7 +144,7 @@ class Verdict:
 
 def criterion(contact_orders: Sequence[int], degree: int) -> bool:
     """The sharp combinatorial test: sum of floor((m_i + 1) / 2) > degree."""
-    ms = [int(m) for m in contact_orders]
+    ms = [operator.index(m) for m in contact_orders]
     for m in ms:
         if m < 1:
             raise ValueError(f"contact orders must be at least one, got {m}")
@@ -154,7 +155,7 @@ def criterion(contact_orders: Sequence[int], degree: int) -> bool:
 
 def derivative_orders(contact_orders: Sequence[int]) -> tuple[int, ...]:
     """k_i = floor((m_i + 1) / 2) for each contact order."""
-    return tuple((int(m) + 1) // 2 for m in contact_orders)
+    return tuple((operator.index(m) + 1) // 2 for m in contact_orders)
 
 
 def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Verdict:
@@ -274,11 +275,11 @@ def matches_jets(candidate: BlaschkeProduct, problem: ContactProblem, tol: float
     """Whether a candidate product meets every contact condition of the problem.
 
     Compares Taylor coefficients of candidate and problem.b through order
-    m_i at each point, entrywise within tol.
+    m_i at each point, entrywise within tol, which must be finite and
+    nonnegative (ValueError otherwise).
     """
-    for t, m in zip(problem.points, problem.contact_orders):
-        want = taylor_jet(problem.b, t, m).coefficients
-        got = taylor_jet(candidate, t, m).coefficients
-        if any(abs(a - b) > tol for a, b in zip(got, want)):
-            return False
-    return True
+    _require_tolerance("jet match", tol)
+    orders = problem.contact_orders
+    want = _jet_data(problem.b, problem.points, orders).values
+    got = _jet_data(candidate, problem.points, orders).values
+    return all(abs(x - y) <= tol for row, ref in zip(got, want) for x, y in zip(row, ref))

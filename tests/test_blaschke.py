@@ -160,9 +160,9 @@ class TestTaylorJet:
             taylor_jet(make_blaschke([0.5]), 2.0, 2)
 
 
-# Jets of the stacked evaluation (one call for all points, as in `decide`)
-# against the scalar recurrence and an exact series product.  The tolerance
-# is fixed from eps, relative to max(1, |w_j|): 512 eps is about 1.1e-13.
+# Jets of taylor_jet, extract_data and the stacked evaluation behind both
+# against an exact series product.  The tolerance is fixed from eps,
+# relative to max(1, |w_j|): 512 eps is about 1.1e-13.
 JET_TOL = 512 * np.finfo(float).eps
 
 
@@ -174,23 +174,52 @@ def _random_jet_case(rng):
     return b, points, [int(j) for j in rng.integers(0, 18, size=n)]
 
 
+def _wide_jet_case(rng):
+    """Degree <= 12 with |a| <= 0.995 and about one zero in four at the
+    origin, 1-5 centers each on the circle or at radius r = 1 - 2^-m
+    (1 <= m <= 30), one order <= 17 per center."""
+    b = random_blaschke(rng, int(rng.integers(0, 13)), radius=0.995)
+    b = make_blaschke([0.0 if rng.uniform() < 0.25 else a for a in b.zeros], b.unimodular_constant)
+    n = int(rng.integers(1, 6))
+    radii = [1.0 if rng.uniform() < 0.5 else 1.0 - 2.0 ** -int(rng.integers(1, 31)) for _ in range(n)]
+    centers = [r * t for r, t in zip(radii, random_circle_points(rng, n))]
+    return b, centers, [int(j) for j in rng.integers(0, 18, size=n)]
+
+
 def _assert_jets_close(got, want):
     want = np.asarray(want, dtype=complex)
     assert np.all(np.abs(np.asarray(got) - want) <= JET_TOL * np.maximum(1.0, np.abs(want)))
 
 
+def _assert_jets_match_reference(mpmath, b, centers, orders):
+    """taylor_jet and _jet_array at every center, and extract_data at the
+    centers on the circle, against the series product at 40 digits."""
+    stacked = _jet_array(b, np.array(centers), max(orders))
+    on_circle = [i for i, z in enumerate(centers) if abs(z) == pytest.approx(1.0, abs=1e-15)]
+    data = extract_data(b, [centers[i] for i in on_circle], [orders[i] for i in on_circle])
+    read = dict(zip(on_circle, data.values))
+    with mpmath.workdps(40):
+        for i, (z, j, row) in enumerate(zip(centers, orders, stacked)):
+            want = _mp_jet(mpmath, b, z, j)
+            _assert_jets_close(taylor_jet(b, z, j).coefficients, want)
+            _assert_jets_close(row[: j + 1], want)
+            if i in read:
+                assert len(read[i]) == j + 1
+                _assert_jets_close(read[i], want)
+
+
 class TestStackedJets:
-    def test_stacked_matches_scalar(self):
+    def test_jets_match_mpmath_reference(self):
+        mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(12)
         for _ in range(200):
-            b, points, orders = _random_jet_case(rng)
-            stacked = _jet_array(b, np.array(points), max(orders))
-            data = extract_data(b, points, orders)
-            for t, j, row, values in zip(points, orders, stacked, data.values):
-                scalar = taylor_jet(b, t, j).coefficients
-                assert len(values) == j + 1
-                _assert_jets_close(row[: j + 1], scalar)
-                _assert_jets_close(values, scalar)
+            _assert_jets_match_reference(mpmath, *_random_jet_case(rng))
+
+    def test_jets_match_mpmath_reference_near_poles_and_inside(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(14)
+        for _ in range(150):
+            _assert_jets_match_reference(mpmath, *_wide_jet_case(rng))
 
     def test_stacked_matches_mpmath_series_product(self):
         mpmath = pytest.importorskip("mpmath")

@@ -268,6 +268,10 @@ class TestSolveSupplementary:
         with pytest.raises(InsufficientJet):
             solve_supplementary([1.0, 1.0], 1.0, 1, 0.0)
 
+    def test_negative_order_rejected_before_values_are_read(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            solve_supplementary([], 1.0, -1, 0.0)
+
 
 class TestCompleteToPd:
     def test_two_by_two_worked_example(self):

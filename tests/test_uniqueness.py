@@ -15,12 +15,17 @@ from blaschkepick import (
     Tolerances,
     UniqueCertificate,
     build_pick,
+    corner_value,
     criterion,
     decide,
     derivative_orders,
+    extend_pick,
+    extract_data,
     make_blaschke,
     make_report,
     matches_jets,
+    psi_matrix,
+    solve_supplementary,
     taylor_jet,
 )
 from helpers import random_blaschke, random_circle_points
@@ -365,3 +370,31 @@ class TestMatchesJets:
             b=make_blaschke([0.0, 0.0]), points=(1.0,), contact_orders=(1,)
         )
         assert not matches_jets(make_blaschke([0.0]), problem)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        problem = ContactProblem(b=make_blaschke([0.5]), points=(1.0,), contact_orders=(1,))
+        with pytest.raises(ValueError, match="tolerance"):
+            matches_jets(make_blaschke([-0.5]), problem, tol=tol)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda order: ContactProblem(b=make_blaschke([0.5]), points=(1.0,), contact_orders=(order,)),
+        lambda order: build_pick(extract_data(make_blaschke([0.5]), [1.0], [5]), [order]),
+        lambda order: psi_matrix(1.0, order),
+        lambda order: extend_pick(extract_data(make_blaschke([0.5]), [1.0], [5]), [order], [0]),
+        lambda order: corner_value([1.0] * 6, 1.0, order),
+        lambda order: solve_supplementary([1.0] * 5, 1.0, order, 0.0),
+        lambda order: criterion([order], 1),
+        lambda order: derivative_orders([order]),
+    ],
+    ids=["contact-problem", "build-pick", "psi-matrix", "extend-pick", "corner-value", "supplementary", "criterion", "derivative-orders"],
+)
+def test_orders_must_be_integral(call):
+    for order in (2, np.int64(2)):
+        call(order)
+    for order in (2.5, 1.9, 2.0):
+        with pytest.raises(TypeError):
+            call(order)
