@@ -37,10 +37,6 @@ class InsufficientJet(BlaschkePickError):
     """A jet is too short for the requested derivative orders."""
 
 
-class ZeroLeadingValue(BlaschkePickError):
-    """The leading jet value is too close to zero to solve for a supplement."""
-
-
 class PrincipalNotPD(BlaschkePickError):
     """The selected principal submatrix is not positive definite."""
 

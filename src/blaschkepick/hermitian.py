@@ -10,6 +10,7 @@ lambda_min against the same scale.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -117,7 +118,7 @@ def schur_complement(m, head: Sequence[int]) -> HermitianMatrix:
     """
     h = _as_hermitian(m)
     n = h.n
-    head = list(dict.fromkeys(int(i) for i in head))
+    head = list(dict.fromkeys(operator.index(i) for i in head))
     for i in head:
         if not 0 <= i < n:
             raise ValueError(f"index {i} out of range for a {n} x {n} matrix")

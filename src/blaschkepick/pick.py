@@ -12,6 +12,7 @@ singular PSD matrix leaves room for at most one.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -19,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .blaschke import BlaschkeProduct, _jet_array, _pair_from_json, _require_finite
-from .errors import InsufficientJet, ZeroLeadingValue
+from .errors import InsufficientJet
 from .hermitian import (
     HermitianMatrix,
     HermitianReport,
@@ -31,8 +32,6 @@ from .hermitian import (
 )
 from .schwarz_pick import SchwarzPickMatrix, _structured_flat, _validate_orders, psi_matrix, validate_points
 
-SUPPLEMENTARY_RESIDUAL_TOL = 1e-10
-LEADING_VALUE_FLOOR = 0.5
 ADMISSIBLE_TOL = 1e-8
 
 
@@ -137,13 +136,7 @@ def build_pick(data: JetData, orders) -> SchwarzPickMatrix:
     ks = _validate_orders(orders)
     if len(ks) != len(data.points):
         raise ValueError("jets, points and orders must have equal length")
-    return _pick_from_values(data.values, data.points, ks)
-
-
-def _pick_from_values(values, points: tuple[complex, ...], ks: tuple[int, ...]) -> SchwarzPickMatrix:
-    """:func:`build_pick` on rows of finite values at checked points, without
-    checking them again; orders ks must be a tuple of positive ints."""
-    return SchwarzPickMatrix(flat=_structured_flat(values, points, ks), points=points, orders=ks)
+    return SchwarzPickMatrix(flat=_structured_flat(data.values, data.points, ks), points=data.points, orders=ks)
 
 
 def admissible(data: JetData, orders, tol: float = ADMISSIBLE_TOL) -> AdmissibilityReport:
@@ -172,21 +165,17 @@ def admissible(data: JetData, orders, tol: float = ADMISSIBLE_TOL) -> Admissibil
 def extend_pick(data: JetData, orders, extend_set) -> SchwarzPickMatrix:
     """Pick matrix with orders raised by one on the points in extend_set.
 
-    Extended points need values through index 2 k_i + 1.
+    Extended points need values through index 2 k_i + 1.  Entry
+    ((i, x), (j, y)) reads coefficients through index x + y + 1 only, so
+    the unraised matrix is the principal submatrix without the new rows,
+    and b_{2k_i+1} moves only the new corner entry (:func:`corner_value`).
     """
     ks = list(operator.index(k) for k in orders)
-    extend = set(int(i) for i in extend_set)
-    for i in extend:
+    for i in set(operator.index(i) for i in extend_set):
         if not 0 <= i < len(ks):
             raise ValueError(f"extend index {i} out of range")
         ks[i] += 1
     return build_pick(data, ks)
-
-
-def _corner(vals: list[complex], psi: np.ndarray, k: int) -> complex:
-    row = np.array(vals[k + 1 : 2 * k + 2], dtype=complex)
-    col = np.conj(np.array(vals[k::-1], dtype=complex))
-    return complex(row @ psi @ col)
 
 
 def corner_value(values: Sequence[complex], point: complex, order: int) -> complex:
@@ -204,39 +193,9 @@ def corner_value(values: Sequence[complex], point: complex, order: int) -> compl
     vals = [complex(v) for v in values]
     if len(vals) < 2 * k + 2:
         raise InsufficientJet(f"need {2 * k + 2} values for order {k}, got {len(vals)}")
-    return _corner(vals, psi_matrix(point, k + 1), k)
-
-
-def solve_supplementary(
-    values: Sequence[complex], point: complex, order: int, target: complex
-) -> complex:
-    """The unique top coefficient b_{2k+1} that makes the corner equal `target`.
-
-    values must supply b_0 .. b_{2k} (a provided b_{2k+1} is ignored).  The
-    corner is affine in b_{2k+1} with the exact slope (-1)^k t^(2k+1) conj(b_0)
-    of :func:`corner_value`, of modulus |b_0|, so the solve is a single
-    division; it refuses data with |b_0| < 0.5 and checks its own residual
-    against 1e-10 in the scale of the target.  Both corners share one Psi.
-    """
-    k = operator.index(order)
-    if k < 0:
-        raise ValueError("order must be nonnegative")
-    vals = [complex(v) for v in values]
-    if len(vals) < 2 * k + 1:
-        raise InsufficientJet(f"need {2 * k + 1} values for order {k}, got {len(vals)}")
-    if abs(vals[0]) < LEADING_VALUE_FLOOR:
-        raise ZeroLeadingValue(f"|b_0| = {abs(vals[0])!r} is below {LEADING_VALUE_FLOOR}")
-    psi = psi_matrix(point, k + 1)
-    base = vals[: 2 * k + 1]
-    gamma0 = _corner(base + [0.0], psi, k)
-    slope = (-1.0) ** k * complex(point) ** (2 * k + 1) * vals[0].conjugate()
-    supplement = (complex(target) - gamma0) / slope
-    achieved = _corner(base + [supplement], psi, k)
-    residual = abs(achieved - complex(target))
-    bound = SUPPLEMENTARY_RESIDUAL_TOL * max(1.0, abs(complex(target)), abs(gamma0))
-    if residual > bound:
-        raise ValueError(f"affine solve residual {residual} exceeds {bound}")
-    return supplement
+    row = np.array(vals[k + 1 : 2 * k + 2], dtype=complex)
+    col = np.conj(np.array(vals[k::-1], dtype=complex))
+    return complex(row @ psi_matrix(point, k + 1) @ col)
 
 
 def complete_to_pd(p_tilde, principal, margin: float = 1.0) -> Completion:
@@ -247,18 +206,26 @@ def complete_to_pd(p_tilde, principal, margin: float = 1.0) -> Completion:
         principal: flat indices of the block that must already be PD.
         margin: extra slack beyond the minimal shift; the shift is
             max(0, -lambda_min(S)) + margin with S the Schur complement of
-            the principal block.
+            the principal block.  It must be finite and positive
+            (ValueError otherwise), or the result need not be PD.
 
     Only the diagonal entries outside `principal` change.  Raises
     PrincipalNotPD when the principal block is not positive definite.
     """
+    _require_margin(margin)
     flat = p_tilde.flat if isinstance(p_tilde, SchwarzPickMatrix) else np.asarray(p_tilde, dtype=complex)
     n = flat.shape[0]
-    head = list(dict.fromkeys(int(i) for i in principal))
+    head = list(dict.fromkeys(operator.index(i) for i in principal))
     in_head = set(head)
     comp = [i for i in range(n) if i not in in_head]
     completion, _ = _complete(p_tilde, make_hermitian(flat, strict=False), head, comp, margin)
     return completion
+
+
+def _require_margin(margin: float) -> None:
+    """Raise ValueError unless the completion margin is finite and positive."""
+    if not (math.isfinite(margin) and margin > 0.0):
+        raise ValueError(f"completion margin must be finite and positive, got {margin!r}")
 
 
 def _complete(

@@ -25,6 +25,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct, _require_finite
 from .errors import SingularResolvent
+from .hermitian import _require_tolerance
 
 RESOLVENT_RCOND = 1e-14
 
@@ -175,8 +176,9 @@ def check_minimality(r: UnitaryRealization, tol: float = 1e-8) -> bool:
     factor at z = 0 with order d, exactly, since I - 0 A = I.  Rank counts
     singular values above tol * max(1, sigma_max).  For SISO systems with B
     and C produced by :func:`realize`, observability is equivalent to
-    minimality.
+    minimality.  tol must be finite and nonnegative (ValueError otherwise).
     """
+    _require_tolerance("minimality", tol)
     d = r.state_dim
     if d == 0:
         return True

@@ -169,7 +169,7 @@ def kernel_jet(
     DegenerateDenominator when |1 - z0 u0| < 1e-13, and InsufficientJet when
     a jet is shorter than the requested order needs.
     """
-    lmax, rmax = int(orders[0]), int(orders[1])
+    lmax, rmax = operator.index(orders[0]), operator.index(orders[1])
     if lmax < 0 or rmax < 0:
         raise ValueError("orders must be nonnegative")
     if len(w_jet_z.coefficients) < lmax + 1:

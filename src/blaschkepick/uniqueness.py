@@ -27,7 +27,6 @@ raises RankMismatch instead of silently overriding either side.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -45,16 +44,10 @@ from .hermitian import (
     make_report,
     report_from_eigenvalues,
 )
-from .pick import (
-    Completion,
-    _complete,
-    _jet_data,
-    _pick_from_values,
-    build_pick,
-    extend_pick,
-    solve_supplementary,
-)
-from .schwarz_pick import validate_points
+from .pick import Completion, _complete, _jet_data, _require_margin, build_pick, extend_pick
+from .schwarz_pick import _structured_flat, validate_points
+
+SUPPLEMENTARY_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -72,9 +65,7 @@ class Tolerances:
     def __post_init__(self):
         _require_tolerance("rank", self.rank)
         _require_tolerance("pd", self.pd)
-        margin = self.completion_margin
-        if not (math.isfinite(margin) and margin > 0.0):
-            raise ValueError(f"completion margin must be finite and positive, got {margin!r}")
+        _require_margin(self.completion_margin)
 
 
 @dataclass(frozen=True)
@@ -89,12 +80,9 @@ class ContactProblem:
         pts = validate_points(self.points, on_circle=True)
         if not pts:
             raise ValueError("need at least one contact point")
-        ms = tuple(operator.index(m) for m in self.contact_orders)
+        ms = _contact_orders(self.contact_orders)
         if len(ms) != len(pts):
             raise ValueError("points and contact_orders must have equal length")
-        for m in ms:
-            if m < 1:
-                raise ValueError(f"contact orders must be at least one, got {m}")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "contact_orders", ms)
 
@@ -142,39 +130,57 @@ class Verdict:
         return "unique" if self.unique else "non-unique"
 
 
-def criterion(contact_orders: Sequence[int], degree: int) -> bool:
-    """The sharp combinatorial test: sum of floor((m_i + 1) / 2) > degree."""
-    ms = [operator.index(m) for m in contact_orders]
+def _contact_orders(contact_orders: Sequence[int]) -> tuple[int, ...]:
+    """Contact orders as ints, each at least one (TypeError for a non-integral
+    order, ValueError for one below one)."""
+    ms = tuple(operator.index(m) for m in contact_orders)
     for m in ms:
         if m < 1:
             raise ValueError(f"contact orders must be at least one, got {m}")
-    if degree < 0:
+    return ms
+
+
+def criterion(contact_orders: Sequence[int], degree: int) -> bool:
+    """The sharp combinatorial test: sum of floor((m_i + 1) / 2) > degree."""
+    ms = _contact_orders(contact_orders)
+    if operator.index(degree) < 0:
         raise ValueError("degree must be nonnegative")
-    return sum((m + 1) // 2 for m in ms) > int(degree)
+    return sum((m + 1) // 2 for m in ms) > degree
 
 
 def derivative_orders(contact_orders: Sequence[int]) -> tuple[int, ...]:
     """k_i = floor((m_i + 1) / 2) for each contact order."""
-    return tuple((operator.index(m) + 1) // 2 for m in contact_orders)
+    return tuple((m + 1) // 2 for m in _contact_orders(contact_orders))
 
 
 def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Verdict:
     """Decide the contact problem and assemble the matching certificate.
 
-    The truncated Pick matrix is always built at orders k_i from jets of b.
-    When the criterion says unique, its numerical rank must equal deg b
-    (strictly less than sum k_i); when it says non-unique, the matrix must
-    be positive definite and the even-order points are extended and
-    completed.  Either check failing raises RankMismatch, since that means
-    the numerics contradict an exact statement.
+    The Pick matrix is built once from jets of b, at orders k_i + 1 on the
+    even-order points of a non-unique problem and k_i everywhere else; the
+    truncated matrix at orders k_i is its principal submatrix without the
+    bottom rows of the extended blocks (see :func:`extend_pick`).  When the
+    criterion says unique, the truncated matrix's numerical rank must equal
+    deg b (strictly less than sum k_i); when it says non-unique, it must be
+    positive definite, and the extension is completed.  Either check
+    failing raises RankMismatch, since that means the numerics contradict
+    an exact statement.  Each supplement is b_{2k+1} + shift / slope; a
+    rebuilt corner that misses its target by more than
+    SUPPLEMENTARY_RESIDUAL_TOL max(1, |target|) raises ValueError.
     """
     ks = derivative_orders(problem.contact_orders)
     k_total = sum(ks)
     d = problem.b.degree
-    data = _jet_data(problem.b, problem.points, tuple(2 * k + 1 for k in ks))
-    p = build_pick(data, ks)
-    pick_report = make_report(p.flat, rank_tol=tolerances.rank, pd_tol=tolerances.pd)
     unique = k_total > d
+    even = () if unique else tuple(i for i, m in enumerate(problem.contact_orders) if m % 2 == 0)
+    data = _jet_data(problem.b, problem.points, tuple(2 * k + 1 for k in ks))
+    p_tilde = extend_pick(data, ks, even) if even else build_pick(data, ks)
+    corners = [p_tilde.row_index(i, ks[i]) for i in even]
+    p_flat = p_tilde.flat
+    if corners:
+        principal = [j for j in range(len(p_flat)) if j not in corners]
+        p_flat = p_flat[np.ix_(principal, principal)]
+    pick_report = make_report(p_flat, rank_tol=tolerances.rank, pd_tol=tolerances.pd)
 
     if unique:
         if pick_report.numerical_rank != d:
@@ -200,33 +206,34 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
             f"Pick matrix is not positive definite (lambda_min = {pick_report.lambda_min})"
         )
     odd = tuple(i for i, m in enumerate(problem.contact_orders) if m % 2 == 1)
-    even = tuple(i for i, m in enumerate(problem.contact_orders) if m % 2 == 0)
     if even:
-        p_tilde = extend_pick(data, ks, even)
-        corners = [p_tilde.row_index(i, ks[i]) for i in even]
-        in_corners = set(corners)
-        principal = [j for j in range(p_tilde.flat.shape[0]) if j not in in_corners]
         h_tilde = make_hermitian(p_tilde.flat, strict=False)
         w_tilde, _ = eigen_h(h_tilde)
         margin = tolerances.completion_margin * max(1.0, float(w_tilde[-1]))
         completion, h_completed = _complete(p_tilde, h_tilde, principal, corners, margin)
 
-        corner_targets = []
-        supplementary = []
+        # Only the corner moves with the top coefficient b_{2k+1}, with slope
+        # (-1)^k t^(2k+1) conj(b_0) (corner_value); the supplement moves it
+        # by the shift.
+        values = [list(row) for row in data.values]
+        corner_targets, supplementary = [], []
         for i, idx in zip(even, corners):
-            target = complex(completion.modified.flat[idx, idx])
-            corner_targets.append((i, target))
-            b_sup = solve_supplementary(data.values[i], problem.points[i], ks[i], target)
-            supplementary.append((i, b_sup))
+            k, t, row = ks[i], problem.points[i], values[i]
+            slope = (-1.0) ** k * t ** (2 * k + 1) * row[0].conjugate()
+            row[2 * k + 1] = _require_finite(row[2 * k + 1] + completion.shift / slope, "value")
+            corner_targets.append((i, complex(completion.modified.flat[idx, idx])))
+            supplementary.append((i, row[2 * k + 1]))
         completion = replace(completion, corner_targets=tuple(corner_targets))
 
         # Rebuild the extended matrix from the data with the supplements in
         # place of the product's own top coefficients.
-        values = [list(row) for row in data.values]
-        for i, b_sup in supplementary:
-            values[i][2 * ks[i] + 1] = _require_finite(b_sup, "value")
-        redone = _pick_from_values(values, data.points, p_tilde.orders)
-        roundtrip = float(np.max(np.abs(redone.flat - completion.modified.flat)))
+        redone = _structured_flat(values, data.points, p_tilde.orders)
+        for idx, (_, target) in zip(corners, corner_targets):
+            residual = abs(redone[idx, idx] - target)
+            bound = SUPPLEMENTARY_RESIDUAL_TOL * max(1.0, abs(target))
+            if residual > bound:
+                raise ValueError(f"supplemented corner misses its target by {residual}, above {bound}")
+        roundtrip = float(np.max(np.abs(redone - completion.modified.flat)))
         # The strict Hermitian check, then the spectrum that the completion
         # computed from the same symmetrized matrix.
         _require_hermitian(h_completed, completion.modified.flat)
@@ -240,8 +247,8 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
         # Nothing to extend: the completed matrix is the truncated one, whose
         # report has just shown it positive definite.
         completion = Completion(
-            original=p,
-            modified=p,
+            original=p_tilde,
+            modified=p_tilde,
             shift=0.0,
             complementary=(),
             margin=tolerances.completion_margin * max(1.0, pick_report.lambda_max),

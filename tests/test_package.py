@@ -29,3 +29,12 @@ def test_every_exported_name_resolves():
     missing = [name for name in blaschkepick.__all__ if not hasattr(blaschkepick, name)]
     assert missing == []
     assert len(set(blaschkepick.__all__)) == len(blaschkepick.__all__)
+
+
+def test_readme_quick_start_runs(capsys):
+    # The README's example must keep running as the public API changes.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(compile(blocks[0].split("```")[0], "README.md", "exec"), {})
+    assert "False" in capsys.readouterr().out

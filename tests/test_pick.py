@@ -12,7 +12,6 @@ from blaschkepick import (
     JetData,
     PrincipalNotPD,
     SchwarzPickMatrix,
-    ZeroLeadingValue,
     admissible,
     build_pick,
     complete_to_pd,
@@ -21,7 +20,6 @@ from blaschkepick import (
     extract_data,
     make_blaschke,
     realize,
-    solve_supplementary,
     sp_via_realization,
     taylor_jet,
 )
@@ -171,6 +169,47 @@ class TestExtractAndBuild:
         plain = build_pick(data, (2, 1))
         assert_allclose(extended.flat, plain.flat)
 
+    def test_truncated_matrix_is_principal_submatrix_of_extension(self):
+        # Entry ((i, x), (j, y)) reads coefficients through index x + y + 1
+        # only, so raising orders appends rows and columns and changes no
+        # existing entry, on raw data that is the jet of no function.
+        rng = np.random.default_rng(48)
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            ks = tuple(int(k) for k in rng.integers(1, 6, size=n))
+            extend = [i for i in range(n) if rng.uniform() < 0.5] or [int(rng.integers(0, n))]
+            values = tuple(tuple(complex(*rng.normal(size=2)) for _ in range(2 * k + 2)) for k in ks)
+            data = JetData(points=tuple(random_circle_points(rng, n)), values=values)
+            p = build_pick(data, ks).flat
+            extended = extend_pick(data, ks, extend)
+            corners = {extended.row_index(i, ks[i]) for i in extend}
+            keep = [j for j in range(extended.flat.shape[0]) if j not in corners]
+            sub = extended.flat[np.ix_(keep, keep)]
+            assert np.max(np.abs(sub - p)) <= 1e-14 * max(1.0, float(np.max(np.abs(p))))
+
+    def test_top_coefficient_moves_its_corner_alone(self):
+        # Replacing b_{2k+1} at an extended point moves the bottom diagonal
+        # entry of its block by (-1)^k t^(2k+1) conj(b_0) times the change,
+        # and no other entry of the extended matrix.
+        rng = np.random.default_rng(49)
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            ks = tuple(int(k) for k in rng.integers(1, 6, size=n))
+            pts = tuple(random_circle_points(rng, n))
+            values = [[complex(*rng.normal(size=2)) for _ in range(2 * k + 2)] for k in ks]
+            i = int(rng.integers(0, n))
+            before = extend_pick(JetData(points=pts, values=tuple(map(tuple, values))), ks, [i])
+            step = complex(*rng.normal(size=2))
+            values[i][2 * ks[i] + 1] += step
+            after = extend_pick(JetData(points=pts, values=tuple(map(tuple, values))), ks, [i])
+            corner = before.row_index(i, ks[i])
+            moved = after.flat - before.flat
+            slope = (-1.0) ** ks[i] * pts[i] ** (2 * ks[i] + 1) * values[i][0].conjugate()
+            scale = max(1.0, float(np.max(np.abs(before.flat))))
+            assert abs(moved[corner, corner] - step * slope) <= 1e-14 * scale
+            moved[corner, corner] = 0.0
+            assert np.max(np.abs(moved)) <= 1e-14 * scale
+
     def test_extend_pick_index_out_of_range(self):
         data = extract_data(make_blaschke([0.3]), [1.0], [3])
         with pytest.raises(ValueError):
@@ -240,39 +279,6 @@ class TestCornerValue:
             corner_value([1.0, 1.0], 1.0, -1)
 
 
-class TestSolveSupplementary:
-    def test_recovers_own_coefficient(self):
-        rng = np.random.default_rng(45)
-        b = random_blaschke(rng, 3)
-        t = cmath.exp(0.2j)
-        k = 1
-        vals = taylor_jet(b, t, 2 * k + 1).coefficients
-        target = corner_value(vals, t, k)
-        got = solve_supplementary(vals[: 2 * k + 1], t, k, target)
-        assert got == pytest.approx(vals[2 * k + 1], rel=1e-9, abs=1e-12)
-
-    def test_hits_arbitrary_target(self):
-        rng = np.random.default_rng(46)
-        t = cmath.exp(-1.1j)
-        vals = [cmath.exp(0.5j)] + list(rng.normal(size=2) + 1j * rng.normal(size=2))
-        target = 3.7 - 0.4j
-        supplement = solve_supplementary(vals, t, 1, target)
-        achieved = corner_value(list(vals[:3]) + [supplement], t, 1)
-        assert achieved == pytest.approx(target, rel=1e-12)
-
-    def test_small_leading_value_refused(self):
-        with pytest.raises(ZeroLeadingValue):
-            solve_supplementary([0.1, 1.0, 1.0], 1.0, 1, 0.0)
-
-    def test_too_few_values_rejected(self):
-        with pytest.raises(InsufficientJet):
-            solve_supplementary([1.0, 1.0], 1.0, 1, 0.0)
-
-    def test_negative_order_rejected_before_values_are_read(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            solve_supplementary([], 1.0, -1, 0.0)
-
-
 class TestCompleteToPd:
     def test_two_by_two_worked_example(self):
         completion = complete_to_pd(np.array([[1.0, 2.0], [2.0, 1.0]]), principal=[0], margin=1.0)
@@ -305,6 +311,13 @@ class TestCompleteToPd:
         assert isinstance(completion.modified, SchwarzPickMatrix)
         assert completion.modified.points == p.points
         assert completion.modified.orders == p.orders
+
+    @pytest.mark.parametrize("margin", [-5.0, 0.0, float("nan"), float("inf"), float("-inf")])
+    def test_margin_must_be_finite_and_positive(self, margin):
+        # A negative margin would return a matrix that is not PD, and a
+        # non-finite one a NaN spectrum.
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            complete_to_pd(np.array([[2.0, 1.0], [1.0, 1.0]]), [0], margin=margin)
 
     def test_principal_must_be_pd(self):
         with pytest.raises(PrincipalNotPD):

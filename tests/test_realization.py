@@ -219,6 +219,12 @@ class TestMinimality:
         )
         assert not check_minimality(r)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_minimality_tolerance_must_be_finite_and_nonnegative(self, tol):
+        # nan counted no singular value (False), -1 counted every one (True).
+        with pytest.raises(ValueError, match="tolerance"):
+            check_minimality(realize(make_blaschke([0.1, 0.2])), tol=tol)
+
 
 class TestValidationAndJson:
     def test_shape_validation(self):

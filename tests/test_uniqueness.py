@@ -15,17 +15,19 @@ from blaschkepick import (
     Tolerances,
     UniqueCertificate,
     build_pick,
+    complete_to_pd,
     corner_value,
     criterion,
     decide,
     derivative_orders,
     extend_pick,
     extract_data,
+    kernel_jet,
     make_blaschke,
     make_report,
     matches_jets,
     psi_matrix,
-    solve_supplementary,
+    schur_complement,
     taylor_jet,
 )
 from helpers import random_blaschke, random_circle_points
@@ -43,6 +45,9 @@ class TestCriterion:
             criterion([0], 1)
         with pytest.raises(ValueError):
             criterion([1], -1)
+        for orders in ([0], [-3], [2, 0]):
+            with pytest.raises(ValueError, match="at least one"):
+                derivative_orders(orders)
 
     def test_derivative_orders(self):
         assert derivative_orders([1, 2, 3, 4, 5]) == (1, 1, 2, 2, 3)
@@ -170,7 +175,7 @@ class TestNonUniqueVerdicts:
     def test_supplementary_solve_at_high_order(self):
         # Degree 8 with eighth-order contact: the corner reaches 1e7, where a
         # finite-difference slope carries enough rounding to break the
-        # supplementary solve's own residual check.  The exact slope
+        # residual check on the supplemented corner.  The exact slope
         # (-1)^k t^(2k+1) conj(b_0) does not.
         zeros = [
             -0.4384365834628262 + 0.4710563454850222j,
@@ -191,6 +196,57 @@ class TestNonUniqueVerdicts:
         scale = float(np.max(np.abs(cert.completion.modified.flat)))
         assert scale > 1e6
         assert cert.roundtrip_residual <= 1e-9 * scale
+
+    def test_supplements_reproduce_corner_targets(self):
+        # corner_value evaluates the corner through its own Psi product,
+        # independently of the structured build decide reads the supplements from.
+        rng = np.random.default_rng(809)
+        checked = 0
+        while checked < 60:
+            n = int(rng.integers(1, 4))
+            ms = tuple(2 * int(k) for k in rng.integers(1, 4, size=n))
+            b = random_blaschke(rng, sum(m // 2 for m in ms) + int(rng.integers(0, 3)))
+            problem = ContactProblem(b=b, points=tuple(random_circle_points(rng, n)), contact_orders=ms)
+            try:
+                cert = decide(problem).certificate
+            except RankMismatch:
+                continue
+            scale = max(1.0, float(np.max(np.abs(cert.completion.modified.flat))))
+            ks = derivative_orders(ms)
+            targets = dict(cert.completion.corner_targets)
+            assert [i for i, _ in cert.supplementary] == list(cert.even_points) == list(range(n))
+            for i, b_sup in cert.supplementary:
+                vals = list(taylor_jet(b, problem.points[i], 2 * ks[i]).coefficients) + [b_sup]
+                assert abs(corner_value(vals, problem.points[i], ks[i]) - targets[i]) <= 1e-12 * scale
+            checked += 1
+
+    @pytest.mark.parametrize(
+        ("orders", "builds"),
+        [((2, 1), 2), ((1, 3), 1), ((3, 3), 1), ((4,), 2)],
+        ids=["even-and-odd", "odd-only", "unique", "even-only"],
+    )
+    def test_one_structured_build_plus_the_roundtrip(self, orders, builds, monkeypatch):
+        # The truncated matrix is read from the extended one, and the
+        # supplements need no Psi product of their own.
+        import blaschkepick.pick as pick_module
+        import blaschkepick.uniqueness as uniqueness_module
+        from blaschkepick.schwarz_pick import _structured_flat
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _structured_flat(*args)
+
+        def refused(*args):
+            raise AssertionError("decide must not build Psi on its own")
+
+        monkeypatch.setattr(pick_module, "_structured_flat", counted)
+        monkeypatch.setattr(uniqueness_module, "_structured_flat", counted)
+        monkeypatch.setattr(pick_module, "psi_matrix", refused)
+        b = make_blaschke([0.3, -0.2j, 0.1 + 0.4j])
+        decide(ContactProblem(b=b, points=(1.0, -1.0)[: len(orders)], contact_orders=orders))
+        assert len(calls) == builds
 
 
 class TestEvidenceContradictions:
@@ -386,11 +442,28 @@ class TestMatchesJets:
         lambda order: psi_matrix(1.0, order),
         lambda order: extend_pick(extract_data(make_blaschke([0.5]), [1.0], [5]), [order], [0]),
         lambda order: corner_value([1.0] * 6, 1.0, order),
-        lambda order: solve_supplementary([1.0] * 5, 1.0, order, 0.0),
+        lambda order: extend_pick(extract_data(make_blaschke([0.5]), [1.0, -1.0], [5, 5]), [1, 1], [order - 2]),
+        lambda order: schur_complement(np.eye(2), [order - 2]),
+        lambda order: complete_to_pd(np.eye(2), [order - 2]),
+        lambda order: kernel_jet(taylor_jet(make_blaschke([0.5]), 0.3, 2), taylor_jet(make_blaschke([0.5]), 0.3, 2), (order, 1)),
         lambda order: criterion([order], 1),
+        lambda order: criterion([3], order),
         lambda order: derivative_orders([order]),
     ],
-    ids=["contact-problem", "build-pick", "psi-matrix", "extend-pick", "corner-value", "supplementary", "criterion", "derivative-orders"],
+    ids=[
+        "contact-problem",
+        "build-pick",
+        "psi-matrix",
+        "extend-pick",
+        "corner-value",
+        "extend-pick-index",
+        "schur-complement-index",
+        "complete-to-pd-index",
+        "kernel-jet",
+        "criterion",
+        "criterion-degree",
+        "derivative-orders",
+    ],
 )
 def test_orders_must_be_integral(call):
     for order in (2, np.int64(2)):
