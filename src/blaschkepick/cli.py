@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -239,10 +240,17 @@ def _render_text(value, indent: int = 0, label: str | None = None) -> list[str]:
 
 
 def _emit(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        print("\n".join(_render_text(report)))
+    """Print the report.  A reader that has gone (as after `| head`) ends
+    the output quietly: the rest goes to os.devnull, so that the flush at
+    shutdown raises nothing, and the command keeps its exit code."""
+    try:
+        if fmt == "json":
+            print(json.dumps(report, indent=2))
+        else:
+            print("\n".join(_render_text(report)))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # ---------------------------------------------------------------- commands

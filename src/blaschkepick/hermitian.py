@@ -43,7 +43,9 @@ def make_hermitian(m, *, strict: bool = True, defect_tol: float = HERMITIAN_DEFE
 
     With strict=True (the default) a defect above defect_tol * max(1, |M|_inf)
     raises ValueError; strict=False records the defect and carries on, which
-    is what feasibility checks on raw user data need.
+    is what feasibility checks on raw user data need.  In both modes a
+    defect that is not finite, as any NaN or infinite entry makes it,
+    raises ValueError.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -52,6 +54,8 @@ def make_hermitian(m, *, strict: bool = True, defect_tol: float = HERMITIAN_DEFE
         return HermitianMatrix(matrix=m.copy(), defect=0.0)
     mh = m.conj().T
     h = HermitianMatrix(matrix=0.5 * (m + mh), defect=float(np.abs(m - mh).max()))
+    if not math.isfinite(h.defect):
+        raise ValueError(f"matrix entries must be finite, got a Hermitian defect of {h.defect}")
     if strict:
         _require_hermitian(h, m, defect_tol)
     return h
@@ -71,14 +75,14 @@ def _as_hermitian(m) -> HermitianMatrix:
     return m if isinstance(m, HermitianMatrix) else make_hermitian(m)
 
 
-def eigen_h(m) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending real eigenvalues and an orthonormal eigenbasis."""
+def eigen_h(m) -> np.ndarray:
+    """Ascending real eigenvalues; no caller reads an eigenbasis, so none is
+    computed."""
     h = _as_hermitian(m)
     try:
-        w, v = np.linalg.eigh(h.matrix)
+        return np.linalg.eigvalsh(h.matrix)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigh did not converge: {exc}") from exc
-    return w, v
+        raise ConvergenceFailure(f"eigvalsh did not converge: {exc}") from exc
 
 
 def _require_tolerance(name: str, tol: float) -> None:
@@ -101,7 +105,7 @@ def numerical_rank(m, tol: float = DEFAULT_RANK_TOL) -> int:
     h = _as_hermitian(m)
     if h.n == 0:
         return 0
-    return _rank_above(eigen_h(h)[0], tol)
+    return _rank_above(eigen_h(h), tol)
 
 
 def schur_complement(m, head: Sequence[int]) -> HermitianMatrix:
@@ -117,26 +121,39 @@ def schur_complement(m, head: Sequence[int]) -> HermitianMatrix:
     against the scale of Y* Y.
     """
     h = _as_hermitian(m)
-    n = h.n
+    return _schur(h.matrix, *_split(h.n, head))
+
+
+def _split(n: int, head: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Integer arrays of the distinct indices in head, in order of first
+    appearance, and of the other indices of an n x n matrix, ascending.
+
+    Raises ValueError for an index outside 0 .. n - 1.
+    """
     head = list(dict.fromkeys(operator.index(i) for i in head))
     for i in head:
         if not 0 <= i < n:
             raise ValueError(f"index {i} out of range for a {n} x {n} matrix")
     in_head = set(head)
     tail = [i for i in range(n) if i not in in_head]
-    mat = h.matrix
-    if not head:
-        return make_hermitian(mat[np.ix_(tail, tail)])
-    p = mat[np.ix_(head, head)]
+    return np.array(head, dtype=np.intp), np.array(tail, dtype=np.intp)
+
+
+def _schur(mat: np.ndarray, head: np.ndarray, tail: np.ndarray) -> HermitianMatrix:
+    """:func:`schur_complement` of the Hermitian matrix mat, given integer
+    index arrays head and tail that partition its rows, tail ascending."""
+    if not head.size:
+        return make_hermitian(mat[tail[:, None], tail])
+    p = mat[head[:, None], head]
     try:
         chol = np.linalg.cholesky(p)
     except np.linalg.LinAlgError as exc:
-        raise PrincipalNotPD(f"principal block on {head} is not positive definite") from exc
-    if not tail:
+        raise PrincipalNotPD(f"principal block on {head.tolist()} is not positive definite") from exc
+    if not tail.size:
         return HermitianMatrix(matrix=np.zeros((0, 0), dtype=complex), defect=0.0)
-    y = np.linalg.solve(chol, mat[np.ix_(tail, head)].conj().T)
+    y = np.linalg.solve(chol, mat[tail[:, None], head].conj().T)
     yy = y.conj().T @ y
-    s = make_hermitian(mat[np.ix_(tail, tail)] - yy, strict=False)
+    s = make_hermitian(mat[tail[:, None], tail] - yy, strict=False)
     # D is exactly Hermitian, so any defect is rounding in Y* Y; judge it on
     # that product's scale, not on the complement's, which can be far smaller.
     _require_hermitian(s, yy)
@@ -182,8 +199,7 @@ def make_report(
     Both tolerances must be finite and nonnegative (ValueError otherwise).
     """
     h = make_hermitian(m, strict=strict) if not isinstance(m, HermitianMatrix) else m
-    w, _ = eigen_h(h)
-    return report_from_eigenvalues(h, w, rank_tol, pd_tol)
+    return report_from_eigenvalues(h, eigen_h(h), rank_tol, pd_tol)
 
 
 def report_from_eigenvalues(

@@ -25,12 +25,20 @@ from .hermitian import (
     HermitianMatrix,
     HermitianReport,
     _require_tolerance,
+    _schur,
+    _split,
     eigen_h,
     make_hermitian,
     make_report,
-    schur_complement,
 )
-from .schwarz_pick import SchwarzPickMatrix, _structured_flat, _validate_orders, psi_matrix, validate_points
+from .schwarz_pick import (
+    SchwarzPickMatrix,
+    _coefficient_table,
+    _structured_flat,
+    _validate_orders,
+    psi_matrix,
+    validate_points,
+)
 
 ADMISSIBLE_TOL = 1e-8
 
@@ -116,15 +124,22 @@ def _jet_data(b: BlaschkeProduct, pts: tuple[complex, ...], orders: tuple[int, .
     the largest order; each coefficient is checked finite once, here."""
     if not pts:
         return JetData(points=(), values=())
-    jets = _jet_array(b, np.array(pts), max(orders))
-    if not np.isfinite(jets).all():
-        raise ValueError(f"jet coefficients of b must be finite at {pts!r}")
+    jets = _finite_jets(b, pts, max(orders))
     values = tuple(tuple(row[: j + 1]) for row, j in zip(jets.tolist(), orders))
     # Everything JetData checks holds already; build it without the checks.
     data = object.__new__(JetData)
     object.__setattr__(data, "points", pts)
     object.__setattr__(data, "values", values)
     return data
+
+
+def _finite_jets(b: BlaschkeProduct, pts: tuple[complex, ...], order: int) -> np.ndarray:
+    """Coefficients 0 .. order of b at every point, shape (len(pts), order + 1),
+    from one stacked evaluation; raises ValueError unless all are finite."""
+    jets = _jet_array(b, np.array(pts), order)
+    if not np.isfinite(jets).all():
+        raise ValueError(f"jet coefficients of b must be finite at {pts!r}")
+    return jets
 
 
 def build_pick(data: JetData, orders) -> SchwarzPickMatrix:
@@ -136,7 +151,8 @@ def build_pick(data: JetData, orders) -> SchwarzPickMatrix:
     ks = _validate_orders(orders)
     if len(ks) != len(data.points):
         raise ValueError("jets, points and orders must have equal length")
-    return SchwarzPickMatrix(flat=_structured_flat(data.values, data.points, ks), points=data.points, orders=ks)
+    flat = _structured_flat(_coefficient_table(data.values, ks), data.points, ks)
+    return SchwarzPickMatrix(flat=flat, points=data.points, orders=ks)
 
 
 def admissible(data: JetData, orders, tol: float = ADMISSIBLE_TOL) -> AdmissibilityReport:
@@ -214,11 +230,8 @@ def complete_to_pd(p_tilde, principal, margin: float = 1.0) -> Completion:
     """
     _require_margin(margin)
     flat = p_tilde.flat if isinstance(p_tilde, SchwarzPickMatrix) else np.asarray(p_tilde, dtype=complex)
-    n = flat.shape[0]
-    head = list(dict.fromkeys(operator.index(i) for i in principal))
-    in_head = set(head)
-    comp = [i for i in range(n) if i not in in_head]
-    completion, _ = _complete(p_tilde, make_hermitian(flat, strict=False), head, comp, margin)
+    h = make_hermitian(flat, strict=False)
+    completion, _ = _complete(p_tilde, h, *_split(h.n, principal), margin)
     return completion
 
 
@@ -229,27 +242,34 @@ def _require_margin(margin: float) -> None:
 
 
 def _complete(
-    p_tilde, h: HermitianMatrix, head: list[int], comp: list[int], margin: float
+    p_tilde, h: HermitianMatrix, head: np.ndarray, comp: np.ndarray, margin: float
 ) -> tuple[Completion, HermitianMatrix]:
     """:func:`complete_to_pd` given h = make_hermitian(p_tilde, strict=False)
-    and the principal indices split into head and ascending complement;
-    also returns the modified matrix symmetrized the same way."""
+    and the principal indices split into integer arrays head and ascending
+    complement comp; also returns the modified matrix symmetrized the same way.
+
+    A real shift on the diagonal commutes with the symmetrization (M + M*) / 2
+    bit for bit and leaves M - M* as it was, so the symmetrized modified
+    matrix is h.matrix with the shift on the complement's diagonal, with
+    h's defect.
+    """
     is_pick = isinstance(p_tilde, SchwarzPickMatrix)
     flat = p_tilde.flat if is_pick else np.asarray(p_tilde, dtype=complex)
     # With an empty complement this only checks that the whole matrix is PD.
-    s = schur_complement(h, head)
-    shift = max(0.0, -float(eigen_h(s)[0][0])) + float(margin) if comp else 0.0
+    s = _schur(h.matrix, head, comp)
+    shift = max(0.0, -float(eigen_h(s)[0])) + float(margin) if comp.size else 0.0
     modified_flat = flat.copy()
     modified_flat[comp, comp] += shift
-    h_mod = make_hermitian(modified_flat, strict=False)
-    wmod, _ = eigen_h(h_mod)
+    modified_h = h.matrix.copy()
+    modified_h[comp, comp] += shift
+    h_mod = HermitianMatrix(matrix=modified_h, defect=h.defect)
     completion = Completion(
         original=p_tilde,
         modified=replace(p_tilde, flat=modified_flat) if is_pick else modified_flat,
         shift=shift,
-        complementary=tuple(comp),
+        complementary=tuple(comp.tolist()),
         margin=float(margin),
-        eigenvalues=wmod,
+        eigenvalues=eigen_h(h_mod),
     )
     return completion, h_mod
 

@@ -396,21 +396,30 @@ def psi_matrix(t: complex, k: int) -> np.ndarray:
     return plan.factor * t ** plan.exponent
 
 
-def _structured_flat(rows, pts: tuple[complex, ...], ks: tuple[int, ...]) -> np.ndarray:
-    """The flat matrix of :func:`sp_boundary_structured` from coefficient
-    rows at checked points, with ks a tuple of positive ints.
-
-    Row i fills columns 0 .. 2 k_i - 1 of a table whose last column stays
-    zero for the gathers to point at.  M and Psi share one power array:
-    base^(x + y + 1) with base t_i - t_j off the diagonal blocks and t_i
-    on them.  Raises InsufficientJet for a row shorter than 2 k_i.
-    """
-    plan = _shape_plan(ks)
+def _coefficient_table(rows, ks: tuple[int, ...]) -> np.ndarray:
+    """The (n, 2 max(ks) + 1) coefficient table of :func:`_structured_flat`,
+    row i holding coefficients 0 .. 2 k_i - 1 of rows[i] and zeros after
+    them.  Raises InsufficientJet for a row shorter than 2 k_i."""
     table = np.zeros((len(ks), 2 * max(ks) + 1), dtype=complex)
     for i, (row, k) in enumerate(zip(rows, ks)):
         if len(row) < 2 * k:
             raise InsufficientJet(f"jet {i} has {len(row)} coefficients, need {2 * k}")
         table[i, : 2 * k] = row[: 2 * k]
+    return table
+
+
+def _structured_flat(table: np.ndarray, pts: tuple[complex, ...], ks: tuple[int, ...]) -> np.ndarray:
+    """The flat matrix of :func:`sp_boundary_structured` from the
+    (n, 2 max(ks) + 1) coefficient table at checked points, with ks a tuple
+    of positive ints.
+
+    Row i is read below column 2 k_i only, so anything may stand beyond it
+    there, but the last column must be zero for the gathers above the
+    Toeplitz diagonals to point at.  M and Psi share one power array:
+    base^(x + y + 1) with base t_i - t_j off the diagonal blocks and t_i on
+    them.
+    """
+    plan = _shape_plan(ks)
     t = np.array(pts, dtype=complex)
     base = t[:, None] - t
     base[plan.diagonal, plan.diagonal] = t
@@ -454,7 +463,7 @@ def sp_boundary_structured(jets: Sequence[Jet], points, orders) -> SchwarzPickMa
     for i, (jet, t) in enumerate(zip(jets, pts)):
         if abs(jet.center - t) > DISTINCT_POINT_TOL:
             raise ValueError(f"jet {i} is centered at {jet.center!r}, not at its point {t!r}")
-    flat = _structured_flat([jet.coefficients for jet in jets], pts, ks)
+    flat = _structured_flat(_coefficient_table([jet.coefficients for jet in jets], ks), pts, ks)
     return SchwarzPickMatrix(flat=flat, points=pts, orders=ks)
 
 

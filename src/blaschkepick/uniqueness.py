@@ -27,6 +27,7 @@ raises RankMismatch instead of silently overriding either side.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -44,8 +45,8 @@ from .hermitian import (
     make_report,
     report_from_eigenvalues,
 )
-from .pick import Completion, _complete, _jet_data, _require_margin, build_pick, extend_pick
-from .schwarz_pick import _structured_flat, validate_points
+from .pick import Completion, _complete, _finite_jets, _jet_data, _require_margin
+from .schwarz_pick import SchwarzPickMatrix, _structured_flat, validate_points
 
 SUPPLEMENTARY_RESIDUAL_TOL = 1e-10
 
@@ -173,13 +174,24 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
     d = problem.b.degree
     unique = k_total > d
     even = () if unique else tuple(i for i, m in enumerate(problem.contact_orders) if m % 2 == 0)
-    data = _jet_data(problem.b, problem.points, tuple(2 * k + 1 for k in ks))
-    p_tilde = extend_pick(data, ks, even) if even else build_pick(data, ks)
-    corners = [p_tilde.row_index(i, ks[i]) for i in even]
+    built = tuple(k + (i in even) for i, k in enumerate(ks))
+    # The matrix at orders built reads coefficients below 2 built_i at point
+    # i, so one evaluation through 2 max(built) - 1 covers it; the table
+    # adds the zero last column that the gathers of _structured_flat need.
+    width = 2 * max(built)
+    table = np.zeros((len(ks), width + 1), dtype=complex)
+    table[:, :width] = _finite_jets(problem.b, problem.points, width - 1)
+    p_tilde = SchwarzPickMatrix(
+        flat=_structured_flat(table, problem.points, built), points=problem.points, orders=built
+    )
     p_flat = p_tilde.flat
-    if corners:
-        principal = [j for j in range(len(p_flat)) if j not in corners]
-        p_flat = p_flat[np.ix_(principal, principal)]
+    if even:
+        # The bottom row of each extended block is its corner; the rest is P.
+        ends = list(itertools.accumulate(built))
+        corner_rows = {ends[i] - 1 for i in even}
+        corners = np.array([ends[i] - 1 for i in even])
+        principal = np.array([j for j in range(ends[-1]) if j not in corner_rows])
+        p_flat = p_flat[principal[:, None], principal]
     pick_report = make_report(p_flat, rank_tol=tolerances.rank, pd_tol=tolerances.pd)
 
     if unique:
@@ -208,32 +220,32 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
     odd = tuple(i for i, m in enumerate(problem.contact_orders) if m % 2 == 1)
     if even:
         h_tilde = make_hermitian(p_tilde.flat, strict=False)
-        w_tilde, _ = eigen_h(h_tilde)
-        margin = tolerances.completion_margin * max(1.0, float(w_tilde[-1]))
+        margin = tolerances.completion_margin * max(1.0, float(eigen_h(h_tilde)[-1]))
         completion, h_completed = _complete(p_tilde, h_tilde, principal, corners, margin)
 
         # Only the corner moves with the top coefficient b_{2k+1}, with slope
         # (-1)^k t^(2k+1) conj(b_0) (corner_value); the supplement moves it
         # by the shift.
-        values = [list(row) for row in data.values]
+        supplemented = table.copy()
         corner_targets, supplementary = [], []
         for i, idx in zip(even, corners):
-            k, t, row = ks[i], problem.points[i], values[i]
-            slope = (-1.0) ** k * t ** (2 * k + 1) * row[0].conjugate()
-            row[2 * k + 1] = _require_finite(row[2 * k + 1] + completion.shift / slope, "value")
+            k, t = ks[i], problem.points[i]
+            slope = (-1.0) ** k * t ** (2 * k + 1) * complex(table[i, 0]).conjugate()
+            value = _require_finite(complex(table[i, 2 * k + 1]) + completion.shift / slope, "value")
+            supplemented[i, 2 * k + 1] = value
             corner_targets.append((i, complex(completion.modified.flat[idx, idx])))
-            supplementary.append((i, row[2 * k + 1]))
+            supplementary.append((i, value))
         completion = replace(completion, corner_targets=tuple(corner_targets))
 
-        # Rebuild the extended matrix from the data with the supplements in
+        # Rebuild the extended matrix from the table with the supplements in
         # place of the product's own top coefficients.
-        redone = _structured_flat(values, data.points, p_tilde.orders)
+        redone = _structured_flat(supplemented, problem.points, built)
         for idx, (_, target) in zip(corners, corner_targets):
             residual = abs(redone[idx, idx] - target)
             bound = SUPPLEMENTARY_RESIDUAL_TOL * max(1.0, abs(target))
             if residual > bound:
                 raise ValueError(f"supplemented corner misses its target by {residual}, above {bound}")
-        roundtrip = float(np.max(np.abs(redone - completion.modified.flat)))
+        roundtrip = float(np.abs(redone - completion.modified.flat).max())
         # The strict Hermitian check, then the spectrum that the completion
         # computed from the same symmetrized matrix.
         _require_hermitian(h_completed, completion.modified.flat)

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,3 +316,35 @@ class TestParser:
     def test_command_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestClosedStdout:
+    ROOT = Path(__file__).resolve().parents[1]
+
+    @pytest.mark.parametrize(
+        ("argv", "code"),
+        [
+            (["analyze", "problems/nonunique.json", "--format", "json"], 0),
+            (["analyze", "problems/unique.json"], 0),
+            (["fuzz", "--trials", "200", "--seed", "1", "--format", "json"], 5),
+        ],
+        ids=["analyze-json", "analyze-text", "fuzz-counterexample"],
+    )
+    def test_reader_that_leaves_early(self, argv, code):
+        # As with `| head -n 1`: read one line, close the pipe, and expect
+        # no traceback and the exit code of an uninterrupted run.
+        src = str(self.ROOT / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "blaschkepick", *argv],
+            cwd=self.ROOT,
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == code
+        assert err == b""

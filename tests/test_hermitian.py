@@ -49,13 +49,37 @@ class TestMakeHermitian:
         assert h.n == 0
         assert h.defect == 0.0
 
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [[1.0, complex("nan")], [0.0, 1.0]],
+            [[1.0, complex("inf")], [0.0, 1.0]],
+            [[1.0, complex(0.0, float("-inf"))], [complex(0.0, float("inf")), 1.0]],
+            [[complex("inf"), 0.0], [0.0, 1.0]],
+        ],
+        ids=["nan", "inf", "inf-pair", "inf-diagonal"],
+    )
+    def test_non_finite_entry_rejected(self, m, strict):
+        # A NaN compares False with every bound, so only the finiteness of
+        # the defect keeps such a matrix from passing as Hermitian.
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            make_hermitian(np.array(m, dtype=complex), strict=strict)
+
 
 class TestEigenAndRank:
     def test_eigen_ascending(self):
-        w, v = eigen_h(np.diag([3.0, 1.0, 2.0]))
+        w = eigen_h(np.diag([3.0, 1.0, 2.0]))
         assert_allclose(w, [1.0, 2.0, 3.0])
-        # Columns are unit eigenvectors.
-        assert_allclose(v.conj().T @ v, np.eye(3), atol=1e-12)
+
+    def test_spectrum_matches_eigh(self):
+        rng = np.random.default_rng(53)
+        for size in range(1, 25):
+            f = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+            m = 10.0 ** rng.uniform(-3, 3) * (f + f.conj().T)
+            want = np.linalg.eigh(m)[0]
+            bound = 8 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(eigen_h(m) - want)) <= bound
 
     def test_rank_counts_above_relative_cutoff(self):
         assert numerical_rank(np.diag([1.0, 1e-4, 1e-12])) == 2

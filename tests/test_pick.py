@@ -24,6 +24,7 @@ from blaschkepick import (
     taylor_jet,
 )
 from blaschkepick.pick import jet_data_from_json, jet_data_to_json
+from blaschkepick.schwarz_pick import _structured_flat
 from helpers import random_blaschke, random_circle_points
 
 
@@ -187,6 +188,29 @@ class TestExtractAndBuild:
             sub = extended.flat[np.ix_(keep, keep)]
             assert np.max(np.abs(sub - p)) <= 1e-14 * max(1.0, float(np.max(np.abs(p))))
 
+    def test_coefficients_from_index_2k_on_are_never_read(self):
+        # Row i of the coefficient table is read below index 2 k_i only (and
+        # the zero last column), so junk beyond it, in the rows build_pick
+        # is given or in one table as wide as the largest order, leaves the
+        # matrix bit for bit as it was.
+        rng = np.random.default_rng(50)
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            ks = tuple(int(k) for k in rng.integers(1, 6, size=n))
+            pts = tuple(random_circle_points(rng, n))
+            values = [[complex(*rng.normal(size=2)) for _ in range(2 * k + int(rng.integers(1, 6)))] for k in ks]
+            clean = build_pick(JetData(points=pts, values=tuple(map(tuple, values))), ks).flat
+            width = 2 * max(ks)
+            table = np.zeros((n, width + 1), dtype=complex)
+            for i, (row, k) in enumerate(zip(values, ks)):
+                junk = rng.normal(size=(width, 2)) @ [1.0, 1j] * 10.0 ** rng.integers(-300, 300, size=width)
+                row[2 * k :] = junk[: len(row) - 2 * k].tolist()
+                table[i, : 2 * k] = row[: 2 * k]
+                table[i, 2 * k : width] = junk[: width - 2 * k]
+            junk_rows = build_pick(JetData(points=pts, values=tuple(map(tuple, values))), ks).flat
+            assert np.array_equal(junk_rows, clean)
+            assert np.array_equal(_structured_flat(table, pts, ks), clean)
+
     def test_top_coefficient_moves_its_corner_alone(self):
         # Replacing b_{2k+1} at an extended point moves the bottom diagonal
         # entry of its block by (-1)^k t^(2k+1) conj(b_0) times the change,
@@ -232,6 +256,13 @@ class TestAdmissible:
         report = admissible(data, (1,))
         assert not report
         assert not report.modulus_ok
+
+    def test_overflowing_matrix_is_refused(self):
+        # b_1 conj(b_0) overflows, so the 1 x 1 matrix holds inf and NaN;
+        # it must not read as a spectrum [inf] with defect NaN.
+        data = JetData(points=(1.0,), values=((1e200, 1e200),))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            admissible(data, [1])
 
     def test_indefinite_data_fails_psd(self):
         data = JetData(points=(1.0,), values=((1.0, -1.0),))

@@ -220,33 +220,83 @@ class TestNonUniqueVerdicts:
                 assert abs(corner_value(vals, problem.points[i], ks[i]) - targets[i]) <= 1e-12 * scale
             checked += 1
 
+        # decide reads P, the shift and the supplements from one coefficient
+        # table; the public functions rebuild each from JetData on their own.
+        # Unique and odd-only problems check P alone.
+        rng = np.random.default_rng(811)
+        counts = {"unique": 0, "odd-only": 0, "even": 0}
+        while min(counts.values()) < 40:
+            n = int(rng.integers(1, 5))
+            ms = tuple(int(m) for m in rng.integers(1, 9, size=n))
+            ks = derivative_orders(ms)
+            b = random_blaschke(rng, int(rng.integers(0, 13)))
+            problem = ContactProblem(b=b, points=tuple(random_circle_points(rng, n)), contact_orders=ms)
+            try:
+                verdict = decide(problem)
+            except RankMismatch:
+                continue
+            even = [] if verdict.unique else [i for i, m in enumerate(ms) if m % 2 == 0]
+            counts["unique" if verdict.unique else ("even" if even else "odd-only")] += 1
+            data = extract_data(b, problem.points, [2 * k + 1 for k in ks])
+            ref = make_report(build_pick(data, ks).flat)
+            scale = max(1.0, float(np.max(np.abs(ref.matrix))))
+            assert np.max(np.abs(verdict.pick.matrix - ref.matrix)) <= 1e-13 * scale
+            assert np.max(np.abs(verdict.pick.eigenvalues - ref.eigenvalues)) <= 1e-13 * max(1.0, ref.lambda_max)
+            assert verdict.pick.numerical_rank == ref.numerical_rank and verdict.pick.pd == ref.pd
+            if not even:
+                continue
+            cert = verdict.certificate
+            assert [i for i, _ in cert.supplementary] == list(cert.even_points) == even
+            extended = extend_pick(data, ks, even)
+            corners = {extended.row_index(i, ks[i]) for i in even}
+            principal = [j for j in range(extended.flat.shape[0]) if j not in corners]
+            margin = max(1.0, make_report(extended.flat, strict=False).lambda_max)
+            completion = complete_to_pd(extended, principal, margin)
+            scale = max(1.0, float(np.max(np.abs(completion.modified.flat))))
+            assert abs(cert.completion.shift - completion.shift) <= 1e-13 * scale
+            targets = dict(cert.completion.corner_targets)
+            for i, b_sup in cert.supplementary:
+                vals = list(data.values[i][: 2 * ks[i] + 1]) + [b_sup]
+                assert abs(corner_value(vals, problem.points[i], ks[i]) - targets[i]) <= 1e-13 * scale
+
     @pytest.mark.parametrize(
-        ("orders", "builds"),
-        [((2, 1), 2), ((1, 3), 1), ((3, 3), 1), ((4,), 2)],
+        ("orders", "builds", "jet_order"),
+        [((2, 1), 2, 3), ((1, 3), 1, 3), ((3, 3), 1, 3), ((4,), 2, 5)],
         ids=["even-and-odd", "odd-only", "unique", "even-only"],
     )
-    def test_one_structured_build_plus_the_roundtrip(self, orders, builds, monkeypatch):
+    def test_one_structured_build_plus_the_roundtrip(self, orders, builds, jet_order, monkeypatch):
         # The truncated matrix is read from the extended one, and the
-        # supplements need no Psi product of their own.
+        # supplements need no Psi product of their own.  The jets are
+        # evaluated once, through 2 max(k_i') - 1 for the built orders k_i',
+        # and no eigenbasis or np.ix_ gather is formed.
         import blaschkepick.pick as pick_module
         import blaschkepick.uniqueness as uniqueness_module
+        from blaschkepick.blaschke import _jet_array
         from blaschkepick.schwarz_pick import _structured_flat
 
-        calls = []
+        calls, jet_orders = [], []
 
         def counted(*args):
             calls.append(args)
             return _structured_flat(*args)
 
+        def counted_jets(b, centers, order):
+            jet_orders.append(order)
+            return _jet_array(b, centers, order)
+
         def refused(*args):
-            raise AssertionError("decide must not build Psi on its own")
+            raise AssertionError("decide must not call this")
 
         monkeypatch.setattr(pick_module, "_structured_flat", counted)
         monkeypatch.setattr(uniqueness_module, "_structured_flat", counted)
+        monkeypatch.setattr(pick_module, "_jet_array", counted_jets)
         monkeypatch.setattr(pick_module, "psi_matrix", refused)
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        monkeypatch.setattr(np, "ix_", refused)
         b = make_blaschke([0.3, -0.2j, 0.1 + 0.4j])
         decide(ContactProblem(b=b, points=(1.0, -1.0)[: len(orders)], contact_orders=orders))
         assert len(calls) == builds
+        assert jet_orders == [jet_order]
 
 
 class TestEvidenceContradictions:
