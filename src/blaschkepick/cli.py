@@ -10,7 +10,7 @@ Problem files are JSON objects of the form
     }
 
 `analyze` reads `orders` as contact orders m_i; `crosscheck` reads them as
-derivative orders k_i.  Reports carry a top-level "schema": 1 and encode
+derivative orders k_i.  Reports carry a top-level "schema": 2 and encode
 complex numbers as [re, im] pairs.  Exit codes: 0 success, 2 validation
 error, 3 rank mismatch, 4 cross-route residual breach, 5 fuzz
 counterexample found.
@@ -33,11 +33,7 @@ from .errors import BlaschkePickError, RankMismatch
 from .hermitian import HermitianReport, make_report
 from .pick import ADMISSIBLE_TOL, JetData, build_pick, extract_data
 from .realization import realize, sp_via_realization
-from .schwarz_pick import (
-    DEGENERATE_DENOMINATOR_TOL,
-    SchwarzPickMatrix,
-    sp_boundary_radial,
-)
+from .schwarz_pick import SchwarzPickMatrix, sp_boundary_radial
 from .serialize import complex_to_pair, matrix_to_json
 from .uniqueness import (
     ContactProblem,
@@ -50,19 +46,12 @@ from .uniqueness import (
 
 ROUTE_RESIDUAL_LIMIT = 1e-8
 POINT_MODULUS_SLACK = 1e-6
-MIN_RADIAL_DEPTH = 5
+SCHEMA = 2
 # Fuzz points are redrawn until they sit FUZZ_SPACING radians apart.  The
 # acceptance rate collapses with the point count: a draw takes over a tenth
 # of a second from 11 points and never ends from 18 (18 * 0.35 > 2 pi).
 FUZZ_SPACING = 0.35
 FUZZ_POINTS_MAX = 10
-# The deepest radius r = 1 - 2^-m whose diagonal kernel constant 1 - r^2
-# still clears the interior route's degeneracy cutoff.
-MAX_RADIAL_DEPTH = max(
-    m
-    for m in range(MIN_RADIAL_DEPTH, 53)
-    if 1.0 - (1.0 - 2.0**-m) ** 2 >= DEGENERATE_DENOMINATOR_TOL
-)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -282,7 +271,7 @@ def cmd_analyze(args) -> int:
         return EXIT_VALIDATION
     elapsed = time.perf_counter() - start
     report = {
-        "schema": 1,
+        "schema": SCHEMA,
         "command": "analyze",
         "verdict": verdict.tag,
         "contact_orders": list(problem.contact_orders),
@@ -300,13 +289,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    depth = args.radial_depth
-    if not MIN_RADIAL_DEPTH <= depth <= MAX_RADIAL_DEPTH:
-        print(
-            f"error: --radial-depth must be between {MIN_RADIAL_DEPTH} and {MAX_RADIAL_DEPTH}",
-            file=sys.stderr,
-        )
-        return EXIT_VALIDATION
     try:
         b, points, orders, _ = _load_problem(args.problem)
         for k in orders:
@@ -315,18 +297,17 @@ def cmd_crosscheck(args) -> int:
     except ProblemFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    schedule = tuple(1.0 - 2.0 ** -m for m in range(4, depth + 1))
     start = time.perf_counter()
     try:
         _, structured, via_real, diff_real, residual = _compare_routes(b, points, orders)
-        radial, diags = sp_boundary_radial(b, points, orders, schedule)
+        radial, diags = sp_boundary_radial(b, points, orders)
     except (BlaschkePickError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     elapsed = time.perf_counter() - start
     radial_gap = float(np.max(np.abs(structured.flat - radial.flat))) if structured.flat.size else 0.0
     report = {
-        "schema": 1,
+        "schema": SCHEMA,
         "command": "crosscheck",
         "degree": b.degree,
         "points": [complex_to_pair(t) for t in structured.points],
@@ -338,9 +319,10 @@ def cmd_crosscheck(args) -> int:
         "structured_vs_realization": residual,
         "residual_limit": ROUTE_RESIDUAL_LIMIT,
         "radial_gap_max_abs": radial_gap,
+        "radial_contour_radius": diags.radius,
+        "radial_nodes": diags.nodes,
+        "radial_error_estimate": diags.estimate,
         "radial_converged": diags.converged,
-        "radial_depth": depth,
-        "radial_final_radius": schedule[-1],
         "wall_time_seconds": elapsed,
     }
     _emit(report, args.format)
@@ -474,7 +456,7 @@ def cmd_fuzz(args) -> int:
         if failure is not None:
             inst, failure = _minimize(inst, failure)
             report = {
-                "schema": 1,
+                "schema": SCHEMA,
                 "command": "fuzz",
                 "seed": args.seed,
                 "trials_run": trial + 1,
@@ -486,7 +468,7 @@ def cmd_fuzz(args) -> int:
             _emit(report, args.format)
             return EXIT_COUNTEREXAMPLE
     report = {
-        "schema": 1,
+        "schema": SCHEMA,
         "command": "fuzz",
         "seed": args.seed,
         "trials": args.trials,
@@ -527,13 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare the three boundary routes (orders are derivative orders k)",
     )
     p_cross.add_argument("problem", help="path to a JSON problem file")
-    p_cross.add_argument(
-        "--radial-depth",
-        type=int,
-        default=20,
-        help=f"last exponent m of the radial schedule r = 1 - 2^-m "
-        f"({MIN_RADIAL_DEPTH} to {MAX_RADIAL_DEPTH})",
-    )
     p_cross.set_defaults(func=cmd_crosscheck)
 
     p_fuzz = sub.add_parser(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -242,11 +242,13 @@ def _require_margin(margin: float) -> None:
 
 
 def _complete(
-    p_tilde, h: HermitianMatrix, head: np.ndarray, comp: np.ndarray, margin: float
+    p_tilde, h: HermitianMatrix, head: np.ndarray, comp: np.ndarray, margin: float, corner_points=()
 ) -> tuple[Completion, HermitianMatrix]:
     """:func:`complete_to_pd` given h = make_hermitian(p_tilde, strict=False)
     and the principal indices split into integer arrays head and ascending
     complement comp; also returns the modified matrix symmetrized the same way.
+    `corner_points` names the point of each index of comp, for the
+    completion's corner targets; without it they stay empty.
 
     A real shift on the diagonal commutes with the symmetrization (M + M*) / 2
     bit for bit and leaves M - M* as it was, so the symmetrized modified
@@ -265,11 +267,12 @@ def _complete(
     h_mod = HermitianMatrix(matrix=modified_h, defect=h.defect)
     completion = Completion(
         original=p_tilde,
-        modified=replace(p_tilde, flat=modified_flat) if is_pick else modified_flat,
+        modified=SchwarzPickMatrix(modified_flat, p_tilde.points, p_tilde.orders) if is_pick else modified_flat,
         shift=shift,
         complementary=tuple(comp.tolist()),
         margin=float(margin),
         eigenvalues=eigen_h(h_mod),
+        corner_targets=tuple((i, complex(modified_flat[idx, idx])) for i, idx in zip(corner_points, comp)),
     )
     return completion, h_mod
 

@@ -19,8 +19,9 @@ Three independent computations of the boundary matrix live here and in
 * ``sp_interior``           the kernel series itself, usable up to |z| < 1,
 * ``sp_boundary_structured`` closed Hankel x Psi x Toeplitz formulas in the
                              boundary Taylor coefficients,
-* ``sp_boundary_radial``     the radial limit of ``sp_interior`` along a
-                             schedule of radii.
+* ``sp_boundary_radial``     the kernel series at radius r = 1 - h, read at
+                             h = 0 as a trapezoid mean over a circle in
+                             complex h.
 
 Agreement between the routes is the package's main internal consistency
 check; they share no code beyond Taylor jets of w itself.
@@ -28,8 +29,11 @@ check; they share no code beyond Taylor jets of w itself.
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
@@ -43,13 +47,24 @@ from .blaschke import (
     _jet_array,
     _require_finite,
     modulus_defect,
+    poles,
 )
 from .errors import CoincidentPoints, DegenerateDenominator, InsufficientJet
 
 DEGENERATE_DENOMINATOR_TOL = 1e-13
 DISTINCT_POINT_TOL = 1e-12
-DEFAULT_RADIAL_SCHEDULE: tuple[float, ...] = tuple(1.0 - 2.0 ** -m for m in range(4, 21))
 RADIAL_CONVERGENCE_TOL = 1e-3
+# The radial route's contour in h = 1 - r (see sp_boundary_radial): its node
+# count, the ratio of the reach rho to its radius, and the constant of the
+# rounding term of its error estimate.
+CONTOUR_NODES = 32
+CONTOUR_SHRINK = 6.0
+CONTOUR_ROUNDING = 4.0
+# exp(i pi (2m + 1) / CONTOUR_NODES) for m < CONTOUR_NODES / 2, then their
+# conjugates; weights summing those upper-half nodes plainly and alternately.
+_CONTOUR_UNITS = np.exp(1j * np.pi * (2 * np.arange(CONTOUR_NODES // 2) + 1) / CONTOUR_NODES)
+_CONTOUR_UNITS = np.concatenate([_CONTOUR_UNITS, _CONTOUR_UNITS.conj()])
+_CONTOUR_WEIGHTS = np.array([[1.0] * (CONTOUR_NODES // 2), [1.0, -1.0] * (CONTOUR_NODES // 4)], dtype=complex)
 _STACK_ENTRIES = 1 << 14
 # Order tuples whose shape plans stay cached; a plan of N flat rows holds
 # about 50 N^2 bytes.
@@ -124,18 +139,17 @@ class _ShapePlan(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class RadialDiagnostics:
-    """Convergence record of the radial route.
+    """Record of the radial route's contour mean.
 
-    step_deltas[m] is the max-abs entrywise change between schedule steps m
-    and m+1; final_delta is the last per-entry change; `converged` states
-    whether the last step moved every entry by less than `tol` relative to
-    max(1, s), where s is the largest entry magnitude of the iterate that
-    ends the smallest step.
+    The mean ran over `nodes` points of the circle |h| = `radius` in
+    h = 1 - r; `estimate` bounds its entrywise error, and `converged`
+    states whether the estimate is at most `tol` times max(1, s), s the
+    largest entry magnitude of the mean.
     """
 
-    radii: tuple[float, ...]
-    step_deltas: tuple[float, ...]
-    final_delta: np.ndarray
+    radius: float
+    nodes: int
+    estimate: float
     converged: bool
     tol: float
 
@@ -164,8 +178,9 @@ def kernel_jet(
             1 - |z0|**2, should pass it here.
 
     This is the one-pair case of :func:`_kernel_series`, the recurrence that
-    :func:`sp_interior` and :func:`sp_boundary_radial` run on whole stacks
-    of center pairs; see there for the arithmetic.  Raises
+    :func:`sp_interior` runs on every pair of its points and
+    :func:`sp_boundary_radial` on every pair at its contour nodes; see
+    there for the arithmetic.  Raises
     DegenerateDenominator when |1 - z0 u0| < 1e-13, and InsufficientJet when
     a jet is shorter than the requested order needs.
     """
@@ -307,51 +322,56 @@ def _shape_plan(ks: tuple[int, ...]) -> _ShapePlan:
     return plan
 
 
+def _kernel_stack(w, v, z, u, ks: tuple[int, ...], diagonal=None) -> np.ndarray:
+    """Flat kernel matrices for a stack of center rows, shape (R, N, N).
+
+    Row r pairs the z-centers z[r] with the u-centers u[r], both (R, n);
+    w and v, (R, n, max(ks)), are the jets of w and of wh there.  Pair
+    (i, j) is the kernel series at (z[r, i], u[r, j]) with constant terms
+    1 - z u and 1 - w_0 v_0, or on i == j the (R, n) pair `diagonal`.  One
+    recurrence runs on the (R, n, n, K, K) stack of all pairs, K = max(ks),
+    split along R into pieces of at most _STACK_ENTRIES coefficients, so
+    that many points with one high order, which pad every pair to K x K, do
+    not hold the whole padded stack in memory at once.
+    """
+    if z.shape[1] != len(ks):
+        raise ValueError("points and orders must have equal length")
+    wz, vu = w[:, :, None, :], v[:, None, :, :]
+    z0, u0 = z[:, :, None], u[:, None, :]
+    c = 1.0 - z0 * u0
+    n0 = 1.0 - wz[..., 0] * vu[..., 0]
+    if diagonal is not None:
+        diag = np.arange(len(ks))
+        c[:, diag, diag], n0[:, diag, diag] = diagonal
+    plan = _shape_plan(ks)
+    point, derivative = plan.point, plan.derivative
+    flat = np.empty((len(z), len(point), len(point)), dtype=complex)
+    step = max(1, _STACK_ENTRIES // (len(ks) * max(ks)) ** 2)
+    for lo in range(0, len(z), step):
+        part = slice(lo, lo + step)
+        coeffs = _kernel_series(wz[part], vu[part], z0[part], u0[part], c[part], n0[part])
+        flat[part] = coeffs[:, point, point.T, derivative, derivative.T]
+    return flat
+
+
 def _interior_stack(b: BlaschkeProduct, centers: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
     """Flat Schwarz-Pick matrices at every row of `centers`, shape (R, N, N).
 
-    Row r of the (R, n) array `centers` holds the n points of one matrix
-    with derivative orders ks; every row must be distinct points inside the
-    disk, away from the poles.  One kernel recurrence runs on the
-    (R, n, n, K, K) stack of all center pairs, K = max(ks), and the blocks
-    are sliced out of it.  The stack is split along R into pieces of at
-    most _STACK_ENTRIES coefficients, so that many points with one high
-    order, which pad every pair to K x K, do not hold the whole padded
-    stack in memory at once.  Diagonal pairs get the constant terms 1 - |z|**2
-    and the modulus defect evaluated from that same value, so their ratio
-    stays accurate to relative rounding error arbitrarily close to the
-    circle.
+    Row r of the (R, n) array `centers` holds the n distinct points of one
+    matrix with derivative orders ks, each inside the disk.  Every pair
+    (z_i, conj(z_j)) goes to :func:`_kernel_stack`; the diagonal pairs get
+    the constant terms 1 - |z|**2 and the modulus defect evaluated from
+    that same value, so their ratio stays accurate to relative rounding
+    error arbitrarily close to the circle.
     """
-    if centers.shape[1] != len(ks):
-        raise ValueError("points and orders must have equal length")
     outside = np.abs(centers) >= 1.0
     if outside.any():
         z = complex(centers[_first(outside)])
         raise ValueError(f"interior route needs |z| < 1, got |z| = {abs(z)!r}")
-    close = np.triu(np.abs(centers[:, :, None] - centers[:, None, :]) < DISTINCT_POINT_TOL, 1)
-    if close.any():
-        r, i, j = _first(close)
-        zi, zj = complex(centers[r, i]), complex(centers[r, j])
-        raise CoincidentPoints(f"points {zi!r} and {zj!r} coincide within {DISTINCT_POINT_TOL}")
-    size = max(ks)
-    jets = _jet_array(b, centers, size - 1)
-    w, v = jets[:, :, None, :], jets.conj()[:, None, :, :]
-    z0, u0 = centers[:, :, None], centers.conj()[:, None, :]
-    c = 1.0 - z0 * u0
-    n0 = 1.0 - w[..., 0] * v[..., 0]
-    diag = np.arange(len(ks))
+    jets = _jet_array(b, centers, max(ks) - 1)
     m = 1.0 - (centers.real * centers.real + centers.imag * centers.imag)
-    c[:, diag, diag] = m
-    n0[:, diag, diag] = modulus_defect(b, centers, complement=m)
-    plan = _shape_plan(ks)
-    point, derivative = plan.point, plan.derivative
-    flat = np.empty((len(centers), len(point), len(point)), dtype=complex)
-    step = max(1, _STACK_ENTRIES // (len(ks) * size) ** 2)
-    for lo in range(0, len(centers), step):
-        part = slice(lo, lo + step)
-        coeffs = _kernel_series(w[part], v[part], z0[part], u0[part], c[part], n0[part])
-        flat[part] = coeffs[:, point, point.T, derivative, derivative.T]
-    return flat
+    diagonal = (m, modulus_defect(b, centers, complement=m))
+    return _kernel_stack(jets, jets.conj(), centers, centers.conj(), ks, diagonal)
 
 
 def sp_interior(b: BlaschkeProduct, points, orders) -> SchwarzPickMatrix:
@@ -360,8 +380,8 @@ def sp_interior(b: BlaschkeProduct, points, orders) -> SchwarzPickMatrix:
     Block (i, j) is the kernel jet at (z_i, conj(z_j)) through orders
     (k_i - 1, k_j - 1).  Diagonal blocks take their constant terms from one
     shared value of 1 - |z_i|**2, which keeps them accurate as the points
-    approach the circle.  This is the one-radius case of the stacked
-    evaluation behind :func:`sp_boundary_radial`.
+    approach the circle.  :func:`sp_boundary_radial` runs the same stacked
+    kernel evaluation at complex radii, where no such diagonal is needed.
     """
     ks = _validate_orders(orders)
     pts = validate_points(points)
@@ -467,83 +487,53 @@ def sp_boundary_structured(jets: Sequence[Jet], points, orders) -> SchwarzPickMa
     return SchwarzPickMatrix(flat=flat, points=pts, orders=ks)
 
 
-def _validate_schedule(schedule) -> tuple[float, ...]:
-    if schedule is None:
-        return DEFAULT_RADIAL_SCHEDULE
-    rs = tuple(float(r) for r in schedule)
-    if not rs:
-        raise ValueError("schedule must be nonempty")
-    for r in rs:
-        if not 0.0 < r < 1.0:
-            raise ValueError(f"schedule radii must lie in (0, 1), got {r}")
-    if any(b <= a for a, b in zip(rs, rs[1:])):
-        raise ValueError("schedule must be strictly increasing")
-    return rs
+def sp_boundary_radial(b: BlaschkeProduct, points, orders) -> tuple[SchwarzPickMatrix, RadialDiagnostics]:
+    """Boundary matrix as the value at h = 0 of the kernel series at radius
+    1 - h, read as a trapezoid mean over a circle in complex h.
 
+    At z_i = (1 - h) t_i and u_j = (1 - h) conj(t_j), with t_i the points
+    scaled onto the circle, every block is analytic in h for |h| < rho, the
+    distance in h to the nearest pole 1 / conj(a) of b and to the nearest
+    off-diagonal zero of 1 - z u, at (1 - h)**2 = t_j / t_i.  On the
+    diagonal the value at h = 0 is a removable 0 / 0, which the mean over
+    the CONTOUR_NODES nodes h_m = R exp(i pi (2m + 1) / CONTOUR_NODES),
+    R = min(rho, 1) / CONTOUR_SHRINK, reads with no cancellation and an
+    error of order (R / rho)**CONTOUR_NODES (Trefethen & Weideman, SIAM
+    Review 56 (2014)).  The matrix at conj(h) is the conjugate transpose of
+    the one at h, so the kernel runs on the upper-half nodes only, and the
+    mean (S + S^*) / CONTOUR_NODES of their sum S is Hermitian.
 
-def sp_boundary_radial(
-    b: BlaschkeProduct, points, orders, schedule=None
-) -> tuple[SchwarzPickMatrix, RadialDiagnostics]:
-    """Boundary matrix as a radial limit of interior matrices.
-
-    Evaluates the interior matrix of :func:`sp_interior` at r * t_i / |t_i|
-    for every radius r of the schedule (default r_m = 1 - 2^-m, m = 4 .. 20) in
-    one stacked kernel evaluation, with the interior route's checks applied
-    at every radius, and returns the final iterate together with the
-    successive-difference diagnostics.  Convergence means the last step
-    changed no entry by more than 1e-3 relative to max(1, s), where s is
-    the largest entry magnitude of the iterate that ends the smallest step;
-    the iterates approach the limit linearly in 1 - r, so an absolute
-    reading of the final step would say more about the matrix scale than
-    about the route.  A converging schedule takes its smallest step last,
-    so s is then the final iterate's own scale, however much the iterates
-    grew on the way.  Iterates swamped by rounding noise instead grow far
-    past the scale of the quietest step, which keeps the noise from
-    widening its own acceptance test.
-
-    The truncation error of an iterate shrinks linearly in 1 - r, but the
-    rounding error of a diagonal block grows like (1 - r**2)**-(2k - 2), so
-    orders k >= 3 hit a noise floor partway down the schedule (around
-    r = 1 - 2^-10 in double precision) and the deeper iterates move away
-    again, by far more than `tol` allows; `converged` then stays False.
-    Orders one and two converge through the whole default schedule.
+    The error estimate is the alternating-sign mean, the Fourier mode of
+    order CONTOUR_NODES / 2, which stays far above the aliasing error, plus
+    CONTOUR_ROUNDING eps max(1, max|node value|) binom(2K - 2, K - 1)
+    (2R)**-(2K - 1), K = max(orders): what an absolute rounding error in
+    the constant terms becomes in coefficient (K - 1, K - 1) of
+    1 / (1 - z u), whose denominator is about 2R on the diagonal.
+    `converged` states whether it is at most RADIAL_CONVERGENCE_TOL times
+    max(1, largest entry of the mean).  Raises PoleEvaluation or
+    DegenerateDenominator when a zero of b lies so close to the circle, or
+    two points so close to each other, that a node meets a pole or a
+    vanishing denominator.
     """
     ks = _validate_orders(orders)
     pts = validate_points(points, on_circle=True)
-    rs = _validate_schedule(schedule)
-    units = np.array(pts, dtype=complex)
-    iterates = _interior_stack(b, np.multiply.outer(rs, units / np.abs(units)), ks)
-    deltas = np.max(np.abs(np.diff(iterates, axis=0)), axis=(1, 2))
-    if len(rs) >= 2:
-        final_delta = np.abs(iterates[-1] - iterates[-2])
-        quietest = iterates[int(np.argmin(deltas)) + 1]
-        scale = max(1.0, float(np.max(np.abs(quietest))))
-        converged = bool(deltas[-1] < RADIAL_CONVERGENCE_TOL * scale)
-    else:
-        final_delta = np.full(iterates.shape[1:], np.inf)
-        converged = False
-    estimate = SchwarzPickMatrix(flat=iterates[-1], points=pts, orders=ks)
-    diags = RadialDiagnostics(
-        radii=rs,
-        step_deltas=tuple(float(d) for d in deltas),
-        final_delta=final_delta,
-        converged=converged,
-        tol=RADIAL_CONVERGENCE_TOL,
-    )
-    return estimate, diags
-
-
-def membership_probe(b: BlaschkeProduct, t: complex, k: int, schedule=None) -> list[float]:
-    """Diagonal Caratheodory-Julia quantity along the radius toward t.
-
-    Value m is the (k-1, k-1) mixed kernel coefficient at z = r_m * t / |t|,
-    the quantity whose boundedness as r -> 1 characterizes order-k boundary
-    regularity at t.  For a finite Blaschke product it increases to the
-    bottom diagonal entry of the order-k boundary block.  All radii share
-    one stacked interior evaluation.
-    """
-    (t,) = validate_points([t], on_circle=True)
-    ks = _validate_orders([k])
-    rs = _validate_schedule(schedule)
-    iterates = _interior_stack(b, np.multiply.outer(rs, [t / abs(t)]), ks)
-    return [float(v) for v in iterates[:, ks[0] - 1, ks[0] - 1].real]
+    units = [t / abs(t) for t in pts]
+    pole_gaps = [abs(t - p) for p in poles(b) for t in units]
+    # |1 - sqrt(conj(t_i) t_j)| = 2 |sin(theta_ij / 4)|
+    pair_gaps = [abs(1.0 - cmath.sqrt(s.conjugate() * t)) for s, t in itertools.combinations(units, 2)]
+    radius = min([1.0, *pole_gaps, *pair_gaps]) / CONTOUR_SHRINK
+    # The z-centers at the upper-half nodes, then the conjugates of the
+    # u-centers at the same nodes.
+    half = CONTOUR_NODES // 2
+    centers = np.multiply.outer(1.0 - radius * _CONTOUR_UNITS, units)
+    jets = _jet_array(b, centers, max(ks) - 1)
+    values = _kernel_stack(jets[:half], jets[half:].conj(), centers[:half], centers[half:].conj(), ks)
+    total, alternating = (_CONTOUR_WEIGHTS @ values.reshape(half, -1)).reshape((2,) + values.shape[1:])
+    mean = (total + total.conj().T) / CONTOUR_NODES
+    k = max(ks)
+    rounding = CONTOUR_ROUNDING * sys.float_info.epsilon * max(1.0, float(np.abs(values).max()))
+    rounding *= math.comb(2 * k - 2, k - 1) * (2.0 * radius) ** (1 - 2 * k)
+    estimate = float(np.abs(alternating - alternating.conj().T).max() / CONTOUR_NODES + rounding)
+    converged = estimate <= RADIAL_CONVERGENCE_TOL * max(1.0, float(np.abs(mean).max()))
+    diags = RadialDiagnostics(radius, CONTOUR_NODES, estimate, converged, RADIAL_CONVERGENCE_TOL)
+    return SchwarzPickMatrix(flat=mean, points=pts, orders=ks), diags

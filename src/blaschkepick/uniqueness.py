@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -221,26 +221,24 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
     if even:
         h_tilde = make_hermitian(p_tilde.flat, strict=False)
         margin = tolerances.completion_margin * max(1.0, float(eigen_h(h_tilde)[-1]))
-        completion, h_completed = _complete(p_tilde, h_tilde, principal, corners, margin)
+        completion, h_completed = _complete(p_tilde, h_tilde, principal, corners, margin, even)
 
         # Only the corner moves with the top coefficient b_{2k+1}, with slope
         # (-1)^k t^(2k+1) conj(b_0) (corner_value); the supplement moves it
         # by the shift.
         supplemented = table.copy()
-        corner_targets, supplementary = [], []
-        for i, idx in zip(even, corners):
+        supplementary = []
+        for i in even:
             k, t = ks[i], problem.points[i]
             slope = (-1.0) ** k * t ** (2 * k + 1) * complex(table[i, 0]).conjugate()
             value = _require_finite(complex(table[i, 2 * k + 1]) + completion.shift / slope, "value")
             supplemented[i, 2 * k + 1] = value
-            corner_targets.append((i, complex(completion.modified.flat[idx, idx])))
             supplementary.append((i, value))
-        completion = replace(completion, corner_targets=tuple(corner_targets))
 
         # Rebuild the extended matrix from the table with the supplements in
         # place of the product's own top coefficients.
         redone = _structured_flat(supplemented, problem.points, built)
-        for idx, (_, target) in zip(corners, corner_targets):
+        for idx, (_, target) in zip(corners, completion.corner_targets):
             residual = abs(redone[idx, idx] - target)
             bound = SUPPLEMENTARY_RESIDUAL_TOL * max(1.0, abs(target))
             if residual > bound:

@@ -33,7 +33,7 @@ class TestAnalyze:
         path = write_problem(tmp_path)
         assert main(["analyze", path, "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == 1
+        assert report["schema"] == 2
         assert report["command"] == "analyze"
         assert report["verdict"] == "unique"
         assert report["derivative_orders"] == [2]
@@ -60,7 +60,7 @@ class TestAnalyze:
         path = write_problem(tmp_path)
         assert main(["analyze", path]) == 0
         out = capsys.readouterr().out
-        assert out.splitlines()[0] == "schema: 1"
+        assert out.splitlines()[0] == "schema: 2"
         assert 'verdict: "unique"' in out
 
     def test_angle_form_points(self, tmp_path, capsys):
@@ -142,23 +142,14 @@ class TestValidation:
         assert "must be numbers" in capsys.readouterr().err
 
     def test_shallow_radial_depth(self, tmp_path, capsys):
+        # The radial route has no schedule, so crosscheck takes no depth,
+        # shallow or at the former default.
         path = write_problem(tmp_path, orders=[1])
-        assert main(["crosscheck", path, "--radial-depth", "4"]) == 2
-        assert "radial-depth" in capsys.readouterr().err
-
-    def test_too_deep_radial_depth(self, tmp_path, capsys):
-        # At m = 45, 1 - r**2 = 2^-44 falls below the interior route's
-        # degeneracy cutoff, so the schedule could not be evaluated.
-        path = write_problem(tmp_path, orders=[1])
-        assert main(["crosscheck", path, "--radial-depth", "45"]) == 2
-        assert "--radial-depth must be between 5 and 44" in capsys.readouterr().err
-
-    def test_radial_depth_belongs_to_crosscheck(self, tmp_path, capsys):
-        path = write_problem(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            main(["analyze", path, "--radial-depth", "20"])
-        assert exc.value.code == 2
-        assert "--radial-depth" in capsys.readouterr().err
+        for depth in ("4", "20"):
+            with pytest.raises(SystemExit) as exc:
+                main(["crosscheck", path, "--radial-depth", depth])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --radial-depth" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -207,29 +198,36 @@ class TestCrosscheck:
         )
         assert main(["crosscheck", path, "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == 1
+        assert report["schema"] == 2
         assert report["command"] == "crosscheck"
         assert report["orders"] == [1, 1]
         assert report["structured_vs_realization"] <= 1e-10
         assert report["residual_limit"] == 1e-8
         assert report["radial_converged"] is True
-        assert report["radial_depth"] == 20
+        assert report["radial_nodes"] == 32
         # Worked values: the structured matrix for this instance.
         top_left = report["structured"][0][0]
         assert top_left == pytest.approx([3.0, 0.0])
 
-    def test_minimum_depth_accepted(self, tmp_path, capsys):
-        path = write_problem(tmp_path, orders=[1])
-        assert main(["crosscheck", path, "--radial-depth", "5", "--format", "json"]) == 0
+    def test_contour_fields_reported(self, tmp_path, capsys):
+        path = write_problem(tmp_path, blaschke={"zeros": [[0.5, 0.0]], "u": [1.0, 0.0]}, orders=[2])
+        assert main(["crosscheck", path, "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["radial_final_radius"] == pytest.approx(1.0 - 2.0**-5)
+        # The pole at 2 is a distance 1 away in h, the cap on the contour's reach.
+        assert report["radial_contour_radius"] == pytest.approx(1.0 / 6.0)
+        assert report["radial_nodes"] == 32
+        assert 0.0 < report["radial_error_estimate"] <= 1e-8
+        assert report["radial_converged"] is True
+        assert "radial_depth" not in report and "radial_final_radius" not in report
 
-    def test_maximum_depth_accepted(self, tmp_path, capsys):
-        path = write_problem(tmp_path, orders=[1])
-        assert main(["crosscheck", path, "--radial-depth", "44", "--format", "json"]) == 0
+    def test_third_order_radial_converges(self, tmp_path, capsys):
+        # b(z) = z at t = 1 with k = 3, as in problems/unique.json.
+        path = write_problem(tmp_path)
+        assert main(["crosscheck", path, "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["radial_depth"] == 44
-        assert report["radial_final_radius"] == 1.0 - 2.0**-44
+        assert report["radial_converged"] is True
+        assert report["radial_gap_max_abs"] <= 1e-12
+        assert report["radial_error_estimate"] <= 1e-8
 
 
 class TestFuzz:

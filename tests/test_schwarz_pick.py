@@ -7,13 +7,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from blaschkepick import (
+    BlaschkePickError,
     CoincidentPoints,
     DegenerateDenominator,
     InsufficientJet,
     Jet,
+    PoleEvaluation,
     kernel_jet,
     make_blaschke,
-    membership_probe,
     modulus_defect,
     psi_matrix,
     realize,
@@ -23,7 +24,12 @@ from blaschkepick import (
     sp_via_realization,
     taylor_jet,
 )
-from blaschkepick.schwarz_pick import DEFAULT_RADIAL_SCHEDULE
+from blaschkepick.schwarz_pick import (
+    CONTOUR_NODES,
+    CONTOUR_SHRINK,
+    RADIAL_CONVERGENCE_TOL,
+    _interior_stack,
+)
 from helpers import random_blaschke, random_circle_points, random_interior_points
 
 
@@ -262,58 +268,51 @@ class TestBoundaryStructured:
             sp_boundary_structured(jets, [0.5], [1])
 
 
+def structured_matrix(b, pts, ks) -> np.ndarray:
+    jets = [taylor_jet(b, t, 2 * k - 1) for t, k in zip(pts, ks)]
+    return sp_boundary_structured(jets, pts, ks).flat
+
+
+def assert_matches_structured(b, pts, ks, rel: float):
+    """The contour mean reads converged and lies within rel of the
+    structured matrix, relative to max(1, its largest entry)."""
+    est, diags = sp_boundary_radial(b, pts, ks)
+    structured = structured_matrix(b, pts, ks)
+    scale = max(1.0, float(np.max(np.abs(structured))))
+    assert diags.converged
+    assert np.max(np.abs(est.flat - structured)) <= rel * scale
+    return est, diags
+
+
 class TestBoundaryRadial:
     def test_first_order_limit(self):
         b = make_blaschke([0.5])
         est, diags = sp_boundary_radial(b, [1.0], [1])
         assert diags.converged
-        assert est.flat[0, 0] == pytest.approx(3.0, rel=1e-5)
-        assert diags.radii == DEFAULT_RADIAL_SCHEDULE
-        assert len(diags.step_deltas) == len(DEFAULT_RADIAL_SCHEDULE) - 1
+        assert est.flat[0, 0] == pytest.approx(3.0, rel=1e-12)
+        # The pole at 2 is a distance 1 away in h, the cap on rho.
+        assert diags.radius == pytest.approx(1.0 / CONTOUR_SHRINK)
+        assert diags.nodes == CONTOUR_NODES
+        assert diags.tol == RADIAL_CONVERGENCE_TOL
 
     def test_second_order_matches_structured(self):
         rng = np.random.default_rng(35)
         b = random_blaschke(rng, 3)
-        pts = random_circle_points(rng, 2)
-        jets = [taylor_jet(b, t, 3) for t in pts]
-        structured = sp_boundary_structured(jets, pts, [2, 2]).flat
-        est, diags = sp_boundary_radial(b, pts, [2, 2])
-        assert diags.converged
-        scale = max(1.0, float(np.max(np.abs(structured))))
-        assert np.max(np.abs(est.flat - structured)) <= 1e-4 * scale
+        assert_matches_structured(b, random_circle_points(rng, 2), [2, 2], rel=1e-10)
 
-    def test_third_order_reports_nonconvergence(self):
-        # Diagonal rounding in the interior iterates grows like
-        # (1 - r**2) ** -(2k - 2), so the deep end of the default schedule
-        # is noise for k = 3 and the diagnostics must say so.
+    def test_third_order_matches_structured(self):
+        # The radial limit read every k = 3 input as unconverged: rounding
+        # in its diagonal blocks grew like (1 - r**2) ** -(2k - 2).
         b = make_blaschke([0.5])
-        _, diags = sp_boundary_radial(b, [1.0], [3])
-        assert not diags.converged
+        assert_matches_structured(b, [1.0], [3], rel=1e-8)
+        assert_matches_structured(b, [1.0], [4], rel=1e-8)
+        # problems/unique.json: b(z) = z at t = 1, block diag(1, 0, 0).
+        est, _ = assert_matches_structured(make_blaschke([0.0]), [1.0], [3], rel=1e-12)
+        assert_allclose(est.flat, np.diag([1.0, 0.0, 0.0]), atol=1e-12)
 
-    def test_single_radius_schedule_cannot_converge(self):
-        b = make_blaschke([0.5])
-        _, diags = sp_boundary_radial(b, [1.0], [1], schedule=[0.5])
-        assert not diags.converged
-        assert np.all(np.isinf(diags.final_delta))
-
-    def test_schedule_validation(self):
-        b = make_blaschke([0.5])
-        with pytest.raises(ValueError):
-            sp_boundary_radial(b, [1.0], [1], schedule=[])
-        with pytest.raises(ValueError):
-            sp_boundary_radial(b, [1.0], [1], schedule=[0.9, 0.5])
-        with pytest.raises(ValueError):
-            sp_boundary_radial(b, [1.0], [1], schedule=[0.5, 1.0])
-
-    def test_point_off_circle_rejected(self):
-        with pytest.raises(ValueError):
-            sp_boundary_radial(make_blaschke([0.5]), [0.9], [1])
-
-    def test_noisy_final_iterate_does_not_widen_its_own_test(self):
-        # Third order at the second point: the deep iterates are rounding
-        # noise that grows by orders of magnitude past the boundary matrix,
-        # about 5e3.  Scaled by the last iterate, the tolerance used to
-        # accept the last step of that noise as convergence.
+    def test_third_order_beside_first_order_matches_structured(self):
+        # The boundary matrix is about 5e3; the radial limit's deep
+        # iterates were rounding noise orders of magnitude past it.
         zeros = [
             0.1341307744235378 + 0.11374654040942764j,
             -0.4318955148873633 - 0.575896871548212j,
@@ -326,48 +325,43 @@ class TestBoundaryRadial:
         ]
         b = make_blaschke(zeros, 0.05764460195631234 + 0.9983371674265655j)
         pts = [-0.4276834440822611 - 0.9039285766353089j, 0.5746670569917082 - 0.8183873004931643j]
-        _, diags = sp_boundary_radial(b, pts, [1, 3])
-        assert not diags.converged
+        assert_matches_structured(b, pts, [1, 3], rel=1e-8)
 
-    def test_iterates_growing_toward_a_large_limit_converge(self):
-        # The first-order kernel is 0.0199 / (1 - 0.99 r)**2: about 3.9 at
-        # the first radius and 199 at the limit.  The last step, about 0.04,
-        # is small against the limit but not against the first iterate.
-        est, diags = sp_boundary_radial(make_blaschke([0.99]), [1.0], [1])
-        assert diags.converged
-        assert est.flat[0, 0].real == pytest.approx(199.0, rel=1e-3)
+    def test_point_off_circle_rejected(self):
+        with pytest.raises(ValueError):
+            sp_boundary_radial(make_blaschke([0.5]), [0.9], [1])
 
-    def test_point_just_off_the_circle_stays_inside_the_disk(self):
-        # Points within CIRCLE_TOL of the circle are accepted; the radii
-        # must scale t / |t|, or r = 1 - 2^-32 would step outside the disk.
+    def test_pole_near_the_circle_shrinks_the_contour(self):
+        # The first-order kernel at t = 1 is 0.0199 / (1 - 0.99)**2 = 199,
+        # and the pole at 1 / 0.99 is 0.0101 away in h.
+        est, diags = assert_matches_structured(make_blaschke([0.99]), [1.0], [1], rel=1e-12)
+        assert est.flat[0, 0].real == pytest.approx(199.0, rel=1e-12)
+        assert diags.radius == pytest.approx((1.0 / 0.99 - 1.0) / CONTOUR_SHRINK)
+
+    def test_point_just_off_the_circle_is_read_on_it(self):
+        # Points within CIRCLE_TOL of the circle are accepted and scaled
+        # onto it, so the contour is centered on the circle.
         b = make_blaschke([0.5])
-        schedule = [0.5, 1 - 2**-32]
-        est, _ = sp_boundary_radial(b, [1 + 5e-10], [1], schedule=schedule)
-        want, _ = sp_boundary_radial(b, [1.0], [1], schedule=schedule)
+        est, _ = sp_boundary_radial(b, [1 + 5e-10], [2])
+        want, _ = sp_boundary_radial(b, [1.0], [2])
         assert_allclose(est.flat, want.flat, rtol=1e-12)
 
-    def test_step_deltas_match_separate_interior_matrices(self):
-        rng = np.random.default_rng(36)
-        radii = [0.6, 0.8, 0.95]
-        for ks in ([1, 2], [2, 2, 1]):
-            b = random_blaschke(rng, 4)
-            pts = random_circle_points(rng, len(ks))
-            _, diags = sp_boundary_radial(b, pts, ks, schedule=radii)
-            iterates = [sp_interior(b, [r * t for t in pts], ks).flat for r in radii]
-            want = [np.max(np.abs(cur - prev)) for prev, cur in zip(iterates, iterates[1:])]
-            assert_allclose(diags.step_deltas, want, rtol=1e-12)
+    def test_mean_is_hermitian(self):
+        rng = np.random.default_rng(39)
+        b = random_blaschke(rng, 6)
+        est, _ = sp_boundary_radial(b, random_circle_points(rng, 3), [3, 1, 2])
+        assert np.array_equal(est.flat, est.flat.conj().T)
 
     def test_mixed_orders_slice_every_block(self):
         rng = np.random.default_rng(37)
         b = random_blaschke(rng, 5)
         pts = random_circle_points(rng, 3)
         ks = [1, 3, 2]
-        est, _ = sp_boundary_radial(b, pts, ks, schedule=[0.5])
+        assert_matches_structured(b, pts, ks, rel=1e-8)
         zs = [0.5 * t for t in pts]
         interior = sp_interior(b, zs, ks)
         scale = max(1.0, float(np.max(np.abs(interior.flat))))
-        assert np.max(np.abs(est.flat - interior.flat)) <= 1e-13 * scale
-        # Each block against a kernel jet of exactly its own orders.
+        # Each interior block against a kernel jet of exactly its own orders.
         jets = [taylor_jet(b, z, k - 1) for z, k in zip(zs, ks)]
         for i, (zi, ki) in enumerate(zip(zs, ks)):
             for j, kj in enumerate(ks):
@@ -376,61 +370,50 @@ class TestBoundaryRadial:
                 assert np.max(np.abs(interior.block(i, j) - pair.coefficients)) <= 1e-13 * scale
 
     def test_stack_split_into_pieces_matches_separate_radii(self):
-        # Twelve points padded to order 6 hold 5184 coefficients per
-        # radius, so five radii are evaluated in more than one piece.
+        # Twelve points padded to order 6 hold 5184 coefficients per row,
+        # so a stack of five radii is evaluated in more than one piece.
         rng = np.random.default_rng(38)
         b = random_blaschke(rng, 3)
         pts = [cmath.exp(2j * cmath.pi * (m + 0.3) / 12) for m in range(12)]
-        ks = [6] + [1] * 11
+        ks = (6,) + (1,) * 11
         radii = [0.5, 0.6, 0.7, 0.8, 0.9]
-        est, diags = sp_boundary_radial(b, pts, ks, schedule=radii)
-        iterates = [sp_interior(b, [r * t for t in pts], ks).flat for r in radii]
-        assert_allclose(est.flat, iterates[-1], rtol=0, atol=1e-13 * np.max(np.abs(iterates[-1])))
-        want = [np.max(np.abs(cur - prev)) for prev, cur in zip(iterates, iterates[1:])]
-        assert_allclose(diags.step_deltas, want, rtol=1e-12)
+        stacked = _interior_stack(b, np.multiply.outer(radii, pts), ks)
+        for r, flat in zip(radii, stacked):
+            want = sp_interior(b, [r * t for t in pts], ks).flat
+            assert_allclose(flat, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
-    def test_points_coinciding_at_some_radius_rejected(self):
-        # 1.5e-12 apart on the circle, so distinct there, but closer than
-        # the 1e-12 distinctness tolerance at radius one half.
-        pts = [1.0, cmath.exp(1.5e-12j)]
-        with pytest.raises(CoincidentPoints):
-            sp_boundary_radial(make_blaschke([0.5]), pts, [1, 1], schedule=[0.5, 0.9])
+    def test_estimate_bounds_the_gap(self):
+        # Degree <= 8, zeros up to 0.9 (a quarter of them at the origin),
+        # 1-3 points 0.35 apart, orders <= 4.
+        rng = np.random.default_rng(40)
+        for _ in range(300):
+            b = random_blaschke(rng, int(rng.integers(0, 9)), radius=0.9)
+            zeros = [0.0 if rng.uniform() < 0.25 else a for a in b.zeros]
+            b = make_blaschke(zeros, b.unimodular_constant)
+            pts = random_circle_points(rng, int(rng.integers(1, 4)))
+            ks = [int(rng.integers(1, 5)) for _ in pts]
+            est, diags = sp_boundary_radial(b, pts, ks)
+            gap = float(np.max(np.abs(est.flat - structured_matrix(b, pts, ks))))
+            assert gap <= diags.estimate, (zeros, pts, ks)
+            assert diags.converged or max(ks) > 2, (zeros, pts, ks)
+
+    def test_nearly_coincident_points_never_read_converged_wrong(self):
+        # 1e-9 rad apart the off-diagonal zero of 1 - z u is 5e-10 away in
+        # h, so the contour shrinks until rounding swamps order two.
+        pts = [1.0, cmath.exp(1e-9j)]
+        for zeros in ([], [0.5], [0.3, -0.2j], [0.9j, 0.0]):
+            b = make_blaschke(zeros, 1j)
+            try:
+                est, diags = sp_boundary_radial(b, pts, [2, 2])
+            except BlaschkePickError:
+                continue
+            structured = structured_matrix(b, pts, [2, 2])
+            scale = max(1.0, float(np.max(np.abs(structured))))
+            gap = float(np.max(np.abs(est.flat - structured)))
+            assert not diags.converged or gap <= RADIAL_CONVERGENCE_TOL * scale, zeros
 
     def test_degenerate_radius_rejected(self):
-        # 1 - r**2 is about 2.8e-14 at r = 1 - 2^-46, below the 1e-13 cutoff.
-        with pytest.raises(DegenerateDenominator):
-            sp_boundary_radial(make_blaschke([0.5]), [1.0], [1], schedule=[0.5, 1.0 - 2.0**-46])
-
-
-class TestMembershipProbe:
-    def test_square_probe_values(self):
-        values = membership_probe(make_blaschke([0.0, 0.0]), 1.0, 1, schedule=[0.9, 0.99, 0.999])
-        assert_allclose(values, [1.81, 1.9801, 1.998001], rtol=1e-12)
-
-    def test_monotone_toward_boundary_value(self):
-        b = make_blaschke([0.5, -0.3j], cmath.exp(0.4j))
-        t = cmath.exp(1.1j)
-        values = membership_probe(b, t, 1)
-        assert all(v2 >= v1 - 1e-9 for v1, v2 in zip(values, values[1:]))
-        limit = sum((1.0 - abs(a) ** 2) / abs(t - a) ** 2 for a in b.zeros)
-        assert values[-1] == pytest.approx(limit, rel=1e-4)
-
-    def test_point_just_off_the_circle_stays_inside_the_disk(self):
-        b = make_blaschke([0.5])
-        schedule = [0.5, 1 - 2**-32]
-        want = membership_probe(b, 1.0, 1, schedule=schedule)
-        assert_allclose(membership_probe(b, 1 + 5e-10, 1, schedule=schedule), want, rtol=1e-12)
-
-    def test_values_are_interior_bottom_corners(self):
-        b = make_blaschke([0.5, -0.3j], cmath.exp(0.4j))
-        t = cmath.exp(1.1j)
-        radii = [0.5, 0.9, 0.99]
-        want = [sp_interior(b, [r * t], [2]).flat[1, 1].real for r in radii]
-        assert_allclose(membership_probe(b, t, 2, schedule=radii), want, rtol=1e-12)
-
-    def test_validation(self):
-        b = make_blaschke([0.5])
-        with pytest.raises(ValueError):
-            membership_probe(b, 0.5, 1)
-        with pytest.raises(ValueError):
-            membership_probe(b, 1.0, 0)
+        # A zero 1.1e-12 inside the circle leaves the contour a radius of
+        # about 1.8e-13, and its nodes within 1e-12 of the pole.
+        with pytest.raises(PoleEvaluation):
+            sp_boundary_radial(make_blaschke([1.0 - 1.1e-12]), [1.0], [1])
