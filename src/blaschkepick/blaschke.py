@@ -120,9 +120,7 @@ def poles(b: BlaschkeProduct) -> list[complex]:
     return [1.0 / a.conjugate() for a in b.zeros if a != 0]
 
 
-def modulus_defect(
-    b: BlaschkeProduct, z: complex | np.ndarray, complement: float | np.ndarray | None = None
-) -> float | np.ndarray:
+def modulus_defect(b: BlaschkeProduct, z: complex | np.ndarray) -> float | np.ndarray:
     """1 - |b(z)|**2, evaluated without cancellation.
 
     Near the circle |b(z)| is close to one and the direct subtraction loses
@@ -136,26 +134,38 @@ def modulus_defect(
     accuracy however close z is to the circle.  The unimodular constant
     drops out of the modulus and is ignored.
 
-    `complement` substitutes a caller-supplied value of 1 - |z|**2; passing
-    the exact same value used elsewhere in a computation keeps tiny
-    quantities consistent with each other, which matters when they are
-    later divided.
-
-    z may also be an array of points, with `complement` of the same shape;
-    the accumulation then runs on whole arrays and the result is an array
-    of that shape.  A single point gives a float.
+    z may also be an array of points; the accumulation then runs on whole
+    arrays and the result is an array of that shape.  A single point gives
+    a float.  Raises PoleEvaluation for a point within 1e-12 of a pole, as
+    :func:`evaluate` does.
     """
     zs = np.asarray(z, dtype=complex)
     if not np.isfinite(zs).all():
         raise ValueError(f"z must be finite, got {z!r}")
-    m = 1.0 - (zs.real * zs.real + zs.imag * zs.imag) if complement is None else complement
-    a = np.array(b.zeros, dtype=complex).reshape((-1,) + (1,) * zs.ndim)
-    den = 1.0 - a.conj() * zs
+    a, den = _denominators(b, zs)
+    m = 1.0 - (zs.real * zs.real + zs.imag * zs.imag)
     x = (1.0 - abs(a)) * (1.0 + abs(a)) / (den.real * den.real + den.imag * den.imag) * m
     acc = np.zeros(zs.shape)
     for xk in x:
         acc += xk * (1.0 - acc)
     return float(acc) if acc.ndim == 0 else acc
+
+
+def _denominators(b: BlaschkeProduct, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The zeros a, shaped to broadcast against `centers` along a leading
+    axis, and D = 1 - conj(a) z at every center.
+
+    Raises PoleEvaluation for a center within 1e-12 of a pole 1 / conj(a),
+    read as |D| < |a| 1e-12.
+    """
+    a = np.array(b.zeros, dtype=complex).reshape((-1,) + (1,) * centers.ndim)
+    d = 1.0 - a.conj() * centers
+    near = np.abs(d) < np.abs(a) * POLE_TOL
+    if near.any():
+        k, *at = np.argwhere(near)[0]
+        z, pole = complex(centers[tuple(at)]), 1.0 / complex(a.flat[k].conjugate())
+        raise PoleEvaluation(f"{z!r} lies within {POLE_TOL} of the pole at {pole!r}")
+    return a, d
 
 
 def taylor_jet(b: BlaschkeProduct, z0: complex, order: int) -> Jet:
@@ -197,14 +207,8 @@ def _jet_array(b: BlaschkeProduct, centers: np.ndarray, order: int) -> np.ndarra
     1 / conj(a), read as |D| < |a| 1e-12.
     """
     n = order + 1
-    a = np.array(b.zeros, dtype=complex).reshape((-1,) + (1,) * centers.ndim)
+    a, d = _denominators(b, centers)
     ac = a.conj()
-    d = 1.0 - ac * centers
-    near = np.abs(d) < np.abs(a) * POLE_TOL
-    if near.any():
-        k, *at = np.argwhere(near)[0]
-        z, pole = complex(centers[tuple(at)]), 1.0 / complex(ac.flat[k])
-        raise PoleEvaluation(f"{z!r} lies within {POLE_TOL} of the pole at {pole!r}")
     # A last column of zeros fills the Toeplitz gather above the diagonal.
     f = np.zeros(d.shape + (n + 1,), dtype=complex)
     f[..., 0] = (centers - a) / d

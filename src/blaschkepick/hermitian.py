@@ -38,14 +38,14 @@ class HermitianMatrix:
         return self.matrix.shape[0]
 
 
-def make_hermitian(m, *, strict: bool = True, defect_tol: float = HERMITIAN_DEFECT_TOL) -> HermitianMatrix:
+def make_hermitian(m, *, strict: bool = True) -> HermitianMatrix:
     """Symmetrize (M + M*) / 2, recording the defect.
 
-    With strict=True (the default) a defect above defect_tol * max(1, |M|_inf)
-    raises ValueError; strict=False records the defect and carries on, which
-    is what feasibility checks on raw user data need.  In both modes a
-    defect that is not finite, as any NaN or infinite entry makes it,
-    raises ValueError.
+    With strict=True (the default) a defect above HERMITIAN_DEFECT_TOL *
+    max(1, |M|_inf) raises ValueError; strict=False records the defect and
+    carries on, which is what feasibility checks on raw user data need.  In
+    both modes a defect that is not finite, as any NaN or infinite entry
+    makes it, raises ValueError.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -57,18 +57,19 @@ def make_hermitian(m, *, strict: bool = True, defect_tol: float = HERMITIAN_DEFE
     if not math.isfinite(h.defect):
         raise ValueError(f"matrix entries must be finite, got a Hermitian defect of {h.defect}")
     if strict:
-        _require_hermitian(h, m, defect_tol)
+        _require_hermitian(h, m)
     return h
 
 
-def _require_hermitian(h: HermitianMatrix, m, defect_tol: float = HERMITIAN_DEFECT_TOL) -> None:
+def _require_hermitian(h: HermitianMatrix, m) -> None:
     """The strict test of :func:`make_hermitian` on h, already symmetrized
-    from m: raises ValueError when h.defect exceeds defect_tol * max(1, |m|_inf)."""
+    from m: raises ValueError when h.defect exceeds
+    HERMITIAN_DEFECT_TOL * max(1, |m|_inf)."""
     if h.n == 0:
         return
     scale = max(1.0, float(np.abs(m).max()))
-    if h.defect > defect_tol * scale:
-        raise ValueError(f"matrix is not Hermitian: defect {h.defect} exceeds {defect_tol * scale}")
+    if h.defect > HERMITIAN_DEFECT_TOL * scale:
+        raise ValueError(f"matrix is not Hermitian: defect {h.defect} exceeds {HERMITIAN_DEFECT_TOL * scale}")
 
 
 def _as_hermitian(m) -> HermitianMatrix:

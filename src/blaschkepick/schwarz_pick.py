@@ -1,4 +1,4 @@
-"""Schwarz-Pick matrices: kernel-series, structured-boundary and radial routes.
+"""Schwarz-Pick matrices: interior, structured-boundary and radial routes.
 
 For a function w analytic near the evaluation points, the Schwarz-Pick
 matrix over points z_1 .. z_n with derivative orders k_1 .. k_n has block
@@ -16,15 +16,17 @@ finite Blaschke product it extends continuously to the circle.
 Three independent computations of the boundary matrix live here and in
 :mod:`blaschkepick.realization`:
 
-* ``sp_interior``           the kernel series itself, usable up to |z| < 1,
 * ``sp_boundary_structured`` closed Hankel x Psi x Toeplitz formulas in the
                              boundary Taylor coefficients,
+* ``sp_via_realization``     the Gram matrix R R* of the resolvent rows of a
+                             unitary realization of w,
 * ``sp_boundary_radial``     the kernel series at radius r = 1 - h, read at
                              h = 0 as a trapezoid mean over a circle in
                              complex h.
 
 Agreement between the routes is the package's main internal consistency
-check; they share no code beyond Taylor jets of w itself.
+check; they share no code beyond Taylor jets of w itself.  Interior
+matrices, ``sp_interior``, are the realization's Gram matrix.
 """
 
 from __future__ import annotations
@@ -46,10 +48,10 @@ from .blaschke import (
     Jet,
     _jet_array,
     _require_finite,
-    modulus_defect,
     poles,
 )
 from .errors import CoincidentPoints, DegenerateDenominator, InsufficientJet
+from .realization import realize, sp_via_realization
 
 DEGENERATE_DENOMINATOR_TOL = 1e-13
 DISTINCT_POINT_TOL = 1e-12
@@ -69,19 +71,6 @@ _STACK_ENTRIES = 1 << 14
 # Order tuples whose shape plans stay cached; a plan of N flat rows holds
 # about 50 N^2 bytes.
 PLAN_CACHE_SIZE = 1024
-
-
-@dataclass(frozen=True, eq=False)
-class BivariateJet:
-    """Mixed Taylor coefficients of a function of (z, u) at (center_z, center_u).
-
-    coefficients[i, j] multiplies (z - center_z)**i (u - center_u)**j and
-    equals the (i, j) mixed derivative divided by i! j!.
-    """
-
-    center_z: complex
-    center_u: complex
-    coefficients: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,64 +143,6 @@ class RadialDiagnostics:
     tol: float
 
 
-def kernel_jet(
-    w_jet_z: Jet,
-    w_conj_jet_u: Jet,
-    orders: tuple[int, int],
-    constants: tuple[float, float] | None = None,
-) -> BivariateJet:
-    """Truncated expansion of (1 - w(z) wh(u)) / (1 - z u).
-
-    Args:
-        w_jet_z: coefficients of w at the z-center.
-        w_conj_jet_u: coefficients of the conjugated function wh at the
-            u-center; for u0 = conj(s0) these are the conjugates of the
-            coefficients of w at s0.
-        orders: highest retained powers (l_max, r_max) of (z - z0), (u - u0).
-        constants: optional pair (1 - z0 u0, 1 - w(z0) wh(u0)) replacing the
-            constant terms of the denominator and the numerator.  Both
-            quantities shrink together as a conjugate pair of centers
-            approaches the circle; forming them by direct subtraction then
-            leaves only absolute accuracy, which the division blows up by
-            roughly |1 - z0 u0|**-(l + r).  Callers that can evaluate the
-            pair in a cancellation-free way, and from one shared value of
-            1 - |z0|**2, should pass it here.
-
-    This is the one-pair case of :func:`_kernel_series`, the recurrence that
-    :func:`sp_interior` runs on every pair of its points and
-    :func:`sp_boundary_radial` on every pair at its contour nodes; see
-    there for the arithmetic.  Raises
-    DegenerateDenominator when |1 - z0 u0| < 1e-13, and InsufficientJet when
-    a jet is shorter than the requested order needs.
-    """
-    lmax, rmax = operator.index(orders[0]), operator.index(orders[1])
-    if lmax < 0 or rmax < 0:
-        raise ValueError("orders must be nonnegative")
-    if len(w_jet_z.coefficients) < lmax + 1:
-        raise InsufficientJet(
-            f"z-jet has {len(w_jet_z.coefficients)} coefficients, need {lmax + 1}"
-        )
-    if len(w_conj_jet_u.coefficients) < rmax + 1:
-        raise InsufficientJet(
-            f"u-jet has {len(w_conj_jet_u.coefficients)} coefficients, need {rmax + 1}"
-        )
-    z0 = w_jet_z.center
-    u0 = w_conj_jet_u.center
-    w = np.asarray(w_jet_z.coefficients[: lmax + 1], dtype=complex)
-    v = np.asarray(w_conj_jet_u.coefficients[: rmax + 1], dtype=complex)
-    if constants is None:
-        c, n0 = 1.0 - z0 * u0, 1.0 - w[0] * v[0]
-    else:
-        c, n0 = complex(constants[0]), complex(constants[1])
-    coeffs = _kernel_series(w, v, z0, u0, c, n0)
-    return BivariateJet(center_z=z0, center_u=u0, coefficients=coeffs)
-
-
-def _first(mask: np.ndarray) -> tuple:
-    """Index of the first True entry of `mask`, in row-major order."""
-    return tuple(np.argwhere(mask)[0])
-
-
 def _kernel_series(w, v, z0, u0, c, n0) -> np.ndarray:
     """Kernel coefficients for a stack of center pairs, shape (..., P, Q).
 
@@ -225,20 +156,15 @@ def _kernel_series(w, v, z0, u0, c, n0) -> np.ndarray:
         R[0, 0] = 1 / c,
         R[i, j] = (z0 R[i, j-1] + u0 R[i-1, j] + R[i-1, j-1]) / c,
 
-    a missing index counting as zero.  When z0 u0 = 1 - c is real and
-    positive, as for a conjugate pair of centers, the three terms share one
-    phase, so each coefficient keeps a relative error of order (i + j) eps
-    even when c is tiny; dividing the numerator series directly would
-    instead divide every rounding error by c again at each later index it
-    feeds.  The product is one shifted add of R per numerator coefficient.
-    Coefficient (i, j) depends only on lower indices, so a block truncated
-    to fewer terms is the leading corner of the full one.  Raises
-    DegenerateDenominator when some |c| < 1e-13.
+    a missing index counting as zero.  The product is one shifted add of R
+    per numerator coefficient.  Coefficient (i, j) depends only on lower
+    indices, so a block truncated to fewer terms is the leading corner of
+    the full one.  Raises DegenerateDenominator when some |c| < 1e-13.
     """
     c = np.asarray(c)
     bad = np.abs(c) < DEGENERATE_DENOMINATOR_TOL
     if bad.any():
-        at = _first(bad)
+        at = tuple(np.argwhere(bad)[0])
         zc, uc = np.broadcast_to(z0, bad.shape)[at], np.broadcast_to(u0, bad.shape)[at]
         raise DegenerateDenominator(
             f"1 - z0*u0 = {complex(c[at])!r} at centers ({complex(zc)!r}, {complex(uc)!r})"
@@ -322,17 +248,17 @@ def _shape_plan(ks: tuple[int, ...]) -> _ShapePlan:
     return plan
 
 
-def _kernel_stack(w, v, z, u, ks: tuple[int, ...], diagonal=None) -> np.ndarray:
+def _kernel_stack(w, v, z, u, ks: tuple[int, ...]) -> np.ndarray:
     """Flat kernel matrices for a stack of center rows, shape (R, N, N).
 
     Row r pairs the z-centers z[r] with the u-centers u[r], both (R, n);
     w and v, (R, n, max(ks)), are the jets of w and of wh there.  Pair
     (i, j) is the kernel series at (z[r, i], u[r, j]) with constant terms
-    1 - z u and 1 - w_0 v_0, or on i == j the (R, n) pair `diagonal`.  One
-    recurrence runs on the (R, n, n, K, K) stack of all pairs, K = max(ks),
-    split along R into pieces of at most _STACK_ENTRIES coefficients, so
-    that many points with one high order, which pad every pair to K x K, do
-    not hold the whole padded stack in memory at once.
+    1 - z u and 1 - w_0 v_0.  One recurrence runs on the (R, n, n, K, K)
+    stack of all pairs, K = max(ks), split along R into pieces of at most
+    _STACK_ENTRIES coefficients, so that many points with one high order,
+    which pad every pair to K x K, do not hold the whole padded stack in
+    memory at once.
     """
     if z.shape[1] != len(ks):
         raise ValueError("points and orders must have equal length")
@@ -340,9 +266,6 @@ def _kernel_stack(w, v, z, u, ks: tuple[int, ...], diagonal=None) -> np.ndarray:
     z0, u0 = z[:, :, None], u[:, None, :]
     c = 1.0 - z0 * u0
     n0 = 1.0 - wz[..., 0] * vu[..., 0]
-    if diagonal is not None:
-        diag = np.arange(len(ks))
-        c[:, diag, diag], n0[:, diag, diag] = diagonal
     plan = _shape_plan(ks)
     point, derivative = plan.point, plan.derivative
     flat = np.empty((len(z), len(point), len(point)), dtype=complex)
@@ -354,39 +277,23 @@ def _kernel_stack(w, v, z, u, ks: tuple[int, ...], diagonal=None) -> np.ndarray:
     return flat
 
 
-def _interior_stack(b: BlaschkeProduct, centers: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
-    """Flat Schwarz-Pick matrices at every row of `centers`, shape (R, N, N).
-
-    Row r of the (R, n) array `centers` holds the n distinct points of one
-    matrix with derivative orders ks, each inside the disk.  Every pair
-    (z_i, conj(z_j)) goes to :func:`_kernel_stack`; the diagonal pairs get
-    the constant terms 1 - |z|**2 and the modulus defect evaluated from
-    that same value, so their ratio stays accurate to relative rounding
-    error arbitrarily close to the circle.
-    """
-    outside = np.abs(centers) >= 1.0
-    if outside.any():
-        z = complex(centers[_first(outside)])
-        raise ValueError(f"interior route needs |z| < 1, got |z| = {abs(z)!r}")
-    jets = _jet_array(b, centers, max(ks) - 1)
-    m = 1.0 - (centers.real * centers.real + centers.imag * centers.imag)
-    diagonal = (m, modulus_defect(b, centers, complement=m))
-    return _kernel_stack(jets, jets.conj(), centers, centers.conj(), ks, diagonal)
-
-
 def sp_interior(b: BlaschkeProduct, points, orders) -> SchwarzPickMatrix:
-    """Schwarz-Pick matrix at points of the open disk, via kernel series.
+    """Schwarz-Pick matrix at points of the open disk, as the Gram matrix
+    R R* of the realization's resolvent rows (:func:`sp_via_realization`).
 
-    Block (i, j) is the kernel jet at (z_i, conj(z_j)) through orders
-    (k_i - 1, k_j - 1).  Diagonal blocks take their constant terms from one
-    shared value of 1 - |z_i|**2, which keeps them accurate as the points
-    approach the circle.  :func:`sp_boundary_radial` runs the same stacked
-    kernel evaluation at complex radii, where no such diagonal is needed.
+    No entry is formed by a subtraction that cancels as the points approach
+    the circle, so every block, not only the constant term, stays accurate
+    relative to the matrix's scale up to the circle.  Raises ValueError for
+    a point with |z| >= 1 and for points and orders of unequal length.
     """
     ks = _validate_orders(orders)
     pts = validate_points(points)
-    flat = _interior_stack(b, np.array([pts], dtype=complex), ks)[0]
-    return SchwarzPickMatrix(flat=flat, points=pts, orders=ks)
+    if len(pts) != len(ks):
+        raise ValueError("points and orders must have equal length")
+    for z in pts:
+        if abs(z) >= 1.0:
+            raise ValueError(f"interior route needs |z| < 1, got |z| = {abs(z)!r}")
+    return SchwarzPickMatrix(flat=sp_via_realization(realize(b), pts, ks), points=pts, orders=ks)
 
 
 @lru_cache(maxsize=None)

@@ -37,6 +37,8 @@ import numpy as np
 from .blaschke import BlaschkeProduct, _require_finite
 from .errors import RankMismatch
 from .hermitian import (
+    DEFAULT_PD_TOL,
+    DEFAULT_RANK_TOL,
     HermitianReport,
     _require_hermitian,
     _require_tolerance,
@@ -59,8 +61,8 @@ class Tolerances:
     multiplied by the same scale before completing.
     """
 
-    rank: float = 1e-8
-    pd: float = 1e-10
+    rank: float = DEFAULT_RANK_TOL
+    pd: float = DEFAULT_PD_TOL
     completion_margin: float = 1.0
 
     def __post_init__(self):

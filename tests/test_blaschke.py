@@ -306,16 +306,10 @@ class TestModulusDefect:
 
     def test_zero_exactly_on_circle(self):
         b = make_blaschke([0.5])
-        assert modulus_defect(b, cmath.exp(0.3j), complement=0.0) == 0.0
+        assert modulus_defect(b, -1j) == 0.0
 
     def test_degree_zero_has_no_defect(self):
         assert modulus_defect(make_blaschke([], 1j), 0.3) == 0.0
-
-    def test_complement_override(self):
-        b = make_blaschke([0.4])
-        z = 0.6 + 0.2j
-        m = 1.0 - abs(z) ** 2
-        assert modulus_defect(b, z, complement=m) == pytest.approx(modulus_defect(b, z), rel=1e-12)
 
     def test_array_of_points_matches_pointwise(self):
         b = make_blaschke([0.4, -0.3 + 0.5j])
@@ -323,6 +317,20 @@ class TestModulusDefect:
         out = modulus_defect(b, zs)
         assert out.shape == zs.shape
         assert_allclose(out, [[modulus_defect(b, z) for z in row] for row in zs], rtol=1e-15)
+
+    def test_pole_rejected(self):
+        # The pole of the zero 0.5 is at 2; the subtraction-free form would
+        # divide by |1 - conj(a) z|**2 = 0 there.
+        b = make_blaschke([0.5, -0.3j])
+        with pytest.raises(PoleEvaluation, match="pole"):
+            modulus_defect(b, 2.0)
+        with pytest.raises(PoleEvaluation, match="pole"):
+            modulus_defect(b, 2.0 + 1e-13j)
+
+    def test_pole_in_an_array_rejected(self):
+        b = make_blaschke([0.5, -0.3j])
+        with pytest.raises(PoleEvaluation, match="pole"):
+            modulus_defect(b, np.array([[0.1, 0.2j], [2.0, -0.5]]))
 
 
 class TestJson:

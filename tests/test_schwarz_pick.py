@@ -1,4 +1,5 @@
-"""Schwarz-Pick matrices by the kernel, structured, and radial routes."""
+"""Schwarz-Pick matrices: the kernel series, and the interior, structured
+and radial routes."""
 
 import cmath
 
@@ -13,9 +14,7 @@ from blaschkepick import (
     InsufficientJet,
     Jet,
     PoleEvaluation,
-    kernel_jet,
     make_blaschke,
-    modulus_defect,
     psi_matrix,
     realize,
     sp_boundary_radial,
@@ -24,11 +23,13 @@ from blaschkepick import (
     sp_via_realization,
     taylor_jet,
 )
+from blaschkepick.blaschke import _jet_array
 from blaschkepick.schwarz_pick import (
     CONTOUR_NODES,
     CONTOUR_SHRINK,
     RADIAL_CONVERGENCE_TOL,
-    _interior_stack,
+    SchwarzPickMatrix,
+    _kernel_stack,
 )
 from helpers import random_blaschke, random_circle_points, random_interior_points
 
@@ -41,7 +42,23 @@ def conjugated_jet(jet: Jet) -> Jet:
     )
 
 
+def kernel_coefficients(jet_z: Jet, jet_u: Jet, k: int) -> np.ndarray:
+    """Kernel coefficients through order k - 1 in z - z0 and in u - u0, from
+    the one-point call of _kernel_stack on the two jets' centers."""
+    w = np.array([[jet_z.coefficients[:k]]], dtype=complex)
+    v = np.array([[jet_u.coefficients[:k]]], dtype=complex)
+    return _kernel_stack(w, v, np.array([[jet_z.center]]), np.array([[jet_u.center]]), (k,))[0]
+
+
+def kernel_at(b, z0: complex, s0: complex, k: int) -> np.ndarray:
+    """Kernel coefficients of b at (z0, conj(s0)) through order k - 1."""
+    return kernel_coefficients(taylor_jet(b, z0, k - 1), conjugated_jet(taylor_jet(b, s0, k - 1)), k)
+
+
 class TestKernelJet:
+    """Jets of the kernel at one pair of centers: one-point calls of
+    _kernel_stack."""
+
     def test_degree_one_separable_closed_form(self):
         # For a single factor the kernel collapses to
         #     (1 - |a|**2) / ((1 - conj(a) z)(1 - a u)),
@@ -50,10 +67,8 @@ class TestKernelJet:
         b = make_blaschke([a], cmath.exp(0.8j))
         z0 = 0.25 + 0.4j
         s0 = -0.3 + 0.1j
-        jet_z = taylor_jet(b, z0, 2)
-        jet_u = conjugated_jet(taylor_jet(b, s0, 2))
-        u0 = jet_u.center
-        out = kernel_jet(jet_z, jet_u, (2, 2)).coefficients
+        u0 = s0.conjugate()
+        out = kernel_at(b, z0, s0, 3)
         kappa = 1.0 - abs(a) ** 2
         ac = a.conjugate()
         for i in range(3):
@@ -68,61 +83,33 @@ class TestKernelJet:
                 assert out[i, j] == pytest.approx(want, rel=1e-12)
 
     def test_identity_map_kernel_is_one(self):
-        b = make_blaschke([0.0])
-        jet = taylor_jet(b, 0.3, 1)
-        out = kernel_jet(jet, conjugated_jet(jet), (1, 1)).coefficients
+        out = kernel_at(make_blaschke([0.0]), 0.3, 0.3, 2)
         assert_allclose(out, [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
 
     def test_constant_product_kernel_vanishes(self):
-        b = make_blaschke([], cmath.exp(1.3j))
-        jet = taylor_jet(b, 0.2j, 2)
-        out = kernel_jet(jet, conjugated_jet(jet), (2, 2)).coefficients
+        out = kernel_at(make_blaschke([], cmath.exp(1.3j)), 0.2j, 0.2j, 3)
         assert_allclose(out, np.zeros((3, 3)), atol=1e-15)
 
-    def test_short_jet_rejected(self):
-        b = make_blaschke([0.5])
-        jet = taylor_jet(b, 0.1, 1)
-        with pytest.raises(InsufficientJet):
-            kernel_jet(jet, conjugated_jet(jet), (2, 1))
-        with pytest.raises(InsufficientJet):
-            kernel_jet(jet, conjugated_jet(jet), (1, 2))
-
     def test_degenerate_centers_rejected(self):
-        b = make_blaschke([0.5])
-        jet_z = taylor_jet(b, 0.5, 1)
+        jet_z = taylor_jet(make_blaschke([0.5]), 0.5, 1)
         jet_u = Jet(center=2.0, coefficients=(0.1, 0.2))
         with pytest.raises(DegenerateDenominator):
-            kernel_jet(jet_z, jet_u, (1, 1))
-
-    def test_negative_orders_rejected(self):
-        b = make_blaschke([0.5])
-        jet = taylor_jet(b, 0.1, 1)
-        with pytest.raises(ValueError):
-            kernel_jet(jet, conjugated_jet(jet), (-1, 0))
-
-    def test_explicit_constants_match_default_at_benign_center(self):
-        b = make_blaschke([0.4, -0.2j])
-        z0 = 0.3 - 0.1j
-        jet = taylor_jet(b, z0, 2)
-        cjet = conjugated_jet(jet)
-        c = 1.0 - z0 * z0.conjugate()
-        n0 = 1.0 - abs(b(z0)) ** 2
-        plain = kernel_jet(jet, cjet, (2, 2)).coefficients
-        seeded = kernel_jet(jet, cjet, (2, 2), constants=(c, n0)).coefficients
-        assert_allclose(seeded, plain, rtol=1e-12)
+            kernel_coefficients(jet_z, jet_u, 2)
 
     def test_reciprocal_survives_small_constant_kernel_denominator(self):
-        # With zero jets and constants (c, 1) the kernel jet is the reciprocal
-        # series of 1 - z u at a conjugate pair of centers close to the unit
-        # circle.  Differentiating 1 / (1 - z u) by hand gives it in closed
-        # form, and the relative error must stay at rounding level even
-        # though c is 2e-5.
+        # With zero jets the kernel series is the reciprocal series of
+        # 1 - z u at a conjugate pair of centers close to the unit circle.
+        # Differentiating 1 / (1 - z u) by hand gives it in closed form, and
+        # the relative error must stay at rounding level even though
+        # c = 1 - z0 u0 is 2e-5.  c is formed by an array product, as the
+        # stack forms it: numpy may fuse its multiply-adds, which leaves an
+        # imaginary part of about 1e-17 that Python's complex product does not.
         z0 = complex((1.0 - 1e-5) * np.exp(0.3j))
         u0 = z0.conjugate()
-        c = 1.0 - z0 * u0
+        c = complex((1.0 - np.array([z0]) * np.array([u0]))[0])
         zero_z = Jet(center=z0, coefficients=(0.0, 0.0))
         zero_u = Jet(center=u0, coefficients=(0.0, 0.0))
-        rec = kernel_jet(zero_z, zero_u, (1, 1), constants=(c, 1.0)).coefficients
+        rec = kernel_coefficients(zero_z, zero_u, 2)
         want = np.array(
             [
                 [1.0 / c, z0 / c**2],
@@ -139,13 +126,43 @@ class TestInterior:
         assert_allclose(p.flat, [[1.25]])
 
     def test_matches_realization_gram(self):
+        # The realization's Gram matrix against the kernel series on the
+        # same centers, all within |z| <= 0.9.
         rng = np.random.default_rng(31)
         b = random_blaschke(rng, 4)
         pts = random_interior_points(rng, 2)
-        ks = [2, 3]
+        ks = (2, 3)
         p = sp_interior(b, pts, ks)
-        gram = sp_via_realization(realize(b), pts, ks)
-        assert_allclose(p.flat, gram, rtol=1e-9, atol=1e-12)
+        centers = np.array([pts], dtype=complex)
+        jets = _jet_array(b, centers, max(ks) - 1)
+        series = _kernel_stack(jets, jets.conj(), centers, centers.conj(), ks)[0]
+        assert_allclose(p.flat, series, rtol=1e-9, atol=1e-12)
+
+    def test_near_circle_matches_degree_one_closed_form(self):
+        # Block (i, j), entry (x, y) of a single factor's matrix is
+        #     kappa conj(a)**x a**y / ((1 - conj(a) z_i)**(x + 1) (1 - a conj(z_j))**(y + 1)),
+        # and the Gram matrix keeps it to rounding level right up to the
+        # circle, where the kernel series loses every digit.
+        a = 0.37 - 0.21j
+        b = make_blaschke([a], cmath.exp(0.8j))
+        ac = a.conjugate()
+        kappa = 1.0 - abs(a) ** 2
+        ks = (3, 2)
+        for m in range(1, 9):
+            r = 1.0 - 10.0**-m
+            pts = [r * cmath.exp(0.3j), r * cmath.exp(2.4j)]
+            rows = [(z, x) for z, k in zip(pts, ks) for x in range(k)]
+            want = np.array(
+                [
+                    [
+                        kappa * ac**x * a**y / ((1.0 - ac * z) ** (x + 1) * (1.0 - a * s.conjugate()) ** (y + 1))
+                        for s, y in rows
+                    ]
+                    for z, x in rows
+                ]
+            )
+            p = sp_interior(b, pts, ks).flat
+            assert np.max(np.abs(p - want)) <= 1e-13 * np.max(np.abs(want)), m
 
     def test_hermitian_psd(self):
         rng = np.random.default_rng(32)
@@ -356,18 +373,22 @@ class TestBoundaryRadial:
         rng = np.random.default_rng(37)
         b = random_blaschke(rng, 5)
         pts = random_circle_points(rng, 3)
-        ks = [1, 3, 2]
+        ks = (1, 3, 2)
         assert_matches_structured(b, pts, ks, rel=1e-8)
-        zs = [0.5 * t for t in pts]
-        interior = sp_interior(b, zs, ks)
-        scale = max(1.0, float(np.max(np.abs(interior.flat))))
-        # Each interior block against a kernel jet of exactly its own orders.
-        jets = [taylor_jet(b, z, k - 1) for z, k in zip(zs, ks)]
-        for i, (zi, ki) in enumerate(zip(zs, ks)):
-            for j, kj in enumerate(ks):
-                constants = (1.0 - abs(zi) ** 2, modulus_defect(b, zi)) if i == j else None
-                pair = kernel_jet(jets[i], conjugated_jet(jets[j]), (ki - 1, kj - 1), constants)
-                assert np.max(np.abs(interior.block(i, j) - pair.coefficients)) <= 1e-13 * scale
+        centers = 0.5 * np.array([pts])
+        jets = _jet_array(b, centers, max(ks) - 1)
+        stack = SchwarzPickMatrix(
+            flat=_kernel_stack(jets, jets.conj(), centers, centers.conj(), ks)[0],
+            points=tuple(centers[0]),
+            orders=ks,
+        )
+        scale = max(1.0, float(np.max(np.abs(stack.flat))))
+        # Each block against the one-point kernel at its own pair of
+        # centers, cut to exactly its own orders.
+        for i, (zi, ki) in enumerate(zip(centers[0], ks)):
+            for j, (zj, kj) in enumerate(zip(centers[0], ks)):
+                pair = kernel_at(b, zi, zj, max(ki, kj))[:ki, :kj]
+                assert np.max(np.abs(stack.block(i, j) - pair)) <= 1e-13 * scale
 
     def test_stack_split_into_pieces_matches_separate_radii(self):
         # Twelve points padded to order 6 hold 5184 coefficients per row,
@@ -376,10 +397,12 @@ class TestBoundaryRadial:
         b = random_blaschke(rng, 3)
         pts = [cmath.exp(2j * cmath.pi * (m + 0.3) / 12) for m in range(12)]
         ks = (6,) + (1,) * 11
-        radii = [0.5, 0.6, 0.7, 0.8, 0.9]
-        stacked = _interior_stack(b, np.multiply.outer(radii, pts), ks)
-        for r, flat in zip(radii, stacked):
-            want = sp_interior(b, [r * t for t in pts], ks).flat
+        centers = np.multiply.outer([0.5, 0.6, 0.7, 0.8, 0.9], pts)
+        jets = _jet_array(b, centers, max(ks) - 1)
+        stacked = _kernel_stack(jets, jets.conj(), centers, centers.conj(), ks)
+        for row, flat in enumerate(stacked):
+            one = slice(row, row + 1)
+            want = _kernel_stack(jets[one], jets[one].conj(), centers[one], centers[one].conj(), ks)[0]
             assert_allclose(flat, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
     def test_estimate_bounds_the_gap(self):

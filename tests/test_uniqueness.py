@@ -22,7 +22,6 @@ from blaschkepick import (
     derivative_orders,
     extend_pick,
     extract_data,
-    kernel_jet,
     make_blaschke,
     make_report,
     matches_jets,
@@ -495,7 +494,6 @@ class TestMatchesJets:
         lambda order: extend_pick(extract_data(make_blaschke([0.5]), [1.0, -1.0], [5, 5]), [1, 1], [order - 2]),
         lambda order: schur_complement(np.eye(2), [order - 2]),
         lambda order: complete_to_pd(np.eye(2), [order - 2]),
-        lambda order: kernel_jet(taylor_jet(make_blaschke([0.5]), 0.3, 2), taylor_jet(make_blaschke([0.5]), 0.3, 2), (order, 1)),
         lambda order: criterion([order], 1),
         lambda order: criterion([3], order),
         lambda order: derivative_orders([order]),
@@ -509,7 +507,6 @@ class TestMatchesJets:
         "extend-pick-index",
         "schur-complement-index",
         "complete-to-pd-index",
-        "kernel-jet",
         "criterion",
         "criterion-degree",
         "derivative-orders",
