@@ -12,6 +12,7 @@ reflected points 1 / conj(a_k), all of modulus greater than one.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -103,16 +104,11 @@ def evaluate(b: BlaschkeProduct, z: complex) -> complex:
     """Value b(z), for z away from the poles.
 
     Raises PoleEvaluation when z lies within 1e-12 of some 1 / conj(a_k),
-    read as |1 - conj(a_k) z| < |a_k| 1e-12.
+    by the test of :func:`_denominators`.
     """
     z = _require_finite(z, "z")
-    value = complex(b.unimodular_constant)
-    for a in b.zeros:
-        den = 1.0 - a.conjugate() * z
-        if abs(den) < abs(a) * POLE_TOL:
-            raise PoleEvaluation(f"{z!r} lies within {POLE_TOL} of the pole at {1.0 / a.conjugate()!r}")
-        value *= (z - a) / den
-    return value
+    a, den = _denominators(b, np.array(z))
+    return complex(math.prod(((z - a) / den).tolist(), start=b.unimodular_constant))
 
 
 def poles(b: BlaschkeProduct) -> list[complex]:

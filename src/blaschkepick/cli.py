@@ -440,6 +440,8 @@ def _fuzz_bound_error(args) -> str | None:
         return "--order-max must be at least 1"
     if not 1 <= args.points_max <= FUZZ_POINTS_MAX:
         return f"--points-max must be between 1 and {FUZZ_POINTS_MAX}"
+    if args.seed < 0:
+        return "--seed must be at least 0"
     return None
 
 
@@ -518,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--degree-max", type=int, default=6, help="at least 0")
     p_fuzz.add_argument("--points-max", type=int, default=3, help=f"1 to {FUZZ_POINTS_MAX}")
     p_fuzz.add_argument("--order-max", type=int, default=3, help="at least 1")
-    p_fuzz.add_argument("--seed", type=int, default=0)
+    p_fuzz.add_argument("--seed", type=int, default=0, help="at least 0")
     p_fuzz.set_defaults(func=cmd_fuzz)
     return parser
 

@@ -90,7 +90,6 @@ class Completion:
     the block layout; :func:`complete_to_pd` itself leaves it empty.
     """
 
-    original: object
     modified: object
     shift: float
     complementary: tuple[int, ...]
@@ -266,7 +265,6 @@ def _complete(
     modified_h[comp, comp] += shift
     h_mod = HermitianMatrix(matrix=modified_h, defect=h.defect)
     completion = Completion(
-        original=p_tilde,
         modified=SchwarzPickMatrix(modified_flat, p_tilde.points, p_tilde.orders) if is_pick else modified_flat,
         shift=shift,
         complementary=tuple(comp.tolist()),

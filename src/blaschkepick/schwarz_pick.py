@@ -20,8 +20,11 @@ Three independent computations of the boundary matrix live here and in
                              boundary Taylor coefficients,
 * ``sp_via_realization``     the Gram matrix R R* of the resolvent rows of a
                              unitary realization of w,
-* ``sp_boundary_radial``     the kernel series at radius r = 1 - h, read at
-                             h = 0 as a trapezoid mean over a circle in
+* ``sp_boundary_radial``     the kernel coefficients at radius r = 1 - h,
+                             each pair from one recurrence in place in
+                             the numerator's coefficients (no reciprocal
+                             series of 1 - z u is formed), read at h = 0
+                             as a trapezoid mean over a circle in
                              complex h.
 
 Agreement between the routes is the package's main internal consistency
@@ -143,54 +146,6 @@ class RadialDiagnostics:
     tol: float
 
 
-def _kernel_series(w, v, z0, u0, c, n0) -> np.ndarray:
-    """Kernel coefficients for a stack of center pairs, shape (..., P, Q).
-
-    w (..., P) and v (..., Q) are the jets of w at z0 and of wh at u0; z0,
-    u0, the denominator constants c = 1 - z0 u0 and the numerator constants
-    n0 broadcast over the stack dimensions.  The quotient is evaluated as
-    numerator times the reciprocal series R = 1 / (1 - z u), whose
-    coefficients follow from multiplying out (c - z0 g - u0 h - h g) R = 1
-    in h = z - z0, g = u - u0:
-
-        R[0, 0] = 1 / c,
-        R[i, j] = (z0 R[i, j-1] + u0 R[i-1, j] + R[i-1, j-1]) / c,
-
-    a missing index counting as zero.  The product is one shifted add of R
-    per numerator coefficient.  Coefficient (i, j) depends only on lower
-    indices, so a block truncated to fewer terms is the leading corner of
-    the full one.  Raises DegenerateDenominator when some |c| < 1e-13.
-    """
-    c = np.asarray(c)
-    bad = np.abs(c) < DEGENERATE_DENOMINATOR_TOL
-    if bad.any():
-        at = tuple(np.argwhere(bad)[0])
-        zc, uc = np.broadcast_to(z0, bad.shape)[at], np.broadcast_to(u0, bad.shape)[at]
-        raise DegenerateDenominator(
-            f"1 - z0*u0 = {complex(c[at])!r} at centers ({complex(zc)!r}, {complex(uc)!r})"
-        )
-    num = -w[..., :, None] * v[..., None, :]
-    num[..., 0, 0] = n0
-    rows, cols = num.shape[-2:]
-    recip = np.zeros(num.shape, dtype=complex)
-    recip[..., 0, 0] = 1.0 / c
-    for i in range(rows):
-        for j in range(cols):
-            if i == 0 and j == 0:
-                continue
-            acc = z0 * recip[..., i, j - 1] if j else 0.0
-            if i:
-                acc = acc + u0 * recip[..., i - 1, j]
-                if j:
-                    acc = acc + recip[..., i - 1, j - 1]
-            recip[..., i, j] = acc / c
-    coeffs = np.zeros(num.shape, dtype=complex)
-    for p in range(rows):
-        for q in range(cols):
-            coeffs[..., p:, q:] += num[..., p, q, None, None] * recip[..., : rows - p, : cols - q]
-    return coeffs
-
-
 def _validate_orders(orders) -> tuple[int, ...]:
     ks = tuple(operator.index(k) for k in orders)
     if not ks:
@@ -253,26 +208,54 @@ def _kernel_stack(w, v, z, u, ks: tuple[int, ...]) -> np.ndarray:
 
     Row r pairs the z-centers z[r] with the u-centers u[r], both (R, n);
     w and v, (R, n, max(ks)), are the jets of w and of wh there.  Pair
-    (i, j) is the kernel series at (z[r, i], u[r, j]) with constant terms
-    1 - z u and 1 - w_0 v_0.  One recurrence runs on the (R, n, n, K, K)
-    stack of all pairs, K = max(ks), split along R into pieces of at most
-    _STACK_ENTRIES coefficients, so that many points with one high order,
-    which pad every pair to K x K, do not hold the whole padded stack in
-    memory at once.
+    (i, j) holds the coefficients K[x, y] of the kernel at (z0, u0) =
+    (z[r, i], u[r, j]).  Multiplying out (c - u0 h - z0 g - h g) K = N in
+    h = z - z0, g = u - u0, with c = 1 - z0 u0 and N the numerator,
+    N[0, 0] = 1 - w_0 v_0 and N[x, y] = -w_x v_y elsewhere, gives
+
+        K[x, y] = (N[x, y] + u0 K[x-1, y] + z0 K[x, y-1] + K[x-1, y-1]) / c,
+
+    a missing index counting as zero; it runs in place in N.  Coefficient
+    (x, y) depends only on lower indices, so a block truncated to fewer
+    terms is the leading corner of the full one.  The recurrence runs on the
+    (R, n, n, K, K) stack of all pairs, K = max(ks), split along R into
+    pieces of at most _STACK_ENTRIES coefficients, so that many points with
+    one high order, which pad every pair to K x K, do not hold the whole
+    padded stack in memory at once.  Raises DegenerateDenominator when some
+    |c| < 1e-13.
     """
     if z.shape[1] != len(ks):
         raise ValueError("points and orders must have equal length")
-    wz, vu = w[:, :, None, :], v[:, None, :, :]
+    wz, vu = w[:, :, None, :, None], v[:, None, :, None, :]
     z0, u0 = z[:, :, None], u[:, None, :]
     c = 1.0 - z0 * u0
-    n0 = 1.0 - wz[..., 0] * vu[..., 0]
+    bad = np.abs(c) < DEGENERATE_DENOMINATOR_TOL
+    if bad.any():
+        at = tuple(np.argwhere(bad)[0])
+        zc, uc = np.broadcast_to(z0, bad.shape)[at], np.broadcast_to(u0, bad.shape)[at]
+        raise DegenerateDenominator(
+            f"1 - z0*u0 = {complex(c[at])!r} at centers ({complex(zc)!r}, {complex(uc)!r})"
+        )
     plan = _shape_plan(ks)
     point, derivative = plan.point, plan.derivative
+    k = max(ks)
     flat = np.empty((len(z), len(point), len(point)), dtype=complex)
-    step = max(1, _STACK_ENTRIES // (len(ks) * max(ks)) ** 2)
+    step = max(1, _STACK_ENTRIES // (len(ks) * k) ** 2)
     for lo in range(0, len(z), step):
         part = slice(lo, lo + step)
-        coeffs = _kernel_series(wz[part], vu[part], z0[part], u0[part], c[part], n0[part])
+        zp, up, cp = z0[part], u0[part], c[part]
+        coeffs = -wz[part] * vu[part]
+        coeffs[..., 0, 0] += 1.0
+        for x in range(k):
+            for y in range(k):
+                acc = coeffs[..., x, y]
+                if x:
+                    acc += up * coeffs[..., x - 1, y]
+                if y:
+                    acc += zp * coeffs[..., x, y - 1]
+                if x and y:
+                    acc += coeffs[..., x - 1, y - 1]
+                acc /= cp
         flat[part] = coeffs[:, point, point.T, derivative, derivative.T]
     return flat
 
@@ -395,8 +378,8 @@ def sp_boundary_structured(jets: Sequence[Jet], points, orders) -> SchwarzPickMa
 
 
 def sp_boundary_radial(b: BlaschkeProduct, points, orders) -> tuple[SchwarzPickMatrix, RadialDiagnostics]:
-    """Boundary matrix as the value at h = 0 of the kernel series at radius
-    1 - h, read as a trapezoid mean over a circle in complex h.
+    """Boundary matrix as the value at h = 0 of the kernel coefficients at
+    radius 1 - h, read as a trapezoid mean over a circle in complex h.
 
     At z_i = (1 - h) t_i and u_j = (1 - h) conj(t_j), with t_i the points
     scaled onto the circle, every block is analytic in h for |h| < rho, the
@@ -414,8 +397,9 @@ def sp_boundary_radial(b: BlaschkeProduct, points, orders) -> tuple[SchwarzPickM
     order CONTOUR_NODES / 2, which stays far above the aliasing error, plus
     CONTOUR_ROUNDING eps max(1, max|node value|) binom(2K - 2, K - 1)
     (2R)**-(2K - 1), K = max(orders): what an absolute rounding error in
-    the constant terms becomes in coefficient (K - 1, K - 1) of
-    1 / (1 - z u), whose denominator is about 2R on the diagonal.
+    the constant terms becomes in coefficient (K - 1, K - 1) through the
+    recurrence of :func:`_kernel_stack`, whose homogeneous part is that of
+    1 / (1 - z u) and whose divisor c is about 2R on the diagonal.
     `converged` states whether it is at most RADIAL_CONVERGENCE_TOL times
     max(1, largest entry of the mean).  Raises PoleEvaluation or
     DegenerateDenominator when a zero of b lies so close to the circle, or

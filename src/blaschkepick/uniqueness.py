@@ -47,28 +47,27 @@ from .hermitian import (
     make_report,
     report_from_eigenvalues,
 )
-from .pick import Completion, _complete, _finite_jets, _jet_data, _require_margin
+from .pick import Completion, _complete, _finite_jets, _jet_data
 from .schwarz_pick import SchwarzPickMatrix, _structured_flat, validate_points
 
 SUPPLEMENTARY_RESIDUAL_TOL = 1e-10
+# The completion's slack beyond the minimal shift, relative to max(1, lambda_max).
+COMPLETION_MARGIN = 1.0
 
 
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical thresholds for reading the matrix evidence.
 
-    rank and pd are relative to max(1, lambda_max); completion_margin is
-    multiplied by the same scale before completing.
+    rank and pd are relative to max(1, lambda_max).
     """
 
     rank: float = DEFAULT_RANK_TOL
     pd: float = DEFAULT_PD_TOL
-    completion_margin: float = 1.0
 
     def __post_init__(self):
         _require_tolerance("rank", self.rank)
         _require_tolerance("pd", self.pd)
-        _require_margin(self.completion_margin)
 
 
 @dataclass(frozen=True)
@@ -222,7 +221,7 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
     odd = tuple(i for i, m in enumerate(problem.contact_orders) if m % 2 == 1)
     if even:
         h_tilde = make_hermitian(p_tilde.flat, strict=False)
-        margin = tolerances.completion_margin * max(1.0, float(eigen_h(h_tilde)[-1]))
+        margin = COMPLETION_MARGIN * max(1.0, float(eigen_h(h_tilde)[-1]))
         completion, h_completed = _complete(p_tilde, h_tilde, principal, corners, margin, even)
 
         # Only the corner moves with the top coefficient b_{2k+1}, with slope
@@ -259,11 +258,10 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
         # Nothing to extend: the completed matrix is the truncated one, whose
         # report has just shown it positive definite.
         completion = Completion(
-            original=p_tilde,
             modified=p_tilde,
             shift=0.0,
             complementary=(),
-            margin=tolerances.completion_margin * max(1.0, pick_report.lambda_max),
+            margin=COMPLETION_MARGIN * max(1.0, pick_report.lambda_max),
             eigenvalues=pick_report.eigenvalues,
         )
         supplementary, roundtrip, extended_report = [], 0.0, pick_report

@@ -253,6 +253,7 @@ class TestFuzz:
             ("--points-max", "0"),
             ("--points-max", "11"),
             ("--points-max", "18"),
+            ("--seed", "-1"),
         ],
     )
     def test_out_of_range_bound_is_refused(self, capsys, flag, value):

@@ -2,6 +2,8 @@
 and radial routes."""
 
 import cmath
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from blaschkepick import (
 from blaschkepick.blaschke import _jet_array
 from blaschkepick.schwarz_pick import (
     CONTOUR_NODES,
+    CONTOUR_ROUNDING,
     CONTOUR_SHRINK,
     RADIAL_CONVERGENCE_TOL,
     SchwarzPickMatrix,
@@ -63,24 +66,27 @@ class TestKernelJet:
         # For a single factor the kernel collapses to
         #     (1 - |a|**2) / ((1 - conj(a) z)(1 - a u)),
         # so every mixed coefficient factors into two geometric tails.
+        # The jets' rounding reaches coefficient (x, y) multiplied by
+        # binom(x + y, x) |c|**-(x + y + 1), c = 1 - z0 u0, as through
+        # 1 / (1 - z u); no evaluation from rounded jets does better.  So
+        # each entry is held to 1e-12 of itself plus CONTOUR_ROUNDING eps
+        # times that, the rounding term of the radial estimate: the term is
+        # what the small coefficients of order 5 need at the first pair,
+        # and all that the second pair, |c| = 1e-4, can give.
         a = 0.37 - 0.21j
-        b = make_blaschke([a], cmath.exp(0.8j))
-        z0 = 0.25 + 0.4j
-        s0 = -0.3 + 0.1j
-        u0 = s0.conjugate()
-        out = kernel_at(b, z0, s0, 3)
-        kappa = 1.0 - abs(a) ** 2
         ac = a.conjugate()
-        for i in range(3):
-            for j in range(3):
-                want = (
-                    kappa
-                    * ac**i
-                    / (1.0 - ac * z0) ** (i + 1)
-                    * a**j
-                    / (1.0 - a * u0) ** (j + 1)
-                )
-                assert out[i, j] == pytest.approx(want, rel=1e-12)
+        b = make_blaschke([a], cmath.exp(0.8j))
+        x, y = np.indices((6, 6))
+        binom = np.vectorize(math.comb)(x + y, x)
+        near = (1.0 - 5e-5) * cmath.exp(-2.2j)
+        for z0, s0 in [(0.25 + 0.4j, -0.3 + 0.1j), (near, near)]:
+            u0 = s0.conjugate()
+            want = (1.0 - abs(a) ** 2) * ac**x / (1.0 - ac * z0) ** (x + 1) * a**y / (1.0 - a * u0) ** (y + 1)
+            c = abs(1.0 - z0 * u0)
+            bound = 1e-12 * np.abs(want) + CONTOUR_ROUNDING * sys.float_info.epsilon * binom * c ** -(x + y + 1.0)
+            for k in range(1, 7):
+                out = kernel_at(b, z0, s0, k)
+                assert np.all(np.abs(out - want[:k, :k]) <= bound[:k, :k]), (z0, k)
 
     def test_identity_map_kernel_is_one(self):
         out = kernel_at(make_blaschke([0.0]), 0.3, 0.3, 2)

@@ -320,10 +320,6 @@ class TestTolerances:
             {"pd": -1e-12},
             {"pd": float("nan")},
             {"pd": float("-inf")},
-            {"completion_margin": 0.0},
-            {"completion_margin": -1.0},
-            {"completion_margin": float("nan")},
-            {"completion_margin": float("inf")},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -331,7 +327,7 @@ class TestTolerances:
             Tolerances(**kwargs)
 
     @pytest.mark.parametrize(
-        "kwargs", [{"rank": 0.0}, {"pd": 0.0}, {"rank": 1e30}, {"completion_margin": 1e-12}]
+        "kwargs", [{"rank": 0.0}, {"pd": 0.0}, {"rank": 1e30}]
     )
     def test_edge_values_accepted(self, kwargs):
         Tolerances(**kwargs)
