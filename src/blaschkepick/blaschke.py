@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -72,25 +73,6 @@ class BlaschkeProduct:
         return evaluate(self, z)
 
 
-@dataclass(frozen=True)
-class Jet:
-    """Taylor coefficients w_j = w^(j)(center) / j! of a function at a point."""
-
-    center: complex
-    coefficients: tuple[complex, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", _require_finite(self.center, "center"))
-        cs = tuple(_require_finite(c, "coefficient") for c in self.coefficients)
-        if not cs:
-            raise ValueError("a jet needs at least one coefficient")
-        object.__setattr__(self, "coefficients", cs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
-
-
 def make_blaschke(zeros: Sequence[complex], unimodular_constant: complex = 1.0) -> BlaschkeProduct:
     """Validated construction from a zero list (with multiplicity) and a constant.
 
@@ -116,37 +98,6 @@ def poles(b: BlaschkeProduct) -> list[complex]:
     return [1.0 / a.conjugate() for a in b.zeros if a != 0]
 
 
-def modulus_defect(b: BlaschkeProduct, z: complex | np.ndarray) -> float | np.ndarray:
-    """1 - |b(z)|**2, evaluated without cancellation.
-
-    Near the circle |b(z)| is close to one and the direct subtraction loses
-    every digit past |1 - |z|**2|.  Each factor instead satisfies
-
-        1 - |(z - a)/(1 - conj(a) z)|**2 = (1 - |a|**2)(1 - |z|**2) / |1 - conj(a) z|**2,
-
-    so the defect is 1 - prod(1 - x_k) with the x_k given by the right hand
-    side, accumulated as acc += x_k * (1 - acc).  Every quantity involved is
-    a product of well-determined factors, so the result keeps full relative
-    accuracy however close z is to the circle.  The unimodular constant
-    drops out of the modulus and is ignored.
-
-    z may also be an array of points; the accumulation then runs on whole
-    arrays and the result is an array of that shape.  A single point gives
-    a float.  Raises PoleEvaluation for a point within 1e-12 of a pole, as
-    :func:`evaluate` does.
-    """
-    zs = np.asarray(z, dtype=complex)
-    if not np.isfinite(zs).all():
-        raise ValueError(f"z must be finite, got {z!r}")
-    a, den = _denominators(b, zs)
-    m = 1.0 - (zs.real * zs.real + zs.imag * zs.imag)
-    x = (1.0 - abs(a)) * (1.0 + abs(a)) / (den.real * den.real + den.imag * den.imag) * m
-    acc = np.zeros(zs.shape)
-    for xk in x:
-        acc += xk * (1.0 - acc)
-    return float(acc) if acc.ndim == 0 else acc
-
-
 def _denominators(b: BlaschkeProduct, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The zeros a, shaped to broadcast against `centers` along a leading
     axis, and D = 1 - conj(a) z at every center.
@@ -164,17 +115,28 @@ def _denominators(b: BlaschkeProduct, centers: np.ndarray) -> tuple[np.ndarray, 
     return a, d
 
 
-def taylor_jet(b: BlaschkeProduct, z0: complex, order: int) -> Jet:
-    """Jet of coefficients w_0 .. w_order of b at z0: :func:`_jet_array` at
-    one center.
+def taylor_jet(b: BlaschkeProduct, z0: complex, order: int) -> np.ndarray:
+    """Coefficients w_0 .. w_order of b at z0, a 1-D complex array:
+    :func:`_finite_jets` at the one center z0.
 
-    Raises ValueError for a non-finite z0 or a negative order and
-    PoleEvaluation for z0 within 1e-12 of a pole.
+    Raises ValueError for a non-finite z0, a negative order or a non-finite
+    coefficient, TypeError for a non-integral order and PoleEvaluation for
+    z0 within 1e-12 of a pole.
     """
     z0 = _require_finite(z0, "z0")
+    order = operator.index(order)
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return Jet(center=z0, coefficients=tuple(_jet_array(b, np.array(z0), order).tolist()))
+    return _finite_jets(b, z0, order)
+
+
+def _finite_jets(b: BlaschkeProduct, centers, order: int) -> np.ndarray:
+    """:func:`_jet_array` at np.array(centers), shape that array's shape +
+    (order + 1,); raises ValueError unless every coefficient is finite."""
+    jets = _jet_array(b, np.array(centers), order)
+    if not np.isfinite(jets).all():
+        raise ValueError(f"jet coefficients of b must be finite at {centers!r}")
+    return jets
 
 
 def _jet_array(b: BlaschkeProduct, centers: np.ndarray, order: int) -> np.ndarray:
@@ -195,12 +157,12 @@ def _jet_array(b: BlaschkeProduct, centers: np.ndarray, order: int) -> np.ndarra
     centers on the circle or at r = 1 - 2^-m, it stays within about 1e-14
     of max(1, |w_j|).
 
-    Every jet of the package comes from here: :func:`taylor_jet` at one
-    center, the radial route for every radius and point, and ``decide``,
-    ``extract_data``, ``matches_jets`` and the CLI route comparison for all
-    of a problem's points in one call.  Callers check that the result is
-    finite.  Raises PoleEvaluation for a center within 1e-12 of a pole
-    1 / conj(a), read as |D| < |a| 1e-12.
+    Every jet of the package comes from here: the radial route for every
+    radius and point, and, through the finite check of :func:`_finite_jets`,
+    :func:`taylor_jet` at one center and ``decide``, ``extract_data``,
+    ``matches_jets`` and the CLI route comparison for all of a problem's
+    points in one call.  Raises PoleEvaluation for a center within 1e-12
+    of a pole 1 / conj(a), read as |D| < |a| 1e-12.
     """
     n = order + 1
     a, d = _denominators(b, centers)
@@ -252,21 +214,20 @@ def level_set(b: BlaschkeProduct, tau: complex) -> list[complex]:
     p[: num.shape[0]] += b.unimodular_constant * num
     p[: den.shape[0]] -= tau * den
     p_desc = p[::-1]
-    dp_desc = np.polyder(p_desc)
     roots = np.roots(p_desc)
-    polished = []
-    for r in roots:
-        slope = np.polyval(dp_desc, r)
-        if slope != 0:
-            r = r - np.polyval(p_desc, r) / slope
-        polished.append(complex(r))
-    for r in polished:
-        residual = abs(evaluate(b, r) - tau)
-        if residual > LEVEL_SET_RESIDUAL:
-            raise RootFindingFailure(
-                f"root {r!r} has residual {residual!r} above {LEVEL_SET_RESIDUAL}"
-            )
-    return sorted(polished, key=cmath.phase)
+    slope = np.polyval(np.polyder(p_desc), roots)
+    step = np.divide(np.polyval(p_desc, roots), slope, out=np.zeros_like(roots), where=slope != 0)
+    polished = roots - step
+    a, den = _denominators(b, polished)
+    residual = np.abs(b.unimodular_constant * np.prod((polished - a) / den, axis=0) - tau)
+    # Written so that a NaN residual fails too.
+    bad = ~(residual <= LEVEL_SET_RESIDUAL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise RootFindingFailure(
+            f"root {complex(polished[i])!r} has residual {float(residual[i])!r} above {LEVEL_SET_RESIDUAL}"
+        )
+    return sorted(polished.tolist(), key=cmath.phase)
 
 
 def blaschke_to_json(b: BlaschkeProduct) -> dict:

@@ -31,9 +31,9 @@ from . import __version__
 from .blaschke import BlaschkeProduct, blaschke_from_json, blaschke_to_json, make_blaschke
 from .errors import BlaschkePickError, RankMismatch
 from .hermitian import HermitianReport, make_report
-from .pick import ADMISSIBLE_TOL, JetData, build_pick, extract_data
+from .pick import ADMISSIBLE_TOL, JetData, extract_data
 from .realization import realize, sp_via_realization
-from .schwarz_pick import SchwarzPickMatrix, sp_boundary_radial
+from .schwarz_pick import SchwarzPickMatrix, sp_boundary_radial, sp_boundary_structured
 from .serialize import complex_to_pair, matrix_to_json
 from .uniqueness import (
     ContactProblem,
@@ -195,7 +195,7 @@ def _compare_routes(
     and realization matrices, their max-abs difference, and that difference
     relative to 1 + the largest structured entry."""
     data = extract_data(b, points, [2 * k - 1 for k in ks])
-    structured = build_pick(data, ks)
+    structured = sp_boundary_structured(data.values, data.points, ks)
     via_real = sp_via_realization(realize(b), points, ks)
     diff = float(np.max(np.abs(structured.flat - via_real))) if structured.flat.size else 0.0
     norm = float(np.max(np.abs(structured.flat))) if structured.flat.size else 0.0

@@ -1,13 +1,14 @@
 """Pick matrices from raw boundary jet data: feasibility, extension, completion.
 
-The data is a list of Taylor-type coefficients prescribed at distinct
-points of the unit circle.  ``build_pick`` assembles the same
-Hankel x Psi x Toeplitz matrix as the structured boundary route, but from
-the raw numbers instead of a function, which is what turns it into a
-feasibility object: data read off an actual Schur-class function always
-has unimodular leading values and a positive semidefinite matrix, a
-positive definite matrix guarantees infinitely many interpolants, and a
-singular PSD matrix leaves room for at most one.
+The data, ``JetData``, is a list of Taylor-type coefficients prescribed
+at distinct points of the unit circle.  ``sp_boundary_structured`` on its
+values and points assembles the Hankel x Psi x Toeplitz matrix of the
+structured boundary route from the raw numbers instead of a function,
+which is what turns it into a feasibility object: data read off an
+actual Schur-class function always has unimodular leading values and a
+positive semidefinite matrix, a positive definite matrix guarantees
+infinitely many interpolants, and a singular PSD matrix leaves room for
+at most one.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, _jet_array, _pair_from_json, _require_finite
+from .blaschke import BlaschkeProduct, _finite_jets, _pair_from_json, _require_finite
 from .errors import InsufficientJet
 from .hermitian import (
     HermitianMatrix,
@@ -31,14 +32,7 @@ from .hermitian import (
     make_hermitian,
     make_report,
 )
-from .schwarz_pick import (
-    SchwarzPickMatrix,
-    _coefficient_table,
-    _structured_flat,
-    _validate_orders,
-    psi_matrix,
-    validate_points,
-)
+from .schwarz_pick import SchwarzPickMatrix, psi_matrix, sp_boundary_structured, validate_points
 
 ADMISSIBLE_TOL = 1e-8
 
@@ -132,28 +126,6 @@ def _jet_data(b: BlaschkeProduct, pts: tuple[complex, ...], orders: tuple[int, .
     return data
 
 
-def _finite_jets(b: BlaschkeProduct, pts: tuple[complex, ...], order: int) -> np.ndarray:
-    """Coefficients 0 .. order of b at every point, shape (len(pts), order + 1),
-    from one stacked evaluation; raises ValueError unless all are finite."""
-    jets = _jet_array(b, np.array(pts), order)
-    if not np.isfinite(jets).all():
-        raise ValueError(f"jet coefficients of b must be finite at {pts!r}")
-    return jets
-
-
-def build_pick(data: JetData, orders) -> SchwarzPickMatrix:
-    """Pick matrix of the data at derivative orders k_i.
-
-    Identical formulas to the structured boundary route, on data that
-    JetData has already checked; requires values[i] of length >= 2 k_i.
-    """
-    ks = _validate_orders(orders)
-    if len(ks) != len(data.points):
-        raise ValueError("jets, points and orders must have equal length")
-    flat = _structured_flat(_coefficient_table(data.values, ks), data.points, ks)
-    return SchwarzPickMatrix(flat=flat, points=data.points, orders=ks)
-
-
 def admissible(data: JetData, orders, tol: float = ADMISSIBLE_TOL) -> AdmissibilityReport:
     """Feasibility check: unimodular leading values and a PSD Pick matrix.
 
@@ -163,7 +135,7 @@ def admissible(data: JetData, orders, tol: float = ADMISSIBLE_TOL) -> Admissibil
     nonnegative (ValueError otherwise).
     """
     _require_tolerance("admissibility", tol)
-    p = build_pick(data, orders)
+    p = sp_boundary_structured(data.values, data.points, orders)
     defects = tuple(abs(abs(row[0]) - 1.0) for row in data.values)
     modulus_ok = all(d <= tol for d in defects)
     report = make_report(p.flat, rank_tol=tol, pd_tol=tol, strict=False)
@@ -190,7 +162,7 @@ def extend_pick(data: JetData, orders, extend_set) -> SchwarzPickMatrix:
         if not 0 <= i < len(ks):
             raise ValueError(f"extend index {i} out of range")
         ks[i] += 1
-    return build_pick(data, ks)
+    return sp_boundary_structured(data.values, data.points, ks)
 
 
 def corner_value(values: Sequence[complex], point: complex, order: int) -> complex:

@@ -45,14 +45,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .blaschke import (
-    CIRCLE_TOL,
-    BlaschkeProduct,
-    Jet,
-    _jet_array,
-    _require_finite,
-    poles,
-)
+from .blaschke import CIRCLE_TOL, BlaschkeProduct, _jet_array, _require_finite, poles
 from .errors import CoincidentPoints, DegenerateDenominator, InsufficientJet
 from .realization import realize, sp_via_realization
 
@@ -309,12 +302,16 @@ def psi_matrix(t: complex, k: int) -> np.ndarray:
 def _coefficient_table(rows, ks: tuple[int, ...]) -> np.ndarray:
     """The (n, 2 max(ks) + 1) coefficient table of :func:`_structured_flat`,
     row i holding coefficients 0 .. 2 k_i - 1 of rows[i] and zeros after
-    them.  Raises InsufficientJet for a row shorter than 2 k_i."""
+    them.  Raises InsufficientJet for a row shorter than 2 k_i and
+    ValueError for a non-finite coefficient among those."""
     table = np.zeros((len(ks), 2 * max(ks) + 1), dtype=complex)
     for i, (row, k) in enumerate(zip(rows, ks)):
         if len(row) < 2 * k:
             raise InsufficientJet(f"jet {i} has {len(row)} coefficients, need {2 * k}")
         table[i, : 2 * k] = row[: 2 * k]
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"jet {int(np.argmin(finite))} has a non-finite coefficient")
     return table
 
 
@@ -342,8 +339,12 @@ def _structured_flat(table: np.ndarray, pts: tuple[complex, ...], ks: tuple[int,
     return (hankel + tri @ m - m @ tri.T) @ psi @ tri.conj().T
 
 
-def sp_boundary_structured(jets: Sequence[Jet], points, orders) -> SchwarzPickMatrix:
-    """Boundary Schwarz-Pick matrix from boundary Taylor coefficients alone.
+def sp_boundary_structured(jets: Sequence[Sequence[complex]], points, orders) -> SchwarzPickMatrix:
+    """Boundary Schwarz-Pick matrix, or Pick matrix of raw data, from
+    boundary Taylor coefficients alone.
+
+    jets[i] is the coefficient row w_0, w_1, .. at points[i]: an array of
+    ``taylor_jet``, a row of ``JetData.values`` or any sequence.
 
     With rows and columns indexed by (point, derivative) pairs,
 
@@ -363,17 +364,15 @@ def sp_boundary_structured(jets: Sequence[Jet], points, orders) -> SchwarzPickMa
     function.  Everything that depends on the orders alone comes from a
     cache of PLAN_CACHE_SIZE shapes.
 
-    Requires distinct points on the circle, jet i centered at t_i (within
-    DISTINCT_POINT_TOL) and of length >= 2 k_i.
+    Requires distinct points on the circle and row i of length >= 2 k_i
+    (InsufficientJet otherwise) with coefficients 0 .. 2 k_i - 1 finite
+    (ValueError otherwise).
     """
     ks = _validate_orders(orders)
     pts = validate_points(points, on_circle=True)
     if not (len(jets) == len(pts) == len(ks)):
         raise ValueError("jets, points and orders must have equal length")
-    for i, (jet, t) in enumerate(zip(jets, pts)):
-        if abs(jet.center - t) > DISTINCT_POINT_TOL:
-            raise ValueError(f"jet {i} is centered at {jet.center!r}, not at its point {t!r}")
-    flat = _structured_flat(_coefficient_table([jet.coefficients for jet in jets], ks), pts, ks)
+    flat = _structured_flat(_coefficient_table(jets, ks), pts, ks)
     return SchwarzPickMatrix(flat=flat, points=pts, orders=ks)
 
 

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, _require_finite
+from .blaschke import BlaschkeProduct, _finite_jets, _require_finite
 from .errors import RankMismatch
 from .hermitian import (
     DEFAULT_PD_TOL,
@@ -47,7 +47,7 @@ from .hermitian import (
     make_report,
     report_from_eigenvalues,
 )
-from .pick import Completion, _complete, _finite_jets, _jet_data
+from .pick import Completion, _complete, _jet_data
 from .schwarz_pick import SchwarzPickMatrix, _structured_flat, validate_points
 
 SUPPLEMENTARY_RESIDUAL_TOL = 1e-10

@@ -12,8 +12,8 @@ from numpy.testing import assert_allclose
 from blaschkepick import (
     BlaschkeProduct,
     ConstantNotUnimodular,
-    Jet,
     PoleEvaluation,
+    RootFindingFailure,
     ZeroOnOrOutsideDisk,
     blaschke_from_json,
     blaschke_to_json,
@@ -21,7 +21,6 @@ from blaschkepick import (
     extract_data,
     level_set,
     make_blaschke,
-    modulus_defect,
     poles,
     taylor_jet,
 )
@@ -52,14 +51,6 @@ class TestConstruction:
         b = make_blaschke([0.5])
         with pytest.raises(AttributeError):
             b.zeros = ()
-
-    def test_jet_order(self):
-        jet = Jet(center=0.0, coefficients=(1.0, 2.0, 3.0))
-        assert jet.order == 2
-
-    def test_jet_needs_a_coefficient(self):
-        with pytest.raises(ValueError):
-            Jet(center=0.0, coefficients=())
 
 
 class TestEvaluate:
@@ -116,15 +107,15 @@ def test_max_modulus(data):
 class TestTaylorJet:
     def test_cube_at_one(self):
         jet = taylor_jet(make_blaschke([0.0, 0.0, 0.0]), 1.0, 2)
-        assert jet.center == 1.0
-        assert_allclose(jet.coefficients, [1.0, 3.0, 3.0])
+        assert jet.shape == (3,) and jet.dtype == complex
+        assert_allclose(jet, [1.0, 3.0, 3.0])
 
     def test_leading_coefficient_is_the_value(self):
         rng = np.random.default_rng(3)
         b = random_blaschke(rng, 4)
         z0 = 0.4 - 0.1j
         jet = taylor_jet(b, z0, 5)
-        assert jet.coefficients[0] == pytest.approx(evaluate(b, z0))
+        assert jet[0] == pytest.approx(evaluate(b, z0))
 
     def test_first_derivative_matches_finite_difference(self):
         rng = np.random.default_rng(4)
@@ -133,7 +124,7 @@ class TestTaylorJet:
         h = 1e-5
         fd = (evaluate(b, z0 + h) - evaluate(b, z0 - h)) / (2.0 * h)
         jet = taylor_jet(b, z0, 1)
-        assert jet.coefficients[1] == pytest.approx(fd, rel=1e-8)
+        assert jet[1] == pytest.approx(fd, rel=1e-8)
 
     def test_partial_sum_remainder_decays_at_jet_order(self):
         rng = np.random.default_rng(5)
@@ -142,7 +133,7 @@ class TestTaylorJet:
         jet = taylor_jet(b, z0, 4)
 
         def remainder(h: complex) -> float:
-            s = sum(c * h**k for k, c in enumerate(jet.coefficients))
+            s = sum(c * h**k for k, c in enumerate(jet))
             return abs(s - evaluate(b, z0 + h))
 
         h = 0.01 * cmath.exp(1.3j)
@@ -158,6 +149,13 @@ class TestTaylorJet:
     def test_jet_at_pole_rejected(self):
         with pytest.raises(PoleEvaluation):
             taylor_jet(make_blaschke([0.5]), 2.0, 2)
+
+    def test_overflowing_jet_rejected(self):
+        # |1 - conj(a) z0| = 2e-12 at z0 = 1: the coefficients grow like
+        # (5e11)^j and overflow well before order 30.
+        b = make_blaschke([1.0 - 2e-12])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            taylor_jet(b, 1.0, 30)
 
 
 # Jets of taylor_jet, extract_data and the stacked evaluation behind both
@@ -201,7 +199,7 @@ def _assert_jets_match_reference(mpmath, b, centers, orders):
     with mpmath.workdps(40):
         for i, (z, j, row) in enumerate(zip(centers, orders, stacked)):
             want = _mp_jet(mpmath, b, z, j)
-            _assert_jets_close(taylor_jet(b, z, j).coefficients, want)
+            _assert_jets_close(taylor_jet(b, z, j), want)
             _assert_jets_close(row[: j + 1], want)
             if i in read:
                 assert len(read[i]) == j + 1
@@ -252,7 +250,34 @@ def _mp_jet(mpmath, b, z0, order):
     return [complex(c) for c in series]
 
 
+def _level_set_by_loop(b, tau):
+    """level_set as a loop: one Newton step per root, polished in the order
+    np.roots gives them."""
+    num = den = np.array([1.0], dtype=complex)
+    for a in b.zeros:
+        num = np.convolve(num, np.array([-a, 1.0], dtype=complex))
+        den = np.convolve(den, np.array([1.0, -a.conjugate()], dtype=complex))
+    p = np.zeros(b.degree + 1, dtype=complex)
+    p += b.unimodular_constant * num
+    p -= tau * den
+    p_desc = p[::-1]
+    polished = []
+    for r in np.roots(p_desc):
+        slope = np.polyval(np.polyder(p_desc), r)
+        polished.append(complex(r - np.polyval(p_desc, r) / slope if slope != 0 else r))
+    return sorted(polished, key=cmath.phase)
+
+
 class TestLevelSet:
+    def test_polish_matches_the_per_root_loop(self):
+        # The whole-array Newton step does the loop's arithmetic root by
+        # root, so the roots agree bit for bit.
+        rng = np.random.default_rng(9)
+        for _ in range(100):
+            b = random_blaschke(rng, int(rng.integers(1, 13)))
+            tau = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            assert level_set(b, tau) == _level_set_by_loop(b, tau)
+
     def test_square_at_one(self):
         sols = level_set(make_blaschke([0.0, 0.0]), 1.0)
         assert_allclose(sols, [1.0, -1.0], atol=1e-12)
@@ -282,55 +307,15 @@ class TestLevelSet:
         with pytest.raises(ValueError):
             level_set(make_blaschke([]), 1.0)
 
+    def test_failure_names_the_first_root_in_root_finder_order(self, monkeypatch):
+        # z^2 = -1: np.roots gives i before -i, and the sorted result has -i
+        # first.  With a limit below every residual, each root fails and
+        # the message names i.
+        import blaschkepick.blaschke as blaschke_module
 
-class TestModulusDefect:
-    def test_matches_naive_subtraction_at_moderate_point(self):
-        rng = np.random.default_rng(8)
-        b = random_blaschke(rng, 4)
-        z = 0.4 + 0.35j
-        naive = 1.0 - abs(evaluate(b, z)) ** 2
-        assert modulus_defect(b, z) == pytest.approx(naive, rel=1e-12)
-
-    def test_near_circle_limit_is_the_derivative_sum(self):
-        # As r -> 1 the ratio (1 - |b(r t)|**2) / (1 - r**2) tends to
-        # sum_k (1 - |a_k|**2) / |t - a_k|**2, which gives an independent
-        # check with full relative accuracy where naive subtraction has none.
-        b = make_blaschke([0.5, -0.3j], cmath.exp(0.2j))
-        t = cmath.exp(0.9j)
-        r = 1.0 - 1e-8
-        m = 1.0 - r * r
-        expected = sum(
-            (1.0 - abs(a) ** 2) / abs(t - a) ** 2 for a in b.zeros
-        )
-        assert modulus_defect(b, r * t) / m == pytest.approx(expected, rel=1e-6)
-
-    def test_zero_exactly_on_circle(self):
-        b = make_blaschke([0.5])
-        assert modulus_defect(b, -1j) == 0.0
-
-    def test_degree_zero_has_no_defect(self):
-        assert modulus_defect(make_blaschke([], 1j), 0.3) == 0.0
-
-    def test_array_of_points_matches_pointwise(self):
-        b = make_blaschke([0.4, -0.3 + 0.5j])
-        zs = np.array([[0.1, 0.6 + 0.2j], [-0.5j, 0.999]])
-        out = modulus_defect(b, zs)
-        assert out.shape == zs.shape
-        assert_allclose(out, [[modulus_defect(b, z) for z in row] for row in zs], rtol=1e-15)
-
-    def test_pole_rejected(self):
-        # The pole of the zero 0.5 is at 2; the subtraction-free form would
-        # divide by |1 - conj(a) z|**2 = 0 there.
-        b = make_blaschke([0.5, -0.3j])
-        with pytest.raises(PoleEvaluation, match="pole"):
-            modulus_defect(b, 2.0)
-        with pytest.raises(PoleEvaluation, match="pole"):
-            modulus_defect(b, 2.0 + 1e-13j)
-
-    def test_pole_in_an_array_rejected(self):
-        b = make_blaschke([0.5, -0.3j])
-        with pytest.raises(PoleEvaluation, match="pole"):
-            modulus_defect(b, np.array([[0.1, 0.2j], [2.0, -0.5]]))
+        monkeypatch.setattr(blaschke_module, "LEVEL_SET_RESIDUAL", -1.0)
+        with pytest.raises(RootFindingFailure, match=r"^root 1j has residual 0\.0 above -1\.0$"):
+            level_set(make_blaschke([0.0, 0.0]), -1.0)
 
 
 class TestJson:

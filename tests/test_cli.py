@@ -287,15 +287,15 @@ class TestFuzz:
         assert cli._check_instance(inst) is None
 
     def test_rank_property_fires_on_a_robustly_wrong_matrix(self, monkeypatch, capsys):
-        def identity_instead(data, orders):
+        def identity_instead(jets, points, orders):
             size = sum(orders)
             return SchwarzPickMatrix(
                 flat=np.eye(size, dtype=complex),
-                points=data.points,
+                points=tuple(points),
                 orders=tuple(orders),
             )
 
-        monkeypatch.setattr(cli, "build_pick", identity_instead)
+        monkeypatch.setattr(cli, "sp_boundary_structured", identity_instead)
         code = main(
             ["fuzz", "--trials", "1", "--seed", "0", "--degree-max", "0", "--format", "json"]
         )

@@ -13,13 +13,13 @@ from blaschkepick import (
     PrincipalNotPD,
     SchwarzPickMatrix,
     admissible,
-    build_pick,
     complete_to_pd,
     corner_value,
     extend_pick,
     extract_data,
     make_blaschke,
     realize,
+    sp_boundary_structured,
     sp_via_realization,
     taylor_jet,
 )
@@ -57,7 +57,7 @@ class TestExtractAndBuild:
         assert data.points == (1.0, -1.0)
         assert len(data.values[0]) == 4
         assert len(data.values[1]) == 2
-        assert_allclose(data.values[0], taylor_jet(b, 1.0, 3).coefficients)
+        assert_allclose(data.values[0], taylor_jet(b, 1.0, 3))
 
     def test_extract_rejects_negative_order(self):
         with pytest.raises(ValueError):
@@ -97,7 +97,7 @@ class TestExtractAndBuild:
         pts = random_circle_points(rng, 2)
         ks = (2, 1)
         data = extract_data(b, pts, [2 * k - 1 for k in ks])
-        p = build_pick(data, ks)
+        p = sp_boundary_structured(data.values, pts, ks)
         gram = sp_via_realization(realize(b), pts, ks)
         scale = max(1.0, float(np.max(np.abs(gram))))
         assert np.max(np.abs(p.flat - gram)) <= 1e-9 * scale
@@ -111,7 +111,7 @@ class TestExtractAndBuild:
         ks = (3, 1, 2)
         pts = random_circle_points(rng, len(ks))
         values = [tuple(complex(*rng.normal(size=2)) for _ in range(2 * k)) for k in ks]
-        p = build_pick(JetData(points=tuple(pts), values=tuple(values)), ks).flat
+        p = sp_boundary_structured(values, pts, ks).flat
 
         t = [mp.mpc(z) for z in pts]
         c = [[mp.mpc(v) for v in row] for row in values]
@@ -167,7 +167,7 @@ class TestExtractAndBuild:
         data = extract_data(b, pts, [3, 3])
         extended = extend_pick(data, (1, 1), {0})
         assert extended.orders == (2, 1)
-        plain = build_pick(data, (2, 1))
+        plain = sp_boundary_structured(data.values, pts, (2, 1))
         assert_allclose(extended.flat, plain.flat)
 
     def test_truncated_matrix_is_principal_submatrix_of_extension(self):
@@ -181,7 +181,7 @@ class TestExtractAndBuild:
             extend = [i for i in range(n) if rng.uniform() < 0.5] or [int(rng.integers(0, n))]
             values = tuple(tuple(complex(*rng.normal(size=2)) for _ in range(2 * k + 2)) for k in ks)
             data = JetData(points=tuple(random_circle_points(rng, n)), values=values)
-            p = build_pick(data, ks).flat
+            p = sp_boundary_structured(data.values, data.points, ks).flat
             extended = extend_pick(data, ks, extend)
             corners = {extended.row_index(i, ks[i]) for i in extend}
             keep = [j for j in range(extended.flat.shape[0]) if j not in corners]
@@ -190,16 +190,16 @@ class TestExtractAndBuild:
 
     def test_coefficients_from_index_2k_on_are_never_read(self):
         # Row i of the coefficient table is read below index 2 k_i only (and
-        # the zero last column), so junk beyond it, in the rows build_pick
-        # is given or in one table as wide as the largest order, leaves the
-        # matrix bit for bit as it was.
+        # the zero last column), so junk beyond it, in the rows given to
+        # sp_boundary_structured or in one table as wide as the largest
+        # order, leaves the matrix bit for bit as it was.
         rng = np.random.default_rng(50)
         for _ in range(200):
             n = int(rng.integers(1, 5))
             ks = tuple(int(k) for k in rng.integers(1, 6, size=n))
             pts = tuple(random_circle_points(rng, n))
             values = [[complex(*rng.normal(size=2)) for _ in range(2 * k + int(rng.integers(1, 6)))] for k in ks]
-            clean = build_pick(JetData(points=pts, values=tuple(map(tuple, values))), ks).flat
+            clean = sp_boundary_structured(values, pts, ks).flat
             width = 2 * max(ks)
             table = np.zeros((n, width + 1), dtype=complex)
             for i, (row, k) in enumerate(zip(values, ks)):
@@ -207,7 +207,7 @@ class TestExtractAndBuild:
                 row[2 * k :] = junk[: len(row) - 2 * k].tolist()
                 table[i, : 2 * k] = row[: 2 * k]
                 table[i, 2 * k : width] = junk[: width - 2 * k]
-            junk_rows = build_pick(JetData(points=pts, values=tuple(map(tuple, values))), ks).flat
+            junk_rows = sp_boundary_structured(values, pts, ks).flat
             assert np.array_equal(junk_rows, clean)
             assert np.array_equal(_structured_flat(table, pts, ks), clean)
 
@@ -284,10 +284,9 @@ class TestCornerValue:
         b = random_blaschke(rng, 4)
         t = cmath.exp(0.6j)
         k = 2
-        vals = taylor_jet(b, t, 2 * k + 1).coefficients
+        vals = taylor_jet(b, t, 2 * k + 1)
         corner = corner_value(vals, t, k)
-        data = JetData(points=(t,), values=(vals,))
-        extended = build_pick(data, (k + 1,))
+        extended = sp_boundary_structured([vals], [t], (k + 1,))
         assert corner == pytest.approx(complex(extended.flat[k, k]), rel=1e-12)
 
     def test_affine_slope_in_top_coefficient(self):
@@ -337,7 +336,7 @@ class TestCompleteToPd:
     def test_pick_matrix_input_round_trips_layout(self):
         b = make_blaschke([0.5])
         data = extract_data(b, [1.0, -1.0], [1, 1])
-        p = build_pick(data, (1, 1))
+        p = sp_boundary_structured(data.values, data.points, (1, 1))
         completion = complete_to_pd(p, principal=[0], margin=1.0)
         assert isinstance(completion.modified, SchwarzPickMatrix)
         assert completion.modified.points == p.points

@@ -12,9 +12,7 @@ import numpy as np
 import pytest
 
 from blaschkepick import (
-    Jet,
     JetData,
-    build_pick,
     make_blaschke,
     psi_matrix,
     sp_boundary_structured,
@@ -42,12 +40,12 @@ def _psi(t, r, ell):
     return (-1) ** ell * _pascal(int(n.max()) + 1)[ell, r] * t ** (n + 1)
 
 
-def reference_structured(jets, pts, ks):
+def reference_structured(rows, pts, ks):
     """P = (Hk + T M - M T^T) Psi T^*, every index array built afresh."""
     size = max(ks)
     coeff = np.zeros((len(ks), 2 * size), dtype=complex)
-    for i, (jet, k) in enumerate(zip(jets, ks)):
-        coeff[i, : 2 * k] = jet.coefficients[: 2 * k]
+    for i, (row, k) in enumerate(zip(rows, ks)):
+        coeff[i, : 2 * k] = row[: 2 * k]
     point = np.repeat(np.arange(len(ks)), ks)[:, None]
     r = np.concatenate([np.arange(k) for k in ks])[:, None]
     ell = r.T
@@ -62,23 +60,23 @@ def reference_structured(jets, pts, ks):
     return (hankel + tri @ m - m @ tri.T) @ psi @ tri.conj().T
 
 
-def random_jets(rng, ks):
-    """Random circle points and random coefficient rows; the identity is
-    exercised as arithmetic, so the rows need not be jets of anything."""
+def random_rows(rng, ks):
+    """Random circle points and random coefficient rows, as tuples; the
+    identity is exercised as arithmetic, so the rows need not be jets of
+    anything."""
     pts = random_circle_points(rng, len(ks))
-    jets = [
-        Jet(center=t, coefficients=tuple(rng.normal(size=2 * k) + 1j * rng.normal(size=2 * k)))
-        for t, k in zip(pts, ks)
-    ]
-    return jets, pts
+    rows = tuple(tuple((rng.normal(size=2 * k) + 1j * rng.normal(size=2 * k)).tolist()) for k in ks)
+    return rows, pts
 
 
 def assert_same_bits(ks, rng):
-    jets, pts = random_jets(rng, ks)
-    want = reference_structured(jets, pts, ks).tobytes()
-    assert sp_boundary_structured(jets, pts, ks).flat.tobytes() == want
-    data = JetData(points=tuple(pts), values=tuple(jet.coefficients for jet in jets))
-    assert build_pick(data, ks).flat.tobytes() == want
+    """The same rows as tuples, as 1-D arrays and as JetData.values give
+    one flat matrix, bit for bit the uncached build."""
+    rows, pts = random_rows(rng, ks)
+    want = reference_structured(rows, pts, ks).tobytes()
+    data = JetData(points=tuple(pts), values=rows)
+    for jets in (rows, [np.array(row) for row in rows], data.values):
+        assert sp_boundary_structured(jets, pts, ks).flat.tobytes() == want
 
 
 def test_repeated_shapes_match_the_uncached_build():
@@ -117,11 +115,11 @@ def test_plan_arrays_are_read_only():
 def test_mutating_a_result_leaves_the_next_call_alone():
     rng = np.random.default_rng(73)
     ks = (3, 2)
-    jets, pts = random_jets(rng, ks)
-    first = sp_boundary_structured(jets, pts, ks)
+    rows, pts = random_rows(rng, ks)
+    first = sp_boundary_structured(rows, pts, ks)
     want = first.flat.tobytes()
     first.flat[...] = 7.0
-    assert sp_boundary_structured(jets, pts, ks).flat.tobytes() == want
+    assert sp_boundary_structured(rows, pts, ks).flat.tobytes() == want
 
     psi = psi_matrix(1j, 3)
     want = psi.tobytes()

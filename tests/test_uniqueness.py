@@ -9,12 +9,10 @@ from numpy.testing import assert_allclose
 from blaschkepick import (
     CoincidentPoints,
     ContactProblem,
-    JetData,
     NonUniqueCertificate,
     RankMismatch,
     Tolerances,
     UniqueCertificate,
-    build_pick,
     complete_to_pd,
     corner_value,
     criterion,
@@ -27,6 +25,7 @@ from blaschkepick import (
     matches_jets,
     psi_matrix,
     schur_complement,
+    sp_boundary_structured,
     taylor_jet,
 )
 from helpers import random_blaschke, random_circle_points
@@ -165,9 +164,7 @@ class TestNonUniqueVerdicts:
         problem = ContactProblem(b=b, points=(1.0,), contact_orders=(2,))
         verdict = decide(problem)
         cert = verdict.certificate
-        from blaschkepick import taylor_jet
-
-        own = taylor_jet(b, 1.0, 3).coefficients[3]
+        own = taylor_jet(b, 1.0, 3)[3]
         supplied = cert.supplementary[0][1]
         assert abs(supplied - own) == pytest.approx(cert.completion.shift, rel=1e-9)
 
@@ -215,7 +212,7 @@ class TestNonUniqueVerdicts:
             targets = dict(cert.completion.corner_targets)
             assert [i for i, _ in cert.supplementary] == list(cert.even_points) == list(range(n))
             for i, b_sup in cert.supplementary:
-                vals = list(taylor_jet(b, problem.points[i], 2 * ks[i]).coefficients) + [b_sup]
+                vals = list(taylor_jet(b, problem.points[i], 2 * ks[i])) + [b_sup]
                 assert abs(corner_value(vals, problem.points[i], ks[i]) - targets[i]) <= 1e-12 * scale
             checked += 1
 
@@ -237,7 +234,7 @@ class TestNonUniqueVerdicts:
             even = [] if verdict.unique else [i for i, m in enumerate(ms) if m % 2 == 0]
             counts["unique" if verdict.unique else ("even" if even else "odd-only")] += 1
             data = extract_data(b, problem.points, [2 * k + 1 for k in ks])
-            ref = make_report(build_pick(data, ks).flat)
+            ref = make_report(sp_boundary_structured(data.values, data.points, ks).flat)
             scale = max(1.0, float(np.max(np.abs(ref.matrix))))
             assert np.max(np.abs(verdict.pick.matrix - ref.matrix)) <= 1e-13 * scale
             assert np.max(np.abs(verdict.pick.eigenvalues - ref.eigenvalues)) <= 1e-13 * max(1.0, ref.lambda_max)
@@ -268,7 +265,9 @@ class TestNonUniqueVerdicts:
         # supplements need no Psi product of their own.  The jets are
         # evaluated once, through 2 max(k_i') - 1 for the built orders k_i',
         # and no eigenbasis or np.ix_ gather is formed.
+        import blaschkepick.blaschke as blaschke_module
         import blaschkepick.pick as pick_module
+        import blaschkepick.schwarz_pick as schwarz_pick_module
         import blaschkepick.uniqueness as uniqueness_module
         from blaschkepick.blaschke import _jet_array
         from blaschkepick.schwarz_pick import _structured_flat
@@ -286,9 +285,9 @@ class TestNonUniqueVerdicts:
         def refused(*args):
             raise AssertionError("decide must not call this")
 
-        monkeypatch.setattr(pick_module, "_structured_flat", counted)
+        monkeypatch.setattr(schwarz_pick_module, "_structured_flat", counted)
         monkeypatch.setattr(uniqueness_module, "_structured_flat", counted)
-        monkeypatch.setattr(pick_module, "_jet_array", counted_jets)
+        monkeypatch.setattr(blaschke_module, "_jet_array", counted_jets)
         monkeypatch.setattr(pick_module, "psi_matrix", refused)
         monkeypatch.setattr(np.linalg, "eigh", refused)
         monkeypatch.setattr(np, "ix_", refused)
@@ -413,9 +412,9 @@ class TestScalarJetReference:
     @staticmethod
     def scalar_report(problem: ContactProblem):
         ks = derivative_orders(problem.contact_orders)
-        values = tuple(taylor_jet(problem.b, t, 2 * k + 1).coefficients for t, k in zip(problem.points, ks))
-        data = JetData(points=problem.points, values=values)
-        return make_report(build_pick(data, ks).flat, rank_tol=Tolerances().rank, pd_tol=Tolerances().pd)
+        jets = [taylor_jet(problem.b, t, 2 * k + 1) for t, k in zip(problem.points, ks)]
+        p = sp_boundary_structured(jets, problem.points, ks)
+        return make_report(p.flat, rank_tol=Tolerances().rank, pd_tol=Tolerances().pd)
 
     def check(self, problem: ContactProblem) -> str:
         report = self.scalar_report(problem)
@@ -483,7 +482,8 @@ class TestMatchesJets:
     "call",
     [
         lambda order: ContactProblem(b=make_blaschke([0.5]), points=(1.0,), contact_orders=(order,)),
-        lambda order: build_pick(extract_data(make_blaschke([0.5]), [1.0], [5]), [order]),
+        lambda order: sp_boundary_structured(extract_data(make_blaschke([0.5]), [1.0], [5]).values, [1.0], [order]),
+        lambda order: taylor_jet(make_blaschke([0.5]), 1.0, order),
         lambda order: psi_matrix(1.0, order),
         lambda order: extend_pick(extract_data(make_blaschke([0.5]), [1.0], [5]), [order], [0]),
         lambda order: corner_value([1.0] * 6, 1.0, order),
@@ -496,7 +496,8 @@ class TestMatchesJets:
     ],
     ids=[
         "contact-problem",
-        "build-pick",
+        "structured",
+        "taylor-jet",
         "psi-matrix",
         "extend-pick",
         "corner-value",
