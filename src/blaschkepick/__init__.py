@@ -31,15 +31,7 @@ from .errors import (
     SingularResolvent,
     ZeroOnOrOutsideDisk,
 )
-from .hermitian import (
-    HermitianMatrix,
-    HermitianReport,
-    eigen_h,
-    make_hermitian,
-    make_report,
-    numerical_rank,
-    schur_complement,
-)
+from .hermitian import HermitianReport, make_report, schur_complement
 from .pick import (
     AdmissibilityReport,
     Completion,
@@ -91,7 +83,6 @@ __all__ = [
     "ContactProblem",
     "ConvergenceFailure",
     "DegenerateDenominator",
-    "HermitianMatrix",
     "HermitianReport",
     "InsufficientJet",
     "JetData",
@@ -117,16 +108,13 @@ __all__ = [
     "criterion",
     "decide",
     "derivative_orders",
-    "eigen_h",
     "evaluate",
     "extend_pick",
     "extract_data",
     "level_set",
     "make_blaschke",
-    "make_hermitian",
     "make_report",
     "matches_jets",
-    "numerical_rank",
     "poles",
     "psi_matrix",
     "realize",

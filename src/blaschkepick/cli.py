@@ -34,7 +34,6 @@ from .hermitian import HermitianReport, make_report
 from .pick import ADMISSIBLE_TOL, JetData, extract_data
 from .realization import realize, sp_via_realization
 from .schwarz_pick import SchwarzPickMatrix, sp_boundary_radial, sp_boundary_structured
-from .serialize import complex_to_pair, matrix_to_json
 from .uniqueness import (
     ContactProblem,
     NonUniqueCertificate,
@@ -121,6 +120,9 @@ def _load_problem(path: str):
     tol = obj.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ProblemFileError("\"tolerances\" must be an object")
+    for key in tol:
+        if key not in ("rank", "pd"):
+            raise ProblemFileError(f"tolerances: unknown key {json.dumps(key)}; expected \"rank\" or \"pd\"")
     tol = {
         key: _real(tol[key], f"tolerances.{key}")
         for key in ("rank", "pd")
@@ -140,6 +142,18 @@ def _tolerances(args, file_tol: dict) -> Tolerances:
 
 
 # ---------------------------------------------------------------- reports
+
+
+def complex_to_pair(z: complex) -> list[float]:
+    """A complex number as its JSON [re, im] pair."""
+    z = complex(z)
+    return [z.real, z.imag]
+
+
+def matrix_to_json(m) -> list[list[list[float]]]:
+    """A matrix as row-major nested lists of [re, im] pairs."""
+    m = np.asarray(m, dtype=complex)
+    return [[complex_to_pair(entry) for entry in row] for row in m]
 
 
 def _report_json(report: HermitianReport) -> dict:

@@ -22,16 +22,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct, _finite_jets, _pair_from_json, _require_finite
 from .errors import InsufficientJet
-from .hermitian import (
-    HermitianMatrix,
-    HermitianReport,
-    _require_tolerance,
-    _schur,
-    _split,
-    eigen_h,
-    make_hermitian,
-    make_report,
-)
+from .hermitian import HermitianReport, _read, _require_tolerance, _schur, _split, eigen_h, make_report
 from .schwarz_pick import SchwarzPickMatrix, psi_matrix, sp_boundary_structured, validate_points
 
 ADMISSIBLE_TOL = 1e-8
@@ -60,14 +51,13 @@ class JetData:
 
 @dataclass(frozen=True, eq=False)
 class AdmissibilityReport:
-    """Outcome of the feasibility check, truthiness being the verdict."""
+    """Outcome of the feasibility check, truthiness being the verdict; `pick`
+    holds the PSD reading and the tolerance it was read at."""
 
     ok: bool
     modulus_ok: bool
-    psd_ok: bool
     modulus_defects: tuple[float, ...]
     pick: HermitianReport
-    tol: float
 
     def __bool__(self) -> bool:
         return self.ok
@@ -78,22 +68,18 @@ class Completion:
     """Record of a positive definite completion.
 
     `shift` was added to the diagonal entries listed in `complementary`
-    (flat indices); everything else is unchanged.  `eigenvalues` is the
-    ascending spectrum of the symmetrized modified matrix.  `corner_targets`
-    maps point indices to the completed corner values when the caller knows
-    the block layout; :func:`complete_to_pd` itself leaves it empty.
+    (flat indices); everything else is unchanged.  `report` reads the
+    modified matrix at the tolerances of the report it was completed from.
+    `corner_targets` maps point indices to the completed corner values when
+    the caller knows the block layout; :func:`complete_to_pd` leaves it empty.
     """
 
     modified: object
     shift: float
     complementary: tuple[int, ...]
     margin: float
-    eigenvalues: np.ndarray
+    report: HermitianReport
     corner_targets: tuple[tuple[int, complex], ...] = field(default=())
-
-    @property
-    def min_eigenvalue(self) -> float:
-        return float(self.eigenvalues[0]) if self.eigenvalues.size else 0.0
 
 
 def extract_data(b: BlaschkeProduct, points, max_orders) -> JetData:
@@ -142,10 +128,8 @@ def admissible(data: JetData, orders, tol: float = ADMISSIBLE_TOL) -> Admissibil
     return AdmissibilityReport(
         ok=modulus_ok and report.psd,
         modulus_ok=modulus_ok,
-        psd_ok=report.psd,
         modulus_defects=defects,
         pick=report,
-        tol=tol,
     )
 
 
@@ -201,9 +185,8 @@ def complete_to_pd(p_tilde, principal, margin: float = 1.0) -> Completion:
     """
     _require_margin(margin)
     flat = p_tilde.flat if isinstance(p_tilde, SchwarzPickMatrix) else np.asarray(p_tilde, dtype=complex)
-    h = make_hermitian(flat, strict=False)
-    completion, _ = _complete(p_tilde, h, *_split(h.n, principal), margin)
-    return completion
+    h = make_report(flat, strict=False)
+    return _complete(p_tilde, h, *_split(h.matrix.shape[0], principal), margin)
 
 
 def _require_margin(margin: float) -> None:
@@ -213,38 +196,36 @@ def _require_margin(margin: float) -> None:
 
 
 def _complete(
-    p_tilde, h: HermitianMatrix, head: np.ndarray, comp: np.ndarray, margin: float, corner_points=()
-) -> tuple[Completion, HermitianMatrix]:
-    """:func:`complete_to_pd` given h = make_hermitian(p_tilde, strict=False)
-    and the principal indices split into integer arrays head and ascending
-    complement comp; also returns the modified matrix symmetrized the same way.
-    `corner_points` names the point of each index of comp, for the
-    completion's corner targets; without it they stay empty.
+    p_tilde, h: HermitianReport, head: np.ndarray, comp: np.ndarray, margin: float, corner_points=()
+) -> Completion:
+    """:func:`complete_to_pd` given h = make_report(p_tilde, strict=False)
+    at any tolerances and the principal indices split into integer arrays
+    head and ascending complement comp.  `corner_points` names the point of
+    each index of comp, for the completion's corner targets; without it they
+    stay empty.
 
     A real shift on the diagonal commutes with the symmetrization (M + M*) / 2
     bit for bit and leaves M - M* as it was, so the symmetrized modified
     matrix is h.matrix with the shift on the complement's diagonal, with
-    h's defect.
+    h's defect; the completion's report reads it at h's tolerances.
     """
     is_pick = isinstance(p_tilde, SchwarzPickMatrix)
     flat = p_tilde.flat if is_pick else np.asarray(p_tilde, dtype=complex)
     # With an empty complement this only checks that the whole matrix is PD.
     s = _schur(h.matrix, head, comp)
-    shift = max(0.0, -float(eigen_h(s)[0])) + float(margin) if comp.size else 0.0
+    shift = max(0.0, -s.lambda_min) + float(margin) if comp.size else 0.0
     modified_flat = flat.copy()
     modified_flat[comp, comp] += shift
     modified_h = h.matrix.copy()
     modified_h[comp, comp] += shift
-    h_mod = HermitianMatrix(matrix=modified_h, defect=h.defect)
-    completion = Completion(
+    return Completion(
         modified=SchwarzPickMatrix(modified_flat, p_tilde.points, p_tilde.orders) if is_pick else modified_flat,
         shift=shift,
         complementary=tuple(comp.tolist()),
         margin=float(margin),
-        eigenvalues=eigen_h(h_mod),
+        report=_read(modified_h, h.defect, eigen_h(modified_h), h.rank_tol, h.pd_tol),
         corner_targets=tuple((i, complex(modified_flat[idx, idx])) for i, idx in zip(corner_points, comp)),
     )
-    return completion, h_mod
 
 
 def jet_data_to_json(data: JetData) -> dict:

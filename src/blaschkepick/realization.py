@@ -25,7 +25,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct, _require_finite
 from .errors import SingularResolvent
-from .hermitian import _require_tolerance
+from .hermitian import _rank_above, _require_tolerance
 
 RESOLVENT_RCOND = 1e-14
 
@@ -183,4 +183,4 @@ def check_minimality(r: UnitaryRealization, tol: float = 1e-8) -> bool:
     if d == 0:
         return True
     s = np.linalg.svd(resolvent_rows(r, [0.0], [d]), compute_uv=False)
-    return int(np.count_nonzero(s > tol * max(1.0, float(s[0])))) == d
+    return _rank_above(s[::-1], tol) == d

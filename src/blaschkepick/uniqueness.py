@@ -42,10 +42,7 @@ from .hermitian import (
     HermitianReport,
     _require_hermitian,
     _require_tolerance,
-    eigen_h,
-    make_hermitian,
     make_report,
-    report_from_eigenvalues,
 )
 from .pick import Completion, _complete, _jet_data
 from .schwarz_pick import SchwarzPickMatrix, _structured_flat, validate_points
@@ -220,9 +217,9 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
         )
     odd = tuple(i for i, m in enumerate(problem.contact_orders) if m % 2 == 1)
     if even:
-        h_tilde = make_hermitian(p_tilde.flat, strict=False)
-        margin = COMPLETION_MARGIN * max(1.0, float(eigen_h(h_tilde)[-1]))
-        completion, h_completed = _complete(p_tilde, h_tilde, principal, corners, margin, even)
+        h_tilde = make_report(p_tilde.flat, tolerances.rank, tolerances.pd, strict=False)
+        margin = COMPLETION_MARGIN * max(1.0, h_tilde.lambda_max)
+        completion = _complete(p_tilde, h_tilde, principal, corners, margin, even)
 
         # Only the corner moves with the top coefficient b_{2k+1}, with slope
         # (-1)^k t^(2k+1) conj(b_0) (corner_value); the supplement moves it
@@ -245,15 +242,10 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
             if residual > bound:
                 raise ValueError(f"supplemented corner misses its target by {residual}, above {bound}")
         roundtrip = float(np.abs(redone - completion.modified.flat).max())
-        # The strict Hermitian check, then the spectrum that the completion
-        # computed from the same symmetrized matrix.
-        _require_hermitian(h_completed, completion.modified.flat)
-        extended_report = report_from_eigenvalues(
-            h_completed,
-            completion.eigenvalues,
-            rank_tol=tolerances.rank,
-            pd_tol=tolerances.pd,
-        )
+        # The strict Hermitian check of the completed matrix, whose report
+        # the completion read at these tolerances.
+        _require_hermitian(completion.report.defect, completion.modified.flat)
+        extended_report = completion.report
     else:
         # Nothing to extend: the completed matrix is the truncated one, whose
         # report has just shown it positive definite.
@@ -262,7 +254,7 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
             shift=0.0,
             complementary=(),
             margin=COMPLETION_MARGIN * max(1.0, pick_report.lambda_max),
-            eigenvalues=pick_report.eigenvalues,
+            report=pick_report,
         )
         supplementary, roundtrip, extended_report = [], 0.0, pick_report
     if not extended_report.pd:

@@ -226,7 +226,7 @@ def test_criterion_8_completion_worked_example(capsys):
     completion = complete_to_pd(np.array([[1.0, 2.0], [2.0, 1.0]]), principal=[0], margin=1.0)
     assert completion.shift == pytest.approx(4.0, abs=1e-12)
     assert_allclose(completion.modified, [[1.0, 2.0], [2.0, 5.0]], atol=1e-12)
-    assert completion.min_eigenvalue > 0.0
+    assert completion.report.lambda_min > 0.0
     assert np.linalg.det(completion.modified) == pytest.approx(1.0, abs=1e-12)
     with capsys.disabled():
         print(

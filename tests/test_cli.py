@@ -176,6 +176,20 @@ class TestValidation:
         assert captured.out == ""
         assert "tolerance must be finite and nonnegative" in captured.err
 
+    def test_unknown_tolerance_key_in_file(self, tmp_path, capsys):
+        # A misspelled key would otherwise leave the default in force unnoticed.
+        path = write_problem(tmp_path, tolerances={"rnak": 1e30})
+        assert main(["analyze", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert '"rnak"' in captured.err
+
+    def test_null_tolerance_means_default(self, tmp_path, capsys):
+        path = write_problem(tmp_path, tolerances={"rank": None, "pd": None})
+        assert main(["analyze", path, "--format", "json"]) == 0
+        pick = json.loads(capsys.readouterr().out)["pick"]
+        assert (pick["rank_tolerance"], pick["pd_tolerance"]) == (1e-8, 1e-10)
+
     @pytest.mark.parametrize("flag", ["--tol-rank", "--tol-pd"])
     def test_tolerance_flags_belong_to_analyze(self, tmp_path, capsys, flag):
         path = write_problem(tmp_path)

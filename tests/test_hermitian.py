@@ -10,43 +10,41 @@ from blaschkepick import (
     ConvergenceFailure,  # noqa: F401  (re-export check)
     PrincipalNotPD,
     admissible,
-    eigen_h,
     extract_data,
     make_blaschke,
-    make_hermitian,
     make_report,
-    numerical_rank,
     schur_complement,
 )
-from blaschkepick.hermitian import report_from_eigenvalues
 
 
 class TestMakeHermitian:
+    """The symmetrization that make_report applies before reading a spectrum."""
+
     def test_symmetrizes_and_records_defect(self):
         m = np.array([[1.0, 2.0 + 1e-12j], [2.0 - 2e-12j, 3.0]])
-        h = make_hermitian(m)
+        h = make_report(m)
         assert h.defect == pytest.approx(1e-12, rel=1e-3)
         assert_allclose(h.matrix, h.matrix.conj().T)
-        assert h.n == 2
+        assert h.matrix.shape == (2, 2)
 
     def test_strict_rejects_large_defect(self):
         m = np.array([[1.0, 5.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
-            make_hermitian(m)
+            make_report(m)
 
     def test_non_strict_carries_on(self):
         m = np.array([[1.0, 5.0], [0.0, 1.0]])
-        h = make_hermitian(m, strict=False)
+        h = make_report(m, strict=False)
         assert h.defect == pytest.approx(5.0)
         assert_allclose(h.matrix, [[1.0, 2.5], [2.5, 1.0]])
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
-            make_hermitian(np.ones((2, 3)))
+            make_report(np.ones((2, 3)))
 
     def test_empty_matrix(self):
-        h = make_hermitian(np.zeros((0, 0)))
-        assert h.n == 0
+        h = make_report(np.zeros((0, 0)))
+        assert h.matrix.shape == (0, 0)
         assert h.defect == 0.0
 
     @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
@@ -64,12 +62,12 @@ class TestMakeHermitian:
         # A NaN compares False with every bound, so only the finiteness of
         # the defect keeps such a matrix from passing as Hermitian.
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
-            make_hermitian(np.array(m, dtype=complex), strict=strict)
+            make_report(np.array(m, dtype=complex), strict=strict)
 
 
 class TestEigenAndRank:
     def test_eigen_ascending(self):
-        w = eigen_h(np.diag([3.0, 1.0, 2.0]))
+        w = make_report(np.diag([3.0, 1.0, 2.0])).eigenvalues
         assert_allclose(w, [1.0, 2.0, 3.0])
 
     def test_spectrum_matches_eigh(self):
@@ -79,19 +77,21 @@ class TestEigenAndRank:
             m = 10.0 ** rng.uniform(-3, 3) * (f + f.conj().T)
             want = np.linalg.eigh(m)[0]
             bound = 8 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(want))))
-            assert np.max(np.abs(eigen_h(m) - want)) <= bound
+            assert np.max(np.abs(make_report(m).eigenvalues - want)) <= bound
 
     def test_rank_counts_above_relative_cutoff(self):
-        assert numerical_rank(np.diag([1.0, 1e-4, 1e-12])) == 2
-        assert numerical_rank(np.diag([1.0, 1e-4, 1e-12]), tol=1e-6) == 2
-        assert numerical_rank(np.diag([1.0, 1e-4, 1e-12]), tol=1e-2) == 1
+        m = np.diag([1.0, 1e-4, 1e-12])
+        assert make_report(m).numerical_rank == 2
+        assert make_report(m, rank_tol=1e-6).numerical_rank == 2
+        assert make_report(m, rank_tol=1e-2).numerical_rank == 1
+        assert make_report(m).rank_at(1e-2) == 1
 
     def test_rank_cutoff_floors_at_one(self):
         # Scale max(1, lambda_max) keeps tiny matrices from ranking as full.
-        assert numerical_rank(np.diag([1e-12, 1e-13])) == 0
+        assert make_report(np.diag([1e-12, 1e-13])).numerical_rank == 0
 
     def test_rank_of_empty(self):
-        assert numerical_rank(np.zeros((0, 0))) == 0
+        assert make_report(np.zeros((0, 0))).numerical_rank == 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -108,6 +108,8 @@ class TestSchurComplement:
     def test_two_by_two_worked_value(self):
         s = schur_complement(np.array([[1.0, 2.0], [2.0, 1.0]]), head=[0])
         assert_allclose(s.matrix, [[-3.0]])
+        assert s.lambda_min == pytest.approx(-3.0)
+        assert not s.psd
 
     def test_block_identity(self):
         rng = np.random.default_rng(9)
@@ -157,7 +159,7 @@ class TestSchurComplement:
 
     def test_full_head_returns_empty(self):
         s = schur_complement(np.eye(2), head=[0, 1])
-        assert s.n == 0
+        assert s.matrix.shape == (0, 0)
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
@@ -208,19 +210,13 @@ _BAD_TOLERANCES = [-1.0, -1e-300, float("nan"), float("inf"), float("-inf")]
     [
         lambda tol: make_report(_DIAG, rank_tol=tol),
         lambda tol: make_report(_DIAG, pd_tol=tol),
-        lambda tol: report_from_eigenvalues(make_hermitian(_DIAG), np.array([0.5, 1.0]), tol, 1e-10),
-        lambda tol: report_from_eigenvalues(make_hermitian(_DIAG), np.array([0.5, 1.0]), 1e-8, tol),
-        lambda tol: numerical_rank(_DIAG, tol=tol),
-        lambda tol: numerical_rank(np.zeros((0, 0)), tol=tol),
+        lambda tol: make_report(np.zeros((0, 0)), rank_tol=tol),
         lambda tol: make_report(_DIAG).rank_at(tol),
         lambda tol: admissible(extract_data(make_blaschke([0.5]), [1.0], [1]), [1], tol=tol),
     ],
     ids=[
         "make_report-rank",
         "make_report-pd",
-        "report_from_eigenvalues-rank",
-        "report_from_eigenvalues-pd",
-        "numerical_rank",
         "numerical_rank-empty",
         "rank_at",
         "admissible",

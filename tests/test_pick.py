@@ -19,6 +19,7 @@ from blaschkepick import (
     extract_data,
     make_blaschke,
     realize,
+    schur_complement,
     sp_boundary_structured,
     sp_via_realization,
     taylor_jet,
@@ -248,7 +249,7 @@ class TestAdmissible:
         data = extract_data(b, pts, [3, 1])
         report = admissible(data, (2, 1))
         assert report
-        assert report.ok and report.modulus_ok and report.psd_ok
+        assert report.ok and report.modulus_ok and report.pick.psd
         assert all(d <= 1e-10 for d in report.modulus_defects)
 
     def test_submodular_leading_value_fails(self):
@@ -269,7 +270,7 @@ class TestAdmissible:
         report = admissible(data, (1,))
         assert not report
         assert report.modulus_ok
-        assert not report.psd_ok
+        assert not report.pick.psd
         assert report.pick.lambda_min == pytest.approx(-1.0)
 
 
@@ -315,7 +316,7 @@ class TestCompleteToPd:
         assert completion.shift == pytest.approx(4.0)
         assert_allclose(completion.modified, [[1.0, 2.0], [2.0, 5.0]])
         assert completion.complementary == (1,)
-        assert completion.min_eigenvalue == pytest.approx(3.0 - 2.0 * np.sqrt(2.0))
+        assert completion.report.lambda_min == pytest.approx(3.0 - 2.0 * np.sqrt(2.0))
         assert np.linalg.det(completion.modified) == pytest.approx(1.0)
 
     def test_modified_matrix_is_pd(self):
@@ -323,15 +324,28 @@ class TestCompleteToPd:
         f = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
         singular_psd = f @ f.conj().T + 1e-3 * np.diag([1.0, 1.0, 0.0, 0.0])
         completion = complete_to_pd(singular_psd, principal=[0, 1], margin=0.5)
-        assert completion.min_eigenvalue > 0.0
+        assert completion.report.lambda_min > 0.0
         w = np.linalg.eigvalsh(completion.modified)
-        assert completion.min_eigenvalue == pytest.approx(w[0])
+        assert completion.report.lambda_min == pytest.approx(w[0])
         # Only the complementary diagonal moved.
         diff = completion.modified - singular_psd
         off = diff - np.diag(np.diag(diff))
         assert_allclose(off, np.zeros_like(off), atol=1e-14)
         assert_allclose(np.diag(diff)[2:], completion.shift * np.ones(2))
         assert_allclose(np.diag(diff)[:2], np.zeros(2), atol=1e-14)
+
+    def test_shift_is_read_from_the_schur_complement_report(self):
+        rng = np.random.default_rng(48)
+        for _ in range(20):
+            n = int(rng.integers(2, 7))
+            f = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            # The complement is indefinite on about two draws in three.
+            m = f @ f.conj().T - rng.uniform(0.0, 2.0 * n) * np.eye(n)
+            m = 0.5 * (m + m.conj().T) + np.diag(np.r_[np.full(n // 2, 10.0 * n), np.zeros(n - n // 2)])
+            head = list(range(n // 2))
+            margin = float(rng.uniform(0.1, 2.0))
+            want = max(0.0, -schur_complement(m, head).lambda_min) + margin
+            assert complete_to_pd(m, head, margin).shift == want
 
     def test_pick_matrix_input_round_trips_layout(self):
         b = make_blaschke([0.5])

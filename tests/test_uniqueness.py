@@ -331,6 +331,22 @@ class TestTolerances:
     def test_edge_values_accepted(self, kwargs):
         Tolerances(**kwargs)
 
+    def test_completion_carries_the_extended_report_at_the_given_tolerances(self):
+        b = make_blaschke([0.3, -0.2j, 0.5])
+        tol = Tolerances(rank=1e-7, pd=1e-9)
+        # Contact order 2 at the first point: that block is extended and completed.
+        verdict = decide(ContactProblem(b=b, points=(1.0, 1j), contact_orders=(2, 1)), tol)
+        cert = verdict.certificate
+        assert cert.even_points == (0,)
+        assert cert.extended_report is cert.completion.report
+        assert (cert.extended_report.rank_tol, cert.extended_report.pd_tol) == (1e-7, 1e-9)
+        assert cert.extended_report.pd
+        # Odd orders only: nothing is extended, and the completion is the Pick matrix.
+        verdict = decide(ContactProblem(b=b, points=(1.0, 1j), contact_orders=(1, 3)), tol)
+        assert not verdict.unique and verdict.certificate.even_points == ()
+        assert verdict.certificate.completion.report is verdict.pick
+        assert verdict.certificate.extended_report is verdict.pick
+
 
 class TestOrderIndependence:
     def test_forward_and_reverse_runs_give_identical_bits(self):
@@ -365,7 +381,7 @@ def verdict_bits(problem: ContactProblem) -> tuple:
         bits += [
             comp.modified.flat.tobytes(),
             comp.shift,
-            comp.eigenvalues.tobytes(),
+            comp.report.eigenvalues.tobytes(),
             comp.corner_targets,
             cert.supplementary,
             cert.roundtrip_residual,
