@@ -31,9 +31,16 @@ from . import __version__
 from .blaschke import BlaschkeProduct, blaschke_from_json, blaschke_to_json, make_blaschke
 from .errors import BlaschkePickError, RankMismatch
 from .hermitian import HermitianReport, make_report
-from .pick import ADMISSIBLE_TOL, JetData, extract_data
+from .pick import ADMISSIBLE_TOL
 from .realization import realize, sp_via_realization
-from .schwarz_pick import SchwarzPickMatrix, sp_boundary_radial, sp_boundary_structured
+from .schwarz_pick import (
+    SchwarzPickMatrix,
+    _jet_table,
+    _structured_flat,
+    _validate_orders,
+    sp_boundary_radial,
+    validate_points,
+)
 from .uniqueness import (
     ContactProblem,
     NonUniqueCertificate,
@@ -204,16 +211,25 @@ def _certificate_json(verdict: Verdict) -> dict:
 
 def _compare_routes(
     b: BlaschkeProduct, points, ks
-) -> tuple[JetData, SchwarzPickMatrix, np.ndarray, float, float]:
-    """The boundary jets of all points from one evaluation, the structured
-    and realization matrices, their max-abs difference, and that difference
-    relative to 1 + the largest structured entry."""
-    data = extract_data(b, points, [2 * k - 1 for k in ks])
-    structured = sp_boundary_structured(data.values, data.points, ks)
-    via_real = sp_via_realization(realize(b), points, ks)
-    diff = float(np.max(np.abs(structured.flat - via_real))) if structured.flat.size else 0.0
-    norm = float(np.max(np.abs(structured.flat))) if structured.flat.size else 0.0
-    return data, structured, via_real, diff, diff / (1.0 + norm)
+) -> tuple[np.ndarray, SchwarzPickMatrix, np.ndarray, float, float]:
+    """The leading values w_0 of b at the points, the structured and
+    realization matrices, their max-abs difference, and that difference
+    relative to 1 + the largest structured entry.
+
+    The structured matrix is built as `decide` builds it: one coefficient
+    table from one jet evaluation of all points, then the structured
+    identity.  Points and orders get the checks of
+    :func:`sp_boundary_structured`."""
+    pts = validate_points(points, on_circle=True)
+    ks = _validate_orders(ks)
+    if len(pts) != len(ks):
+        raise ValueError(f"{len(pts)} points but {len(ks)} orders")
+    table = _jet_table(b, pts, ks)
+    structured = SchwarzPickMatrix(flat=_structured_flat(table, pts, ks), points=pts, orders=ks)
+    via_real = sp_via_realization(realize(b), pts, ks)
+    diff = float(np.max(np.abs(structured.flat - via_real)))
+    norm = float(np.max(np.abs(structured.flat)))
+    return table[:, 0], structured, via_real, diff, diff / (1.0 + norm)
 
 
 def _route_residuals(b: BlaschkeProduct, points, ks) -> dict:
@@ -370,7 +386,7 @@ def _check_instance(inst) -> tuple[str, str] | None:
     b = make_blaschke(inst["zeros"], inst["u"])
     points = inst["points"]
     ks = inst["orders"]
-    data, sp, _, diff, residual = _compare_routes(b, points, ks)
+    leading, sp, _, diff, residual = _compare_routes(b, points, ks)
     structured = sp.flat
     norm = float(np.max(np.abs(structured))) if structured.size else 0.0
     # One report serves every property: the rank law reads the default rank
@@ -401,7 +417,7 @@ def _check_instance(inst) -> tuple[str, str] | None:
             f"max abs diff {diff} exceeds {ROUTE_RESIDUAL_LIMIT * (1.0 + norm)}",
         )
 
-    modulus_ok = all(abs(abs(row[0]) - 1.0) <= ADMISSIBLE_TOL for row in data.values)
+    modulus_ok = bool(np.all(np.abs(np.abs(leading) - 1.0) <= ADMISSIBLE_TOL))
     if not (modulus_ok and report.psd):
         return ("admissibility", f"modulus_ok={modulus_ok} psd_ok={report.psd}")
     return None

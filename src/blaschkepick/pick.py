@@ -22,7 +22,18 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct, _finite_jets, _pair_from_json, _require_finite
 from .errors import InsufficientJet
-from .hermitian import HermitianReport, _read, _require_tolerance, _schur, _split, eigen_h, make_report
+from .hermitian import (
+    DEFAULT_PD_TOL,
+    DEFAULT_RANK_TOL,
+    HermitianReport,
+    _read,
+    _require_tolerance,
+    _schur,
+    _split,
+    _symmetrize,
+    eigen_h,
+    make_report,
+)
 from .schwarz_pick import SchwarzPickMatrix, psi_matrix, sp_boundary_structured, validate_points
 
 ADMISSIBLE_TOL = 1e-8
@@ -185,8 +196,9 @@ def complete_to_pd(p_tilde, principal, margin: float = 1.0) -> Completion:
     """
     _require_margin(margin)
     flat = p_tilde.flat if isinstance(p_tilde, SchwarzPickMatrix) else np.asarray(p_tilde, dtype=complex)
-    h = make_report(flat, strict=False)
-    return _complete(p_tilde, h, *_split(h.matrix.shape[0], principal), margin)
+    matrix, defect = _symmetrize(flat, strict=False)
+    head, comp = _split(matrix.shape[0], principal)
+    return _complete(p_tilde, matrix, defect, DEFAULT_RANK_TOL, DEFAULT_PD_TOL, head, comp, margin)
 
 
 def _require_margin(margin: float) -> None:
@@ -196,34 +208,35 @@ def _require_margin(margin: float) -> None:
 
 
 def _complete(
-    p_tilde, h: HermitianReport, head: np.ndarray, comp: np.ndarray, margin: float, corner_points=()
+    p_tilde, matrix: np.ndarray, defect: float, rank_tol: float, pd_tol: float,
+    head: np.ndarray, comp: np.ndarray, margin: float, corner_points=(),
 ) -> Completion:
-    """:func:`complete_to_pd` given h = make_report(p_tilde, strict=False)
-    at any tolerances and the principal indices split into integer arrays
-    head and ascending complement comp.  `corner_points` names the point of
-    each index of comp, for the completion's corner targets; without it they
-    stay empty.
+    """:func:`complete_to_pd` given p_tilde symmetrized, as matrix with its
+    defect, the checked tolerances that the completion's report reads at,
+    and the principal indices split into integer arrays head and ascending
+    complement comp.  `corner_points` names the point of each index of comp,
+    for the completion's corner targets; without it they stay empty.
 
     A real shift on the diagonal commutes with the symmetrization (M + M*) / 2
     bit for bit and leaves M - M* as it was, so the symmetrized modified
-    matrix is h.matrix with the shift on the complement's diagonal, with
-    h's defect; the completion's report reads it at h's tolerances.
+    matrix is `matrix` with the shift on the complement's diagonal, with the
+    same defect.
     """
     is_pick = isinstance(p_tilde, SchwarzPickMatrix)
     flat = p_tilde.flat if is_pick else np.asarray(p_tilde, dtype=complex)
     # With an empty complement this only checks that the whole matrix is PD.
-    s = _schur(h.matrix, head, comp)
+    s = _schur(matrix, head, comp)
     shift = max(0.0, -s.lambda_min) + float(margin) if comp.size else 0.0
     modified_flat = flat.copy()
     modified_flat[comp, comp] += shift
-    modified_h = h.matrix.copy()
+    modified_h = matrix.copy()
     modified_h[comp, comp] += shift
     return Completion(
         modified=SchwarzPickMatrix(modified_flat, p_tilde.points, p_tilde.orders) if is_pick else modified_flat,
         shift=shift,
         complementary=tuple(comp.tolist()),
         margin=float(margin),
-        report=_read(modified_h, h.defect, eigen_h(modified_h), h.rank_tol, h.pd_tol),
+        report=_read(modified_h, defect, eigen_h(modified_h), rank_tol, pd_tol),
         corner_targets=tuple((i, complex(modified_flat[idx, idx])) for i, idx in zip(corner_points, comp)),
     )
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -99,12 +100,17 @@ def realize(b: BlaschkeProduct) -> UnitaryRealization:
     """
     a = np.asarray(b.zeros, dtype=complex)
     n = a.size + 2
-    weights = np.concatenate([[1.0], np.sqrt(1.0 - np.abs(a) ** 2), [b.unimodular_constant]])
+    below_subdiagonal, below_diagonal = _triangles(n)
+    weights = np.empty(n, dtype=complex)
+    weights[0] = 1.0
+    np.sqrt(1.0 - np.abs(a) ** 2, out=weights[1:-1])
+    weights[-1] = b.unimodular_constant
     # Row e of `steps` carries -a at position e - 1, and only below the
     # subdiagonal, so that runs[e, f] = prod_{f<l<e} (-a_l).
-    previous = np.concatenate([[1.0, 1.0], -a])
-    steps = np.where(np.tri(n, k=-2, dtype=bool), previous[:, None], 1.0)
-    runs = np.tril(np.cumprod(steps, axis=0), -1) * np.outer(weights, weights)
+    previous = np.ones(n, dtype=complex)
+    np.negative(a, out=previous[2:])
+    steps = np.where(below_subdiagonal, previous[:, None], 1.0)
+    runs = np.where(below_diagonal, np.cumprod(steps, axis=0), 0.0) * np.outer(weights, weights)
     return UnitaryRealization(
         A=runs[1:-1, 1:-1] + np.diag(a.conj()),
         B=runs[1:-1, :1],
@@ -113,45 +119,66 @@ def realize(b: BlaschkeProduct) -> UnitaryRealization:
     )
 
 
+@lru_cache(maxsize=64)
+def _triangles(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean masks of the entries below the subdiagonal and below the
+    diagonal of an n x n matrix."""
+    return np.tri(n, k=-2, dtype=bool), np.tri(n, k=-1, dtype=bool)
+
+
+def _reciprocal_condition(m: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """1 / (|m|_1 |m^{-1}|_1) for a stack of matrices and their inverses,
+    formed as 1 / np.linalg.cond(m, 1) forms it; as there, an overflow makes
+    the condition infinite (rcond 0) without a warning."""
+    with np.errstate(all="ignore"):
+        return 1.0 / (np.abs(m).sum(axis=-2).max(axis=-1) * np.abs(inverse).sum(axis=-2).max(axis=-1))
+
+
 def resolvent_rows(r: UnitaryRealization, points, orders) -> np.ndarray:
     """The sum(orders) x d factor R of stacked rows C A^l (I - z A)^{-l-1}.
 
     Point z with order k contributes the rows l = 0 .. k-1, in point order.
-    A and the resolvent commute, so each row follows from the previous one
-    with one multiplication by A and one solve against the transpose of
-    I - z A; every point's solve for one l is a single stacked solve.
+    One stacked inverse of I - z A serves every point and row: A and the
+    resolvent commute, so the rows are C (I - zA)^{-1} times powers of
+    A (I - zA)^{-1}.  The same inverse gives the 1-norm reciprocal
+    condition, formed as ``np.linalg.cond(m, 1)`` forms it (bit for bit).
     Raises :class:`SingularResolvent` at the first point whose I - z A has
-    1-norm reciprocal condition below ``RESOLVENT_RCOND``.
+    reciprocal condition below ``RESOLVENT_RCOND``.
     """
     zs = np.array([_require_finite(z, "z") for z in points], dtype=complex)
-    ks = np.array([operator.index(k) for k in orders], dtype=int)
-    if zs.size != ks.size:
-        raise ValueError(f"{zs.size} points but {ks.size} orders")
-    if np.any(ks < 1):
+    ks = [operator.index(k) for k in orders]
+    if zs.size != len(ks):
+        raise ValueError(f"{zs.size} points but {len(ks)} orders")
+    if any(k < 1 for k in ks):
         raise ValueError("orders must be at least one")
     d = r.state_dim
     if d == 0 or zs.size == 0:
-        return np.zeros((int(ks.sum()), d), dtype=complex)
+        return np.zeros((sum(ks), d), dtype=complex)
     m = np.eye(d) - zs[:, None, None] * r.A
-    # An exactly singular matrix has infinite condition, so rcond 0.
-    rcond = 1.0 / np.linalg.cond(m, 1)
-    bad = np.flatnonzero(~(rcond >= RESOLVENT_RCOND))
-    if bad.size:
-        i = int(bad[0])
+    try:
+        inverse = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        # Some point is exactly singular, which np.linalg.cond reads as rcond 0.
+        rcond = np.zeros(zs.size)
+    else:
+        rcond = _reciprocal_condition(m, inverse)
+    if not (rcond >= RESOLVENT_RCOND).all():
+        # Only a refusal pays for np.linalg.cond, to name the first bad point.
+        rcond = 1.0 / np.linalg.cond(m, 1)
+        i = int(np.flatnonzero(~(rcond >= RESOLVENT_RCOND))[0])
         raise SingularResolvent(
             f"I - z A at z = {complex(zs[i])!r} has reciprocal condition {float(rcond[i])}, "
             f"below {RESOLVENT_RCOND}"
         )
-    # x (I - zA) = row  <=>  (I - zA)^T x^T = row^T; the first solve
-    # broadcasts C across the points.
-    m_t = m.transpose(0, 2, 1)
-    rows = np.empty((zs.size, int(ks.max()), d), dtype=complex)
-    x = r.C[0]
-    for ell in range(rows.shape[1]):
-        x = np.linalg.solve(m_t, x[..., None])[..., 0]
-        rows[:, ell] = x
-        x = x @ r.A
-    return rows[np.arange(rows.shape[1]) < ks[:, None]]
+    rows = np.empty((zs.size, max(ks), d), dtype=complex)
+    x = r.C @ inverse
+    rows[:, 0] = x[:, 0]
+    if rows.shape[1] > 1:
+        step = r.A @ inverse
+        for ell in range(1, rows.shape[1]):
+            x = x @ step
+            rows[:, ell] = x[:, 0]
+    return rows[np.arange(rows.shape[1]) < np.array(ks)[:, None]]
 
 
 def transfer_eval(r: UnitaryRealization, z: complex) -> complex:

@@ -45,7 +45,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .blaschke import CIRCLE_TOL, BlaschkeProduct, _jet_array, _require_finite, poles
+from .blaschke import CIRCLE_TOL, BlaschkeProduct, _finite_jets, _jet_array, _require_finite, poles
 from .errors import CoincidentPoints, DegenerateDenominator, InsufficientJet
 from .realization import realize, sp_via_realization
 
@@ -312,6 +312,16 @@ def _coefficient_table(rows, ks: tuple[int, ...]) -> np.ndarray:
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         raise ValueError(f"jet {int(np.argmin(finite))} has a non-finite coefficient")
+    return table
+
+
+def _jet_table(b: BlaschkeProduct, pts: tuple[complex, ...], ks: tuple[int, ...]) -> np.ndarray:
+    """The coefficient table of :func:`_structured_flat` at orders ks from
+    b's own jets at checked points: every point through 2 max(ks) - 1 from
+    one evaluation, checked finite, then the zero last column."""
+    width = 2 * max(ks)
+    table = np.zeros((len(ks), width + 1), dtype=complex)
+    table[:, :width] = _finite_jets(b, pts, width - 1)
     return table
 
 

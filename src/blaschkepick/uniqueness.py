@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, _finite_jets, _require_finite
+from .blaschke import BlaschkeProduct, _require_finite
 from .errors import RankMismatch
 from .hermitian import (
     DEFAULT_PD_TOL,
@@ -45,7 +45,7 @@ from .hermitian import (
     make_report,
 )
 from .pick import Completion, _complete, _jet_data
-from .schwarz_pick import SchwarzPickMatrix, _structured_flat, validate_points
+from .schwarz_pick import SchwarzPickMatrix, _jet_table, _structured_flat, validate_points
 
 SUPPLEMENTARY_RESIDUAL_TOL = 1e-10
 # The completion's slack beyond the minimal shift, relative to max(1, lambda_max).
@@ -174,11 +174,8 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
     even = () if unique else tuple(i for i, m in enumerate(problem.contact_orders) if m % 2 == 0)
     built = tuple(k + (i in even) for i, k in enumerate(ks))
     # The matrix at orders built reads coefficients below 2 built_i at point
-    # i, so one evaluation through 2 max(built) - 1 covers it; the table
-    # adds the zero last column that the gathers of _structured_flat need.
-    width = 2 * max(built)
-    table = np.zeros((len(ks), width + 1), dtype=complex)
-    table[:, :width] = _finite_jets(problem.b, problem.points, width - 1)
+    # i, so one evaluation through 2 max(built) - 1 covers it.
+    table = _jet_table(problem.b, problem.points, built)
     p_tilde = SchwarzPickMatrix(
         flat=_structured_flat(table, problem.points, built), points=problem.points, orders=built
     )
@@ -219,7 +216,10 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
     if even:
         h_tilde = make_report(p_tilde.flat, tolerances.rank, tolerances.pd, strict=False)
         margin = COMPLETION_MARGIN * max(1.0, h_tilde.lambda_max)
-        completion = _complete(p_tilde, h_tilde, principal, corners, margin, even)
+        completion = _complete(
+            p_tilde, h_tilde.matrix, h_tilde.defect, tolerances.rank, tolerances.pd,
+            principal, corners, margin, even,
+        )
 
         # Only the corner moves with the top coefficient b_{2k+1}, with slope
         # (-1)^k t^(2k+1) conj(b_0) (corner_value); the supplement moves it

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,10 +11,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 import blaschkepick.cli as cli
-from blaschkepick import SchwarzPickMatrix
+from blaschkepick import (
+    BlaschkePickError,
+    extract_data,
+    make_blaschke,
+    realize,
+    sp_boundary_structured,
+    sp_via_realization,
+)
 from blaschkepick.cli import main
+from helpers import random_blaschke, random_circle_points
 
 
 def write_problem(tmp_path, name="problem.json", **overrides):
@@ -301,15 +311,10 @@ class TestFuzz:
         assert cli._check_instance(inst) is None
 
     def test_rank_property_fires_on_a_robustly_wrong_matrix(self, monkeypatch, capsys):
-        def identity_instead(jets, points, orders):
-            size = sum(orders)
-            return SchwarzPickMatrix(
-                flat=np.eye(size, dtype=complex),
-                points=tuple(points),
-                orders=tuple(orders),
-            )
+        def identity_instead(table, points, orders):
+            return np.eye(sum(orders), dtype=complex)
 
-        monkeypatch.setattr(cli, "sp_boundary_structured", identity_instead)
+        monkeypatch.setattr(cli, "_structured_flat", identity_instead)
         code = main(
             ["fuzz", "--trials", "1", "--seed", "0", "--degree-max", "0", "--format", "json"]
         )
@@ -317,6 +322,41 @@ class TestFuzz:
         report = json.loads(capsys.readouterr().out)
         assert report["property"] == "rank_law"
         assert "bracket" in report["detail"]
+
+
+class TestRouteComparison:
+    def test_structured_matrix_is_that_of_the_public_entry(self):
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            b = random_blaschke(rng, int(rng.integers(0, 9)))
+            pts = random_circle_points(rng, int(rng.integers(1, 5)))
+            ks = [int(k) for k in rng.integers(1, 5, size=len(pts))]
+            data = extract_data(b, pts, [2 * k - 1 for k in ks])
+            want = sp_boundary_structured(data.values, pts, ks)
+            leading, got, via_real, _, _ = cli._compare_routes(b, pts, ks)
+            assert_array_equal(got.flat, want.flat)
+            assert (got.points, got.orders) == (want.points, want.orders)
+            assert_array_equal(leading, [row[0] for row in data.values])
+            assert_array_equal(via_real, sp_via_realization(realize(b), pts, ks))
+
+    @pytest.mark.parametrize(
+        "pts, ks",
+        [([1.0, 1.0], [1, 1]), ([0.5], [1]), ([1.0, float("nan")], [1, 1]), ([], [])],
+        ids=["coincident", "off-circle", "non-finite", "empty"],
+    )
+    def test_refusals_are_those_of_the_public_entry(self, pts, ks):
+        b = make_blaschke([0.5])
+        with pytest.raises((BlaschkePickError, ValueError)) as want:
+            sp_boundary_structured(extract_data(b, pts, [2 * k - 1 for k in ks]).values, pts, ks)
+        with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+            cli._compare_routes(b, pts, ks)
+
+    def test_orders_are_checked(self):
+        b = make_blaschke([0.5])
+        with pytest.raises(ValueError, match="derivative orders must be positive"):
+            cli._compare_routes(b, [1.0], [0])
+        with pytest.raises(ValueError, match="2 points but 1 orders"):
+            cli._compare_routes(b, [1.0, -1.0], [1])
 
 
 class TestParser:

@@ -347,6 +347,28 @@ class TestCompleteToPd:
             want = max(0.0, -schur_complement(m, head).lambda_min) + margin
             assert complete_to_pd(m, head, margin).shift == want
 
+    def test_spectra_are_those_of_the_complement_and_the_completed_matrix(self, monkeypatch):
+        # The input's own spectrum is never read, so it is not computed.
+        import blaschkepick.hermitian as hermitian
+        import blaschkepick.pick as pick
+
+        seen = []
+
+        def counted(matrix):
+            seen.append(matrix.shape[0])
+            return np.linalg.eigvalsh(matrix)
+
+        monkeypatch.setattr(hermitian, "eigen_h", counted)
+        monkeypatch.setattr(pick, "eigen_h", counted)
+        rng = np.random.default_rng(49)
+        for n in range(2, 7):
+            f = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            m = f @ f.conj().T + np.eye(n)
+            seen.clear()
+            completion = complete_to_pd(m, list(range(n // 2)), 1.0)
+            assert seen == [n - n // 2, n]
+            assert completion.report.pd
+
     def test_pick_matrix_input_round_trips_layout(self):
         b = make_blaschke([0.5])
         data = extract_data(b, [1.0, -1.0], [1, 1])

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from blaschkepick import (
     transfer_eval,
     unitarity_defect,
 )
-from blaschkepick.realization import system_matrix
+from blaschkepick.realization import _reciprocal_condition, system_matrix
 from helpers import random_blaschke, random_circle_points
 
 
@@ -152,6 +153,73 @@ class TestResolventRows:
         with pytest.raises(SingularResolvent, match=r"z = \(2\.000000001\+0j\)"):
             resolvent_rows(r, [1.0, 2.0 + 1e-9], [1, 2])
 
+    def test_singular_point_after_regular_ones_is_named(self):
+        # I - 2 A is exactly singular, so inv raises and cond names the point.
+        r = realize(make_blaschke([0.5]))
+        with pytest.raises(SingularResolvent, match=r"z = \(2\+0j\) has reciprocal condition 0\.0"):
+            resolvent_rows(r, [1.0, -1.0, 2.0], [1, 2, 1])
+
+    def test_near_singular_stack_is_refused_without_a_warning(self):
+        near = realize(make_blaschke([0.5, 0.5]))
+        # (I - A)^{-1} overflows, which np.linalg.cond reads as rcond 0.
+        overflowing = UnitaryRealization(
+            A=np.array([[0.0, 0.0], [-1e200, 0.0]]), B=np.ones((2, 1)), C=np.ones((1, 2)), D=0.0
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularResolvent, match=r"z = \(2\.000000001\+0j\)"):
+                resolvent_rows(near, [1.0, 2.0 + 1e-9], [1, 2])
+            with pytest.raises(SingularResolvent, match=r"reciprocal condition 0\.0"):
+                resolvent_rows(overflowing, [0.5, 1.0], [1, 1])
+
+    def test_one_inverse_serves_the_condition_test_and_every_row(self, monkeypatch):
+        calls = {"inv": 0, "solve": 0, "cond": 0}
+
+        def counted(name):
+            original = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        r = realize(make_blaschke([0.3, -0.5j, 0.1 + 0.6j, 0.7]))
+        resolvent_rows(r, [1.0, 1j, cmath.exp(2.5j), 0.5], [3, 1, 4, 2])
+        assert calls == {"inv": 1, "solve": 0, "cond": 0}
+
+    def test_reciprocal_condition_is_that_of_np_linalg_cond(self):
+        rng = np.random.default_rng(25)
+        for _ in range(200):
+            d = int(rng.integers(1, 9))
+            r = realize(random_blaschke(rng, d, radius=0.99))
+            n = int(rng.integers(1, 5))
+            zs = np.exp(2j * np.pi * rng.uniform(size=n)) * rng.uniform(0.0, 1.2, size=n)
+            if abs(r.A[0, 0]) > 0.1:
+                # Near the reflected first zero 1 / A[0, 0], I - z A is ill-conditioned.
+                zs[0] = (1.0 + 10.0 ** -rng.uniform(1, 15)) / r.A[0, 0]
+            m = np.eye(d) - zs[:, None, None] * r.A
+            want = 1.0 / np.linalg.cond(m, 1)
+            assert_array_equal(_reciprocal_condition(m, np.linalg.inv(m)), want)
+
+    def test_rows_match_mpmath_reference(self):
+        # Relative to max |R|; the per-order solve that the single inverse
+        # replaced read at most 19 eps here.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(26)
+        with mpmath.workdps(40):
+            for _ in range(60):
+                r = realize(random_blaschke(rng, int(rng.integers(1, 9)), radius=0.95))
+                n = int(rng.integers(1, 4))
+                radii = np.where(rng.uniform(size=n) < 0.5, 1.0, 1.0 - 2.0 ** -rng.integers(1, 40, size=n))
+                pts = list(np.exp(2j * np.pi * rng.uniform(size=n)) * radii)
+                ks = [int(k) for k in rng.integers(1, 6, size=n)]
+                want = np.vstack([_mp_rows(mpmath, r, z, k) for z, k in zip(pts, ks)])
+                got = resolvent_rows(r, pts, ks)
+                assert np.abs(got - want).max() <= 256 * np.finfo(float).eps * np.abs(want).max()
+
     def test_degree_zero_rows_are_empty(self):
         r = realize(make_blaschke([], 1j))
         assert resolvent_rows(r, [0.5], [2]).shape == (2, 0)
@@ -167,6 +235,18 @@ class TestResolventRows:
         r = realize(make_blaschke([0.5]))
         with pytest.raises(ValueError):
             resolvent_rows(r, [1.0, -1.0], [1])
+
+
+def _mp_rows(mpmath, r: UnitaryRealization, z: complex, k: int) -> np.ndarray:
+    """Rows C A^l (I - z A)^{-l-1}, l < k, at the working precision."""
+    a = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in r.A])
+    step = (mpmath.eye(r.state_dim) - mpmath.mpc(z) * a) ** -1
+    x = mpmath.matrix([[mpmath.mpc(complex(c)) for c in r.C[0]]]) * step
+    rows = []
+    for _ in range(k):
+        rows.append([complex(v) for v in x])
+        x = x * a * step
+    return np.array(rows)
 
 
 class TestGramRoute:
