@@ -182,7 +182,7 @@ def _certificate_json(verdict: Verdict) -> dict:
         return {
             "type": "singular_pick",
             "rank": cert.rank,
-            "order_total": cert.order_total,
+            "order_total": verdict.order_total,
             "degree": verdict.degree,
         }
     assert isinstance(cert, NonUniqueCertificate)
@@ -193,7 +193,8 @@ def _certificate_json(verdict: Verdict) -> dict:
         "margin": comp.margin,
         "complementary_indices": list(comp.complementary),
         "corner_values": [
-            {"point_index": i, "value": complex_to_pair(v)} for i, v in comp.corner_targets
+            {"point_index": i, "value": complex_to_pair(comp.modified.flat[j, j])}
+            for i, j in zip(cert.even_points, comp.complementary)
         ],
         "supplementary_values": [
             {
@@ -203,7 +204,10 @@ def _certificate_json(verdict: Verdict) -> dict:
             }
             for i, v in cert.supplementary
         ],
-        "partition": {"odd": list(cert.odd_points), "even": list(cert.even_points)},
+        "partition": {
+            "odd": [i for i in range(len(verdict.derivative_orders)) if i not in cert.even_points],
+            "even": list(cert.even_points),
+        },
         "roundtrip_residual": cert.roundtrip_residual,
         "extended": _report_json(cert.extended_report),
     }
@@ -278,9 +282,6 @@ def _emit(report: dict, fmt: str) -> None:
 def cmd_analyze(args) -> int:
     try:
         b, points, orders, file_tol = _load_problem(args.problem)
-        for m in orders:
-            if m < 1:
-                raise ProblemFileError(f"contact orders must be >= 1, got {m}")
     except ProblemFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -321,9 +322,6 @@ def cmd_analyze(args) -> int:
 def cmd_crosscheck(args) -> int:
     try:
         b, points, orders, _ = _load_problem(args.problem)
-        for k in orders:
-            if k < 1:
-                raise ProblemFileError(f"derivative orders must be >= 1, got {k}")
     except ProblemFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -46,4 +46,5 @@ class RankMismatch(BlaschkePickError):
 
 
 class ConvergenceFailure(BlaschkePickError):
-    """An iterative eigenvalue computation did not converge."""
+    """A numerical method did not converge: an iterative eigenvalue
+    computation, or a contour mean that cannot be formed finite."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -81,8 +81,6 @@ class Completion:
     `shift` was added to the diagonal entries listed in `complementary`
     (flat indices); everything else is unchanged.  `report` reads the
     modified matrix at the tolerances of the report it was completed from.
-    `corner_targets` maps point indices to the completed corner values when
-    the caller knows the block layout; :func:`complete_to_pd` leaves it empty.
     """
 
     modified: object
@@ -90,7 +88,6 @@ class Completion:
     complementary: tuple[int, ...]
     margin: float
     report: HermitianReport
-    corner_targets: tuple[tuple[int, complex], ...] = field(default=())
 
 
 def extract_data(b: BlaschkeProduct, points, max_orders) -> JetData:
@@ -209,13 +206,12 @@ def _require_margin(margin: float) -> None:
 
 def _complete(
     p_tilde, matrix: np.ndarray, defect: float, rank_tol: float, pd_tol: float,
-    head: np.ndarray, comp: np.ndarray, margin: float, corner_points=(),
+    head: np.ndarray, comp: np.ndarray, margin: float,
 ) -> Completion:
     """:func:`complete_to_pd` given p_tilde symmetrized, as matrix with its
     defect, the checked tolerances that the completion's report reads at,
     and the principal indices split into integer arrays head and ascending
-    complement comp.  `corner_points` names the point of each index of comp,
-    for the completion's corner targets; without it they stay empty.
+    complement comp.
 
     A real shift on the diagonal commutes with the symmetrization (M + M*) / 2
     bit for bit and leaves M - M* as it was, so the symmetrized modified
@@ -237,7 +233,6 @@ def _complete(
         complementary=tuple(comp.tolist()),
         margin=float(margin),
         report=_read(modified_h, defect, eigen_h(modified_h), rank_tol, pd_tol),
-        corner_targets=tuple((i, complex(modified_flat[idx, idx])) for i, idx in zip(corner_points, comp)),
     )
 
 

@@ -46,7 +46,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .blaschke import CIRCLE_TOL, BlaschkeProduct, _finite_jets, _jet_array, _require_finite, poles
-from .errors import CoincidentPoints, DegenerateDenominator, InsufficientJet
+from .errors import CoincidentPoints, ConvergenceFailure, DegenerateDenominator, InsufficientJet
 from .realization import realize, sp_via_realization
 
 DEGENERATE_DENOMINATOR_TOL = 1e-13
@@ -413,7 +413,8 @@ def sp_boundary_radial(b: BlaschkeProduct, points, orders) -> tuple[SchwarzPickM
     max(1, largest entry of the mean).  Raises PoleEvaluation or
     DegenerateDenominator when a zero of b lies so close to the circle, or
     two points so close to each other, that a node meets a pole or a
-    vanishing denominator.
+    vanishing denominator, and ConvergenceFailure when the radius is so
+    small for the orders that the mean or its estimate overflows.
     """
     ks = _validate_orders(orders)
     pts = validate_points(points, on_circle=True)
@@ -426,14 +427,22 @@ def sp_boundary_radial(b: BlaschkeProduct, points, orders) -> tuple[SchwarzPickM
     # u-centers at the same nodes.
     half = CONTOUR_NODES // 2
     centers = np.multiply.outer(1.0 - radius * _CONTOUR_UNITS, units)
-    jets = _jet_array(b, centers, max(ks) - 1)
-    values = _kernel_stack(jets[:half], jets[half:].conj(), centers[:half], centers[half:].conj(), ks)
-    total, alternating = (_CONTOUR_WEIGHTS @ values.reshape(half, -1)).reshape((2,) + values.shape[1:])
-    mean = (total + total.conj().T) / CONTOUR_NODES
     k = max(ks)
-    rounding = CONTOUR_ROUNDING * sys.float_info.epsilon * max(1.0, float(np.abs(values).max()))
-    rounding *= math.comb(2 * k - 2, k - 1) * (2.0 * radius) ** (1 - 2 * k)
-    estimate = float(np.abs(alternating - alternating.conj().T).max() / CONTOUR_NODES + rounding)
-    converged = estimate <= RADIAL_CONVERGENCE_TOL * max(1.0, float(np.abs(mean).max()))
+    jets = _jet_array(b, centers, k - 1)
+    # Overflow shows as an infinite or NaN mean or estimate, refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _kernel_stack(jets[:half], jets[half:].conj(), centers[:half], centers[half:].conj(), ks)
+        total, alternating = (_CONTOUR_WEIGHTS @ values.reshape(half, -1)).reshape((2,) + values.shape[1:])
+        mean = (total + total.conj().T) / CONTOUR_NODES
+        rounding = CONTOUR_ROUNDING * sys.float_info.epsilon * max(1.0, float(np.abs(values).max()))
+        rounding *= math.comb(2 * k - 2, k - 1) * np.float64(2.0 * radius) ** (1 - 2 * k)
+        estimate = float(np.abs(alternating - alternating.conj().T).max() / CONTOUR_NODES + rounding)
+    scale = float(np.abs(mean).max())
+    if not (math.isfinite(estimate) and math.isfinite(scale)):
+        raise ConvergenceFailure(
+            f"the contour mean at radius {radius} overflows (error estimate {estimate}, "
+            f"largest entry {scale})"
+        )
+    converged = estimate <= RADIAL_CONVERGENCE_TOL * max(1.0, scale)
     diags = RadialDiagnostics(radius, CONTOUR_NODES, estimate, converged, RADIAL_CONVERGENCE_TOL)
     return SchwarzPickMatrix(flat=mean, points=pts, orders=ks), diags

@@ -88,27 +88,30 @@ class ContactProblem:
 
 @dataclass(frozen=True, eq=False)
 class UniqueCertificate:
-    """Singular PSD Pick matrix: rank = degree, strictly below the size."""
+    """Singular PSD Pick matrix: its numerical rank equals the degree, which
+    is strictly below its size, the order total.  The matrix and its
+    report are the verdict's `pick`."""
 
     rank: int
-    order_total: int
-    report: HermitianReport
 
 
 @dataclass(frozen=True, eq=False)
 class NonUniqueCertificate:
     """Positive definite completion of the extended jet problem.
 
-    supplementary lists, per extended point index, the jet coefficient
-    b_{2k+1} realizing the completed corner; roundtrip_residual is the
-    max-abs difference between the completed matrix and the one rebuilt
-    from the supplemented data.
+    even_points lists the points whose blocks were extended by one row (the
+    other points keep their orders); the completion raised the bottom
+    diagonal entry of each, at the flat index in `completion.complementary`,
+    so the completed corner values are that diagonal.  supplementary lists,
+    per extended point index, the jet coefficient b_{2k+1} realizing the
+    completed corner; roundtrip_residual is the max-abs difference between
+    the completed matrix and the one rebuilt from the supplemented data.
+    extended_report reads the completed matrix.
     """
 
     completion: Completion
     extended_report: HermitianReport
     supplementary: tuple[tuple[int, complex], ...]
-    odd_points: tuple[int, ...]
     even_points: tuple[int, ...]
     roundtrip_residual: float
 
@@ -161,15 +164,15 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
     bottom rows of the extended blocks (see :func:`extend_pick`).  When the
     criterion says unique, the truncated matrix's numerical rank must equal
     deg b (strictly less than sum k_i); when it says non-unique, it must be
-    positive definite, and the extension is completed.  Either check
-    failing raises RankMismatch, since that means the numerics contradict
-    an exact statement.  Each supplement is b_{2k+1} + shift / slope; a
-    rebuilt corner that misses its target by more than
-    SUPPLEMENTARY_RESIDUAL_TOL max(1, |target|) raises ValueError.
+    positive definite, and the extension is completed and must be positive
+    definite too.  Any of these checks failing raises RankMismatch, since
+    that means the numerics contradict an exact statement.  Each supplement
+    is b_{2k+1} + shift / slope; a rebuilt corner that misses its completed
+    value by more than SUPPLEMENTARY_RESIDUAL_TOL max(1, |value|) raises
+    ValueError.
     """
     ks = derivative_orders(problem.contact_orders)
-    k_total = sum(ks)
-    d = problem.b.degree
+    k_total, d = sum(ks), problem.b.degree
     unique = k_total > d
     even = () if unique else tuple(i for i, m in enumerate(problem.contact_orders) if m % 2 == 0)
     built = tuple(k + (i in even) for i, k in enumerate(ks))
@@ -187,96 +190,73 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
         corners = np.array([ends[i] - 1 for i in even])
         principal = np.array([j for j in range(ends[-1]) if j not in corner_rows])
         p_flat = p_flat[principal[:, None], principal]
-    pick_report = make_report(p_flat, rank_tol=tolerances.rank, pd_tol=tolerances.pd)
-
-    if unique:
-        if pick_report.numerical_rank != d:
-            raise RankMismatch(
-                f"criterion says unique (|k| = {k_total} > degree {d}) but the Pick matrix "
-                f"has numerical rank {pick_report.numerical_rank} instead of {d}"
-            )
-        certificate = UniqueCertificate(
-            rank=pick_report.numerical_rank, order_total=k_total, report=pick_report
+    pick = make_report(p_flat, rank_tol=tolerances.rank, pd_tol=tolerances.pd)
+    if unique and pick.numerical_rank != d:
+        raise RankMismatch(
+            f"criterion says unique (|k| = {k_total} > degree {d}) but the Pick matrix "
+            f"has numerical rank {pick.numerical_rank} instead of {d}"
         )
-        return Verdict(
-            unique=True,
-            derivative_orders=ks,
-            order_total=k_total,
-            degree=d,
-            pick=pick_report,
-            certificate=certificate,
-        )
-
-    if not pick_report.pd:
+    if not unique and not pick.pd:
         raise RankMismatch(
             f"criterion says non-unique (|k| = {k_total} <= degree {d}) but the truncated "
-            f"Pick matrix is not positive definite (lambda_min = {pick_report.lambda_min})"
-        )
-    odd = tuple(i for i, m in enumerate(problem.contact_orders) if m % 2 == 1)
-    if even:
-        h_tilde = make_report(p_tilde.flat, tolerances.rank, tolerances.pd, strict=False)
-        margin = COMPLETION_MARGIN * max(1.0, h_tilde.lambda_max)
-        completion = _complete(
-            p_tilde, h_tilde.matrix, h_tilde.defect, tolerances.rank, tolerances.pd,
-            principal, corners, margin, even,
+            f"Pick matrix is not positive definite (lambda_min = {pick.lambda_min})"
         )
 
-        # Only the corner moves with the top coefficient b_{2k+1}, with slope
-        # (-1)^k t^(2k+1) conj(b_0) (corner_value); the supplement moves it
-        # by the shift.
-        supplemented = table.copy()
-        supplementary = []
-        for i in even:
-            k, t = ks[i], problem.points[i]
-            slope = (-1.0) ** k * t ** (2 * k + 1) * complex(table[i, 0]).conjugate()
-            value = _require_finite(complex(table[i, 2 * k + 1]) + completion.shift / slope, "value")
-            supplemented[i, 2 * k + 1] = value
-            supplementary.append((i, value))
-
-        # Rebuild the extended matrix from the table with the supplements in
-        # place of the product's own top coefficients.
-        redone = _structured_flat(supplemented, problem.points, built)
-        for idx, (_, target) in zip(corners, completion.corner_targets):
-            residual = abs(redone[idx, idx] - target)
-            bound = SUPPLEMENTARY_RESIDUAL_TOL * max(1.0, abs(target))
-            if residual > bound:
-                raise ValueError(f"supplemented corner misses its target by {residual}, above {bound}")
-        roundtrip = float(np.abs(redone - completion.modified.flat).max())
-        # The strict Hermitian check of the completed matrix, whose report
-        # the completion read at these tolerances.
-        _require_hermitian(completion.report.defect, completion.modified.flat)
-        extended_report = completion.report
+    if unique:
+        certificate = UniqueCertificate(rank=pick.numerical_rank)
     else:
-        # Nothing to extend: the completed matrix is the truncated one, whose
-        # report has just shown it positive definite.
-        completion = Completion(
-            modified=p_tilde,
-            shift=0.0,
-            complementary=(),
-            margin=COMPLETION_MARGIN * max(1.0, pick_report.lambda_max),
-            report=pick_report,
+        supplementary, roundtrip = [], 0.0
+        if not even:
+            # Nothing to extend: the completed matrix is the truncated one,
+            # whose report has just shown it positive definite.
+            margin = COMPLETION_MARGIN * max(1.0, pick.lambda_max)
+            completion = Completion(modified=p_tilde, shift=0.0, complementary=(), margin=margin, report=pick)
+        else:
+            h_tilde = make_report(p_tilde.flat, tolerances.rank, tolerances.pd, strict=False)
+            margin = COMPLETION_MARGIN * max(1.0, h_tilde.lambda_max)
+            completion = _complete(
+                p_tilde, h_tilde.matrix, h_tilde.defect, tolerances.rank, tolerances.pd,
+                principal, corners, margin,
+            )
+            completed = completion.modified.flat
+
+            # Only the corner moves with the top coefficient b_{2k+1}, with
+            # slope (-1)^k t^(2k+1) conj(b_0) (corner_value); the supplement
+            # moves it by the shift.
+            supplemented = table.copy()
+            for i in even:
+                k, t = ks[i], problem.points[i]
+                slope = (-1.0) ** k * t ** (2 * k + 1) * complex(table[i, 0]).conjugate()
+                value = _require_finite(complex(table[i, 2 * k + 1]) + completion.shift / slope, "value")
+                supplemented[i, 2 * k + 1] = value
+                supplementary.append((i, value))
+
+            # Rebuild the extended matrix from the table with the supplements
+            # in place of the product's own top coefficients.
+            redone = _structured_flat(supplemented, problem.points, built)
+            for idx in corners:
+                residual = abs(redone[idx, idx] - completed[idx, idx])
+                bound = SUPPLEMENTARY_RESIDUAL_TOL * max(1.0, abs(completed[idx, idx]))
+                if residual > bound:
+                    raise ValueError(f"supplemented corner misses its target by {residual}, above {bound}")
+            roundtrip = float(np.abs(redone - completed).max())
+            # The strict Hermitian check of the completed matrix, whose
+            # report the completion read at these tolerances.
+            _require_hermitian(completion.report.defect, completed)
+            if not completion.report.pd:
+                raise RankMismatch(
+                    f"completed extension failed to be positive definite "
+                    f"(lambda_min = {completion.report.lambda_min})"
+                )
+        certificate = NonUniqueCertificate(
+            completion=completion,
+            extended_report=completion.report,
+            supplementary=tuple(supplementary),
+            even_points=even,
+            roundtrip_residual=roundtrip,
         )
-        supplementary, roundtrip, extended_report = [], 0.0, pick_report
-    if not extended_report.pd:
-        raise RankMismatch(
-            f"completed extension failed to be positive definite "
-            f"(lambda_min = {extended_report.lambda_min})"
-        )
-    certificate = NonUniqueCertificate(
-        completion=completion,
-        extended_report=extended_report,
-        supplementary=tuple(supplementary),
-        odd_points=odd,
-        even_points=even,
-        roundtrip_residual=roundtrip,
-    )
     return Verdict(
-        unique=False,
-        derivative_orders=ks,
-        order_total=k_total,
-        degree=d,
-        pick=pick_report,
-        certificate=certificate,
+        unique=unique, derivative_orders=ks, order_total=k_total, degree=d, pick=pick, certificate=certificate
     )
 
 

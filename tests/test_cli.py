@@ -16,6 +16,8 @@ from numpy.testing import assert_array_equal
 import blaschkepick.cli as cli
 from blaschkepick import (
     BlaschkePickError,
+    ContactProblem,
+    decide,
     extract_data,
     make_blaschke,
     realize,
@@ -50,6 +52,7 @@ class TestAnalyze:
         assert report["degree"] == 1
         assert report["certificate"]["type"] == "singular_pick"
         assert report["certificate"]["rank"] == 1
+        assert report["order_total"] == report["certificate"]["order_total"] == 2
         assert report["pick"]["numerical_rank"] == 1
         assert report["route_residuals"]["structured_vs_realization"] <= 1e-10
 
@@ -65,6 +68,36 @@ class TestAnalyze:
         assert cert["supplementary_values"][0]["value"] == pytest.approx([-1.0, 0.0])
         assert cert["roundtrip_residual"] <= 1e-12
         assert cert["extended"]["pd"] is True
+
+    def test_certificate_layout_matches_the_library(self, tmp_path, capsys):
+        # Contact orders (2, 1, 4): points 0 and 2 are even and extended, so
+        # the built orders are (2, 1, 3) and the corners sit at flat rows 1
+        # and 5; point 1 is odd.
+        zeros = [0.3, -0.2j, 0.1 + 0.4j, 0.5, -0.4]
+        points, orders = [1.0, 1j, -1.0], [2, 1, 4]
+        path = write_problem(
+            tmp_path,
+            blaschke={"zeros": [[complex(a).real, complex(a).imag] for a in zeros], "u": [1.0, 0.0]},
+            points=[[complex(t).real, complex(t).imag] for t in points],
+            orders=orders,
+        )
+        assert main(["analyze", path, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        problem = ContactProblem(b=make_blaschke(zeros), points=tuple(points), contact_orders=tuple(orders))
+        verdict = decide(problem)
+        cert = verdict.certificate
+        completed = cert.completion.modified.flat
+        assert not verdict.unique and report["verdict"] == "non-unique"
+        assert report["order_total"] == verdict.order_total == 4
+        got = report["certificate"]
+        assert got["complementary_indices"] == list(cert.completion.complementary) == [1, 5]
+        assert got["corner_values"] == [
+            {"point_index": 0, "value": [completed[1, 1].real, completed[1, 1].imag]},
+            {"point_index": 2, "value": [completed[5, 5].real, completed[5, 5].imag]},
+        ]
+        assert [v["point_index"] for v in got["supplementary_values"]] == [i for i, _ in cert.supplementary] == [0, 2]
+        assert [v["coefficient_index"] for v in got["supplementary_values"]] == [3, 5]
+        assert got["partition"] == {"odd": [1], "even": list(cert.even_points)} == {"odd": [1], "even": [0, 2]}
 
     def test_text_format_default(self, tmp_path, capsys):
         path = write_problem(tmp_path)
@@ -103,10 +136,17 @@ class TestValidation:
         assert main(["analyze", str(path)]) == 2
         assert "blaschke" in capsys.readouterr().err
 
-    def test_zero_contact_order(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["analyze", "crosscheck"])
+    def test_zero_contact_order(self, tmp_path, capsys, command):
+        # analyze reads contact orders, crosscheck derivative orders; the
+        # library refuses either below one.
+        message = {
+            "analyze": "contact orders must be at least one, got 0",
+            "crosscheck": "derivative orders must be positive, got 0",
+        }[command]
         path = write_problem(tmp_path, orders=[0])
-        assert main(["analyze", path]) == 2
-        capsys.readouterr()
+        assert main([command, path]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_point_off_circle(self, tmp_path, capsys):
         path = write_problem(tmp_path, points=[[0.5, 0.0]])
@@ -252,6 +292,23 @@ class TestCrosscheck:
         assert report["radial_converged"] is True
         assert report["radial_gap_max_abs"] <= 1e-12
         assert report["radial_error_estimate"] <= 1e-8
+
+    @pytest.mark.parametrize("order", [20, 24])
+    def test_overflowing_radial_mean_is_refused(self, tmp_path, capsys, order):
+        # Points 1e-6 rad apart leave the radial contour a radius near 8e-8,
+        # where the rounding term (order 24: also the kernel recurrence)
+        # overflows; the report would otherwise carry Infinity, which is not
+        # JSON.
+        path = write_problem(
+            tmp_path,
+            blaschke={"zeros": [[0.3, 0.0]], "u": [1.0, 0.0]},
+            points=[{"angle": 0.4}, {"angle": 0.400001}],
+            orders=[order, order],
+        )
+        assert main(["crosscheck", path, "--format", "json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: the contour mean at radius ") and err.count("\n") == 1
 
 
 class TestFuzz:

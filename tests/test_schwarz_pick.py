@@ -4,6 +4,7 @@ and radial routes."""
 import cmath
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from numpy.testing import assert_allclose
 from blaschkepick import (
     BlaschkePickError,
     CoincidentPoints,
+    ConvergenceFailure,
     DegenerateDenominator,
     InsufficientJet,
     PoleEvaluation,
@@ -434,3 +436,15 @@ class TestBoundaryRadial:
         # about 1.8e-13, and its nodes within 1e-12 of the pole.
         with pytest.raises(PoleEvaluation):
             sp_boundary_radial(make_blaschke([1.0 - 1.1e-12]), [1.0], [1])
+
+    @pytest.mark.parametrize("order", [20, 24])
+    def test_overflowing_mean_is_refused(self, order):
+        # Points 1e-6 rad apart leave a contour radius near 8e-8.  At order
+        # 20 the rounding term (2R)^(1 - 2K) overflows, at order 24 the
+        # kernel recurrence too; neither may pass as a result or a warning.
+        b = make_blaschke([0.3])
+        pts = [complex(math.cos(0.4), math.sin(0.4)), complex(math.cos(0.400001), math.sin(0.400001))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceFailure, match="overflows"):
+                sp_boundary_radial(b, pts, [order, order])

@@ -118,10 +118,10 @@ class TestNonUniqueVerdicts:
         cert = verdict.certificate
         assert isinstance(cert, NonUniqueCertificate)
         assert cert.even_points == (0,)
-        assert cert.odd_points == ()
         assert cert.completion.shift == pytest.approx(1.0)
-        assert cert.completion.corner_targets[0][0] == 0
-        assert complex(cert.completion.corner_targets[0][1]) == pytest.approx(1.0)
+        # The completed corner is the bottom diagonal entry of the one block.
+        assert cert.completion.complementary == (1,)
+        assert complex(cert.completion.modified.flat[1, 1]) == pytest.approx(1.0)
         assert len(cert.supplementary) == 1
         assert cert.supplementary[0][0] == 0
         assert cert.supplementary[0][1] == pytest.approx(-1.0)
@@ -209,7 +209,7 @@ class TestNonUniqueVerdicts:
                 continue
             scale = max(1.0, float(np.max(np.abs(cert.completion.modified.flat))))
             ks = derivative_orders(ms)
-            targets = dict(cert.completion.corner_targets)
+            targets = completed_corners(cert)
             assert [i for i, _ in cert.supplementary] == list(cert.even_points) == list(range(n))
             for i, b_sup in cert.supplementary:
                 vals = list(taylor_jet(b, problem.points[i], 2 * ks[i])) + [b_sup]
@@ -250,7 +250,7 @@ class TestNonUniqueVerdicts:
             completion = complete_to_pd(extended, principal, margin)
             scale = max(1.0, float(np.max(np.abs(completion.modified.flat))))
             assert abs(cert.completion.shift - completion.shift) <= 1e-13 * scale
-            targets = dict(cert.completion.corner_targets)
+            targets = completed_corners(cert)
             for i, b_sup in cert.supplementary:
                 vals = list(data.values[i][: 2 * ks[i] + 1]) + [b_sup]
                 assert abs(corner_value(vals, problem.points[i], ks[i]) - targets[i]) <= 1e-13 * scale
@@ -368,6 +368,13 @@ class TestOrderIndependence:
         assert sum(bits[0] == "non-unique" for bits in forward) >= 5
 
 
+def completed_corners(cert: NonUniqueCertificate) -> dict:
+    """Point index to completed corner value: the completed diagonal at the
+    complementary index of each extended point."""
+    flat = cert.completion.modified.flat
+    return {i: complex(flat[j, j]) for i, j in zip(cert.even_points, cert.completion.complementary)}
+
+
 def verdict_bits(problem: ContactProblem) -> tuple:
     """Everything a verdict or refusal says, with arrays as raw bytes."""
     try:
@@ -382,7 +389,7 @@ def verdict_bits(problem: ContactProblem) -> tuple:
             comp.modified.flat.tobytes(),
             comp.shift,
             comp.report.eigenvalues.tobytes(),
-            comp.corner_targets,
+            completed_corners(cert),
             cert.supplementary,
             cert.roundtrip_residual,
             cert.extended_report.matrix.tobytes(),
