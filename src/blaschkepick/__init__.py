@@ -23,6 +23,7 @@ from .errors import (
     ConstantNotUnimodular,
     ConvergenceFailure,
     DegenerateDenominator,
+    Inconclusive,
     InsufficientJet,
     PoleEvaluation,
     PrincipalNotPD,
@@ -84,6 +85,7 @@ __all__ = [
     "ConvergenceFailure",
     "DegenerateDenominator",
     "HermitianReport",
+    "Inconclusive",
     "InsufficientJet",
     "JetData",
     "NonUniqueCertificate",

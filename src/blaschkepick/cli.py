@@ -13,7 +13,8 @@ Problem files are JSON objects of the form
 derivative orders k_i.  Reports carry a top-level "schema": 2 and encode
 complex numbers as [re, im] pairs.  Exit codes: 0 success, 2 validation
 error, 3 rank mismatch, 4 cross-route residual breach, 5 fuzz
-counterexample found.
+counterexample found, 6 inconclusive.  Commands raise their refusals, and
+:func:`main` alone turns each into its exit code.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ import numpy as np
 
 from . import __version__
 from .blaschke import BlaschkeProduct, blaschke_from_json, blaschke_to_json, make_blaschke
-from .errors import BlaschkePickError, RankMismatch
-from .hermitian import HermitianReport, make_report
+from .errors import BlaschkePickError, Inconclusive, RankMismatch
+from .hermitian import HERMITIAN_DEFECT_TOL, HermitianReport, make_report
 from .pick import ADMISSIBLE_TOL
 from .realization import realize, sp_via_realization
 from .schwarz_pick import (
@@ -64,6 +65,7 @@ EXIT_VALIDATION = 2
 EXIT_RANK_MISMATCH = 3
 EXIT_RESIDUAL = 4
 EXIT_COUNTEREXAMPLE = 5
+EXIT_INCONCLUSIVE = 6
 
 
 class ProblemFileError(Exception):
@@ -136,16 +138,6 @@ def _load_problem(path: str):
         if tol.get(key) is not None
     }
     return b, points, raw_orders, tol
-
-
-def _tolerances(args, file_tol: dict) -> Tolerances:
-    rank = args.tol_rank if args.tol_rank is not None else file_tol.get("rank")
-    pd = args.tol_pd if args.tol_pd is not None else file_tol.get("pd")
-    base = Tolerances()
-    return Tolerances(
-        rank=float(rank) if rank is not None else base.rank,
-        pd=float(pd) if pd is not None else base.pd,
-    )
 
 
 # ---------------------------------------------------------------- reports
@@ -236,14 +228,6 @@ def _compare_routes(
     return table[:, 0], structured, via_real, diff, diff / (1.0 + norm)
 
 
-def _route_residuals(b: BlaschkeProduct, points, ks) -> dict:
-    _, _, _, diff, residual = _compare_routes(b, points, ks)
-    return {
-        "structured_vs_realization_max_abs": diff,
-        "structured_vs_realization": residual,
-    }
-
-
 def _render_text(value, indent: int = 0, label: str | None = None) -> list[str]:
     pad = "  " * indent
     head = f"{pad}{label}: " if label is not None else pad
@@ -280,27 +264,15 @@ def _emit(report: dict, fmt: str) -> None:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        b, points, orders, file_tol = _load_problem(args.problem)
-    except ProblemFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        tol = _tolerances(args, file_tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    b, points, orders, file_tol = _load_problem(args.problem)
+    # The flags given override the file's tolerances; defaults fill the rest.
+    flags = {"rank": args.tol_rank, "pd": args.tol_pd}
+    tol = Tolerances(**{**file_tol, **{k: v for k, v in flags.items() if v is not None}})
     start = time.perf_counter()
-    try:
-        problem = ContactProblem(b=b, points=tuple(points), contact_orders=tuple(orders))
-        verdict = decide(problem, tol)
-    except RankMismatch as exc:
-        print(f"rank mismatch: {exc}", file=sys.stderr)
-        return EXIT_RANK_MISMATCH
-    except (BlaschkePickError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    problem = ContactProblem(b=b, points=tuple(points), contact_orders=tuple(orders))
+    verdict = decide(problem, tol)
     elapsed = time.perf_counter() - start
+    _, _, _, diff, residual = _compare_routes(b, list(problem.points), list(verdict.derivative_orders))
     report = {
         "schema": SCHEMA,
         "command": "analyze",
@@ -312,7 +284,7 @@ def cmd_analyze(args) -> int:
         "points": [complex_to_pair(t) for t in problem.points],
         "pick": _report_json(verdict.pick),
         "certificate": _certificate_json(verdict),
-        "route_residuals": _route_residuals(b, list(problem.points), list(verdict.derivative_orders)),
+        "route_residuals": {"structured_vs_realization_max_abs": diff, "structured_vs_realization": residual},
         "wall_time_seconds": elapsed,
     }
     _emit(report, args.format)
@@ -320,18 +292,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    try:
-        b, points, orders, _ = _load_problem(args.problem)
-    except ProblemFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    b, points, orders, _ = _load_problem(args.problem)
     start = time.perf_counter()
-    try:
-        _, structured, via_real, diff_real, residual = _compare_routes(b, points, orders)
-        radial, diags = sp_boundary_radial(b, points, orders)
-    except (BlaschkePickError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    _, structured, via_real, diff_real, residual = _compare_routes(b, points, orders)
+    radial, diags = sp_boundary_radial(b, points, orders)
     elapsed = time.perf_counter() - start
     radial_gap = float(np.max(np.abs(structured.flat - radial.flat))) if structured.flat.size else 0.0
     report = {
@@ -392,8 +356,8 @@ def _check_instance(inst) -> tuple[str, str] | None:
     # makes on the same matrix at its default tolerance.
     report = make_report(structured, rank_tol=ADMISSIBLE_TOL, pd_tol=ADMISSIBLE_TOL, strict=False)
 
-    if report.defect > 1e-9 * max(1.0, norm):
-        return ("hermitian", f"defect {report.defect} exceeds {1e-9 * max(1.0, norm)}")
+    if report.defect > HERMITIAN_DEFECT_TOL * max(1.0, norm):
+        return ("hermitian", f"defect {report.defect} exceeds {HERMITIAN_DEFECT_TOL * max(1.0, norm)}")
 
     expected = min(sum(ks), b.degree)
     if report.numerical_rank != expected:
@@ -459,25 +423,17 @@ def _instance_json(inst) -> dict:
     }
 
 
-def _fuzz_bound_error(args) -> str | None:
-    if args.trials < 1:
-        return "--trials must be at least 1"
-    if args.degree_max < 0:
-        return "--degree-max must be at least 0"
-    if args.order_max < 1:
-        return "--order-max must be at least 1"
-    if not 1 <= args.points_max <= FUZZ_POINTS_MAX:
-        return f"--points-max must be between 1 and {FUZZ_POINTS_MAX}"
-    if args.seed < 0:
-        return "--seed must be at least 0"
-    return None
-
-
 def cmd_fuzz(args) -> int:
-    error = _fuzz_bound_error(args)
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_VALIDATION
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
+    if args.degree_max < 0:
+        raise ValueError("--degree-max must be at least 0")
+    if args.order_max < 1:
+        raise ValueError("--order-max must be at least 1")
+    if not 1 <= args.points_max <= FUZZ_POINTS_MAX:
+        raise ValueError(f"--points-max must be between 1 and {FUZZ_POINTS_MAX}")
+    if args.seed < 0:
+        raise ValueError("--seed must be at least 0")
     rng = np.random.default_rng(args.seed)
     start = time.perf_counter()
     for trial in range(args.trials):
@@ -485,29 +441,22 @@ def cmd_fuzz(args) -> int:
         failure = _check_instance(inst)
         if failure is not None:
             inst, failure = _minimize(inst, failure)
-            report = {
-                "schema": SCHEMA,
-                "command": "fuzz",
-                "seed": args.seed,
+            code, outcome = EXIT_COUNTEREXAMPLE, {
                 "trials_run": trial + 1,
                 "property": failure[0],
                 "detail": failure[1],
                 "counterexample": _instance_json(inst),
-                "wall_time_seconds": time.perf_counter() - start,
             }
-            _emit(report, args.format)
-            return EXIT_COUNTEREXAMPLE
-    report = {
-        "schema": SCHEMA,
-        "command": "fuzz",
-        "seed": args.seed,
-        "trials": args.trials,
-        "failures": 0,
-        "properties": ["hermitian", "rank_law", "route_agreement", "admissibility"],
-        "wall_time_seconds": time.perf_counter() - start,
-    }
-    _emit(report, args.format)
-    return EXIT_OK
+            break
+    else:
+        code, outcome = EXIT_OK, {
+            "trials": args.trials,
+            "failures": 0,
+            "properties": ["hermitian", "rank_law", "route_agreement", "admissibility"],
+        }
+    head = {"schema": SCHEMA, "command": "fuzz", "seed": args.seed}
+    _emit({**head, **outcome, "wall_time_seconds": time.perf_counter() - start}, args.format)
+    return code
 
 
 # ---------------------------------------------------------------- entry
@@ -554,9 +503,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    # The one table of refusals, subclasses before their bases.  Any other
+    # exception is a bug, and its traceback is the report.
+    try:
+        return args.func(args)
+    except RankMismatch as exc:
+        code, message = EXIT_RANK_MISMATCH, f"rank mismatch: {exc}"
+    except Inconclusive as exc:
+        code, message = EXIT_INCONCLUSIVE, f"inconclusive: {exc}"
+    except (ProblemFileError, BlaschkePickError, ValueError) as exc:
+        code, message = EXIT_VALIDATION, f"error: {exc}"
+    print(message, file=sys.stderr)
+    return code
 
 
 def entrypoint() -> None:

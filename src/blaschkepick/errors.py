@@ -45,6 +45,17 @@ class RankMismatch(BlaschkePickError):
     """Matrix evidence contradicts the combinatorial uniqueness criterion."""
 
 
+class Inconclusive(BlaschkePickError):
+    """A matrix the package built from valid data failed its own Hermitian
+    test, so its spectrum cannot back a verdict; `value` is the measured
+    defect and `limit` the bound it exceeds."""
+
+    def __init__(self, message: str, value: float, limit: float):
+        super().__init__(message)
+        self.value = value
+        self.limit = limit
+
+
 class ConvergenceFailure(BlaschkePickError):
     """A numerical method did not converge: an iterative eigenvalue
     computation, or a contour mean that cannot be formed finite."""

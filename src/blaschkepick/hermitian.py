@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceFailure, PrincipalNotPD
+from .errors import ConvergenceFailure, Inconclusive, PrincipalNotPD
 
 HERMITIAN_DEFECT_TOL = 1e-9
 DEFAULT_RANK_TOL = 1e-8
@@ -40,15 +40,24 @@ def _symmetrize(m, strict: bool) -> tuple[np.ndarray, float]:
     return 0.5 * (m + mh), defect
 
 
-def _require_hermitian(defect: float, m) -> None:
+def _require_hermitian(defect: float, m, built: str | None = None) -> None:
     """The strict test of :func:`make_report`: raises ValueError when the
     defect of a matrix symmetrized from m exceeds
-    HERMITIAN_DEFECT_TOL * max(1, |m|_inf)."""
+    HERMITIAN_DEFECT_TOL * max(1, |m|_inf).  A matrix the package built
+    itself, named by `built`, raises Inconclusive instead: the caller's data
+    were valid, but rounding in the build leaves its spectrum unreadable."""
     if m.size == 0:
         return
-    scale = max(1.0, float(np.abs(m).max()))
-    if defect > HERMITIAN_DEFECT_TOL * scale:
-        raise ValueError(f"matrix is not Hermitian: defect {defect} exceeds {HERMITIAN_DEFECT_TOL * scale}")
+    limit = HERMITIAN_DEFECT_TOL * max(1.0, float(np.abs(m).max()))
+    if defect > limit:
+        if built is not None:
+            raise Inconclusive(
+                f"{built} is not Hermitian in floating point (defect {defect} exceeds {limit}), "
+                "so its spectrum cannot back a verdict",
+                defect,
+                limit,
+            )
+        raise ValueError(f"matrix is not Hermitian: defect {defect} exceeds {limit}")
 
 
 def eigen_h(matrix: np.ndarray) -> np.ndarray:

@@ -102,22 +102,10 @@ def extract_data(b: BlaschkeProduct, points, max_orders) -> JetData:
         raise ValueError(f"{len(pts)} points but {len(orders)} max_orders")
     if any(j < 0 for j in orders):
         raise ValueError("max_orders must be nonnegative")
-    return _jet_data(b, pts, orders)
-
-
-def _jet_data(b: BlaschkeProduct, pts: tuple[complex, ...], orders: tuple[int, ...]) -> JetData:
-    """:func:`extract_data` at points JetData would accept, with one
-    nonnegative int order per point, from one stacked evaluation through
-    the largest order; each coefficient is checked finite once, here."""
     if not pts:
         return JetData(points=(), values=())
     jets = _finite_jets(b, pts, max(orders))
-    values = tuple(tuple(row[: j + 1]) for row, j in zip(jets.tolist(), orders))
-    # Everything JetData checks holds already; build it without the checks.
-    data = object.__new__(JetData)
-    object.__setattr__(data, "points", pts)
-    object.__setattr__(data, "values", values)
-    return data
+    return JetData(points=pts, values=tuple(tuple(row[: j + 1]) for row, j in zip(jets.tolist(), orders)))
 
 
 def admissible(data: JetData, orders, tol: float = ADMISSIBLE_TOL) -> AdmissibilityReport:

@@ -44,7 +44,7 @@ from .hermitian import (
     _require_tolerance,
     make_report,
 )
-from .pick import Completion, _complete, _jet_data
+from .pick import Completion, _complete, extract_data
 from .schwarz_pick import SchwarzPickMatrix, _jet_table, _structured_flat, validate_points
 
 SUPPLEMENTARY_RESIDUAL_TOL = 1e-10
@@ -166,7 +166,10 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
     deg b (strictly less than sum k_i); when it says non-unique, it must be
     positive definite, and the extension is completed and must be positive
     definite too.  Any of these checks failing raises RankMismatch, since
-    that means the numerics contradict an exact statement.  Each supplement
+    that means the numerics contradict an exact statement.  The truncated
+    and the completed matrix get the strict Hermitian test of
+    :func:`make_report`; failing it raises Inconclusive, since the data were
+    valid but the rounding of the build hides the spectrum.  Each supplement
     is b_{2k+1} + shift / slope; a rebuilt corner that misses its completed
     value by more than SUPPLEMENTARY_RESIDUAL_TOL max(1, |value|) raises
     ValueError.
@@ -190,7 +193,8 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
         corners = np.array([ends[i] - 1 for i in even])
         principal = np.array([j for j in range(ends[-1]) if j not in corner_rows])
         p_flat = p_flat[principal[:, None], principal]
-    pick = make_report(p_flat, rank_tol=tolerances.rank, pd_tol=tolerances.pd)
+    pick = make_report(p_flat, rank_tol=tolerances.rank, pd_tol=tolerances.pd, strict=False)
+    _require_hermitian(pick.defect, p_flat, built="the Pick matrix")
     if unique and pick.numerical_rank != d:
         raise RankMismatch(
             f"criterion says unique (|k| = {k_total} > degree {d}) but the Pick matrix "
@@ -242,7 +246,7 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
             roundtrip = float(np.abs(redone - completed).max())
             # The strict Hermitian check of the completed matrix, whose
             # report the completion read at these tolerances.
-            _require_hermitian(completion.report.defect, completed)
+            _require_hermitian(completion.report.defect, completed, built="the completed matrix")
             if not completion.report.pd:
                 raise RankMismatch(
                     f"completed extension failed to be positive definite "
@@ -269,6 +273,6 @@ def matches_jets(candidate: BlaschkeProduct, problem: ContactProblem, tol: float
     """
     _require_tolerance("jet match", tol)
     orders = problem.contact_orders
-    want = _jet_data(problem.b, problem.points, orders).values
-    got = _jet_data(candidate, problem.points, orders).values
+    want = extract_data(problem.b, problem.points, orders).values
+    got = extract_data(candidate, problem.points, orders).values
     return all(abs(x - y) <= tol for row, ref in zip(got, want) for x, y in zip(row, ref))

@@ -49,3 +49,18 @@ def random_interior_points(rng: np.random.Generator, n: int, radius: float = 0.9
         if all(abs(z - w) > 0.1 for w in pts):
             pts.append(z)
     return pts
+
+
+# Valid contact problems whose points sit 0.05 and 0.1 rad apart: the Pick
+# matrix `decide` builds for each misses Hermitian symmetry by over a hundred
+# times its limit (2.0e-7 against 1e-9, 1.1e-7 against 1.0e-9), so neither
+# outcome hangs on the last bits of a BLAS.  Each entry: zeros (u = 1), point
+# angles in radians, contact orders.
+CLUSTERED_PROBLEMS = [
+    ([0.5 * complex(math.cos(1.9), math.sin(1.9))], [0.3, 0.35], [5, 7]),
+    (
+        [0.5 * complex(math.cos(1.9), math.sin(1.9)), 0.5 * complex(math.cos(4.0), math.sin(4.0))],
+        [0.3, 0.4, 0.5],
+        [1, 7, 7],
+    ),
+]

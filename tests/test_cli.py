@@ -16,7 +16,10 @@ from numpy.testing import assert_array_equal
 import blaschkepick.cli as cli
 from blaschkepick import (
     BlaschkePickError,
+    CoincidentPoints,
     ContactProblem,
+    Inconclusive,
+    RankMismatch,
     decide,
     extract_data,
     make_blaschke,
@@ -25,7 +28,7 @@ from blaschkepick import (
     sp_via_realization,
 )
 from blaschkepick.cli import main
-from helpers import random_blaschke, random_circle_points
+from helpers import CLUSTERED_PROBLEMS, random_blaschke, random_circle_points
 
 
 def write_problem(tmp_path, name="problem.json", **overrides):
@@ -250,6 +253,55 @@ class TestValidation:
                 main([*argv, flag, "1e30"])
             assert exc.value.code == 2
             assert flag in capsys.readouterr().err
+
+
+class TestRefusals:
+    """main turns each refusal a command raises into its exit code and a
+    prefixed line on stderr; nothing reaches stdout."""
+
+    @pytest.mark.parametrize("command", ["analyze", "crosscheck"])
+    @pytest.mark.parametrize(
+        "error, code, prefix",
+        [
+            (cli.ProblemFileError("refused"), 2, "error: "),
+            (ValueError("refused"), 2, "error: "),
+            (CoincidentPoints("refused"), 2, "error: "),
+            (RankMismatch("refused"), 3, "rank mismatch: "),
+            (Inconclusive("refused", 2.0e-7, 1e-9), 6, "inconclusive: "),
+        ],
+        ids=["problem-file", "value", "library", "rank-mismatch", "inconclusive"],
+    )
+    def test_each_refusal_has_its_exit_code(self, tmp_path, capsys, monkeypatch, command, error, code, prefix):
+        # Both commands compare the routes, analyze after `decide`.
+        def refuse(*args):
+            raise error
+
+        monkeypatch.setattr(cli, "_compare_routes", refuse)
+        assert main([command, write_problem(tmp_path), "--format", "json"]) == code
+        assert capsys.readouterr() == ("", f"{prefix}refused\n")
+
+    @pytest.mark.parametrize("command", ["analyze", "crosscheck"])
+    def test_an_unexpected_exception_propagates(self, tmp_path, monkeypatch, command):
+        # A TypeError is a bug, and its traceback is the report.
+        def broken(*args):
+            raise TypeError("not a refusal")
+
+        monkeypatch.setattr(cli, "_compare_routes", broken)
+        with pytest.raises(TypeError, match="not a refusal"):
+            main([command, write_problem(tmp_path)])
+
+    @pytest.mark.parametrize("zeros, angles, orders", CLUSTERED_PROBLEMS, ids=["two-points", "three-points"])
+    def test_clustered_points_are_inconclusive(self, tmp_path, capsys, zeros, angles, orders):
+        path = write_problem(
+            tmp_path,
+            blaschke={"zeros": [[a.real, a.imag] for a in zeros], "u": [1.0, 0.0]},
+            points=[{"angle": a} for a in angles],
+            orders=orders,
+        )
+        assert main(["analyze", path, "--format", "json"]) == 6
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("inconclusive: the Pick matrix is not Hermitian") and err.count("\n") == 1
 
 
 class TestCrosscheck:

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from blaschkepick import (
     ConvergenceFailure,  # noqa: F401  (re-export check)
+    Inconclusive,
     PrincipalNotPD,
     admissible,
     extract_data,
@@ -31,6 +32,13 @@ class TestMakeHermitian:
         m = np.array([[1.0, 5.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             make_report(m)
+
+    @pytest.mark.parametrize("read", [make_report, lambda m: schur_complement(m, [0])], ids=["report", "schur"])
+    def test_a_callers_non_hermitian_matrix_is_a_value_error(self, read):
+        # Inconclusive is for matrices the package built itself.
+        with pytest.raises(ValueError, match="matrix is not Hermitian") as exc:
+            read(np.array([[1.0, 5.0], [0.0, 1.0]]))
+        assert not isinstance(exc.value, Inconclusive)
 
     def test_non_strict_carries_on(self):
         m = np.array([[1.0, 5.0], [0.0, 1.0]])

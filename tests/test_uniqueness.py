@@ -1,14 +1,17 @@
 """Uniqueness decisions and their certificates."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from blaschkepick import (
+    BlaschkePickError,
     CoincidentPoints,
     ContactProblem,
+    Inconclusive,
     NonUniqueCertificate,
     RankMismatch,
     Tolerances,
@@ -28,7 +31,7 @@ from blaschkepick import (
     sp_boundary_structured,
     taylor_jet,
 )
-from helpers import random_blaschke, random_circle_points
+from helpers import CLUSTERED_PROBLEMS, random_blaschke, random_circle_points
 
 
 class TestCriterion:
@@ -307,6 +310,20 @@ class TestEvidenceContradictions:
         problem = ContactProblem(b=make_blaschke([0.0]), points=(1.0,), contact_orders=(2,))
         with pytest.raises(RankMismatch):
             decide(problem, Tolerances(pd=1e30))
+
+
+class TestInconclusive:
+    @pytest.mark.parametrize("zeros, angles, orders", CLUSTERED_PROBLEMS, ids=["two-points", "three-points"])
+    def test_clustered_points_are_refused_as_inconclusive(self, zeros, angles, orders):
+        # A valid problem whose built Pick matrix fails the Hermitian test is
+        # no caller error: the refusal is typed and carries its numbers.
+        points = tuple(complex(math.cos(a), math.sin(a)) for a in angles)
+        problem = ContactProblem(b=make_blaschke(zeros), points=points, contact_orders=tuple(orders))
+        with pytest.raises(Inconclusive, match="^the Pick matrix is not Hermitian") as exc:
+            decide(problem)
+        assert isinstance(exc.value, BlaschkePickError) and not isinstance(exc.value, ValueError)
+        assert exc.value.limit == pytest.approx(1e-9, rel=0.1)
+        assert exc.value.value > 100 * exc.value.limit
 
 
 class TestTolerances:
