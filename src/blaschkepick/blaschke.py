@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    CoincidentPoints,
     ConstantNotUnimodular,
     PoleEvaluation,
     RootFindingFailure,
@@ -32,6 +33,7 @@ UNIMODULAR_TOL = 1e-12
 POLE_TOL = 1e-12
 LEVEL_SET_RESIDUAL = 1e-8
 CIRCLE_TOL = 1e-9
+DISTINCT_POINT_TOL = 1e-12
 
 
 def _require_finite(z: complex, what: str) -> complex:
@@ -39,6 +41,60 @@ def _require_finite(z: complex, what: str) -> complex:
     if not cmath.isfinite(z):
         raise ValueError(f"{what} must be finite, got {z!r}")
     return z
+
+
+def validate_points(points, *, on_circle: bool = False) -> tuple[complex, ...]:
+    """Points as complex numbers, checked finite, pairwise distinct and, with
+    on_circle, of modulus one within CIRCLE_TOL.
+
+    Raises ValueError for a non-finite or off-circle point and
+    CoincidentPoints for two points closer than DISTINCT_POINT_TOL.
+    """
+    pts = tuple(_require_finite(z, "point") for z in points)
+    if on_circle:
+        for t in pts:
+            if abs(abs(t) - 1.0) > CIRCLE_TOL:
+                raise ValueError(f"points must lie on the unit circle, got |t| = {abs(t)!r}")
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if abs(pts[i] - pts[j]) < DISTINCT_POINT_TOL:
+                raise CoincidentPoints(
+                    f"points {pts[i]!r} and {pts[j]!r} coincide within {DISTINCT_POINT_TOL}"
+                )
+    return pts
+
+
+def _require_orders(orders, name: str, *, least: int = 1, count: int | None = None) -> tuple[int, ...]:
+    """The orders as ints, each at least `least` (1, or 0 for jet orders)
+    and, given a point count, one per point.
+
+    Raises TypeError for a non-integral order and ValueError for one below
+    `least` or for a count mismatch; `name` names the orders in the message.
+    """
+    ks = tuple(map(operator.index, orders))
+    for k in ks:
+        if k < least:
+            raise ValueError(f"{name} must be {'at least one' if least else 'nonnegative'}, got {k}")
+    if count is not None and len(ks) != count:
+        raise ValueError(f"{count} points but {len(ks)} {name}")
+    return ks
+
+
+def _require_layout(
+    points, orders, name: str, *, least: int = 1, on_circle: bool = True
+) -> tuple[tuple[complex, ...], tuple[int, ...]]:
+    """The (points, orders) layout of every entry: the points through
+    :func:`validate_points`, then one order per point through
+    :func:`_require_orders`.
+
+    Orders of at least one lay out a matrix, which needs a point (ValueError
+    otherwise); jet orders, least 0, may lay out no point at all.
+    """
+    pts = validate_points(points, on_circle=on_circle)
+    ks = _require_orders(orders, name, least=least, count=len(pts))
+    if least and not pts:
+        raise ValueError("need at least one point")
+    return pts, ks
 
 
 @dataclass(frozen=True)
@@ -124,9 +180,7 @@ def taylor_jet(b: BlaschkeProduct, z0: complex, order: int) -> np.ndarray:
     z0 within 1e-12 of a pole.
     """
     z0 = _require_finite(z0, "z0")
-    order = operator.index(order)
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    (order,) = _require_orders((order,), "order", least=0)
     return _finite_jets(b, z0, order)
 
 

@@ -29,19 +29,12 @@ import time
 import numpy as np
 
 from . import __version__
-from .blaschke import BlaschkeProduct, blaschke_from_json, blaschke_to_json, make_blaschke
+from .blaschke import BlaschkeProduct, _require_layout, blaschke_from_json, blaschke_to_json, make_blaschke
 from .errors import BlaschkePickError, Inconclusive, RankMismatch
 from .hermitian import HERMITIAN_DEFECT_TOL, HermitianReport, make_report
 from .pick import ADMISSIBLE_TOL
 from .realization import realize, sp_via_realization
-from .schwarz_pick import (
-    SchwarzPickMatrix,
-    _jet_table,
-    _structured_flat,
-    _validate_orders,
-    sp_boundary_radial,
-    validate_points,
-)
+from .schwarz_pick import SchwarzPickMatrix, _jet_table, _structured_flat, sp_boundary_radial
 from .uniqueness import (
     ContactProblem,
     NonUniqueCertificate,
@@ -214,12 +207,10 @@ def _compare_routes(
 
     The structured matrix is built as `decide` builds it: one coefficient
     table from one jet evaluation of all points, then the structured
-    identity.  Points and orders get the checks of
-    :func:`sp_boundary_structured`."""
-    pts = validate_points(points, on_circle=True)
-    ks = _validate_orders(ks)
-    if len(pts) != len(ks):
-        raise ValueError(f"{len(pts)} points but {len(ks)} orders")
+    identity.  Points and orders get the layout check of every route, so a
+    bad layout is refused with the type and message of
+    :func:`sp_boundary_structured` and :func:`sp_boundary_radial`."""
+    pts, ks = _require_layout(points, ks, "orders")
     table = _jet_table(b, pts, ks)
     structured = SchwarzPickMatrix(flat=_structured_flat(table, pts, ks), points=pts, orders=ks)
     via_real = sp_via_realization(realize(b), pts, ks)

@@ -20,8 +20,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, _finite_jets, _pair_from_json, _require_finite
-from .errors import InsufficientJet
+from .blaschke import (
+    BlaschkeProduct,
+    _finite_jets,
+    _pair_from_json,
+    _require_finite,
+    _require_layout,
+    _require_orders,
+    validate_points,
+)
 from .hermitian import (
     DEFAULT_PD_TOL,
     DEFAULT_RANK_TOL,
@@ -34,7 +41,7 @@ from .hermitian import (
     eigen_h,
     make_report,
 )
-from .schwarz_pick import SchwarzPickMatrix, psi_matrix, sp_boundary_structured, validate_points
+from .schwarz_pick import SchwarzPickMatrix, _coefficient_table, psi_matrix, sp_boundary_structured
 
 ADMISSIBLE_TOL = 1e-8
 
@@ -93,15 +100,11 @@ class Completion:
 def extract_data(b: BlaschkeProduct, points, max_orders) -> JetData:
     """Read jets of b at the given circle points, through order max_orders[i].
 
-    The points get the checks of JetData before any jet is computed;
-    raises PoleEvaluation for a point within 1e-12 of a pole.
+    Points and orders get the layout check, with jet orders, before any
+    jet is computed; raises PoleEvaluation for a point within 1e-12 of a
+    pole.
     """
-    pts = validate_points(points, on_circle=True)
-    orders = tuple(operator.index(j) for j in max_orders)
-    if len(orders) != len(pts):
-        raise ValueError(f"{len(pts)} points but {len(orders)} max_orders")
-    if any(j < 0 for j in orders):
-        raise ValueError("max_orders must be nonnegative")
+    pts, orders = _require_layout(points, max_orders, "max_orders", least=0)
     if not pts:
         return JetData(points=(), values=())
     jets = _finite_jets(b, pts, max(orders))
@@ -136,8 +139,9 @@ def extend_pick(data: JetData, orders, extend_set) -> SchwarzPickMatrix:
     ((i, x), (j, y)) reads coefficients through index x + y + 1 only, so
     the unraised matrix is the principal submatrix without the new rows,
     and b_{2k_i+1} moves only the new corner entry (:func:`corner_value`).
+    The given orders get the order check, one per point of data.
     """
-    ks = list(operator.index(k) for k in orders)
+    ks = list(_require_orders(orders, "orders", count=len(data.points)))
     for i in set(operator.index(i) for i in extend_set):
         if not 0 <= i < len(ks):
             raise ValueError(f"extend index {i} out of range")
@@ -153,16 +157,13 @@ def corner_value(values: Sequence[complex], point: complex, order: int) -> compl
         [b_{k+1} .. b_{2k+1}]  Psi_{k+1}(t)  [b_k .. b_0]^*
 
     which is affine in b_{2k+1} with slope (-1)^k t^(2k+1) conj(b_0).
+    The values get the row check of :func:`sp_boundary_structured` at order
+    k + 1: InsufficientJet for fewer than 2k + 2, ValueError for a
+    non-finite one among those.
     """
-    k = operator.index(order)
-    if k < 0:
-        raise ValueError("order must be nonnegative")
-    vals = [complex(v) for v in values]
-    if len(vals) < 2 * k + 2:
-        raise InsufficientJet(f"need {2 * k + 2} values for order {k}, got {len(vals)}")
-    row = np.array(vals[k + 1 : 2 * k + 2], dtype=complex)
-    col = np.conj(np.array(vals[k::-1], dtype=complex))
-    return complex(row @ psi_matrix(point, k + 1) @ col)
+    (k,) = _require_orders((order,), "order", least=0)
+    coeffs = _coefficient_table([values], (k + 1,))[0]
+    return complex(coeffs[k + 1 : 2 * k + 2] @ psi_matrix(point, k + 1) @ coeffs[k::-1].conj())
 
 
 def complete_to_pd(p_tilde, principal, margin: float = 1.0) -> Completion:

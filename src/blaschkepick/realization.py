@@ -18,13 +18,12 @@ Schwarz-Pick matrices: P = R R* with R the stacked rows of
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, _require_finite
+from .blaschke import BlaschkeProduct, _require_finite, _require_orders
 from .errors import SingularResolvent
 from .hermitian import _rank_above, _require_tolerance
 
@@ -143,14 +142,11 @@ def resolvent_rows(r: UnitaryRealization, points, orders) -> np.ndarray:
     A (I - zA)^{-1}.  The same inverse gives the 1-norm reciprocal
     condition, formed as ``np.linalg.cond(m, 1)`` forms it (bit for bit).
     Raises :class:`SingularResolvent` at the first point whose I - z A has
-    reciprocal condition below ``RESOLVENT_RCOND``.
+    reciprocal condition below ``RESOLVENT_RCOND``.  The points need only
+    be finite; the orders get the order check, one per point.
     """
     zs = np.array([_require_finite(z, "z") for z in points], dtype=complex)
-    ks = [operator.index(k) for k in orders]
-    if zs.size != len(ks):
-        raise ValueError(f"{zs.size} points but {len(ks)} orders")
-    if any(k < 1 for k in ks):
-        raise ValueError("orders must be at least one")
+    ks = _require_orders(orders, "orders", count=zs.size)
     d = r.state_dim
     if d == 0 or zs.size == 0:
         return np.zeros((sum(ks), d), dtype=complex)

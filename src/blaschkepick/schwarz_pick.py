@@ -28,8 +28,12 @@ Three independent computations of the boundary matrix live here and in
                              complex h.
 
 Agreement between the routes is the package's main internal consistency
-check; they share no code beyond Taylor jets of w itself.  Interior
-matrices, ``sp_interior``, are the realization's Gram matrix.
+check.  All three take their points and orders through one layout check.
+The structured and radial routes also share the Taylor jets of w, from
+one jet evaluator, and the flat (point, derivative) layout of
+``_shape_plan``; the realization route reads no jets, only the realization
+of w.  Interior matrices, ``sp_interior``, are the realization's Gram
+matrix.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -45,12 +48,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .blaschke import CIRCLE_TOL, BlaschkeProduct, _finite_jets, _jet_array, _require_finite, poles
-from .errors import CoincidentPoints, ConvergenceFailure, DegenerateDenominator, InsufficientJet
+from .blaschke import BlaschkeProduct, _finite_jets, _jet_array, _require_layout, poles
+from .errors import ConvergenceFailure, DegenerateDenominator, InsufficientJet
 from .realization import realize, sp_via_realization
 
 DEGENERATE_DENOMINATOR_TOL = 1e-13
-DISTINCT_POINT_TOL = 1e-12
 RADIAL_CONVERGENCE_TOL = 1e-3
 # The radial route's contour in h = 1 - r (see sp_boundary_radial): its node
 # count, the ratio of the reach rho to its radius, and the constant of the
@@ -139,37 +141,6 @@ class RadialDiagnostics:
     tol: float
 
 
-def _validate_orders(orders) -> tuple[int, ...]:
-    ks = tuple(operator.index(k) for k in orders)
-    if not ks:
-        raise ValueError("need at least one point")
-    for k in ks:
-        if k < 1:
-            raise ValueError(f"derivative orders must be positive, got {k}")
-    return ks
-
-
-def validate_points(points, *, on_circle: bool = False) -> tuple[complex, ...]:
-    """Points as complex numbers, checked finite, pairwise distinct and, with
-    on_circle, of modulus one within CIRCLE_TOL.
-
-    Raises ValueError for a non-finite or off-circle point and
-    CoincidentPoints for two points closer than DISTINCT_POINT_TOL.
-    """
-    pts = tuple(_require_finite(z, "point") for z in points)
-    if on_circle:
-        for t in pts:
-            if abs(abs(t) - 1.0) > CIRCLE_TOL:
-                raise ValueError(f"points must lie on the unit circle, got |t| = {abs(t)!r}")
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if abs(pts[i] - pts[j]) < DISTINCT_POINT_TOL:
-                raise CoincidentPoints(
-                    f"points {pts[i]!r} and {pts[j]!r} coincide within {DISTINCT_POINT_TOL}"
-                )
-    return pts
-
-
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _shape_plan(ks: tuple[int, ...]) -> _ShapePlan:
     """The plan of orders ks, built on first use and kept in a bounded cache."""
@@ -217,8 +188,6 @@ def _kernel_stack(w, v, z, u, ks: tuple[int, ...]) -> np.ndarray:
     padded stack in memory at once.  Raises DegenerateDenominator when some
     |c| < 1e-13.
     """
-    if z.shape[1] != len(ks):
-        raise ValueError("points and orders must have equal length")
     wz, vu = w[:, :, None, :, None], v[:, None, :, None, :]
     z0, u0 = z[:, :, None], u[:, None, :]
     c = 1.0 - z0 * u0
@@ -259,13 +228,11 @@ def sp_interior(b: BlaschkeProduct, points, orders) -> SchwarzPickMatrix:
 
     No entry is formed by a subtraction that cancels as the points approach
     the circle, so every block, not only the constant term, stays accurate
-    relative to the matrix's scale up to the circle.  Raises ValueError for
-    a point with |z| >= 1 and for points and orders of unequal length.
+    relative to the matrix's scale up to the circle.  Points and orders get
+    the layout check of every route, off the circle; a point with |z| >= 1
+    raises ValueError.
     """
-    ks = _validate_orders(orders)
-    pts = validate_points(points)
-    if len(pts) != len(ks):
-        raise ValueError("points and orders must have equal length")
+    pts, ks = _require_layout(points, orders, "orders", on_circle=False)
     for z in pts:
         if abs(z) >= 1.0:
             raise ValueError(f"interior route needs |z| < 1, got |z| = {abs(z)!r}")
@@ -291,10 +258,7 @@ def psi_matrix(t: complex, k: int) -> np.ndarray:
     |t| = 1 the determinant has modulus one, so the matrix is always
     invertible on the circle.
     """
-    (t,) = validate_points([t], on_circle=True)
-    k = operator.index(k)
-    if k < 1:
-        raise ValueError("k must be positive")
+    (t,), (k,) = _require_layout([t], [k], "k")
     plan = _shape_plan((k,))
     return plan.factor * t ** plan.exponent
 
@@ -302,8 +266,11 @@ def psi_matrix(t: complex, k: int) -> np.ndarray:
 def _coefficient_table(rows, ks: tuple[int, ...]) -> np.ndarray:
     """The (n, 2 max(ks) + 1) coefficient table of :func:`_structured_flat`,
     row i holding coefficients 0 .. 2 k_i - 1 of rows[i] and zeros after
-    them.  Raises InsufficientJet for a row shorter than 2 k_i and
-    ValueError for a non-finite coefficient among those."""
+    them.  Raises ValueError unless there is one row per order,
+    InsufficientJet for a row shorter than 2 k_i and ValueError for a
+    non-finite coefficient among those."""
+    if len(rows) != len(ks):
+        raise ValueError(f"{len(ks)} points but {len(rows)} jets")
     table = np.zeros((len(ks), 2 * max(ks) + 1), dtype=complex)
     for i, (row, k) in enumerate(zip(rows, ks)):
         if len(row) < 2 * k:
@@ -374,14 +341,11 @@ def sp_boundary_structured(jets: Sequence[Sequence[complex]], points, orders) ->
     function.  Everything that depends on the orders alone comes from a
     cache of PLAN_CACHE_SIZE shapes.
 
-    Requires distinct points on the circle and row i of length >= 2 k_i
-    (InsufficientJet otherwise) with coefficients 0 .. 2 k_i - 1 finite
-    (ValueError otherwise).
+    Requires the layout of :func:`blaschke._require_layout`, one row per
+    point, and row i of length >= 2 k_i (InsufficientJet otherwise) with
+    coefficients 0 .. 2 k_i - 1 finite (ValueError otherwise).
     """
-    ks = _validate_orders(orders)
-    pts = validate_points(points, on_circle=True)
-    if not (len(jets) == len(pts) == len(ks)):
-        raise ValueError("jets, points and orders must have equal length")
+    pts, ks = _require_layout(points, orders, "orders")
     flat = _structured_flat(_coefficient_table(jets, ks), pts, ks)
     return SchwarzPickMatrix(flat=flat, points=pts, orders=ks)
 
@@ -414,10 +378,10 @@ def sp_boundary_radial(b: BlaschkeProduct, points, orders) -> tuple[SchwarzPickM
     DegenerateDenominator when a zero of b lies so close to the circle, or
     two points so close to each other, that a node meets a pole or a
     vanishing denominator, and ConvergenceFailure when the radius is so
-    small for the orders that the mean or its estimate overflows.
+    small for the orders that the mean or its estimate overflows.  Points
+    and orders get the layout check of every route before any jet is read.
     """
-    ks = _validate_orders(orders)
-    pts = validate_points(points, on_circle=True)
+    pts, ks = _require_layout(points, orders, "orders")
     units = [t / abs(t) for t in pts]
     pole_gaps = [abs(t - p) for p in poles(b) for t in units]
     # |1 - sqrt(conj(t_i) t_j)| = 2 |sin(theta_ij / 4)|

@@ -27,14 +27,13 @@ raises RankMismatch instead of silently overriding either side.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, _require_finite
+from .blaschke import BlaschkeProduct, _require_finite, _require_layout, _require_orders
 from .errors import RankMismatch
 from .hermitian import (
     DEFAULT_PD_TOL,
@@ -42,10 +41,11 @@ from .hermitian import (
     HermitianReport,
     _require_hermitian,
     _require_tolerance,
+    _split,
     make_report,
 )
 from .pick import Completion, _complete, extract_data
-from .schwarz_pick import SchwarzPickMatrix, _jet_table, _structured_flat, validate_points
+from .schwarz_pick import SchwarzPickMatrix, _jet_table, _structured_flat
 
 SUPPLEMENTARY_RESIDUAL_TOL = 1e-10
 # The completion's slack beyond the minimal shift, relative to max(1, lambda_max).
@@ -76,12 +76,7 @@ class ContactProblem:
     contact_orders: tuple[int, ...]
 
     def __post_init__(self):
-        pts = validate_points(self.points, on_circle=True)
-        if not pts:
-            raise ValueError("need at least one contact point")
-        ms = _contact_orders(self.contact_orders)
-        if len(ms) != len(pts):
-            raise ValueError("points and contact_orders must have equal length")
+        pts, ms = _require_layout(self.points, self.contact_orders, "contact orders")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "contact_orders", ms)
 
@@ -132,19 +127,9 @@ class Verdict:
         return "unique" if self.unique else "non-unique"
 
 
-def _contact_orders(contact_orders: Sequence[int]) -> tuple[int, ...]:
-    """Contact orders as ints, each at least one (TypeError for a non-integral
-    order, ValueError for one below one)."""
-    ms = tuple(operator.index(m) for m in contact_orders)
-    for m in ms:
-        if m < 1:
-            raise ValueError(f"contact orders must be at least one, got {m}")
-    return ms
-
-
 def criterion(contact_orders: Sequence[int], degree: int) -> bool:
     """The sharp combinatorial test: sum of floor((m_i + 1) / 2) > degree."""
-    ms = _contact_orders(contact_orders)
+    ms = _require_orders(contact_orders, "contact orders")
     if operator.index(degree) < 0:
         raise ValueError("degree must be nonnegative")
     return sum((m + 1) // 2 for m in ms) > degree
@@ -152,7 +137,7 @@ def criterion(contact_orders: Sequence[int], degree: int) -> bool:
 
 def derivative_orders(contact_orders: Sequence[int]) -> tuple[int, ...]:
     """k_i = floor((m_i + 1) / 2) for each contact order."""
-    return tuple((m + 1) // 2 for m in _contact_orders(contact_orders))
+    return tuple((m + 1) // 2 for m in _require_orders(contact_orders, "contact orders"))
 
 
 def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Verdict:
@@ -188,10 +173,7 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
     p_flat = p_tilde.flat
     if even:
         # The bottom row of each extended block is its corner; the rest is P.
-        ends = list(itertools.accumulate(built))
-        corner_rows = {ends[i] - 1 for i in even}
-        corners = np.array([ends[i] - 1 for i in even])
-        principal = np.array([j for j in range(ends[-1]) if j not in corner_rows])
+        corners, principal = _split(len(p_flat), [p_tilde.row_index(i, ks[i]) for i in even])
         p_flat = p_flat[principal[:, None], principal]
     pick = make_report(p_flat, rank_tol=tolerances.rank, pd_tol=tolerances.pd, strict=False)
     _require_hermitian(pick.defect, p_flat, built="the Pick matrix")

@@ -24,6 +24,7 @@ from blaschkepick import (
     extract_data,
     make_blaschke,
     realize,
+    sp_boundary_radial,
     sp_boundary_structured,
     sp_via_realization,
 )
@@ -145,7 +146,7 @@ class TestValidation:
         # library refuses either below one.
         message = {
             "analyze": "contact orders must be at least one, got 0",
-            "crosscheck": "derivative orders must be positive, got 0",
+            "crosscheck": "orders must be at least one, got 0",
         }[command]
         path = write_problem(tmp_path, orders=[0])
         assert main([command, path]) == 2
@@ -450,19 +451,29 @@ class TestRouteComparison:
 
     @pytest.mark.parametrize(
         "pts, ks",
-        [([1.0, 1.0], [1, 1]), ([0.5], [1]), ([1.0, float("nan")], [1, 1]), ([], [])],
-        ids=["coincident", "off-circle", "non-finite", "empty"],
+        [
+            ([1.0, 1.0], [1, 1]),
+            ([0.5], [1]),
+            ([1.0, float("nan")], [1, 1]),
+            ([], []),
+            ([1.0], [0]),
+            ([1.0, -1.0], [1]),
+        ],
+        ids=["coincident", "off-circle", "non-finite", "empty", "zero-order", "count"],
     )
     def test_refusals_are_those_of_the_public_entry(self, pts, ks):
+        # One row per point, long enough for every order: only the layout
+        # is at fault.
         b = make_blaschke([0.5])
         with pytest.raises((BlaschkePickError, ValueError)) as want:
-            sp_boundary_structured(extract_data(b, pts, [2 * k - 1 for k in ks]).values, pts, ks)
-        with pytest.raises(type(want.value), match=re.escape(str(want.value))):
-            cli._compare_routes(b, pts, ks)
+            sp_boundary_structured([[1.0, 0.5]] * len(pts), pts, ks)
+        for entry in (cli._compare_routes, sp_boundary_radial):
+            with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+                entry(b, pts, ks)
 
     def test_orders_are_checked(self):
         b = make_blaschke([0.5])
-        with pytest.raises(ValueError, match="derivative orders must be positive"):
+        with pytest.raises(ValueError, match="orders must be at least one"):
             cli._compare_routes(b, [1.0], [0])
         with pytest.raises(ValueError, match="2 points but 1 orders"):
             cli._compare_routes(b, [1.0, -1.0], [1])

@@ -1,5 +1,6 @@
 """Package-level properties."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -38,3 +39,31 @@ def test_readme_quick_start_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0].split("```")[0], "README.md", "exec"), {})
     assert "False" in capsys.readouterr().out
+
+
+def test_no_module_imports_an_unused_name():
+    # No linter ships with the package; this catches an import left behind
+    # when the code that used it goes.  A name counts as used when the
+    # module reads it or lists it in __all__.
+    package = Path(blaschkepick.__file__).resolve().parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = next(
+            (
+                {elt.value for elt in node.value.elts}
+                for node in tree.body
+                if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            ),
+            set(),
+        )
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used | exported]
+    assert unused == []

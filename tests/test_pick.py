@@ -240,6 +240,13 @@ class TestExtractAndBuild:
         with pytest.raises(ValueError):
             extend_pick(data, (1,), {2})
 
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_given_orders_are_checked_before_raising(self, order):
+        # Raised by one first, order 0 would pass as a valid order 1.
+        data = extract_data(make_blaschke([0.3]), [1.0], [3])
+        with pytest.raises(ValueError, match=f"orders must be at least one, got {order}$"):
+            extend_pick(data, (order,), {0})
+
 
 class TestAdmissible:
     def test_genuine_data_is_admissible(self):
@@ -308,6 +315,11 @@ class TestCornerValue:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             corner_value([1.0, 1.0], 1.0, -1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("inf"))])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            corner_value([1.0, bad, 0.0, 0.0], 1.0, 1)
 
 
 class TestCompleteToPd:
