@@ -336,16 +336,19 @@ def _random_instance(rng, degree_max: int, points_max: int, order_max: int) -> d
 
 
 def _check_instance(inst) -> tuple[str, str] | None:
-    b = make_blaschke(inst["zeros"], inst["u"])
-    points = inst["points"]
     ks = inst["orders"]
-    leading, sp, _, diff, residual = _compare_routes(b, points, ks)
-    structured = sp.flat
-    norm = float(np.max(np.abs(structured))) if structured.size else 0.0
-    # One report serves every property: the rank law reads the default rank
-    # cutoff (also 1e-8), and admissibility the PSD test that `admissible`
-    # makes on the same matrix at its default tolerance.
-    report = make_report(structured, rank_tol=ADMISSIBLE_TOL, pd_tol=ADMISSIBLE_TOL, strict=False)
+    try:
+        b = make_blaschke(inst["zeros"], inst["u"])
+        leading, sp, _, diff, residual = _compare_routes(b, inst["points"], ks)
+        structured = sp.flat
+        norm = float(np.max(np.abs(structured))) if structured.size else 0.0
+        # One report serves every property: the rank law reads the default
+        # rank cutoff (also 1e-8), and admissibility the PSD test that
+        # `admissible` makes on the same matrix at its default tolerance.
+        report = make_report(structured, rank_tol=ADMISSIBLE_TOL, pd_tol=ADMISSIBLE_TOL, strict=False)
+    except (BlaschkePickError, ValueError) as exc:
+        # A drawn instance is valid, so a refusal is a finding, not a bad flag.
+        return ("refused", f"{type(exc).__name__}: {exc}")
 
     if report.defect > HERMITIAN_DEFECT_TOL * max(1.0, norm):
         return ("hermitian", f"defect {report.defect} exceeds {HERMITIAN_DEFECT_TOL * max(1.0, norm)}")

@@ -46,9 +46,10 @@ class RankMismatch(BlaschkePickError):
 
 
 class Inconclusive(BlaschkePickError):
-    """A matrix the package built from valid data failed its own Hermitian
-    test, so its spectrum cannot back a verdict; `value` is the measured
-    defect and `limit` the bound it exceeds."""
+    """A build of the package's own from valid data failed its check: a
+    matrix failed its Hermitian test, so its spectrum cannot back a verdict,
+    or a rebuilt supplemented corner missed its completed value.  `value` is
+    the measured defect or residual and `limit` the bound it exceeds."""
 
     def __init__(self, message: str, value: float, limit: float):
         super().__init__(message)

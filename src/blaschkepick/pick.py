@@ -23,7 +23,6 @@ import numpy as np
 from .blaschke import (
     BlaschkeProduct,
     _finite_jets,
-    _pair_from_json,
     _require_finite,
     _require_layout,
     _require_orders,
@@ -224,17 +223,3 @@ def _complete(
         report=_read(modified_h, defect, eigen_h(modified_h), rank_tol, pd_tol),
     )
 
-
-def jet_data_to_json(data: JetData) -> dict:
-    """JSON-ready dict {"points": [[re, im], ...], "values": [[[re, im], ...], ...]}."""
-    return {
-        "points": [[t.real, t.imag] for t in data.points],
-        "values": [[[v.real, v.imag] for v in row] for row in data.values],
-    }
-
-
-def jet_data_from_json(obj: dict) -> JetData:
-    """Inverse of :func:`jet_data_to_json`, with full validation."""
-    points = tuple(_pair_from_json(p, "point") for p in obj["points"])
-    values = tuple(tuple(_pair_from_json(v, "value") for v in row) for row in obj["values"])
-    return JetData(points=points, values=values)

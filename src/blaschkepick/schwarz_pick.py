@@ -21,19 +21,15 @@ Three independent computations of the boundary matrix live here and in
 * ``sp_via_realization``     the Gram matrix R R* of the resolvent rows of a
                              unitary realization of w,
 * ``sp_boundary_radial``     the kernel coefficients at radius r = 1 - h,
-                             each pair from one recurrence in place in
-                             the numerator's coefficients (no reciprocal
-                             series of 1 - z u is formed), read at h = 0
-                             as a trapezoid mean over a circle in
-                             complex h.
+                             read at h = 0 as a trapezoid mean in h.
 
 Agreement between the routes is the package's main internal consistency
 check.  All three take their points and orders through one layout check.
 The structured and radial routes also share the Taylor jets of w, from
-one jet evaluator, and the flat (point, derivative) layout of
-``_shape_plan``; the realization route reads no jets, only the realization
-of w.  Interior matrices, ``sp_interior``, are the realization's Gram
-matrix.
+one jet evaluator, and ``_shape_plan``, cached per order tuple: the index
+arrays of the structured identity and the unpadded row order of the radial
+recurrence.  The realization route reads no jets, only the realization of
+w.  Interior matrices, ``sp_interior``, are the realization's Gram matrix.
 """
 
 from __future__ import annotations
@@ -65,7 +61,6 @@ CONTOUR_ROUNDING = 4.0
 _CONTOUR_UNITS = np.exp(1j * np.pi * (2 * np.arange(CONTOUR_NODES // 2) + 1) / CONTOUR_NODES)
 _CONTOUR_UNITS = np.concatenate([_CONTOUR_UNITS, _CONTOUR_UNITS.conj()])
 _CONTOUR_WEIGHTS = np.array([[1.0] * (CONTOUR_NODES // 2), [1.0, -1.0] * (CONTOUR_NODES // 4)], dtype=complex)
-_STACK_ENTRIES = 1 << 14
 # Order tuples whose shape plans stay cached; a plan of N flat rows holds
 # about 50 N^2 bytes.
 PLAN_CACHE_SIZE = 1024
@@ -90,38 +85,39 @@ class SchwarzPickMatrix:
 
     def row_index(self, point_index: int, derivative: int) -> int:
         if not 0 <= derivative < self.orders[point_index]:
-            raise IndexError(
-                f"derivative {derivative} out of range for order {self.orders[point_index]}"
-            )
+            raise IndexError(f"derivative {derivative} out of range for order {self.orders[point_index]}")
         return self.offsets[point_index] + derivative
 
     def block(self, i: int, j: int) -> np.ndarray:
         """View of block (i, j); writing to it writes to `flat`."""
         off = self.offsets
-        return self.flat[
-            off[i] : off[i] + self.orders[i], off[j] : off[j] + self.orders[j]
-        ]
+        return self.flat[off[i] : off[i] + self.orders[i], off[j] : off[j] + self.orders[j]]
 
 
 class _ShapePlan(NamedTuple):
-    """The read-only arrays of the structured identity that depend on the
-    orders alone.  At flat row (i, x), column (j, y): `same` marks i == j,
-    `pair_index` is i n + j, `exponent` is x + y + 1, and `factor` is
-    (-1)^y binom(y, x) (Psi) where i == j and (-1)^x binom(x + y, x) (M)
-    elsewhere, stored complex so that no arithmetic casts it again.
-    `tri_index` and `hankel_index` gather T and Hk from the raveled
-    coefficient table of :func:`_structured_flat`.
+    """The read-only arrays of the structured identity and of the radial
+    recurrence that depend on the orders alone.  At flat row (i, x), column
+    (j, y): `same` marks i == j, `pair_index` is i n + j, `exponent` is
+    x + y + 1, and `factor` is (-1)^y binom(y, x) (Psi) where i == j and
+    (-1)^x binom(x + y, x) (M) elsewhere, stored complex so that no
+    arithmetic casts it again.  `tri_index` and `hankel_index` gather T and
+    Hk from the raveled coefficient table of :func:`_structured_flat`.
+    The kernel rows of :func:`_kernel_stack` go by derivative x, then by
+    point in `order`, falling k_i first: rows starts[x] .. starts[x + 1] - 1
+    hold the points with k_i > x, `gather` reads row (i, x) as entry
+    i max(ks) + x of the raveled jets, and kernel row back[f] is flat row f.
     """
 
-    point: np.ndarray
-    derivative: np.ndarray
     same: np.ndarray
-    diagonal: np.ndarray
     pair_index: np.ndarray
     exponent: np.ndarray
     factor: np.ndarray
     tri_index: np.ndarray
     hankel_index: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
+    gather: np.ndarray
+    back: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,16 +147,20 @@ def _shape_plan(ks: tuple[int, ...]) -> _ShapePlan:
     same = point == point.T
     width = 2 * max(ks) + 1
     binom = _pascal(width)
+    order = sorted(range(len(ks)), key=lambda i: -ks[i])
+    count = [sum(k > x for k in ks) for x in range(max(ks))]
+    gather = [i * max(ks) + x for x, m in enumerate(count) for i in order[:m]]
     plan = _ShapePlan(
-        point=point,
-        derivative=r,
         same=same,
-        diagonal=np.arange(len(ks)),
         pair_index=point * len(ks) + point.T,
         exponent=n + 1,
         factor=np.where(same, (-1) ** ell * binom[ell, r], (-1) ** r * binom[n, r]).astype(complex),
         tri_index=point * width + np.where(same & (r >= ell), r - ell, width - 1),
         hankel_index=point * width + np.where(same, n + 1, width - 1),
+        order=np.array(order),
+        starts=np.cumsum([0, *count]),
+        gather=np.array(gather),
+        back=np.array(sorted(range(len(gather)), key=gather.__getitem__)),
     )
     for array in plan:
         array.flags.writeable = False
@@ -168,57 +168,48 @@ def _shape_plan(ks: tuple[int, ...]) -> _ShapePlan:
 
 
 def _kernel_stack(w, v, z, u, ks: tuple[int, ...]) -> np.ndarray:
-    """Flat kernel matrices for a stack of center rows, shape (R, N, N).
+    """Kernel matrices for a stack of center rows, shape (R, N, N), in the
+    kernel rows of the plan of ks; ``[:, back][:, :, back]`` is flat.
 
     Row r pairs the z-centers z[r] with the u-centers u[r], both (R, n);
     w and v, (R, n, max(ks)), are the jets of w and of wh there.  Pair
-    (i, j) holds the coefficients K[x, y] of the kernel at (z0, u0) =
-    (z[r, i], u[r, j]).  Multiplying out (c - u0 h - z0 g - h g) K = N in
-    h = z - z0, g = u - u0, with c = 1 - z0 u0 and N the numerator,
-    N[0, 0] = 1 - w_0 v_0 and N[x, y] = -w_x v_y elsewhere, gives
+    (i, j) holds the coefficients K[x, y], x < k_i, y < k_j, of the kernel
+    at (z0, u0) = (z[r, i], u[r, j]).  Multiplying out
+    (c - u0 h - z0 g - h g) K = N in h = z - z0, g = u - u0, with
+    c = 1 - z0 u0 and N the numerator, N[0, 0] = 1 - w_0 v_0 and
+    N[x, y] = -w_x v_y elsewhere, gives
 
         K[x, y] = (N[x, y] + u0 K[x-1, y] + z0 K[x, y-1] + K[x-1, y-1]) / c,
 
     a missing index counting as zero; it runs in place in N.  Coefficient
     (x, y) depends only on lower indices, so a block truncated to fewer
-    terms is the leading corner of the full one.  The recurrence runs on the
-    (R, n, n, K, K) stack of all pairs, K = max(ks), split along R into
-    pieces of at most _STACK_ENTRIES coefficients, so that many points with
-    one high order, which pad every pair to K x K, do not hold the whole
-    padded stack in memory at once.  Raises DegenerateDenominator when some
-    |c| < 1e-13.
+    terms is the leading corner of the full one and no pair is padded:
+    step (x, y) of every pair that has it and its three predecessors are
+    four slices of the plan's rows, so pair (i, j) takes k_i k_j steps.
+    Raises DegenerateDenominator, naming the first pair in the callers'
+    order, when some |c| < 1e-13.
     """
-    wz, vu = w[:, :, None, :, None], v[:, None, :, None, :]
-    z0, u0 = z[:, :, None], u[:, None, :]
-    c = 1.0 - z0 * u0
-    bad = np.abs(c) < DEGENERATE_DENOMINATOR_TOL
-    if bad.any():
-        at = tuple(np.argwhere(bad)[0])
-        zc, uc = np.broadcast_to(z0, bad.shape)[at], np.broadcast_to(u0, bad.shape)[at]
-        raise DegenerateDenominator(
-            f"1 - z0*u0 = {complex(c[at])!r} at centers ({complex(zc)!r}, {complex(uc)!r})"
-        )
     plan = _shape_plan(ks)
-    point, derivative = plan.point, plan.derivative
-    k = max(ks)
-    flat = np.empty((len(z), len(point), len(point)), dtype=complex)
-    step = max(1, _STACK_ENTRIES // (len(ks) * k) ** 2)
-    for lo in range(0, len(z), step):
-        part = slice(lo, lo + step)
-        zp, up, cp = z0[part], u0[part], c[part]
-        coeffs = -wz[part] * vu[part]
-        coeffs[..., 0, 0] += 1.0
-        for x in range(k):
-            for y in range(k):
-                acc = coeffs[..., x, y]
-                if x:
-                    acc += up * coeffs[..., x - 1, y]
-                if y:
-                    acc += zp * coeffs[..., x, y - 1]
-                if x and y:
-                    acc += coeffs[..., x - 1, y - 1]
-                acc /= cp
-        flat[part] = coeffs[:, point, point.T, derivative, derivative.T]
+    z0, u0 = z[:, plan.order, None], u[:, None, plan.order]
+    c = 1.0 - z0 * u0
+    if (np.abs(c) < DEGENERATE_DENOMINATOR_TOL).any():
+        c = 1.0 - z[:, :, None] * u[:, None, :]
+        at, i, j = np.argwhere(np.abs(c) < DEGENERATE_DENOMINATOR_TOL)[0]
+        zc, uc, cc = complex(z[at, i]), complex(u[at, j]), complex(c[at, i, j])
+        raise DegenerateDenominator(f"1 - z0*u0 = {cc!r} at centers ({zc!r}, {uc!r})")
+    flat = -w.reshape(len(w), -1)[:, plan.gather, None] * v.reshape(len(v), -1)[:, None, plan.gather]
+    flat[:, : len(ks), : len(ks)] += 1.0
+    s = plan.starts.tolist()
+    for x, y in itertools.product(range(len(s) - 1), repeat=2):
+        a, b = s[x + 1] - s[x], s[y + 1] - s[y]
+        acc = flat[:, s[x] : s[x] + a, s[y] : s[y] + b]
+        if x:
+            acc += u0[..., :b] * flat[:, s[x - 1] : s[x - 1] + a, s[y] : s[y] + b]
+        if y:
+            acc += z0[:, :a] * flat[:, s[x] : s[x] + a, s[y - 1] : s[y - 1] + b]
+        if x and y:
+            acc += flat[:, s[x - 1] : s[x - 1] + a, s[y - 1] : s[y - 1] + b]
+        acc /= c[:, :a, :b]
     return flat
 
 
@@ -267,15 +258,22 @@ def _coefficient_table(rows, ks: tuple[int, ...]) -> np.ndarray:
     """The (n, 2 max(ks) + 1) coefficient table of :func:`_structured_flat`,
     row i holding coefficients 0 .. 2 k_i - 1 of rows[i] and zeros after
     them.  Raises ValueError unless there is one row per order,
-    InsufficientJet for a row shorter than 2 k_i and ValueError for a
-    non-finite coefficient among those."""
+    InsufficientJet for a row shorter than 2 k_i, TypeError unless those
+    coefficients make a flat row of numbers, and ValueError for a
+    non-finite one."""
     if len(rows) != len(ks):
         raise ValueError(f"{len(ks)} points but {len(rows)} jets")
     table = np.zeros((len(ks), 2 * max(ks) + 1), dtype=complex)
     for i, (row, k) in enumerate(zip(rows, ks)):
         if len(row) < 2 * k:
             raise InsufficientJet(f"jet {i} has {len(row)} coefficients, need {2 * k}")
-        table[i, : 2 * k] = row[: 2 * k]
+        try:
+            head = np.asarray(row[: 2 * k])
+        except ValueError as exc:
+            raise TypeError(f"jet {i} is not a flat row of numbers") from exc
+        if head.ndim != 1 or head.dtype.kind not in "biufc":
+            raise TypeError(f"jet {i} is not a flat row of numbers, its coefficients read as {head.dtype}")
+        table[i, : 2 * k] = head
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         raise ValueError(f"jet {int(np.argmin(finite))} has a non-finite coefficient")
@@ -306,7 +304,7 @@ def _structured_flat(table: np.ndarray, pts: tuple[complex, ...], ks: tuple[int,
     plan = _shape_plan(ks)
     t = np.array(pts, dtype=complex)
     base = t[:, None] - t
-    base[plan.diagonal, plan.diagonal] = t
+    np.fill_diagonal(base, t)
     powers = base.ravel()[plan.pair_index] ** plan.exponent
     m = np.where(plan.same, 0.0, plan.factor / powers)
     psi = np.where(plan.same, plan.factor * powers, 0.0)
@@ -409,4 +407,6 @@ def sp_boundary_radial(b: BlaschkeProduct, points, orders) -> tuple[SchwarzPickM
         )
     converged = estimate <= RADIAL_CONVERGENCE_TOL * max(1.0, scale)
     diags = RadialDiagnostics(radius, CONTOUR_NODES, estimate, converged, RADIAL_CONVERGENCE_TOL)
-    return SchwarzPickMatrix(flat=mean, points=pts, orders=ks), diags
+    # Each step above acts entry by entry or takes a maximum, so only the mean leaves the kernel rows.
+    back = _shape_plan(ks).back
+    return SchwarzPickMatrix(flat=mean[back[:, None], back], points=pts, orders=ks), diags

@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .blaschke import BlaschkeProduct, _require_finite, _require_layout, _require_orders
-from .errors import RankMismatch
+from .errors import Inconclusive, RankMismatch
 from .hermitian import (
     DEFAULT_PD_TOL,
     DEFAULT_RANK_TOL,
@@ -157,7 +157,7 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
     valid but the rounding of the build hides the spectrum.  Each supplement
     is b_{2k+1} + shift / slope; a rebuilt corner that misses its completed
     value by more than SUPPLEMENTARY_RESIDUAL_TOL max(1, |value|) raises
-    ValueError.
+    Inconclusive too, a build of the package's own that failed on valid data.
     """
     ks = derivative_orders(problem.contact_orders)
     k_total, d = sum(ks), problem.b.degree
@@ -224,7 +224,8 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
                 residual = abs(redone[idx, idx] - completed[idx, idx])
                 bound = SUPPLEMENTARY_RESIDUAL_TOL * max(1.0, abs(completed[idx, idx]))
                 if residual > bound:
-                    raise ValueError(f"supplemented corner misses its target by {residual}, above {bound}")
+                    message = f"supplemented corner misses its target by {residual}, above {bound}"
+                    raise Inconclusive(message, residual, bound)
             roundtrip = float(np.abs(redone - completed).max())
             # The strict Hermitian check of the completed matrix, whose
             # report the completion read at these tolerances.

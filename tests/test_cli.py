@@ -14,12 +14,14 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import blaschkepick.cli as cli
+import blaschkepick.uniqueness as uniqueness
 from blaschkepick import (
     BlaschkePickError,
     CoincidentPoints,
     ContactProblem,
     Inconclusive,
     RankMismatch,
+    SingularResolvent,
     decide,
     extract_data,
     make_blaschke,
@@ -281,15 +283,27 @@ class TestRefusals:
         assert main([command, write_problem(tmp_path), "--format", "json"]) == code
         assert capsys.readouterr() == ("", f"{prefix}refused\n")
 
-    @pytest.mark.parametrize("command", ["analyze", "crosscheck"])
+    @pytest.mark.parametrize("command", ["analyze", "crosscheck", "fuzz"])
     def test_an_unexpected_exception_propagates(self, tmp_path, monkeypatch, command):
-        # A TypeError is a bug, and its traceback is the report.
+        # A TypeError is a bug, and its traceback is the report, also on a
+        # fuzz instance.
         def broken(*args):
             raise TypeError("not a refusal")
 
         monkeypatch.setattr(cli, "_compare_routes", broken)
+        argv = ["fuzz", "--trials", "3"] if command == "fuzz" else [command, write_problem(tmp_path)]
         with pytest.raises(TypeError, match="not a refusal"):
-            main([command, write_problem(tmp_path)])
+            main(argv)
+
+    def test_a_missed_supplemented_corner_is_inconclusive(self, capsys, monkeypatch):
+        # No corner can meet a negative bound: the build failed on valid
+        # data, which is exit 6, not a validation error.
+        monkeypatch.setattr(uniqueness, "SUPPLEMENTARY_RESIDUAL_TOL", -1.0)
+        path = str(Path(__file__).resolve().parents[1] / "problems" / "nonunique.json")
+        assert main(["analyze", path]) == 6
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("inconclusive: supplemented corner misses its target by ")
 
     @pytest.mark.parametrize("zeros, angles, orders", CLUSTERED_PROBLEMS, ids=["two-points", "three-points"])
     def test_clustered_points_are_inconclusive(self, tmp_path, capsys, zeros, angles, orders):
@@ -419,6 +433,21 @@ class TestFuzz:
             "orders": [3, 3],
         }
         assert cli._check_instance(inst) is None
+
+    def test_a_refusal_is_a_counterexample(self, monkeypatch, capsys):
+        # A drawn instance is valid, so the library refusing it is a finding
+        # about the library, shrunk and reported like a broken law.
+        def refuse(*args):
+            raise SingularResolvent("refused")
+
+        monkeypatch.setattr(cli, "_compare_routes", refuse)
+        assert main(["fuzz", "--trials", "3", "--format", "json"]) == 5
+        report = json.loads(capsys.readouterr().out)
+        assert report["property"] == "refused"
+        assert report["detail"] == "SingularResolvent: refused"
+        assert report["trials_run"] == 1
+        assert len(report["counterexample"]["points"]) == 1
+        assert report["counterexample"]["orders"] == [1]
 
     def test_rank_property_fires_on_a_robustly_wrong_matrix(self, monkeypatch, capsys):
         def identity_instead(table, points, orders):

@@ -67,3 +67,34 @@ def test_no_module_imports_an_unused_name():
         )
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used | exported]
     assert unused == []
+
+
+def test_every_module_level_name_is_read():
+    # A function, class or constant that nothing in the package reads is
+    # dead code.  A read is a loaded name, an attribute, a name imported
+    # from a sibling module or a string in __all__; dunders are exempt.
+    package = Path(blaschkepick.__file__).resolve().parent
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(package.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                read.update(elt.value for elt in node.value.elts)
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [f"{module}.{name}" for name in names if not name.startswith("__") and name not in read]
+    assert defined == []

@@ -24,7 +24,6 @@ from blaschkepick import (
     sp_via_realization,
     taylor_jet,
 )
-from blaschkepick.pick import jet_data_from_json, jet_data_to_json
 from blaschkepick.schwarz_pick import _structured_flat
 from helpers import random_blaschke, random_circle_points
 
@@ -321,6 +320,20 @@ class TestCornerValue:
         with pytest.raises(ValueError, match="non-finite"):
             corner_value([1.0, bad, 0.0, 0.0], 1.0, 1)
 
+    @pytest.mark.parametrize("row", [[None, 1.0, 0.0, 0.0], [[1.0, 2.0], 1.0, 0.0, 0.0]], ids=["none", "nested"])
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda row: corner_value(row, 1.0, 1),
+            lambda row: sp_boundary_structured([row], [1.0], [1]),
+            lambda row: JetData(points=(1.0,), values=(tuple(row),)),
+        ],
+        ids=["corner_value", "sp_boundary_structured", "JetData"],
+    )
+    def test_non_numeric_value_is_a_type_error(self, read, row):
+        with pytest.raises(TypeError):
+            read(row)
+
 
 class TestCompleteToPd:
     def test_two_by_two_worked_example(self):
@@ -407,22 +420,3 @@ class TestCompleteToPd:
         assert completion.complementary == ()
         with pytest.raises(PrincipalNotPD):
             complete_to_pd(np.array([[1.0, 2.0], [2.0, 1.0]]), principal=[0, 1])
-
-
-class TestJson:
-    def test_roundtrip(self):
-        data = extract_data(make_blaschke([0.4j]), [1.0, 1j], [2, 0])
-        again = jet_data_from_json(jet_data_to_json(data))
-        assert again.points == data.points
-        for mine, theirs in zip(data.values, again.values):
-            assert_allclose(theirs, mine)
-
-    def test_from_json_validates(self):
-        with pytest.raises(ValueError):
-            jet_data_from_json({"points": [[0.5, 0.0]], "values": [[[1.0, 0.0]]]})
-
-    def test_from_json_rejects_booleans(self):
-        with pytest.raises(TypeError):
-            jet_data_from_json({"points": [[True, False]], "values": [[[1.0, 0.0]]]})
-        with pytest.raises(TypeError):
-            jet_data_from_json({"points": [[1.0, 0.0]], "values": [[[True, 0.0]]]})

@@ -2,6 +2,7 @@
 and radial routes."""
 
 import cmath
+import itertools
 import math
 import sys
 import warnings
@@ -34,6 +35,7 @@ from blaschkepick.schwarz_pick import (
     RADIAL_CONVERGENCE_TOL,
     SchwarzPickMatrix,
     _kernel_stack,
+    _shape_plan,
 )
 from helpers import random_blaschke, random_circle_points, random_interior_points
 
@@ -41,6 +43,35 @@ from helpers import random_blaschke, random_circle_points, random_interior_point
 def conjugated_jet(center: complex, row) -> tuple[complex, np.ndarray]:
     """(center, row) of the conjugated function at the conjugated center."""
     return complex(center).conjugate(), np.conj(row)
+
+
+def in_flat_layout(stack: np.ndarray, ks) -> np.ndarray:
+    """A stack of _kernel_stack read through the plan's `back` permutation."""
+    back = _shape_plan(tuple(ks)).back
+    return stack[..., back[:, None], back]
+
+
+def padded_kernel_stack(w, v, z, u, ks) -> np.ndarray:
+    """The kernel stack in the flat layout by the padded recurrence: every
+    pair runs to max(ks) in both indices on an (R, n, n, K, K) stack and is
+    cut to its own orders afterwards."""
+    point = np.repeat(np.arange(len(ks)), ks)[:, None]
+    derivative = np.concatenate([np.arange(k) for k in ks])[:, None]
+    z0, u0 = z[:, :, None], u[:, None, :]
+    c = 1.0 - z0 * u0
+    coeffs = -w[:, :, None, :, None] * v[:, None, :, None, :]
+    coeffs[..., 0, 0] += 1.0
+    for x in range(max(ks)):
+        for y in range(max(ks)):
+            acc = coeffs[..., x, y]
+            if x:
+                acc += u0 * coeffs[..., x - 1, y]
+            if y:
+                acc += z0 * coeffs[..., x, y - 1]
+            if x and y:
+                acc += coeffs[..., x - 1, y - 1]
+            acc /= c
+    return coeffs[:, point, point.T, derivative, derivative.T]
 
 
 def kernel_coefficients(jet_z, jet_u, k: int) -> np.ndarray:
@@ -121,6 +152,35 @@ class TestKernelJet:
         assert_allclose(rec, want, rtol=1e-12)
 
 
+class TestKernelRows:
+    """_kernel_stack on the unpadded rows of the shape plan against the
+    padded recurrence, bit for bit."""
+
+    @staticmethod
+    def assert_matches_padded(rng, ks):
+        b = random_blaschke(rng, int(rng.integers(0, 7)))
+        pts = random_circle_points(rng, len(ks))
+        # Distinct z- and u-centers on several radii rows.
+        z = np.multiply.outer([0.5, 0.7, 0.9], pts)
+        u = np.multiply.outer([0.6, 0.8, 0.95], pts).conj()
+        w = _jet_array(b, z, max(ks) - 1)
+        v = _jet_array(b, u.conj(), max(ks) - 1).conj()
+        stack = _kernel_stack(w, v, z, u, ks)
+        assert np.array_equal(in_flat_layout(stack, ks), padded_kernel_stack(w, v, z, u, ks)), ks
+
+    @pytest.mark.parametrize(
+        "ks", sorted({ks for base in [(1, 3, 2), (3, 3, 1), (1, 1, 4)] for ks in itertools.permutations(base)})
+    )
+    def test_every_ordering_matches_the_padded_recurrence(self, ks):
+        self.assert_matches_padded(np.random.default_rng(sum(ks) + 10 * ks[0]), ks)
+
+    def test_random_shapes_match_the_padded_recurrence(self):
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            ks = tuple(int(k) for k in rng.integers(1, 7, size=int(rng.integers(1, 7))))
+            self.assert_matches_padded(rng, ks)
+
+
 class TestInterior:
     def test_single_point_worked_value(self):
         b = make_blaschke([0.0, 0.0])
@@ -137,7 +197,7 @@ class TestInterior:
         p = sp_interior(b, pts, ks)
         centers = np.array([pts], dtype=complex)
         jets = _jet_array(b, centers, max(ks) - 1)
-        series = _kernel_stack(jets, jets.conj(), centers, centers.conj(), ks)[0]
+        series = in_flat_layout(_kernel_stack(jets, jets.conj(), centers, centers.conj(), ks)[0], ks)
         assert_allclose(p.flat, series, rtol=1e-9, atol=1e-12)
 
     def test_near_circle_matches_degree_one_closed_form(self):
@@ -374,7 +434,7 @@ class TestBoundaryRadial:
         centers = 0.5 * np.array([pts])
         jets = _jet_array(b, centers, max(ks) - 1)
         stack = SchwarzPickMatrix(
-            flat=_kernel_stack(jets, jets.conj(), centers, centers.conj(), ks)[0],
+            flat=in_flat_layout(_kernel_stack(jets, jets.conj(), centers, centers.conj(), ks)[0], ks),
             points=tuple(centers[0]),
             orders=ks,
         )
@@ -387,8 +447,8 @@ class TestBoundaryRadial:
                 assert np.max(np.abs(stack.block(i, j) - pair)) <= 1e-13 * scale
 
     def test_stack_split_into_pieces_matches_separate_radii(self):
-        # Twelve points padded to order 6 hold 5184 coefficients per row,
-        # so a stack of five radii is evaluated in more than one piece.
+        # The rows of a stack are independent: five radii at once give what
+        # each radius gives alone, with one high order among twelve points.
         rng = np.random.default_rng(38)
         b = random_blaschke(rng, 3)
         pts = [cmath.exp(2j * cmath.pi * (m + 0.3) / 12) for m in range(12)]

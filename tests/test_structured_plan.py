@@ -104,6 +104,21 @@ def test_more_shapes_than_the_cache_holds():
     assert _shape_plan.cache_info().currsize <= PLAN_CACHE_SIZE
 
 
+@pytest.mark.parametrize("ks", [(1,), (4,), (2, 3, 1), (1, 3, 2), (3, 3, 1), (1, 1, 4), (6, 1, 1, 6, 2, 5)])
+def test_kernel_rows_of_the_plan(ks):
+    # Derivative x holds the points with k_i > x, as a prefix of `order`,
+    # and `back` maps each flat row (i, x) to its kernel row.
+    plan = _shape_plan(ks)
+    assert sorted(plan.order) == list(range(len(ks)))
+    assert sorted(plan.back) == list(range(sum(ks)))
+    for x, (lo, hi) in enumerate(itertools.pairwise(plan.starts)):
+        assert hi - lo == sum(k > x for k in ks)
+        assert all(ks[i] > x for i in plan.order[: hi - lo])
+        assert list(plan.gather[lo:hi]) == [i * max(ks) + x for i in plan.order[: hi - lo]]
+    flat = [i * max(ks) + x for i, k in enumerate(ks) for x in range(k)]
+    assert list(plan.gather[plan.back]) == flat
+
+
 def test_plan_arrays_are_read_only():
     plan = _shape_plan((2, 3, 1))
     for name, array in plan._asdict().items():

@@ -326,6 +326,18 @@ class TestInconclusive:
         assert exc.value.value > 100 * exc.value.limit
 
 
+    def test_a_missed_supplemented_corner_is_inconclusive(self, monkeypatch):
+        # The rebuilt corner is a build of the package's own from valid
+        # data; no residual meets a negative bound.
+        import blaschkepick.uniqueness as uniqueness_module
+
+        monkeypatch.setattr(uniqueness_module, "SUPPLEMENTARY_RESIDUAL_TOL", -1.0)
+        problem = ContactProblem(b=make_blaschke([0.0, 0.5], 1j), points=(1.0, -1.0), contact_orders=(2, 1))
+        with pytest.raises(Inconclusive, match="^supplemented corner misses its target") as exc:
+            decide(problem)
+        assert exc.value.value >= 0.0 > exc.value.limit
+
+
 class TestTolerances:
     @pytest.mark.parametrize(
         "kwargs",
