@@ -36,19 +36,35 @@ CIRCLE_TOL = 1e-9
 DISTINCT_POINT_TOL = 1e-12
 
 
+def _require_numbers(obj, what: str, ndim: int = 1) -> np.ndarray:
+    """obj as an ndim-axis complex array by the one rule of what a number is:
+    numpy reads it as kind b, i, u, f or c (bool, integer, real, complex),
+    TypeError otherwise, all finite, ValueError otherwise; both name what."""
+    try:
+        x = np.asarray(obj)
+    except ValueError:  # a ragged nesting
+        x = np.asarray(None)
+    if x.ndim != ndim or x.dtype.kind not in "biufc":
+        raise TypeError(f"{what} must be {'a flat row of numbers' if ndim else 'a number'}, got {obj!r}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} has a non-finite coefficient" if ndim else f"{what} must be finite, got {obj!r}")
+    return x.astype(complex, copy=False)
+
+
 def _require_finite(z: complex, what: str) -> complex:
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise ValueError(f"{what} must be finite, got {z!r}")
-    return z
+    """z as a Python complex, one number by :func:`_require_numbers`; a
+    finite Python int, float or complex, the usual input, skips numpy."""
+    if isinstance(z, (int, float, complex)) and cmath.isfinite(z):
+        return complex(z)
+    return _require_numbers(z, what, 0).item()
 
 
 def validate_points(points, *, on_circle: bool = False) -> tuple[complex, ...]:
     """Points as complex numbers, checked finite, pairwise distinct and, with
     on_circle, of modulus one within CIRCLE_TOL.
 
-    Raises ValueError for a non-finite or off-circle point and
-    CoincidentPoints for two points closer than DISTINCT_POINT_TOL.
+    Raises TypeError for a non-number, ValueError for a non-finite or
+    off-circle point and CoincidentPoints for two closer than DISTINCT_POINT_TOL.
     """
     pts = tuple(_require_finite(z, "point") for z in points)
     if on_circle:
@@ -132,10 +148,11 @@ class BlaschkeProduct:
 def make_blaschke(zeros: Sequence[complex], unimodular_constant: complex = 1.0) -> BlaschkeProduct:
     """Validated construction from a zero list (with multiplicity) and a constant.
 
-    Raises ZeroOnOrOutsideDisk when some |a_k| > 1 - 1e-12 and
-    ConstantNotUnimodular when | |u| - 1 | > 1e-12.
+    Raises TypeError for a zero or constant that is not a number,
+    ValueError for a non-finite one, ZeroOnOrOutsideDisk when some
+    |a_k| > 1 - 1e-12 and ConstantNotUnimodular when | |u| - 1 | > 1e-12.
     """
-    return BlaschkeProduct(tuple(complex(a) for a in zeros), complex(unimodular_constant))
+    return BlaschkeProduct(tuple(zeros), unimodular_constant)
 
 
 def evaluate(b: BlaschkeProduct, z: complex) -> complex:
@@ -176,8 +193,8 @@ def taylor_jet(b: BlaschkeProduct, z0: complex, order: int) -> np.ndarray:
     :func:`_finite_jets` at the one center z0.
 
     Raises ValueError for a non-finite z0, a negative order or a non-finite
-    coefficient, TypeError for a non-integral order and PoleEvaluation for
-    z0 within 1e-12 of a pole.
+    coefficient, TypeError for a z0 that is not a number or a non-integral
+    order and PoleEvaluation for z0 within 1e-12 of a pole.
     """
     z0 = _require_finite(z0, "z0")
     (order,) = _require_orders((order,), "order", least=0)

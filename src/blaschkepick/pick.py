@@ -23,8 +23,8 @@ import numpy as np
 from .blaschke import (
     BlaschkeProduct,
     _finite_jets,
-    _require_finite,
     _require_layout,
+    _require_numbers,
     _require_orders,
     validate_points,
 )
@@ -47,7 +47,7 @@ ADMISSIBLE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class JetData:
-    """Prescribed coefficients values[i][j] at circle points[i]."""
+    """Prescribed coefficients values[i][j] at circle points[i]; rows pass the jet row check."""
 
     points: tuple[complex, ...]
     values: tuple[tuple[complex, ...], ...]
@@ -56,14 +56,11 @@ class JetData:
         pts = validate_points(self.points, on_circle=True)
         if len(self.values) != len(pts):
             raise ValueError("points and values must have equal length")
-        vals = tuple(
-            tuple(_require_finite(v, "value") for v in row) for row in self.values
-        )
-        for row in vals:
-            if not row:
-                raise ValueError("every point needs at least one prescribed value")
+        rows = [_require_numbers(row, f"values row {i}") for i, row in enumerate(self.values)]
+        if not all(row.size for row in rows):
+            raise ValueError("every point needs at least one prescribed value")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", tuple(tuple(row.tolist()) for row in rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,8 +154,8 @@ def corner_value(values: Sequence[complex], point: complex, order: int) -> compl
 
     which is affine in b_{2k+1} with slope (-1)^k t^(2k+1) conj(b_0).
     The values get the row check of :func:`sp_boundary_structured` at order
-    k + 1: InsufficientJet for fewer than 2k + 2, ValueError for a
-    non-finite one among those.
+    k + 1: InsufficientJet for fewer than 2k + 2, TypeError or ValueError
+    unless those are finite numbers.
     """
     (k,) = _require_orders((order,), "order", least=0)
     coeffs = _coefficient_table([values], (k + 1,))[0]

@@ -59,7 +59,7 @@ class UnitaryRealization:
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "B", b)
         object.__setattr__(self, "C", c)
-        object.__setattr__(self, "D", complex(self.D))
+        object.__setattr__(self, "D", _require_finite(self.D, "D"))
 
     @property
     def state_dim(self) -> int:
@@ -143,9 +143,9 @@ def resolvent_rows(r: UnitaryRealization, points, orders) -> np.ndarray:
     condition, formed as ``np.linalg.cond(m, 1)`` forms it (bit for bit).
     Raises :class:`SingularResolvent` at the first point whose I - z A has
     reciprocal condition below ``RESOLVENT_RCOND``.  The points need only
-    be finite; the orders get the order check, one per point.
+    be finite numbers; the orders get the order check, one per point.
     """
-    zs = np.array([_require_finite(z, "z") for z in points], dtype=complex)
+    zs = np.array([_require_finite(z, "point") for z in points], dtype=complex)
     ks = _require_orders(orders, "orders", count=zs.size)
     d = r.state_dim
     if d == 0 or zs.size == 0:

@@ -44,7 +44,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, _finite_jets, _jet_array, _require_layout, poles
+from .blaschke import BlaschkeProduct, _finite_jets, _jet_array, _require_layout, _require_numbers, poles
 from .errors import ConvergenceFailure, DegenerateDenominator, InsufficientJet
 from .realization import realize, sp_via_realization
 
@@ -258,25 +258,15 @@ def _coefficient_table(rows, ks: tuple[int, ...]) -> np.ndarray:
     """The (n, 2 max(ks) + 1) coefficient table of :func:`_structured_flat`,
     row i holding coefficients 0 .. 2 k_i - 1 of rows[i] and zeros after
     them.  Raises ValueError unless there is one row per order,
-    InsufficientJet for a row shorter than 2 k_i, TypeError unless those
-    coefficients make a flat row of numbers, and ValueError for a
-    non-finite one."""
+    InsufficientJet for a row shorter than 2 k_i, and otherwise the errors
+    of :func:`blaschke._require_numbers` on those coefficients."""
     if len(rows) != len(ks):
         raise ValueError(f"{len(ks)} points but {len(rows)} jets")
     table = np.zeros((len(ks), 2 * max(ks) + 1), dtype=complex)
     for i, (row, k) in enumerate(zip(rows, ks)):
         if len(row) < 2 * k:
             raise InsufficientJet(f"jet {i} has {len(row)} coefficients, need {2 * k}")
-        try:
-            head = np.asarray(row[: 2 * k])
-        except ValueError as exc:
-            raise TypeError(f"jet {i} is not a flat row of numbers") from exc
-        if head.ndim != 1 or head.dtype.kind not in "biufc":
-            raise TypeError(f"jet {i} is not a flat row of numbers, its coefficients read as {head.dtype}")
-        table[i, : 2 * k] = head
-    finite = np.isfinite(table).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"jet {int(np.argmin(finite))} has a non-finite coefficient")
+        table[i, : 2 * k] = _require_numbers(row[: 2 * k], f"jet {i}")
     return table
 
 
@@ -341,7 +331,7 @@ def sp_boundary_structured(jets: Sequence[Sequence[complex]], points, orders) ->
 
     Requires the layout of :func:`blaschke._require_layout`, one row per
     point, and row i of length >= 2 k_i (InsufficientJet otherwise) with
-    coefficients 0 .. 2 k_i - 1 finite (ValueError otherwise).
+    coefficients 0 .. 2 k_i - 1 finite numbers (:func:`blaschke._require_numbers`).
     """
     pts, ks = _require_layout(points, orders, "orders")
     flat = _structured_flat(_coefficient_table(jets, ks), pts, ks)

@@ -159,7 +159,7 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
     value by more than SUPPLEMENTARY_RESIDUAL_TOL max(1, |value|) raises
     Inconclusive too, a build of the package's own that failed on valid data.
     """
-    ks = derivative_orders(problem.contact_orders)
+    ks = tuple((m + 1) // 2 for m in problem.contact_orders)
     k_total, d = sum(ks), problem.b.degree
     unique = k_total > d
     even = () if unique else tuple(i for i, m in enumerate(problem.contact_orders) if m % 2 == 0)

@@ -6,7 +6,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import blaschkepick
+from blaschkepick import (
+    ContactProblem,
+    JetData,
+    UnitaryRealization,
+    corner_value,
+    evaluate,
+    level_set,
+    make_blaschke,
+    realize,
+    resolvent_rows,
+    sp_boundary_structured,
+    taylor_jet,
+)
 
 
 def test_import_does_not_load_scipy():
@@ -98,3 +114,59 @@ def test_every_module_level_name_is_read():
                 continue
             defined += [f"{module}.{name}" for name in names if not name.startswith("__") and name not in read]
     assert defined == []
+
+
+# One rule decides what a number is, at every entry that takes one: numpy
+# reads it as a single bool, integer, real or complex value.  Each entry
+# takes the input x in one role, named in its refusals; `base` is a value
+# the entry accepts (0 for a zero, 1 elsewhere).  Row entries read x as one
+# coefficient of a row.
+_B = make_blaschke([0.5])
+_R = realize(_B)
+NUMBER_ENTRIES = {
+    "make_blaschke-zero": ("zero", 0, lambda x: make_blaschke([x])),
+    "make_blaschke-constant": ("constant", 1, lambda x: make_blaschke([0.5], x)),
+    "ContactProblem-point": ("point", 1, lambda x: ContactProblem(b=_B, points=(x,), contact_orders=(2,))),
+    "taylor_jet-z0": ("z0", 1, lambda x: taylor_jet(_B, x, 3).tolist()),
+    "evaluate": ("z", 1, lambda x: evaluate(_B, x)),
+    "level_set-tau": ("tau", 1, lambda x: level_set(_B, x)),
+    "resolvent_rows-point": ("point", 1, lambda x: resolvent_rows(_R, [x], [2]).tolist()),
+    "UnitaryRealization-D": ("D", 1, lambda x: UnitaryRealization(A=_R.A, B=_R.B, C=_R.C, D=x).D),
+    "JetData-row": ("values row 0", 1, lambda x: JetData(points=(1.0,), values=((x, 0.5),))),
+    "sp_boundary_structured-row": (
+        "jet 0", 1, lambda x: sp_boundary_structured([(x, 0.5)], [1.0], [1]).flat.tolist()
+    ),
+    "corner_value-row": ("jet 0", 1, lambda x: corner_value([x, 0.5, 0.25, 0.0], 1.0, 1)),
+}
+
+
+@pytest.mark.parametrize("x", ["1", b"1", None, [1, 2]], ids=["str", "bytes", "none", "list"])
+@pytest.mark.parametrize("entry", NUMBER_ENTRIES)
+def test_non_number_is_a_type_error_naming_its_role(entry, x):
+    role, _, call = NUMBER_ENTRIES[entry]
+    with pytest.raises(TypeError) as info:
+        call(x)
+    assert role in str(info.value)
+
+
+@pytest.mark.parametrize("x", [float("nan"), complex(0.0, float("inf"))], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", NUMBER_ENTRIES)
+def test_non_finite_number_is_a_value_error_naming_its_role(entry, x):
+    role, _, call = NUMBER_ENTRIES[entry]
+    with pytest.raises(ValueError) as info:
+        call(x)
+    assert role in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [int, float, bool, np.int64, np.uint8, np.float32, np.float64, np.complex64, np.bool_, np.array],
+)
+@pytest.mark.parametrize("entry", NUMBER_ENTRIES)
+def test_every_number_reads_as_its_complex_value(entry, kind):
+    # Python and numpy scalars, 0-d arrays and bools give what their
+    # complex value gives, bit for bit and with the same stored types (a
+    # stored scalar is a Python complex, so a bool is stored as 1+0j).
+    _, base, call = NUMBER_ENTRIES[entry]
+    x = kind(base)
+    assert repr(call(x)) == repr(call(complex(x)))
