@@ -36,18 +36,24 @@ CIRCLE_TOL = 1e-9
 DISTINCT_POINT_TOL = 1e-12
 
 
-def _require_numbers(obj, what: str, ndim: int = 1) -> np.ndarray:
+def _require_numbers(obj, what: str, ndim: int | None = 1) -> np.ndarray:
     """obj as an ndim-axis complex array by the one rule of what a number is:
     numpy reads it as kind b, i, u, f or c (bool, integer, real, complex),
-    TypeError otherwise, all finite, ValueError otherwise; both name what."""
+    TypeError otherwise, a ragged nesting included, all finite, ValueError
+    otherwise; both name what.  ndim=None takes any number of axes and
+    leaves the shape to the caller, as the matrix readers do."""
     try:
         x = np.asarray(obj)
     except ValueError:  # a ragged nesting
         x = np.asarray(None)
-    if x.ndim != ndim or x.dtype.kind not in "biufc":
-        raise TypeError(f"{what} must be {'a flat row of numbers' if ndim else 'a number'}, got {obj!r}")
-    if not np.isfinite(x).all():
-        raise ValueError(f"{what} has a non-finite coefficient" if ndim else f"{what} must be finite, got {obj!r}")
+    if x.dtype.kind not in "biufc" or ndim is not None and x.ndim != ndim:
+        shape = {None: "an array of numbers", 0: "a number"}.get(ndim, "a flat row of numbers")
+        raise TypeError(f"{what} must be {shape}, got {obj!r}")
+    # count_nonzero, a C loop, takes about half the time of .all() here.
+    if np.count_nonzero(np.isfinite(x)) != x.size:
+        if ndim == 0:
+            raise ValueError(f"{what} must be finite, got {obj!r}")
+        raise ValueError(f"{what} has a non-finite {'entry' if ndim is None else 'coefficient'}")
     return x.astype(complex, copy=False)
 
 

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .blaschke import _require_numbers
 from .errors import ConvergenceFailure, Inconclusive, PrincipalNotPD
 
 HERMITIAN_DEFECT_TOL = 1e-9
@@ -23,10 +24,11 @@ DEFAULT_RANK_TOL = 1e-8
 DEFAULT_PD_TOL = 1e-10
 
 
-def _symmetrize(m, strict: bool) -> tuple[np.ndarray, float]:
-    """(M + M*) / 2 and the defect, the max-abs entry of M - M*, with the
-    checks that :func:`make_report` states."""
-    m = np.asarray(m, dtype=complex)
+def _symmetrize(m: np.ndarray, strict: bool) -> tuple[np.ndarray, float]:
+    """(M + M*) / 2 and the defect, the max-abs entry of M - M*, of a complex
+    array, with the square and strict checks that :func:`make_report`
+    states; a defect that is not finite, as a package-built matrix that
+    overflowed gives, raises ValueError."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.size == 0:
@@ -98,7 +100,7 @@ def schur_complement(m, head: Sequence[int]) -> HermitianReport:
     R P^{-1} R* cancel; the strict Hermitian test reads that rounding
     against the scale of Y* Y.
     """
-    matrix, _ = _symmetrize(m, strict=True)
+    matrix, _ = _symmetrize(_require_numbers(m, "matrix", None), strict=True)
     return _schur(matrix, *_split(matrix.shape[0], head))
 
 
@@ -178,16 +180,17 @@ def make_report(
     rank_tol, definiteness at pd_tol.
 
     Both tolerances must be finite and nonnegative, and m square (ValueError
-    otherwise).  The report records the defect, the max-abs entry of M - M*.
-    With strict=True (the default) a defect above HERMITIAN_DEFECT_TOL *
+    otherwise).  Its entries follow the number rule of
+    :func:`blaschke._require_numbers`: TypeError for a non-number, a ragged
+    nesting included, and ValueError for a NaN or infinite entry.  The
+    report records the defect, the max-abs entry of M - M*.  With
+    strict=True (the default) a defect above HERMITIAN_DEFECT_TOL *
     max(1, |M|_inf) raises ValueError; strict=False carries on, which is
-    what feasibility checks on raw user data need.  In both modes a defect
-    that is not finite, as any NaN or infinite entry makes it, raises
-    ValueError.
+    what feasibility checks on raw user data need.
     """
     _require_tolerance("rank", rank_tol)
     _require_tolerance("pd", pd_tol)
-    matrix, defect = _symmetrize(m, strict)
+    matrix, defect = _symmetrize(_require_numbers(m, "matrix", None), strict)
     return _read(matrix, defect, eigen_h(matrix), rank_tol, pd_tol)
 
 

@@ -174,11 +174,15 @@ def complete_to_pd(p_tilde, principal, margin: float = 1.0) -> Completion:
             (ValueError otherwise), or the result need not be PD.
 
     Only the diagonal entries outside `principal` change.  Raises
-    PrincipalNotPD when the principal block is not positive definite.
+    PrincipalNotPD when the principal block is not positive definite, and
+    what :func:`make_report` raises for a matrix that is not square, holds
+    a non-number or a non-finite entry.
     """
     _require_margin(margin)
-    flat = p_tilde.flat if isinstance(p_tilde, SchwarzPickMatrix) else np.asarray(p_tilde, dtype=complex)
-    matrix, defect = _symmetrize(flat, strict=False)
+    is_pick = isinstance(p_tilde, SchwarzPickMatrix)
+    if not is_pick:
+        p_tilde = _require_numbers(p_tilde, "matrix", None)
+    matrix, defect = _symmetrize(p_tilde.flat if is_pick else p_tilde, strict=False)
     head, comp = _split(matrix.shape[0], principal)
     return _complete(p_tilde, matrix, defect, DEFAULT_RANK_TOL, DEFAULT_PD_TOL, head, comp, margin)
 
@@ -193,10 +197,10 @@ def _complete(
     p_tilde, matrix: np.ndarray, defect: float, rank_tol: float, pd_tol: float,
     head: np.ndarray, comp: np.ndarray, margin: float,
 ) -> Completion:
-    """:func:`complete_to_pd` given p_tilde symmetrized, as matrix with its
-    defect, the checked tolerances that the completion's report reads at,
-    and the principal indices split into integer arrays head and ascending
-    complement comp.
+    """:func:`complete_to_pd` given p_tilde, a SchwarzPickMatrix or a
+    complex array, symmetrized as matrix with its defect, the checked
+    tolerances that the completion's report reads at, and the principal
+    indices split into integer arrays head and ascending complement comp.
 
     A real shift on the diagonal commutes with the symmetrization (M + M*) / 2
     bit for bit and leaves M - M* as it was, so the symmetrized modified
@@ -204,7 +208,7 @@ def _complete(
     same defect.
     """
     is_pick = isinstance(p_tilde, SchwarzPickMatrix)
-    flat = p_tilde.flat if is_pick else np.asarray(p_tilde, dtype=complex)
+    flat = p_tilde.flat if is_pick else p_tilde
     # With an empty complement this only checks that the whole matrix is PD.
     s = _schur(matrix, head, comp)
     shift = max(0.0, -s.lambda_min) + float(margin) if comp.size else 0.0

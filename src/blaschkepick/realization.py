@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, _require_finite, _require_orders
+from .blaschke import BlaschkeProduct, _require_finite, _require_numbers, _require_orders
 from .errors import SingularResolvent
 from .hermitian import _rank_above, _require_tolerance
 
@@ -34,10 +34,11 @@ RESOLVENT_RCOND = 1e-14
 class UnitaryRealization:
     """State-space data (A, B, C, D) with a unitary system matrix.
 
-    Shapes are (d, d), (d, 1), (1, d) and scalar.  Instances produced by
-    :func:`realize` satisfy the unitarity bound checked by
-    :func:`unitarity_defect`; hand-built instances are allowed (tests use
-    them) and can violate it.
+    Shapes are (d, d), (d, 1), (1, d) and scalar, every entry a finite
+    number: TypeError for a non-number, ValueError for a wrong shape or a
+    non-finite entry.  Instances produced by :func:`realize` satisfy the
+    unitarity bound checked by :func:`unitarity_defect`; hand-built
+    instances are allowed (tests use them) and can violate it.
     """
 
     A: np.ndarray
@@ -46,9 +47,7 @@ class UnitaryRealization:
     D: complex
 
     def __post_init__(self):
-        a = np.asarray(self.A, dtype=complex)
-        b = np.asarray(self.B, dtype=complex)
-        c = np.asarray(self.C, dtype=complex)
+        a, b, c = (_require_numbers(getattr(self, name), name, None) for name in "ABC")
         d = a.shape[0] if a.ndim == 2 else -1
         if a.ndim != 2 or a.shape != (d, d):
             raise ValueError(f"A must be square, got shape {a.shape}")

@@ -30,6 +30,7 @@ from blaschkepick import (
     sp_boundary_structured,
     sp_via_realization,
 )
+from blaschkepick._pcg64 import PCG64Stream
 from blaschkepick.cli import main
 from helpers import CLUSTERED_PROBLEMS, random_blaschke, random_circle_points
 
@@ -463,6 +464,53 @@ class TestFuzz:
         assert "bracket" in report["detail"]
 
 
+def _numpy_random_instance(rng, degree_max, points_max, order_max):
+    """The fuzz draw as it was written on numpy's Generator, kept as the
+    reference that the package's own stream must reproduce."""
+    d = int(rng.integers(0, degree_max + 1))
+    zeros = []
+    for _ in range(d):
+        radius = 0.75 * math.sqrt(rng.uniform())
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        zeros.append(radius * complex(math.cos(theta), math.sin(theta)))
+    phi = rng.uniform(0.0, 2.0 * math.pi)
+    u = complex(math.cos(phi), math.sin(phi))
+    n = int(rng.integers(1, points_max + 1))
+    while True:
+        angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
+        wrap = np.concatenate([np.diff(angles), [angles[0] + 2.0 * math.pi - angles[-1]]])
+        if n == 1 or float(np.min(wrap)) >= cli.FUZZ_SPACING:
+            break
+    points = [complex(math.cos(a), math.sin(a)) for a in angles]
+    orders = [int(rng.integers(1, order_max + 1)) for _ in range(n)]
+    return {"zeros": zeros, "u": u, "points": points, "orders": orders}
+
+
+class TestFuzzStream:
+    @pytest.mark.parametrize("flags", [(6, 3, 3), (0, 1, 1), (12, 10, 8), (3, 10, 2**40)], ids=str)
+    def test_drawn_instances_are_those_of_numpys_default_rng(self, flags):
+        for seed in range(200):
+            want = _numpy_random_instance(np.random.default_rng(seed), *flags)
+            assert cli._random_instance(PCG64Stream(seed), *flags) == want, seed
+
+    def test_fuzz_does_not_load_numpy_random(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = (
+            "import sys; from blaschkepick.cli import main; "
+            "code = main(['fuzz', '--trials', '3', '--format', 'json']); "
+            "print(code, 'numpy.random' in sys.modules, file=sys.stderr)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert out.stderr == "0 False\n"
+
+
 class TestRouteComparison:
     def test_structured_matrix_is_that_of_the_public_entry(self):
         rng = np.random.default_rng(31)
@@ -472,8 +520,10 @@ class TestRouteComparison:
             ks = [int(k) for k in rng.integers(1, 5, size=len(pts))]
             data = extract_data(b, pts, [2 * k - 1 for k in ks])
             want = sp_boundary_structured(data.values, pts, ks)
-            leading, got, via_real, _, _ = cli._compare_routes(b, pts, ks)
+            leading, got, via_real, diff, norm = cli._compare_routes(b, pts, ks)
             assert_array_equal(got.flat, want.flat)
+            assert diff == np.max(np.abs(want.flat - via_real))
+            assert norm == np.max(np.abs(want.flat))
             assert (got.points, got.orders) == (want.points, want.orders)
             assert_array_equal(leading, [row[0] for row in data.values])
             assert_array_equal(via_real, sp_via_realization(realize(b), pts, ks))

@@ -14,12 +14,15 @@ from blaschkepick import (
     ContactProblem,
     JetData,
     UnitaryRealization,
+    complete_to_pd,
     corner_value,
     evaluate,
     level_set,
     make_blaschke,
+    make_report,
     realize,
     resolvent_rows,
+    schur_complement,
     sp_boundary_structured,
     taylor_jet,
 )
@@ -170,3 +173,57 @@ def test_every_number_reads_as_its_complex_value(entry, kind):
     _, base, call = NUMBER_ENTRIES[entry]
     x = kind(base)
     assert repr(call(x)) == repr(call(complex(x)))
+
+
+# Matrices take the same number rule: each entry takes x as one entry of a
+# matrix it accepts at x = 1.  A non-number, and a ragged nesting, is a
+# TypeError naming the matrix; a non-finite entry and a wrong shape are
+# ValueErrors.
+_ONE = [[1.0]]
+_RAGGED = [[1.0], [1.0, 2.0]]
+MATRIX_ENTRIES = {
+    "make_report": ("matrix", lambda x: make_report([[2.0, 0.5], [0.5, x]], strict=False).matrix),
+    "schur_complement": ("matrix", lambda x: schur_complement([[2.0, 0.5], [0.5, x]], [0]).matrix),
+    "complete_to_pd": ("matrix", lambda x: complete_to_pd([[2.0, 0.5], [0.5, x]], [0]).modified),
+    "UnitaryRealization-A": ("A", lambda x: UnitaryRealization(A=[[x]], B=_ONE, C=_ONE, D=0.5).A),
+    "UnitaryRealization-B": ("B", lambda x: UnitaryRealization(A=_ONE, B=[[x]], C=_ONE, D=0.5).B),
+    "UnitaryRealization-C": ("C", lambda x: UnitaryRealization(A=_ONE, B=_ONE, C=[[x]], D=0.5).C),
+}
+RAGGED_MATRICES = {
+    "make_report": ("matrix", lambda: make_report(_RAGGED)),
+    "schur_complement": ("matrix", lambda: schur_complement(_RAGGED, [0])),
+    "complete_to_pd": ("matrix", lambda: complete_to_pd(_RAGGED, [0])),
+    "UnitaryRealization-A": ("A", lambda: UnitaryRealization(A=_RAGGED, B=_ONE, C=_ONE, D=0.5)),
+    "UnitaryRealization-B": ("B", lambda: UnitaryRealization(A=_ONE, B=_RAGGED, C=_ONE, D=0.5)),
+    "UnitaryRealization-C": ("C", lambda: UnitaryRealization(A=_ONE, B=_ONE, C=_RAGGED, D=0.5)),
+}
+
+
+@pytest.mark.parametrize("x", ["1", b"1", None], ids=["str", "bytes", "none"])
+@pytest.mark.parametrize("entry", MATRIX_ENTRIES)
+def test_non_number_matrix_entry_is_a_type_error_naming_the_matrix(entry, x):
+    role, call = MATRIX_ENTRIES[entry]
+    with pytest.raises(TypeError, match=f"^{role} must be an array of numbers"):
+        call(x)
+
+
+@pytest.mark.parametrize("entry", RAGGED_MATRICES)
+def test_ragged_matrix_is_a_type_error_naming_the_matrix(entry):
+    role, call = RAGGED_MATRICES[entry]
+    with pytest.raises(TypeError, match=f"^{role} must be an array of numbers"):
+        call()
+
+
+@pytest.mark.parametrize("x", [float("nan"), complex(0.0, float("inf"))], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", MATRIX_ENTRIES)
+def test_non_finite_matrix_entry_is_a_value_error_naming_the_matrix(entry, x):
+    role, call = MATRIX_ENTRIES[entry]
+    with pytest.raises(ValueError, match=f"^{role} has a non-finite entry"):
+        call(x)
+
+
+@pytest.mark.parametrize("kind", [int, float, bool, np.int64, np.float32, np.complex64, np.bool_])
+@pytest.mark.parametrize("entry", MATRIX_ENTRIES)
+def test_every_matrix_entry_reads_as_its_complex_value(entry, kind):
+    _, call = MATRIX_ENTRIES[entry]
+    assert np.asarray(call(kind(1))).tolist() == np.asarray(call(1 + 0j)).tolist()
