@@ -44,7 +44,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, _finite_jets, _jet_array, _require_layout, _require_numbers, poles
+from .blaschke import BlaschkeProduct, _jet_array, _require_layout, _require_numbers, poles
 from .errors import ConvergenceFailure, DegenerateDenominator, InsufficientJet
 from .realization import realize, sp_via_realization
 
@@ -100,12 +100,17 @@ class _ShapePlan(NamedTuple):
     (j, y): `same` marks i == j, `pair_index` is i n + j, `exponent` is
     x + y + 1, and `factor` is (-1)^y binom(y, x) (Psi) where i == j and
     (-1)^x binom(x + y, x) (M) elsewhere, stored complex so that no
-    arithmetic casts it again.  `tri_index` and `hankel_index` gather T and
-    Hk from the raveled coefficient table of :func:`_structured_flat`.
-    The kernel rows of :func:`_kernel_stack` go by derivative x, then by
-    point in `order`, falling k_i first: rows starts[x] .. starts[x + 1] - 1
-    hold the points with k_i > x, `gather` reads row (i, x) as entry
-    i max(ks) + x of the raveled jets, and kernel row back[f] is flat row f.
+    arithmetic casts it again.
+
+    Both routes gather from the raveled jets of the evaluator, n rows of W
+    coefficients: coefficient x at point i is entry i W + x.  `tri_index`
+    and `hankel_index` gather T and Hk for :func:`_structured_flat` (W = 2
+    max(ks)), every entry outside their bands pointing at entry n W, the
+    one zero that function appends.  The kernel rows of
+    :func:`_kernel_stack` go by derivative x, then by point in `order`,
+    falling k_i first: rows starts[x] .. starts[x + 1] - 1 hold the points
+    with k_i > x, `gather` reads row (i, x) from the jets (W = max(ks)),
+    and kernel row back[f] is flat row f.
     """
 
     same: np.ndarray
@@ -145,7 +150,7 @@ def _shape_plan(ks: tuple[int, ...]) -> _ShapePlan:
     ell = r.T
     n = r + ell
     same = point == point.T
-    width = 2 * max(ks) + 1
+    width = 2 * max(ks)
     binom = _pascal(width)
     order = sorted(range(len(ks)), key=lambda i: -ks[i])
     count = [sum(k > x for k in ks) for x in range(max(ks))]
@@ -155,8 +160,8 @@ def _shape_plan(ks: tuple[int, ...]) -> _ShapePlan:
         pair_index=point * len(ks) + point.T,
         exponent=n + 1,
         factor=np.where(same, (-1) ** ell * binom[ell, r], (-1) ** r * binom[n, r]).astype(complex),
-        tri_index=point * width + np.where(same & (r >= ell), r - ell, width - 1),
-        hankel_index=point * width + np.where(same, n + 1, width - 1),
+        tri_index=np.where(same & (r >= ell), point * width + r - ell, len(ks) * width),
+        hankel_index=np.where(same, point * width + n + 1, len(ks) * width),
         order=np.array(order),
         starts=np.cumsum([0, *count]),
         gather=np.array(gather),
@@ -255,14 +260,14 @@ def psi_matrix(t: complex, k: int) -> np.ndarray:
 
 
 def _coefficient_table(rows, ks: tuple[int, ...]) -> np.ndarray:
-    """The (n, 2 max(ks) + 1) coefficient table of :func:`_structured_flat`,
-    row i holding coefficients 0 .. 2 k_i - 1 of rows[i] and zeros after
-    them.  Raises ValueError unless there is one row per order,
-    InsufficientJet for a row shorter than 2 k_i, and otherwise the errors
-    of :func:`blaschke._require_numbers` on those coefficients."""
+    """The (n, 2 max(ks)) jets of :func:`_structured_flat`, row i holding
+    coefficients 0 .. 2 k_i - 1 of rows[i] and zeros after them.  Raises
+    ValueError unless there is one row per order, InsufficientJet for a row
+    shorter than 2 k_i, and otherwise the errors of
+    :func:`blaschke._require_numbers` on those coefficients."""
     if len(rows) != len(ks):
         raise ValueError(f"{len(ks)} points but {len(rows)} jets")
-    table = np.zeros((len(ks), 2 * max(ks) + 1), dtype=complex)
+    table = np.zeros((len(ks), 2 * max(ks)), dtype=complex)
     for i, (row, k) in enumerate(zip(rows, ks)):
         if len(row) < 2 * k:
             raise InsufficientJet(f"jet {i} has {len(row)} coefficients, need {2 * k}")
@@ -270,26 +275,13 @@ def _coefficient_table(rows, ks: tuple[int, ...]) -> np.ndarray:
     return table
 
 
-def _jet_table(b: BlaschkeProduct, pts: tuple[complex, ...], ks: tuple[int, ...]) -> np.ndarray:
-    """The coefficient table of :func:`_structured_flat` at orders ks from
-    b's own jets at checked points: every point through 2 max(ks) - 1 from
-    one evaluation, checked finite, then the zero last column."""
-    width = 2 * max(ks)
-    table = np.zeros((len(ks), width + 1), dtype=complex)
-    table[:, :width] = _finite_jets(b, pts, width - 1)
-    return table
-
-
-def _structured_flat(table: np.ndarray, pts: tuple[complex, ...], ks: tuple[int, ...]) -> np.ndarray:
+def _structured_flat(jets: np.ndarray, pts: tuple[complex, ...], ks: tuple[int, ...]) -> np.ndarray:
     """The flat matrix of :func:`sp_boundary_structured` from the
-    (n, 2 max(ks) + 1) coefficient table at checked points, with ks a tuple
-    of positive ints.
+    (n, 2 max(ks)) jets at checked points, with ks a tuple of positive ints.
 
-    Row i is read below column 2 k_i only, so anything may stand beyond it
-    there, but the last column must be zero for the gathers above the
-    Toeplitz diagonals to point at.  M and Psi share one power array:
-    base^(x + y + 1) with base t_i - t_j off the diagonal blocks and t_i on
-    them.
+    Row i is read below column 2 k_i only, so anything may stand beyond it.
+    M and Psi share one power array: base^(x + y + 1) with base t_i - t_j
+    off the diagonal blocks and t_i on them.
     """
     plan = _shape_plan(ks)
     t = np.array(pts, dtype=complex)
@@ -298,7 +290,7 @@ def _structured_flat(table: np.ndarray, pts: tuple[complex, ...], ks: tuple[int,
     powers = base.ravel()[plan.pair_index] ** plan.exponent
     m = np.where(plan.same, 0.0, plan.factor / powers)
     psi = np.where(plan.same, plan.factor * powers, 0.0)
-    coeff = table.ravel()
+    coeff = np.concatenate((jets.ravel(), [0.0]))
     tri = coeff[plan.tri_index]
     hankel = coeff[plan.hankel_index]
     return (hankel + tri @ m - m @ tri.T) @ psi @ tri.conj().T

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, _require_finite, _require_layout, _require_orders
+from .blaschke import BlaschkeProduct, _finite_jets, _require_finite, _require_layout, _require_orders
 from .errors import Inconclusive, RankMismatch
 from .hermitian import (
     DEFAULT_PD_TOL,
@@ -45,7 +45,7 @@ from .hermitian import (
     make_report,
 )
 from .pick import Completion, _complete, extract_data
-from .schwarz_pick import SchwarzPickMatrix, _jet_table, _structured_flat
+from .schwarz_pick import SchwarzPickMatrix, _structured_flat
 
 SUPPLEMENTARY_RESIDUAL_TOL = 1e-10
 # The completion's slack beyond the minimal shift, relative to max(1, lambda_max).
@@ -94,20 +94,18 @@ class UniqueCertificate:
 class NonUniqueCertificate:
     """Positive definite completion of the extended jet problem.
 
-    even_points lists the points whose blocks were extended by one row (the
-    other points keep their orders); the completion raised the bottom
-    diagonal entry of each, at the flat index in `completion.complementary`,
-    so the completed corner values are that diagonal.  supplementary lists,
-    per extended point index, the jet coefficient b_{2k+1} realizing the
-    completed corner; roundtrip_residual is the max-abs difference between
-    the completed matrix and the one rebuilt from the supplemented data.
-    extended_report reads the completed matrix.
+    supplementary lists, per point whose block was extended by one row (the
+    other points keep their orders), its index and the jet coefficient
+    b_{2k+1} realizing the completed corner: the bottom diagonal entry the
+    completion raised, at the flat index in `completion.complementary`.
+    roundtrip_residual is the max-abs difference between the completed
+    matrix and the one rebuilt from the supplemented data.  extended_report
+    reads the completed matrix.
     """
 
     completion: Completion
     extended_report: HermitianReport
     supplementary: tuple[tuple[int, complex], ...]
-    even_points: tuple[int, ...]
     roundtrip_residual: float
 
 
@@ -166,9 +164,9 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
     built = tuple(k + (i in even) for i, k in enumerate(ks))
     # The matrix at orders built reads coefficients below 2 built_i at point
     # i, so one evaluation through 2 max(built) - 1 covers it.
-    table = _jet_table(problem.b, problem.points, built)
+    jets = _finite_jets(problem.b, problem.points, 2 * max(built) - 1)
     p_tilde = SchwarzPickMatrix(
-        flat=_structured_flat(table, problem.points, built), points=problem.points, orders=built
+        flat=_structured_flat(jets, problem.points, built), points=problem.points, orders=built
     )
     p_flat = p_tilde.flat
     if even:
@@ -209,15 +207,15 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
             # Only the corner moves with the top coefficient b_{2k+1}, with
             # slope (-1)^k t^(2k+1) conj(b_0) (corner_value); the supplement
             # moves it by the shift.
-            supplemented = table.copy()
+            supplemented = jets.copy()
             for i in even:
                 k, t = ks[i], problem.points[i]
-                slope = (-1.0) ** k * t ** (2 * k + 1) * complex(table[i, 0]).conjugate()
-                value = _require_finite(complex(table[i, 2 * k + 1]) + completion.shift / slope, "value")
+                slope = (-1.0) ** k * t ** (2 * k + 1) * complex(jets[i, 0]).conjugate()
+                value = _require_finite(complex(jets[i, 2 * k + 1]) + completion.shift / slope, "value")
                 supplemented[i, 2 * k + 1] = value
                 supplementary.append((i, value))
 
-            # Rebuild the extended matrix from the table with the supplements
+            # Rebuild the extended matrix from the jets with the supplements
             # in place of the product's own top coefficients.
             redone = _structured_flat(supplemented, problem.points, built)
             for idx in corners:
@@ -239,7 +237,6 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
             completion=completion,
             extended_report=completion.report,
             supplementary=tuple(supplementary),
-            even_points=even,
             roundtrip_residual=roundtrip,
         )
     return Verdict(

@@ -190,7 +190,7 @@ def test_criterion_6_non_unique_certificates(suite, capsys):
         redone = extend_pick(
             JetData(points=tuple(pts), values=tuple(tuple(r) for r in rows)),
             ks,
-            cert.even_points,
+            [i for i, _ in cert.supplementary],
         )
         gap = float(np.max(np.abs(redone.flat - cert.completion.modified.flat)))
         worst_roundtrip = max(worst_roundtrip, gap)

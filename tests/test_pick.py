@@ -189,10 +189,10 @@ class TestExtractAndBuild:
             assert np.max(np.abs(sub - p)) <= 1e-14 * max(1.0, float(np.max(np.abs(p))))
 
     def test_coefficients_from_index_2k_on_are_never_read(self):
-        # Row i of the coefficient table is read below index 2 k_i only (and
-        # the zero last column), so junk beyond it, in the rows given to
-        # sp_boundary_structured or in one table as wide as the largest
-        # order, leaves the matrix bit for bit as it was.
+        # Row i of the jets is read below index 2 k_i only, so junk in every
+        # column from there on, in the rows given to sp_boundary_structured
+        # or in the (n, 2 max(ks)) jets given to _structured_flat, with no
+        # zero column anywhere, leaves the matrix bit for bit as it was.
         rng = np.random.default_rng(50)
         for _ in range(200):
             n = int(rng.integers(1, 5))
@@ -201,15 +201,16 @@ class TestExtractAndBuild:
             values = [[complex(*rng.normal(size=2)) for _ in range(2 * k + int(rng.integers(1, 6)))] for k in ks]
             clean = sp_boundary_structured(values, pts, ks).flat
             width = 2 * max(ks)
-            table = np.zeros((n, width + 1), dtype=complex)
+            jets = np.empty((n, width), dtype=complex)
             for i, (row, k) in enumerate(zip(values, ks)):
                 junk = rng.normal(size=(width, 2)) @ [1.0, 1j] * 10.0 ** rng.integers(-300, 300, size=width)
                 row[2 * k :] = junk[: len(row) - 2 * k].tolist()
-                table[i, : 2 * k] = row[: 2 * k]
-                table[i, 2 * k : width] = junk[: width - 2 * k]
+                jets[i, : 2 * k] = row[: 2 * k]
+                jets[i, 2 * k :] = junk[: width - 2 * k]
+            assert np.all(jets != 0.0)
             junk_rows = sp_boundary_structured(values, pts, ks).flat
             assert np.array_equal(junk_rows, clean)
-            assert np.array_equal(_structured_flat(table, pts, ks), clean)
+            assert np.array_equal(_structured_flat(jets, pts, ks), clean)
 
     def test_top_coefficient_moves_its_corner_alone(self):
         # Replacing b_{2k+1} at an extended point moves the bottom diagonal

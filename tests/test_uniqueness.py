@@ -120,7 +120,6 @@ class TestNonUniqueVerdicts:
         assert verdict.tag == "non-unique"
         cert = verdict.certificate
         assert isinstance(cert, NonUniqueCertificate)
-        assert cert.even_points == (0,)
         assert cert.completion.shift == pytest.approx(1.0)
         # The completed corner is the bottom diagonal entry of the one block.
         assert cert.completion.complementary == (1,)
@@ -139,7 +138,6 @@ class TestNonUniqueVerdicts:
         verdict = decide(problem)
         assert not verdict.unique
         cert = verdict.certificate
-        assert cert.even_points == ()
         assert cert.supplementary == ()
         assert cert.completion.shift == 0.0
         assert cert.roundtrip_residual == 0.0
@@ -152,8 +150,7 @@ class TestNonUniqueVerdicts:
         verdict = decide(problem)
         assert not verdict.unique
         cert = verdict.certificate
-        assert cert.even_points == (0, 1)
-        assert len(cert.supplementary) == 2
+        assert [i for i, _ in cert.supplementary] == [0, 1]
         assert cert.completion.modified.flat.shape == (4, 4)
         assert cert.extended_report.pd
         assert cert.roundtrip_residual <= 1e-9
@@ -213,14 +210,14 @@ class TestNonUniqueVerdicts:
             scale = max(1.0, float(np.max(np.abs(cert.completion.modified.flat))))
             ks = derivative_orders(ms)
             targets = completed_corners(cert)
-            assert [i for i, _ in cert.supplementary] == list(cert.even_points) == list(range(n))
+            assert [i for i, _ in cert.supplementary] == list(range(n))
             for i, b_sup in cert.supplementary:
                 vals = list(taylor_jet(b, problem.points[i], 2 * ks[i])) + [b_sup]
                 assert abs(corner_value(vals, problem.points[i], ks[i]) - targets[i]) <= 1e-12 * scale
             checked += 1
 
-        # decide reads P, the shift and the supplements from one coefficient
-        # table; the public functions rebuild each from JetData on their own.
+        # decide reads P, the shift and the supplements from one jet
+        # evaluation; the public functions rebuild each from JetData on their own.
         # Unique and odd-only problems check P alone.
         rng = np.random.default_rng(811)
         counts = {"unique": 0, "odd-only": 0, "even": 0}
@@ -245,7 +242,7 @@ class TestNonUniqueVerdicts:
             if not even:
                 continue
             cert = verdict.certificate
-            assert [i for i, _ in cert.supplementary] == list(cert.even_points) == even
+            assert [i for i, _ in cert.supplementary] == even
             extended = extend_pick(data, ks, even)
             corners = {extended.row_index(i, ks[i]) for i in even}
             principal = [j for j in range(extended.flat.shape[0]) if j not in corners]
@@ -277,9 +274,11 @@ class TestNonUniqueVerdicts:
 
         calls, jet_orders = [], []
 
-        def counted(*args):
-            calls.append(args)
-            return _structured_flat(*args)
+        def counted(jets, points, orders):
+            # The evaluator's jets as they are: 2 max(k_i') columns, none padded.
+            assert jets.shape == (len(orders), 2 * max(orders))
+            calls.append(orders)
+            return _structured_flat(jets, points, orders)
 
         def counted_jets(b, centers, order):
             jet_orders.append(order)
@@ -366,13 +365,13 @@ class TestTolerances:
         # Contact order 2 at the first point: that block is extended and completed.
         verdict = decide(ContactProblem(b=b, points=(1.0, 1j), contact_orders=(2, 1)), tol)
         cert = verdict.certificate
-        assert cert.even_points == (0,)
+        assert [i for i, _ in cert.supplementary] == [0]
         assert cert.extended_report is cert.completion.report
         assert (cert.extended_report.rank_tol, cert.extended_report.pd_tol) == (1e-7, 1e-9)
         assert cert.extended_report.pd
         # Odd orders only: nothing is extended, and the completion is the Pick matrix.
         verdict = decide(ContactProblem(b=b, points=(1.0, 1j), contact_orders=(1, 3)), tol)
-        assert not verdict.unique and verdict.certificate.even_points == ()
+        assert not verdict.unique and verdict.certificate.supplementary == ()
         assert verdict.certificate.completion.report is verdict.pick
         assert verdict.certificate.extended_report is verdict.pick
 
@@ -401,7 +400,8 @@ def completed_corners(cert: NonUniqueCertificate) -> dict:
     """Point index to completed corner value: the completed diagonal at the
     complementary index of each extended point."""
     flat = cert.completion.modified.flat
-    return {i: complex(flat[j, j]) for i, j in zip(cert.even_points, cert.completion.complementary)}
+    even = [i for i, _ in cert.supplementary]
+    return {i: complex(flat[j, j]) for i, j in zip(even, cert.completion.complementary)}
 
 
 def verdict_bits(problem: ContactProblem) -> tuple:
