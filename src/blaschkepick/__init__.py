@@ -1,16 +1,14 @@
 """Boundary Schwarz-Pick and Pick matrices for finite Blaschke products.
 
-The package computes Schwarz-Pick matrices of finite Blaschke products at
-interior and boundary points by three independent routes, builds Pick
-matrices from raw boundary jet data, and decides whether a set of boundary
-contact conditions pins the product down uniquely within the Schur class,
-emitting machine-checkable certificates either way.
+The package computes boundary Schwarz-Pick matrices of finite Blaschke
+products by three independent routes (the realization route also inside the
+disk), builds Pick matrices from raw boundary jet data, and decides whether
+a set of boundary contact conditions pins the product down uniquely within
+the Schur class, emitting machine-checkable certificates either way.
 """
 
 from .blaschke import (
     BlaschkeProduct,
-    blaschke_from_json,
-    blaschke_to_json,
     evaluate,
     level_set,
     make_blaschke,
@@ -58,7 +56,6 @@ from .schwarz_pick import (
     psi_matrix,
     sp_boundary_radial,
     sp_boundary_structured,
-    sp_interior,
 )
 from .uniqueness import (
     ContactProblem,
@@ -102,8 +99,6 @@ __all__ = [
     "Verdict",
     "ZeroOnOrOutsideDisk",
     "admissible",
-    "blaschke_from_json",
-    "blaschke_to_json",
     "check_minimality",
     "complete_to_pd",
     "corner_value",
@@ -124,7 +119,6 @@ __all__ = [
     "schur_complement",
     "sp_boundary_radial",
     "sp_boundary_structured",
-    "sp_interior",
     "sp_via_realization",
     "taylor_jet",
     "transfer_eval",

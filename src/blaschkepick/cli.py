@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from ._pcg64 import PCG64Stream
-from .blaschke import BlaschkeProduct, _finite_jets, _require_layout, blaschke_from_json, blaschke_to_json, make_blaschke
+from .blaschke import BlaschkeProduct, _finite_jets, _require_layout, make_blaschke
 from .errors import BlaschkePickError, Inconclusive, RankMismatch
 from .hermitian import HERMITIAN_DEFECT_TOL, HermitianReport, make_report
 from .pick import ADMISSIBLE_TOL
@@ -82,14 +82,21 @@ def _real(value, where: str) -> float:
     return float(value)
 
 
+def _pair(obj, where: str) -> complex:
+    """A JSON [re, im] pair of finite numbers as a complex number."""
+    if not isinstance(obj, list) or len(obj) != 2:
+        raise ProblemFileError(f"{where}: expected an [re, im] pair, got {json.dumps(obj)}")
+    return complex(_real(obj[0], f"{where}[0]"), _real(obj[1], f"{where}[1]"))
+
+
 def _parse_point(obj, where: str) -> complex:
     if isinstance(obj, dict):
         if set(obj.keys()) != {"angle"}:
             raise ProblemFileError(f"{where}: point objects must be {{\"angle\": radians}}")
         theta = _real(obj["angle"], f"{where}.angle")
         return complex(math.cos(theta), math.sin(theta))
-    if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        t = complex(_real(obj[0], f"{where}[0]"), _real(obj[1], f"{where}[1]"))
+    if isinstance(obj, list) and len(obj) == 2:
+        t = _pair(obj, where)
         if abs(abs(t) - 1.0) > POINT_MODULUS_SLACK:
             raise ProblemFileError(f"{where}: |t| = {abs(t)} is not within {POINT_MODULUS_SLACK} of 1")
         return t / abs(t)
@@ -112,10 +119,10 @@ def _load_problem(path: str):
     braw = obj["blaschke"]
     if not isinstance(braw, dict) or "zeros" not in braw or "u" not in braw:
         raise ProblemFileError("\"blaschke\" must contain \"zeros\" and \"u\"")
-    try:
-        b = blaschke_from_json(braw)
-    except (BlaschkePickError, ValueError, TypeError, IndexError) as exc:
-        raise ProblemFileError(f"invalid blaschke description: {exc}") from exc
+    if not isinstance(braw["zeros"], list):
+        raise ProblemFileError("blaschke.zeros: expected a list of [re, im] pairs")
+    zeros = [_pair(a, f"blaschke.zeros[{i}]") for i, a in enumerate(braw["zeros"])]
+    b = make_blaschke(zeros, _pair(braw["u"], "blaschke.u"))
     raw_points = obj["points"]
     if not isinstance(raw_points, list) or not raw_points:
         raise ProblemFileError("\"points\" must be a nonempty list")
@@ -174,7 +181,7 @@ def _certificate_json(verdict: Verdict) -> dict:
         return {
             "type": "singular_pick",
             "rank": cert.rank,
-            "order_total": verdict.order_total,
+            "order_total": sum(verdict.derivative_orders),
             "degree": verdict.degree,
         }
     assert isinstance(cert, NonUniqueCertificate)
@@ -283,7 +290,7 @@ def cmd_analyze(args) -> int:
         "verdict": verdict.tag,
         "contact_orders": list(problem.contact_orders),
         "derivative_orders": list(verdict.derivative_orders),
-        "order_total": verdict.order_total,
+        "order_total": sum(verdict.derivative_orders),
         "degree": verdict.degree,
         "points": [complex_to_pair(t) for t in problem.points],
         "pick": _report_json(verdict.pick),
@@ -425,7 +432,7 @@ def _minimize(inst, failure):
 
 def _instance_json(inst) -> dict:
     return {
-        "blaschke": blaschke_to_json(make_blaschke(inst["zeros"], inst["u"])),
+        "blaschke": {"zeros": [complex_to_pair(a) for a in inst["zeros"]], "u": complex_to_pair(inst["u"])},
         "points": [complex_to_pair(t) for t in inst["points"]],
         "orders": list(inst["orders"]),
     }

@@ -53,7 +53,7 @@ class JetData:
     values: tuple[tuple[complex, ...], ...]
 
     def __post_init__(self):
-        pts = validate_points(self.points, on_circle=True)
+        pts = validate_points(self.points)
         if len(self.values) != len(pts):
             raise ValueError("points and values must have equal length")
         rows = [_require_numbers(row, f"values row {i}") for i, row in enumerate(self.values)]

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, _require_finite, _require_numbers, _require_orders
+from .blaschke import BlaschkeProduct, _require_finite, _require_numbers, _require_orders, _require_size
 from .errors import SingularResolvent
 from .hermitian import _rank_above, _require_tolerance
 
@@ -94,10 +94,12 @@ def realize(b: BlaschkeProduct) -> UnitaryRealization:
     D = u prod_l (-a_l).  With the input at position 0 and the output at
     d + 1, one strictly lower triangular matrix of such run products holds
     all four blocks.  Cumulative products down its columns build it with
-    no division, so zeros at the origin need no special case.
+    no division, so zeros at the origin need no special case.  That matrix
+    of (d + 2)^2 entries passes the size check of :func:`blaschke._require_size`.
     """
     a = np.asarray(b.zeros, dtype=complex)
     n = a.size + 2
+    _require_size(n * n, "the realization's run products")
     below_subdiagonal, below_diagonal = _triangles(n)
     weights = np.empty(n, dtype=complex)
     weights[0] = 1.0
@@ -185,7 +187,9 @@ def sp_via_realization(r: UnitaryRealization, points, orders) -> np.ndarray:
     """Schwarz-Pick matrix as the Gram matrix P = R R* of stacked resolvent rows.
 
     Hermitian positive semidefinite by construction, with rank
-    min(sum(orders), d) when the realization is minimal.
+    min(sum(orders), d) when the realization is minimal.  At points of the
+    open disk it is the interior matrix, with no entry formed by a
+    subtraction that cancels as the points approach the circle.
     """
     rr = resolvent_rows(r, points, orders)
     return rr @ rr.conj().T

@@ -1,4 +1,4 @@
-"""Schwarz-Pick matrices: interior, structured-boundary and radial routes.
+"""Schwarz-Pick matrices: the structured-boundary and radial routes.
 
 For a function w analytic near the evaluation points, the Schwarz-Pick
 matrix over points z_1 .. z_n with derivative orders k_1 .. k_n has block
@@ -29,7 +29,8 @@ The structured and radial routes also share the Taylor jets of w, from
 one jet evaluator, and ``_shape_plan``, cached per order tuple: the index
 arrays of the structured identity and the unpadded row order of the radial
 recurrence.  The realization route reads no jets, only the realization of
-w.  Interior matrices, ``sp_interior``, are the realization's Gram matrix.
+w, and neither module imports the other; at points of the open disk it
+gives the interior matrix.
 """
 
 from __future__ import annotations
@@ -44,9 +45,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, _jet_array, _require_layout, _require_numbers, poles
+from .blaschke import BlaschkeProduct, _jet_array, _require_layout, _require_numbers, _require_size, poles
 from .errors import ConvergenceFailure, DegenerateDenominator, InsufficientJet
-from .realization import realize, sp_via_realization
 
 DEGENERATE_DENOMINATOR_TOL = 1e-13
 RADIAL_CONVERGENCE_TOL = 1e-3
@@ -145,6 +145,7 @@ class RadialDiagnostics:
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _shape_plan(ks: tuple[int, ...]) -> _ShapePlan:
     """The plan of orders ks, built on first use and kept in a bounded cache."""
+    _require_size(sum(ks) ** 2, "the shape plan")
     point = np.repeat(np.arange(len(ks)), ks)[:, None]
     r = np.concatenate([np.arange(k) for k in ks])[:, None]
     ell = r.T
@@ -216,23 +217,6 @@ def _kernel_stack(w, v, z, u, ks: tuple[int, ...]) -> np.ndarray:
             acc += flat[:, s[x - 1] : s[x - 1] + a, s[y - 1] : s[y - 1] + b]
         acc /= c[:, :a, :b]
     return flat
-
-
-def sp_interior(b: BlaschkeProduct, points, orders) -> SchwarzPickMatrix:
-    """Schwarz-Pick matrix at points of the open disk, as the Gram matrix
-    R R* of the realization's resolvent rows (:func:`sp_via_realization`).
-
-    No entry is formed by a subtraction that cancels as the points approach
-    the circle, so every block, not only the constant term, stays accurate
-    relative to the matrix's scale up to the circle.  Points and orders get
-    the layout check of every route, off the circle; a point with |z| >= 1
-    raises ValueError.
-    """
-    pts, ks = _require_layout(points, orders, "orders", on_circle=False)
-    for z in pts:
-        if abs(z) >= 1.0:
-            raise ValueError(f"interior route needs |z| < 1, got |z| = {abs(z)!r}")
-    return SchwarzPickMatrix(flat=sp_via_realization(realize(b), pts, ks), points=pts, orders=ks)
 
 
 @lru_cache(maxsize=None)

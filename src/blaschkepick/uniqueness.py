@@ -84,8 +84,8 @@ class ContactProblem:
 @dataclass(frozen=True, eq=False)
 class UniqueCertificate:
     """Singular PSD Pick matrix: its numerical rank equals the degree, which
-    is strictly below its size, the order total.  The matrix and its
-    report are the verdict's `pick`."""
+    is strictly below its size, the sum of the derivative orders.  The
+    matrix and its report are the verdict's `pick`."""
 
     rank: int
 
@@ -115,7 +115,6 @@ class Verdict:
 
     unique: bool
     derivative_orders: tuple[int, ...]
-    order_total: int
     degree: int
     pick: HermitianReport
     certificate: UniqueCertificate | NonUniqueCertificate
@@ -239,9 +238,7 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
             supplementary=tuple(supplementary),
             roundtrip_residual=roundtrip,
         )
-    return Verdict(
-        unique=unique, derivative_orders=ks, order_total=k_total, degree=d, pick=pick, certificate=certificate
-    )
+    return Verdict(unique=unique, derivative_orders=ks, degree=d, pick=pick, certificate=certificate)
 
 
 def matches_jets(candidate: BlaschkeProduct, problem: ContactProblem, tol: float = 1e-9) -> bool:

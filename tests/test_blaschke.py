@@ -15,16 +15,18 @@ from blaschkepick import (
     PoleEvaluation,
     RootFindingFailure,
     ZeroOnOrOutsideDisk,
-    blaschke_from_json,
-    blaschke_to_json,
     evaluate,
     extract_data,
     level_set,
     make_blaschke,
     poles,
+    psi_matrix,
+    realize,
+    sp_boundary_structured,
     taylor_jet,
 )
-from blaschkepick.blaschke import _jet_array
+from blaschkepick.blaschke import ARRAY_ENTRIES_MAX, _jet_array
+from blaschkepick.schwarz_pick import _shape_plan
 from helpers import random_blaschke, random_circle_points
 
 
@@ -318,29 +320,56 @@ class TestLevelSet:
             level_set(make_blaschke([0.0, 0.0]), -1.0)
 
 
-class TestJson:
-    def test_roundtrip(self):
-        b = make_blaschke([0.25 - 0.5j, 0.1], cmath.exp(0.4j))
-        again = blaschke_from_json(blaschke_to_json(b))
-        assert again == b
+class TestSizeLimit:
+    """One limit, ARRAY_ENTRIES_MAX entries, on each of the three large
+    arrays (the jet gather, a shape plan, a realization's run products),
+    checked before the array is allocated."""
 
-    def test_from_json_validates(self):
-        with pytest.raises(ZeroOnOrOutsideDisk):
-            blaschke_from_json({"zeros": [[2.0, 0.0]], "u": [1.0, 0.0]})
+    @pytest.fixture
+    def limit(self, monkeypatch):
+        import blaschkepick.blaschke as blaschke_module
 
-    def test_from_json_accepts_integers(self):
-        assert blaschke_from_json({"zeros": [[0, 0]], "u": [0, 1]}) == make_blaschke([0.0], 1j)
+        return lambda entries: monkeypatch.setattr(blaschke_module, "ARRAY_ENTRIES_MAX", entries)
+
+    def test_jet_gather_counts_degree_centers_and_squared_length(self, limit):
+        b, centers = make_blaschke([0.1, 0.2j, -0.3]), np.array([1.0, -1.0])
+        limit(3 * 2 * 4**2)
+        assert _jet_array(b, centers, 3).shape == (2, 4)
+        limit(3 * 2 * 4**2 - 1)
+        with pytest.raises(ValueError, match=r"^the jet gather would hold 96 entries, above the limit of 95$"):
+            _jet_array(b, centers, 3)
+
+    def test_degree_zero_counts_as_one(self, limit):
+        limit(4**2 - 1)
+        with pytest.raises(ValueError, match="jet gather would hold 16 entries"):
+            taylor_jet(make_blaschke([]), 1.0, 3)
+
+    def test_shape_plan_counts_its_square(self, limit):
+        plan = _shape_plan.__wrapped__  # past the cache, which holds no refusal
+        limit(12**2)
+        assert plan((7, 5)).same.shape == (12, 12)
+        limit(12**2 - 1)
+        with pytest.raises(ValueError, match=r"^the shape plan would hold 144 entries, above the limit of 143$"):
+            plan((7, 5))
+
+    def test_realization_counts_degree_plus_two_squared(self, limit):
+        b = make_blaschke([0.1, 0.2j, -0.3])
+        limit(5**2)
+        assert realize(b).state_dim == 3
+        limit(5**2 - 1)
+        with pytest.raises(ValueError, match="^the realization's run products would hold 25 entries"):
+            realize(b)
 
     @pytest.mark.parametrize(
-        "obj",
+        "call, entries",
         [
-            {"zeros": [[False, True]], "u": [True, 0]},
-            {"zeros": [[0.5, False]], "u": [1.0, 0.0]},
-            {"zeros": [], "u": [True, False]},
-            {"zeros": [["0.5", 0.0]], "u": [1.0, 0.0]},
+            (lambda: taylor_jet(make_blaschke([0.5]), 1.0, 10**6), (10**6 + 1) ** 2),
+            (lambda: extract_data(make_blaschke([0.5, 0.5]), [1.0], [10**6]), 2 * (10**6 + 1) ** 2),
+            (lambda: psi_matrix(1.0, 2**12), 2**24),
+            (lambda: sp_boundary_structured([[1.0] * 2**13], [1.0], [2**12]), 2**24),
         ],
+        ids=["taylor_jet", "extract_data", "psi_matrix", "sp_boundary_structured"],
     )
-    def test_from_json_rejects_non_numbers(self, obj):
-        # JSON booleans are not numbers: [false, true] must not read as 1j.
-        with pytest.raises(TypeError):
-            blaschke_from_json(obj)
+    def test_an_oversize_call_is_refused_at_once(self, call, entries):
+        with pytest.raises(ValueError, match=f" would hold {entries} entries, above the limit of {ARRAY_ENTRIES_MAX}$"):
+            call()

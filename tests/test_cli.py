@@ -31,6 +31,7 @@ from blaschkepick import (
     sp_via_realization,
 )
 from blaschkepick._pcg64 import PCG64Stream
+from blaschkepick.blaschke import ARRAY_ENTRIES_MAX
 from blaschkepick.cli import main
 from helpers import CLUSTERED_PROBLEMS, random_blaschke, random_circle_points
 
@@ -95,7 +96,7 @@ class TestAnalyze:
         cert = verdict.certificate
         completed = cert.completion.modified.flat
         assert not verdict.unique and report["verdict"] == "non-unique"
-        assert report["order_total"] == verdict.order_total == 4
+        assert report["order_total"] == sum(verdict.derivative_orders) == 4
         got = report["certificate"]
         assert got["complementary_indices"] == list(cert.completion.complementary) == [1, 5]
         assert got["corner_values"] == [
@@ -189,14 +190,14 @@ class TestValidation:
     def test_invalid_blaschke_description(self, tmp_path, capsys):
         path = write_problem(tmp_path, blaschke={"zeros": [[2.0, 0.0]], "u": [1.0, 0.0]})
         assert main(["analyze", path]) == 2
-        assert "invalid blaschke description" in capsys.readouterr().err
+        assert "zero (2+0j) has modulus 2.0, not strictly inside the disk" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["analyze", "crosscheck"])
     def test_boolean_blaschke_description(self, tmp_path, capsys, command):
         # Read as numbers this would be the valid product z.
         path = write_problem(tmp_path, blaschke={"zeros": [[False, 0.0]], "u": [True, False]}, orders=[1])
         assert main([command, path]) == 2
-        assert "must be numbers" in capsys.readouterr().err
+        assert "blaschke.zeros[0][0]: expected a finite number, got false" in capsys.readouterr().err
 
     def test_shallow_radial_depth(self, tmp_path, capsys):
         # The radial route has no schedule, so crosscheck takes no depth,
@@ -259,6 +260,67 @@ class TestValidation:
             assert flag in capsys.readouterr().err
 
 
+class TestProblemFileProduct:
+    """The product of a problem file: each zero and u an [re, im] pair of
+    JSON numbers, read by the one pair reader of points and tolerances."""
+
+    def test_written_instance_reads_back_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(19)
+        zeros = [complex(z) for z in 0.9 * rng.random(5) * np.exp(2j * np.pi * rng.random(5))]
+        u = complex(np.exp(2j * np.pi * rng.random()))
+        inst = {"zeros": zeros, "u": u, "points": [1j], "orders": [2]}
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(cli._instance_json(inst)))
+        b, _, _, _ = cli._load_problem(str(path))
+        assert repr(b.zeros) == repr(tuple(zeros))
+        assert repr(b.unimodular_constant) == repr(u)
+
+    def test_integer_parts_are_numbers(self, tmp_path):
+        path = write_problem(tmp_path, blaschke={"zeros": [[0, 0]], "u": [0, 1]})
+        b, _, _, _ = cli._load_problem(path)
+        assert b == make_blaschke([0.0], 1j)
+
+    @pytest.mark.parametrize("command", ["analyze", "crosscheck"])
+    @pytest.mark.parametrize(
+        "blaschke, field",
+        [
+            ({"zeros": [[True, 0.0]], "u": [1.0, 0.0]}, "blaschke.zeros[0][0]"),
+            ({"zeros": [[0.5, "0.5"]], "u": [1.0, 0.0]}, "blaschke.zeros[0][1]"),
+            ({"zeros": [[0.5, 0.0], [float("nan"), 0.0]], "u": [1.0, 0.0]}, "blaschke.zeros[1][0]"),
+            ({"zeros": [], "u": [1.0, True]}, "blaschke.u[1]"),
+            ({"zeros": [], "u": ["0.5", 0.0]}, "blaschke.u[0]"),
+            ({"zeros": [], "u": [float("nan"), 0.0]}, "blaschke.u[0]"),
+        ],
+    )
+    def test_a_part_that_is_not_a_finite_number_is_named(self, tmp_path, capsys, command, blaschke, field):
+        path = write_problem(tmp_path, blaschke=blaschke, orders=[1])
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field}: expected a finite number, got ")
+
+    @pytest.mark.parametrize(
+        "blaschke, message",
+        [
+            ({"zeros": [[0.5]], "u": [1.0, 0.0]}, "blaschke.zeros[0]: expected an [re, im] pair, got [0.5]"),
+            ({"zeros": [], "u": 1.0}, "blaschke.u: expected an [re, im] pair, got 1.0"),
+            ({"zeros": {"a": 1}, "u": [1.0, 0.0]}, "blaschke.zeros: expected a list of [re, im] pairs"),
+        ],
+    )
+    def test_a_malformed_pair_is_named(self, tmp_path, capsys, blaschke, message):
+        path = write_problem(tmp_path, blaschke=blaschke, orders=[1])
+        assert main(["analyze", path]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["analyze", "crosscheck"])
+    def test_a_zero_outside_the_disk_is_refused(self, tmp_path, capsys, command):
+        path = write_problem(tmp_path, blaschke={"zeros": [[0.0, 1.5]], "u": [1.0, 0.0]}, orders=[1])
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not strictly inside the disk" in captured.err
+
+
 class TestRefusals:
     """main turns each refusal a command raises into its exit code and a
     prefixed line on stderr; nothing reaches stdout."""
@@ -318,6 +380,29 @@ class TestRefusals:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("inconclusive: the Pick matrix is not Hermitian") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["analyze", "crosscheck"])
+    def test_a_huge_order_is_refused_before_any_allocation(self, tmp_path, capsys, command):
+        path = write_problem(tmp_path, orders=[1000000])
+        start = time.perf_counter()
+        assert main([command, path]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the jet gather would hold ")
+        assert captured.err.endswith(f" entries, above the limit of {ARRAY_ENTRIES_MAX}\n")
+
+    @pytest.mark.parametrize("command", ["analyze", "crosscheck"])
+    def test_forty_thousand_zeros_are_refused_at_the_realization(self, tmp_path, capsys, command):
+        zeros = [[0.5 * math.cos(0.001 * j), 0.5 * math.sin(0.001 * j)] for j in range(40000)]
+        path = write_problem(tmp_path, blaschke={"zeros": zeros, "u": [1.0, 0.0]}, orders=[1])
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: the realization's run products would hold {40002**2} entries, "
+            f"above the limit of {ARRAY_ENTRIES_MAX}\n"
+        )
 
 
 class TestCrosscheck:
@@ -416,6 +501,22 @@ class TestFuzz:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert flag in captured.err
+
+    def test_the_worst_draw_fits_the_size_limit(self):
+        # Every flag at its bound: the jets of the ten points gather degree x
+        # points x (2 order)^2 entries, within ARRAY_ENTRIES_MAX, so the
+        # check runs its laws instead of refusing the instance.
+        assert cli.FUZZ_DEGREE_MAX * cli.FUZZ_POINTS_MAX * (2 * cli.FUZZ_ORDER_MAX) ** 2 <= ARRAY_ENTRIES_MAX
+        rng = np.random.default_rng(5)
+        radii, angles = 0.75 * np.sqrt(rng.random(cli.FUZZ_DEGREE_MAX)), rng.random(cli.FUZZ_DEGREE_MAX)
+        inst = {
+            "zeros": [complex(z) for z in radii * np.exp(2j * np.pi * angles)],
+            "u": 1.0 + 0j,
+            "points": [complex(np.exp(2j * np.pi * i / cli.FUZZ_POINTS_MAX)) for i in range(cli.FUZZ_POINTS_MAX)],
+            "orders": [cli.FUZZ_ORDER_MAX] * cli.FUZZ_POINTS_MAX,
+        }
+        failure = cli._check_instance(inst)
+        assert failure is None or failure[0] != "refused", failure
 
     def test_rank_property_tolerates_a_threshold_straddle(self):
         # Degree 6 with two third-order points: the matrix is full rank in

@@ -88,6 +88,22 @@ def test_no_module_imports_an_unused_name():
     assert unused == []
 
 
+@pytest.mark.parametrize("module, other", [("schwarz_pick", "realization"), ("realization", "schwarz_pick")])
+def test_the_routes_checked_against_each_other_import_nothing_from_each_other(module, other):
+    # The structured and radial routes (schwarz_pick) are checked against the
+    # realization route; neither module reads the other's code.
+    package = Path(blaschkepick.__file__).resolve().parent
+    tree = ast.parse((package / f"{module}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported.update(alias.name for alias in node.names if not node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+    assert other not in imported
+
+
 def test_every_module_level_name_is_read():
     # A function, class or constant that nothing in the package reads is
     # dead code.  A read is a loaded name, an attribute, a name imported

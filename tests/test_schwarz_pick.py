@@ -1,5 +1,5 @@
-"""Schwarz-Pick matrices: the kernel series, and the interior, structured
-and radial routes."""
+"""Schwarz-Pick matrices: the kernel series, the realization's Gram matrix
+at interior points, and the structured and radial routes."""
 
 import cmath
 import itertools
@@ -13,7 +13,6 @@ from numpy.testing import assert_allclose
 
 from blaschkepick import (
     BlaschkePickError,
-    CoincidentPoints,
     ConvergenceFailure,
     DegenerateDenominator,
     InsufficientJet,
@@ -23,7 +22,6 @@ from blaschkepick import (
     realize,
     sp_boundary_radial,
     sp_boundary_structured,
-    sp_interior,
     sp_via_realization,
     taylor_jet,
 )
@@ -184,8 +182,8 @@ class TestKernelRows:
 class TestInterior:
     def test_single_point_worked_value(self):
         b = make_blaschke([0.0, 0.0])
-        p = sp_interior(b, [0.5], [1])
-        assert_allclose(p.flat, [[1.25]])
+        p = sp_via_realization(realize(b), [0.5], [1])
+        assert_allclose(p, [[1.25]])
 
     def test_matches_realization_gram(self):
         # The realization's Gram matrix against the kernel series on the
@@ -194,11 +192,11 @@ class TestInterior:
         b = random_blaschke(rng, 4)
         pts = random_interior_points(rng, 2)
         ks = (2, 3)
-        p = sp_interior(b, pts, ks)
+        p = sp_via_realization(realize(b), pts, ks)
         centers = np.array([pts], dtype=complex)
         jets = _jet_array(b, centers, max(ks) - 1)
         series = in_flat_layout(_kernel_stack(jets, jets.conj(), centers, centers.conj(), ks)[0], ks)
-        assert_allclose(p.flat, series, rtol=1e-9, atol=1e-12)
+        assert_allclose(p, series, rtol=1e-9, atol=1e-12)
 
     def test_near_circle_matches_degree_one_closed_form(self):
         # Block (i, j), entry (x, y) of a single factor's matrix is
@@ -223,38 +221,17 @@ class TestInterior:
                     for z, x in rows
                 ]
             )
-            p = sp_interior(b, pts, ks).flat
+            p = sp_via_realization(realize(b), pts, ks)
             assert np.max(np.abs(p - want)) <= 1e-13 * np.max(np.abs(want)), m
 
     def test_hermitian_psd(self):
         rng = np.random.default_rng(32)
         b = random_blaschke(rng, 3)
         pts = random_interior_points(rng, 3)
-        p = sp_interior(b, pts, [1, 2, 1]).flat
+        p = sp_via_realization(realize(b), pts, [1, 2, 1])
         assert_allclose(p, p.conj().T, atol=1e-10)
         w = np.linalg.eigvalsh(p)
         assert w[0] >= -1e-10 * max(1.0, w[-1])
-
-    def test_block_layout(self):
-        b = make_blaschke([0.3])
-        p = sp_interior(b, [0.1, -0.2], [2, 1])
-        assert p.offsets == (0, 2)
-        assert p.block(0, 0).shape == (2, 2)
-        assert p.block(1, 0).shape == (1, 2)
-        assert_allclose(p.block(1, 1), p.flat[2:, 2:])
-
-    def test_validation(self):
-        b = make_blaschke([0.3])
-        with pytest.raises(ValueError):
-            sp_interior(b, [], [])
-        with pytest.raises(ValueError):
-            sp_interior(b, [0.1], [0])
-        with pytest.raises(ValueError):
-            sp_interior(b, [0.1], [1, 1])
-        with pytest.raises(ValueError):
-            sp_interior(b, [1.0], [1])
-        with pytest.raises(CoincidentPoints):
-            sp_interior(b, [0.1, 0.1], [1, 1])
 
 
 class TestPsiMatrix:

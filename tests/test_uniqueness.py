@@ -83,7 +83,6 @@ class TestUniqueVerdicts:
         assert verdict.unique
         assert verdict.tag == "unique"
         assert verdict.derivative_orders == (2,)
-        assert verdict.order_total == 2
         assert verdict.degree == 1
         assert isinstance(verdict.certificate, UniqueCertificate)
         assert verdict.certificate.rank == 1
