@@ -38,7 +38,6 @@ from .pick import (
     admissible,
     complete_to_pd,
     corner_value,
-    extend_pick,
     extract_data,
 )
 from .realization import (
@@ -106,7 +105,6 @@ __all__ = [
     "decide",
     "derivative_orders",
     "evaluate",
-    "extend_pick",
     "extract_data",
     "level_set",
     "make_blaschke",

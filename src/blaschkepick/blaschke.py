@@ -34,10 +34,13 @@ POLE_TOL = 1e-12
 LEVEL_SET_RESIDUAL = 1e-8
 CIRCLE_TOL = 1e-9
 DISTINCT_POINT_TOL = 1e-12
-# Entries allowed in each of the three large arrays: the jet gather, a shape
-# plan's N x N arrays and a realization's run products.  At the limit, one
-# process (2-vCPU x86-64, numpy 2.4) rose 130, 780 and 410 MB above its start
-# in 0.26, 1.1 and 0.48 s.  The worst fuzz draw gathers 4.1 M entries.
+# Entries allowed in each of the five arrays that grow with the problem: the
+# jet gather, a shape plan's N x N arrays, a realization's run products, the
+# radial kernel stack and the resolvent stack.  At the limit, one process
+# (2-vCPU x86-64, numpy 2.4) rose 130, 780, 410, 300 and 320 MB in 0.26, 1.1,
+# 0.48, 0.56 and 6.0 s.  The rule bounds memory, not time: crosscheck at degree
+# 2,000 and two points still runs, for about 9 s.  The worst fuzz draw gathers
+# 4.1 M entries.
 ARRAY_ENTRIES_MAX = 2**23
 
 
@@ -154,9 +157,6 @@ class BlaschkeProduct:
     @property
     def degree(self) -> int:
         return len(self.zeros)
-
-    def __call__(self, z: complex) -> complex:
-        return evaluate(self, z)
 
 
 def make_blaschke(zeros: Sequence[complex], unimodular_constant: complex = 1.0) -> BlaschkeProduct:

@@ -35,7 +35,7 @@ from .errors import BlaschkePickError, Inconclusive, RankMismatch
 from .hermitian import HERMITIAN_DEFECT_TOL, HermitianReport, make_report
 from .pick import ADMISSIBLE_TOL
 from .realization import realize, sp_via_realization
-from .schwarz_pick import SchwarzPickMatrix, _structured_flat, sp_boundary_radial
+from .schwarz_pick import CONTOUR_NODES, SchwarzPickMatrix, _structured_flat, sp_boundary_radial
 from .uniqueness import (
     ContactProblem,
     NonUniqueCertificate,
@@ -43,6 +43,7 @@ from .uniqueness import (
     UniqueCertificate,
     Verdict,
     decide,
+    derivative_orders,
 )
 
 ROUTE_RESIDUAL_LIMIT = 1e-8
@@ -279,11 +280,12 @@ def cmd_analyze(args) -> int:
     # The flags given override the file's tolerances; defaults fill the rest.
     flags = {"rank": args.tol_rank, "pd": args.tol_pd}
     tol = Tolerances(**{**file_tol, **{k: v for k, v in flags.items() if v is not None}})
-    start = time.perf_counter()
     problem = ContactProblem(b=b, points=tuple(points), contact_orders=tuple(orders))
+    # The routes first, so that a problem too large for them is refused before a verdict is computed.
+    _, _, _, diff, norm = _compare_routes(b, problem.points, derivative_orders(problem.contact_orders))
+    start = time.perf_counter()
     verdict = decide(problem, tol)
     elapsed = time.perf_counter() - start
-    _, _, _, diff, norm = _compare_routes(b, list(problem.points), list(verdict.derivative_orders))
     report = {
         "schema": SCHEMA,
         "command": "analyze",
@@ -324,7 +326,7 @@ def cmd_crosscheck(args) -> int:
         "residual_limit": ROUTE_RESIDUAL_LIMIT,
         "radial_gap_max_abs": radial_gap,
         "radial_contour_radius": diags.radius,
-        "radial_nodes": diags.nodes,
+        "radial_nodes": CONTOUR_NODES,
         "radial_error_estimate": diags.estimate,
         "radial_converged": diags.converged,
         "wall_time_seconds": elapsed,

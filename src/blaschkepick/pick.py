@@ -1,4 +1,4 @@
-"""Pick matrices from raw boundary jet data: feasibility, extension, completion.
+"""Pick matrices from raw boundary jet data: feasibility, corners, completion.
 
 The data, ``JetData``, is a list of Taylor-type coefficients prescribed
 at distinct points of the unit circle.  ``sp_boundary_structured`` on its
@@ -8,13 +8,16 @@ which is what turns it into a feasibility object: data read off an
 actual Schur-class function always has unimodular leading values and a
 positive semidefinite matrix, a positive definite matrix guarantees
 infinitely many interpolants, and a singular PSD matrix leaves room for
-at most one.
+at most one.  The same entry at orders raised by one on some points
+builds the extended matrix: entry ((i, x), (j, y)) reads coefficients
+through index x + y + 1 only, so the unraised matrix is its principal
+submatrix without the new rows, and b_{2k_i+1} moves only the new corner
+entry (:func:`corner_value`).
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -68,13 +71,12 @@ class AdmissibilityReport:
     """Outcome of the feasibility check, truthiness being the verdict; `pick`
     holds the PSD reading and the tolerance it was read at."""
 
-    ok: bool
     modulus_ok: bool
     modulus_defects: tuple[float, ...]
     pick: HermitianReport
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self.modulus_ok and self.pick.psd
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,29 +122,7 @@ def admissible(data: JetData, orders, tol: float = ADMISSIBLE_TOL) -> Admissibil
     defects = tuple(abs(abs(row[0]) - 1.0) for row in data.values)
     modulus_ok = all(d <= tol for d in defects)
     report = make_report(p.flat, rank_tol=tol, pd_tol=tol, strict=False)
-    return AdmissibilityReport(
-        ok=modulus_ok and report.psd,
-        modulus_ok=modulus_ok,
-        modulus_defects=defects,
-        pick=report,
-    )
-
-
-def extend_pick(data: JetData, orders, extend_set) -> SchwarzPickMatrix:
-    """Pick matrix with orders raised by one on the points in extend_set.
-
-    Extended points need values through index 2 k_i + 1.  Entry
-    ((i, x), (j, y)) reads coefficients through index x + y + 1 only, so
-    the unraised matrix is the principal submatrix without the new rows,
-    and b_{2k_i+1} moves only the new corner entry (:func:`corner_value`).
-    The given orders get the order check, one per point of data.
-    """
-    ks = list(_require_orders(orders, "orders", count=len(data.points)))
-    for i in set(operator.index(i) for i in extend_set):
-        if not 0 <= i < len(ks):
-            raise ValueError(f"extend index {i} out of range")
-        ks[i] += 1
-    return sp_boundary_structured(data.values, data.points, ks)
+    return AdmissibilityReport(modulus_ok=modulus_ok, modulus_defects=defects, pick=report)
 
 
 def corner_value(values: Sequence[complex], point: complex, order: int) -> complex:

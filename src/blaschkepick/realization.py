@@ -65,20 +65,9 @@ class UnitaryRealization:
         return self.A.shape[0]
 
 
-def system_matrix(r: UnitaryRealization) -> np.ndarray:
-    """The (d+1) x (d+1) block matrix [[A, B], [C, D]]."""
-    d = r.state_dim
-    u = np.zeros((d + 1, d + 1), dtype=complex)
-    u[:d, :d] = r.A
-    u[:d, d:] = r.B
-    u[d:, :d] = r.C
-    u[d, d] = r.D
-    return u
-
-
 def unitarity_defect(r: UnitaryRealization) -> float:
-    """max-abs entry of U U* - I and U* U - I."""
-    u = system_matrix(r)
+    """max-abs entry of U U* - I and U* U - I, U = [[A, B], [C, D]]."""
+    u = np.block([[r.A, r.B], [r.C, np.full((1, 1), r.D)]])
     eye = np.eye(u.shape[0])
     return float(
         max(np.max(np.abs(u @ u.conj().T - eye)), np.max(np.abs(u.conj().T @ u - eye)))
@@ -144,13 +133,15 @@ def resolvent_rows(r: UnitaryRealization, points, orders) -> np.ndarray:
     condition, formed as ``np.linalg.cond(m, 1)`` forms it (bit for bit).
     Raises :class:`SingularResolvent` at the first point whose I - z A has
     reciprocal condition below ``RESOLVENT_RCOND``.  The points need only
-    be finite numbers; the orders get the order check, one per point.
+    be finite numbers; the orders get the order check, one per point, and
+    the (n, d, d) stacks of I - z A, its inverse and the step the size check.
     """
     zs = np.array([_require_finite(z, "point") for z in points], dtype=complex)
     ks = _require_orders(orders, "orders", count=zs.size)
     d = r.state_dim
     if d == 0 or zs.size == 0:
         return np.zeros((sum(ks), d), dtype=complex)
+    _require_size(zs.size * d * d, "the resolvent stack")
     m = np.eye(d) - zs[:, None, None] * r.A
     try:
         inverse = np.linalg.inv(m)

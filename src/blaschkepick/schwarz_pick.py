@@ -64,6 +64,9 @@ _CONTOUR_WEIGHTS = np.array([[1.0] * (CONTOUR_NODES // 2), [1.0, -1.0] * (CONTOU
 # Order tuples whose shape plans stay cached; a plan of N flat rows holds
 # about 50 N^2 bytes.
 PLAN_CACHE_SIZE = 1024
+# The largest derivative order of a plan: its binomial table of width
+# 2 max(ks) stays finite in float64 through binom(1029, 514), about 1.4e308.
+DERIVATIVE_ORDER_MAX = 515
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,11 +90,6 @@ class SchwarzPickMatrix:
         if not 0 <= derivative < self.orders[point_index]:
             raise IndexError(f"derivative {derivative} out of range for order {self.orders[point_index]}")
         return self.offsets[point_index] + derivative
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        """View of block (i, j); writing to it writes to `flat`."""
-        off = self.offsets
-        return self.flat[off[i] : off[i] + self.orders[i], off[j] : off[j] + self.orders[j]]
 
 
 class _ShapePlan(NamedTuple):
@@ -129,23 +127,23 @@ class _ShapePlan(NamedTuple):
 class RadialDiagnostics:
     """Record of the radial route's contour mean.
 
-    The mean ran over `nodes` points of the circle |h| = `radius` in
-    h = 1 - r; `estimate` bounds its entrywise error, and `converged`
-    states whether the estimate is at most `tol` times max(1, s), s the
-    largest entry magnitude of the mean.
+    The mean ran over CONTOUR_NODES points of the circle |h| = `radius`
+    in h = 1 - r; `estimate` bounds its entrywise error, and `converged`
+    states whether the estimate is at most RADIAL_CONVERGENCE_TOL times
+    max(1, s), s the largest entry magnitude of the mean.
     """
 
     radius: float
-    nodes: int
     estimate: float
     converged: bool
-    tol: float
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _shape_plan(ks: tuple[int, ...]) -> _ShapePlan:
     """The plan of orders ks, built on first use and kept in a bounded cache."""
     _require_size(sum(ks) ** 2, "the shape plan")
+    if max(ks) > DERIVATIVE_ORDER_MAX:
+        raise ValueError(f"derivative order {max(ks)} is above the limit of {DERIVATIVE_ORDER_MAX}")
     point = np.repeat(np.arange(len(ks)), ks)[:, None]
     r = np.concatenate([np.arange(k) for k in ks])[:, None]
     ell = r.T
@@ -343,9 +341,11 @@ def sp_boundary_radial(b: BlaschkeProduct, points, orders) -> tuple[SchwarzPickM
     two points so close to each other, that a node meets a pole or a
     vanishing denominator, and ConvergenceFailure when the radius is so
     small for the orders that the mean or its estimate overflows.  Points
-    and orders get the layout check of every route before any jet is read.
+    and orders get the layout check of every route, and the kernel stack
+    the size check, before any jet is read.
     """
     pts, ks = _require_layout(points, orders, "orders")
+    _require_size(CONTOUR_NODES // 2 * sum(ks) ** 2, "the radial kernel stack")
     units = [t / abs(t) for t in pts]
     pole_gaps = [abs(t - p) for p in poles(b) for t in units]
     # |1 - sqrt(conj(t_i) t_j)| = 2 |sin(theta_ij / 4)|
@@ -372,7 +372,7 @@ def sp_boundary_radial(b: BlaschkeProduct, points, orders) -> tuple[SchwarzPickM
             f"largest entry {scale})"
         )
     converged = estimate <= RADIAL_CONVERGENCE_TOL * max(1.0, scale)
-    diags = RadialDiagnostics(radius, CONTOUR_NODES, estimate, converged, RADIAL_CONVERGENCE_TOL)
+    diags = RadialDiagnostics(radius, estimate, converged)
     # Each step above acts entry by entry or takes a maximum, so only the mean leaves the kernel rows.
     back = _shape_plan(ks).back
     return SchwarzPickMatrix(flat=mean[back[:, None], back], points=pts, orders=ks), diags

@@ -141,9 +141,10 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
     """Decide the contact problem and assemble the matching certificate.
 
     The Pick matrix is built once from jets of b, at orders k_i + 1 on the
-    even-order points of a non-unique problem and k_i everywhere else; the
-    truncated matrix at orders k_i is its principal submatrix without the
-    bottom rows of the extended blocks (see :func:`extend_pick`).  When the
+    even-order points of a non-unique problem and k_i everywhere else, as
+    :func:`sp_boundary_structured` builds it at those orders; the truncated
+    matrix at orders k_i is its principal submatrix without the bottom rows
+    of the extended blocks (see :mod:`blaschkepick.pick`).  When the
     criterion says unique, the truncated matrix's numerical rank must equal
     deg b (strictly less than sum k_i); when it says non-unique, it must be
     positive definite, and the extension is completed and must be positive

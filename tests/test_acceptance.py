@@ -16,12 +16,10 @@ from numpy.testing import assert_allclose
 
 from blaschkepick import (
     ContactProblem,
-    JetData,
     NonUniqueCertificate,
     check_minimality,
     complete_to_pd,
     decide,
-    extend_pick,
     extract_data,
     level_set,
     make_blaschke,
@@ -187,11 +185,8 @@ def test_criterion_6_non_unique_certificates(suite, capsys):
         rows = [list(r) for r in data.values]
         for i, value in cert.supplementary:
             rows[i][2 * ks[i] + 1] = value
-        redone = extend_pick(
-            JetData(points=tuple(pts), values=tuple(tuple(r) for r in rows)),
-            ks,
-            [i for i, _ in cert.supplementary],
-        )
+        even = [i for i, _ in cert.supplementary]
+        redone = sp_boundary_structured(rows, pts, [k + (i in even) for i, k in enumerate(ks)])
         gap = float(np.max(np.abs(redone.flat - cert.completion.modified.flat)))
         worst_roundtrip = max(worst_roundtrip, gap)
         assert gap <= 1e-9

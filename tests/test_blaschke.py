@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from blaschkepick import (
     ConstantNotUnimodular,
     PoleEvaluation,
     RootFindingFailure,
+    UnitaryRealization,
     ZeroOnOrOutsideDisk,
     evaluate,
     extract_data,
@@ -22,6 +24,8 @@ from blaschkepick import (
     poles,
     psi_matrix,
     realize,
+    resolvent_rows,
+    sp_boundary_radial,
     sp_boundary_structured,
     taylor_jet,
 )
@@ -64,11 +68,6 @@ class TestEvaluate:
         b = make_blaschke([0.3, -0.4j], 1j)
         assert abs(evaluate(b, 0.3)) == 0.0
         assert abs(evaluate(b, -0.4j)) == 0.0
-
-    def test_callable_matches_evaluate(self):
-        b = make_blaschke([0.2, 0.1j], cmath.exp(0.7j))
-        z = 0.3 - 0.2j
-        assert b(z) == evaluate(b, z)
 
     def test_degree_zero_is_the_constant(self):
         u = cmath.exp(1.1j)
@@ -321,9 +320,10 @@ class TestLevelSet:
 
 
 class TestSizeLimit:
-    """One limit, ARRAY_ENTRIES_MAX entries, on each of the three large
-    arrays (the jet gather, a shape plan, a realization's run products),
-    checked before the array is allocated."""
+    """One limit, ARRAY_ENTRIES_MAX entries, on each of the five arrays that
+    grow with the problem (the jet gather, a shape plan, a realization's run
+    products, the radial kernel stack, the resolvent stack), checked before
+    the array is allocated."""
 
     @pytest.fixture
     def limit(self, monkeypatch):
@@ -359,6 +359,47 @@ class TestSizeLimit:
         limit(5**2 - 1)
         with pytest.raises(ValueError, match="^the realization's run products would hold 25 entries"):
             realize(b)
+
+    def test_radial_stack_counts_half_the_nodes_and_squared_order_sum(self, limit):
+        # Four first-order points: the stack's 16 x 4^2 entries outnumber
+        # the gather's 32 x 4 and the plan's 4^2.
+        b, pts = make_blaschke([0.5]), [1.0, 1j, -1.0, -1j]
+        limit(16 * 4**2)
+        assert sp_boundary_radial(b, pts, [1] * 4)[0].flat.shape == (4, 4)
+        limit(16 * 4**2 - 1)
+        with pytest.raises(ValueError, match=r"^the radial kernel stack would hold 256 entries, above the limit of 255$"):
+            sp_boundary_radial(b, pts, [1] * 4)
+
+    def test_resolvent_stack_counts_points_and_squared_degree(self, limit):
+        r = realize(make_blaschke([0.1, 0.2j, -0.3]))
+        limit(2 * 3**2)
+        assert resolvent_rows(r, [1.0, -1.0], [1, 2]).shape == (3, 3)
+        limit(2 * 3**2 - 1)
+        with pytest.raises(ValueError, match=r"^the resolvent stack would hold 18 entries, above the limit of 17$"):
+            resolvent_rows(r, [1.0, -1.0], [1, 2])
+
+    @staticmethod
+    def refused_peak(call, message: str) -> int:
+        """Peak bytes traced while call raises ValueError with message."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_eight_hundred_points_are_refused_before_the_radial_route_reads_a_jet(self):
+        pts = [cmath.exp(2j * math.pi * m / 800) for m in range(800)]
+        entries = 16 * 800**2
+        message = f"^the radial kernel stack would hold {entries} entries, above the limit of {ARRAY_ENTRIES_MAX}$"
+        assert self.refused_peak(lambda: sp_boundary_radial(make_blaschke([0.5]), pts, [1] * 800), message) < 2**20
+
+    def test_degree_1500_at_four_points_is_refused_before_the_resolvent_stack(self):
+        d = 1500
+        r = UnitaryRealization(A=np.zeros((d, d), dtype=complex), B=np.zeros((d, 1)), C=np.zeros((1, d)), D=1.0)
+        message = f"^the resolvent stack would hold {4 * d**2} entries, above the limit of {ARRAY_ENTRIES_MAX}$"
+        assert self.refused_peak(lambda: resolvent_rows(r, [1.0, 1j, -1.0, -1j], [1] * 4), message) < 2**20
 
     @pytest.mark.parametrize(
         "call, entries",

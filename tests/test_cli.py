@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -402,6 +403,43 @@ class TestRefusals:
         assert captured.err == (
             f"error: the realization's run products would hold {40002**2} entries, "
             f"above the limit of {ARRAY_ENTRIES_MAX}\n"
+        )
+
+    @pytest.mark.parametrize("order, code", [(1030, 6), (1031, 2), (1100, 2)])
+    def test_contact_orders_stop_where_the_binomials_overflow(self, tmp_path, capsys, order, code):
+        # Contact order 1,030 is derivative order 515, the largest whose
+        # binomials stay finite: its matrix is built and read as Inconclusive.
+        path = write_problem(tmp_path, blaschke={"zeros": [[0.5, 0.0]], "u": [1.0, 0.0]}, orders=[order])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["analyze", path]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if code == 2:
+            assert captured.err == f"error: derivative order {(order + 1) // 2} is above the limit of 515\n"
+
+    def test_eight_hundred_points_are_refused_at_the_radial_stack(self, tmp_path, capsys):
+        points = [{"angle": 2.0 * math.pi * m / 800} for m in range(800)]
+        path = write_problem(tmp_path, points=points, orders=[1] * 800)
+        assert main(["crosscheck", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: the radial kernel stack would hold {16 * 800**2} entries, above the limit of {ARRAY_ENTRIES_MAX}\n"
+        )
+
+    @pytest.mark.parametrize("command", ["analyze", "crosscheck"])
+    def test_degree_1500_at_four_points_is_refused_at_the_resolvent_stack(self, tmp_path, capsys, monkeypatch, command):
+        # analyze compares the routes first, so decide never runs.
+        monkeypatch.setattr(cli, "decide", lambda *args: pytest.fail("decide ran"))
+        zeros = [[0.5 * math.cos(j), 0.5 * math.sin(j)] for j in range(1500)]
+        points = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+        path = write_problem(tmp_path, blaschke={"zeros": zeros, "u": [1.0, 0.0]}, points=points, orders=[1] * 4)
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: the resolvent stack would hold {4 * 1500**2} entries, above the limit of {ARRAY_ENTRIES_MAX}\n"
         )
 
 

@@ -15,7 +15,6 @@ from blaschkepick import (
     admissible,
     complete_to_pd,
     corner_value,
-    extend_pick,
     extract_data,
     make_blaschke,
     realize,
@@ -159,16 +158,7 @@ class TestExtractAndBuild:
         assert p.row_index(1, 0) == 2
         with pytest.raises(IndexError):
             p.row_index(1, 1)
-        assert_allclose(p.block(0, 1), [[2.0], [5.0]])
-
-    def test_extend_pick_raises_orders(self):
-        b = make_blaschke([0.3, -0.2j])
-        pts = [1.0, 1j]
-        data = extract_data(b, pts, [3, 3])
-        extended = extend_pick(data, (1, 1), {0})
-        assert extended.orders == (2, 1)
-        plain = sp_boundary_structured(data.values, pts, (2, 1))
-        assert_allclose(extended.flat, plain.flat)
+        assert_allclose(p.flat[p.offsets[0] : p.offsets[0] + 2, p.offsets[1] : p.offsets[1] + 1], [[2.0], [5.0]])
 
     def test_truncated_matrix_is_principal_submatrix_of_extension(self):
         # Entry ((i, x), (j, y)) reads coefficients through index x + y + 1
@@ -182,7 +172,7 @@ class TestExtractAndBuild:
             values = tuple(tuple(complex(*rng.normal(size=2)) for _ in range(2 * k + 2)) for k in ks)
             data = JetData(points=tuple(random_circle_points(rng, n)), values=values)
             p = sp_boundary_structured(data.values, data.points, ks).flat
-            extended = extend_pick(data, ks, extend)
+            extended = sp_boundary_structured(data.values, data.points, [k + (i in extend) for i, k in enumerate(ks)])
             corners = {extended.row_index(i, ks[i]) for i in extend}
             keep = [j for j in range(extended.flat.shape[0]) if j not in corners]
             sub = extended.flat[np.ix_(keep, keep)]
@@ -223,10 +213,11 @@ class TestExtractAndBuild:
             pts = tuple(random_circle_points(rng, n))
             values = [[complex(*rng.normal(size=2)) for _ in range(2 * k + 2)] for k in ks]
             i = int(rng.integers(0, n))
-            before = extend_pick(JetData(points=pts, values=tuple(map(tuple, values))), ks, [i])
+            raised = [k + (j == i) for j, k in enumerate(ks)]
+            before = sp_boundary_structured(values, pts, raised)
             step = complex(*rng.normal(size=2))
             values[i][2 * ks[i] + 1] += step
-            after = extend_pick(JetData(points=pts, values=tuple(map(tuple, values))), ks, [i])
+            after = sp_boundary_structured(values, pts, raised)
             corner = before.row_index(i, ks[i])
             moved = after.flat - before.flat
             slope = (-1.0) ** ks[i] * pts[i] ** (2 * ks[i] + 1) * values[i][0].conjugate()
@@ -234,18 +225,6 @@ class TestExtractAndBuild:
             assert abs(moved[corner, corner] - step * slope) <= 1e-14 * scale
             moved[corner, corner] = 0.0
             assert np.max(np.abs(moved)) <= 1e-14 * scale
-
-    def test_extend_pick_index_out_of_range(self):
-        data = extract_data(make_blaschke([0.3]), [1.0], [3])
-        with pytest.raises(ValueError):
-            extend_pick(data, (1,), {2})
-
-    @pytest.mark.parametrize("order", [0, -1])
-    def test_given_orders_are_checked_before_raising(self, order):
-        # Raised by one first, order 0 would pass as a valid order 1.
-        data = extract_data(make_blaschke([0.3]), [1.0], [3])
-        with pytest.raises(ValueError, match=f"orders must be at least one, got {order}$"):
-            extend_pick(data, (order,), {0})
 
 
 class TestAdmissible:
@@ -256,7 +235,7 @@ class TestAdmissible:
         data = extract_data(b, pts, [3, 1])
         report = admissible(data, (2, 1))
         assert report
-        assert report.ok and report.modulus_ok and report.pick.psd
+        assert report.modulus_ok and report.pick.psd
         assert all(d <= 1e-10 for d in report.modulus_defects)
 
     def test_submodular_leading_value_fails(self):

@@ -7,19 +7,22 @@ however many shapes pass through the cache.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from blaschkepick import (
+    ContactProblem,
     JetData,
+    decide,
     make_blaschke,
     psi_matrix,
     realize,
     sp_boundary_structured,
     sp_via_realization,
 )
-from blaschkepick.schwarz_pick import PLAN_CACHE_SIZE, _shape_plan
+from blaschkepick.schwarz_pick import DERIVATIVE_ORDER_MAX, PLAN_CACHE_SIZE, _shape_plan, _pascal as _pascal_table
 from helpers import random_circle_points
 
 
@@ -147,3 +150,29 @@ def test_mutating_a_result_leaves_the_next_call_alone():
     want = inner.tobytes()
     inner[...] = 0.0
     assert sp_via_realization(r, [0.5, -0.4j], ks).tobytes() == want
+
+
+def test_a_plan_at_the_largest_derivative_order_builds():
+    # Two points of order 515 read the whole binomial table of width 1,030,
+    # whose largest entry binom(1029, 514) is about 1.4e308.
+    assert DERIVATIVE_ORDER_MAX == 515
+    plan = _shape_plan.__wrapped__((DERIVATIVE_ORDER_MAX, DERIVATIVE_ORDER_MAX))
+    assert plan.factor.shape == (1030, 1030)
+    assert np.isfinite(plan.factor).all()
+    assert np.isfinite(_pascal_table(2 * DERIVATIVE_ORDER_MAX)).all()
+
+
+@pytest.mark.parametrize("ks", [(516,), (1, 516), (600, 2)])
+def test_a_larger_derivative_order_is_refused_before_the_binomials(ks):
+    before = _pascal_table.cache_info()
+    with pytest.raises(ValueError, match=f"^derivative order {max(ks)} is above the limit of 515$"):
+        _shape_plan.__wrapped__(ks)
+    assert _pascal_table.cache_info() == before
+
+
+def test_contact_order_1031_is_refused_without_a_warning():
+    problem = ContactProblem(b=make_blaschke([0.5]), points=(1.0,), contact_orders=(1031,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^derivative order 516 is above the limit of 515$"):
+            decide(problem)

@@ -21,7 +21,6 @@ from blaschkepick import (
     criterion,
     decide,
     derivative_orders,
-    extend_pick,
     extract_data,
     make_blaschke,
     make_report,
@@ -242,7 +241,7 @@ class TestNonUniqueVerdicts:
                 continue
             cert = verdict.certificate
             assert [i for i, _ in cert.supplementary] == even
-            extended = extend_pick(data, ks, even)
+            extended = sp_boundary_structured(data.values, data.points, [k + (i in even) for i, k in enumerate(ks)])
             corners = {extended.row_index(i, ks[i]) for i in even}
             principal = [j for j in range(extended.flat.shape[0]) if j not in corners]
             margin = max(1.0, make_report(extended.flat, strict=False).lambda_max)
@@ -536,9 +535,7 @@ class TestMatchesJets:
         lambda order: sp_boundary_structured(extract_data(make_blaschke([0.5]), [1.0], [5]).values, [1.0], [order]),
         lambda order: taylor_jet(make_blaschke([0.5]), 1.0, order),
         lambda order: psi_matrix(1.0, order),
-        lambda order: extend_pick(extract_data(make_blaschke([0.5]), [1.0], [5]), [order], [0]),
         lambda order: corner_value([1.0] * 6, 1.0, order),
-        lambda order: extend_pick(extract_data(make_blaschke([0.5]), [1.0, -1.0], [5, 5]), [1, 1], [order - 2]),
         lambda order: schur_complement(np.eye(2), [order - 2]),
         lambda order: complete_to_pd(np.eye(2), [order - 2]),
         lambda order: criterion([order], 1),
@@ -550,9 +547,7 @@ class TestMatchesJets:
         "structured",
         "taylor-jet",
         "psi-matrix",
-        "extend-pick",
         "corner-value",
-        "extend-pick-index",
         "schur-complement-index",
         "complete-to-pd-index",
         "criterion",
