@@ -34,13 +34,13 @@ POLE_TOL = 1e-12
 LEVEL_SET_RESIDUAL = 1e-8
 CIRCLE_TOL = 1e-9
 DISTINCT_POINT_TOL = 1e-12
-# Entries allowed in each of the five arrays that grow with the problem: the
-# jet gather, a shape plan's N x N arrays, a realization's run products, the
-# radial kernel stack and the resolvent stack.  At the limit, one process
-# (2-vCPU x86-64, numpy 2.4) rose 130, 780, 410, 300 and 320 MB in 0.26, 1.1,
-# 0.48, 0.56 and 6.0 s.  The rule bounds memory, not time: crosscheck at degree
-# 2,000 and two points still runs, for about 9 s.  The worst fuzz draw gathers
-# 4.1 M entries.
+# Entries allowed in each array that grows with the problem: the jet gather,
+# a shape plan's N x N arrays, a realization's run products, the radial kernel
+# stack and the resolvent stack (at the limit, one process on 2-vCPU x86-64
+# with numpy 2.4 rose 130, 780, 410, 300 and 320 MB in 0.26, 1.1, 0.48, 0.56
+# and 6.0 s), the resolvent rows and the Gram matrix R R*.  The rule bounds
+# memory, not time: crosscheck at degree 2,000 and two points still runs, for
+# about 9 s.  The worst fuzz draw gathers 4.1 M entries.
 ARRAY_ENTRIES_MAX = 2**23
 
 
@@ -219,7 +219,7 @@ def _finite_jets(b: BlaschkeProduct, centers, order: int) -> np.ndarray:
     """:func:`_jet_array` at np.array(centers), shape that array's shape +
     (order + 1,); raises ValueError unless every coefficient is finite."""
     jets = _jet_array(b, np.array(centers), order)
-    if not np.isfinite(jets).all():
+    if np.count_nonzero(np.isfinite(jets)) != jets.size:
         raise ValueError(f"jet coefficients of b must be finite at {centers!r}")
     return jets
 

@@ -35,7 +35,7 @@ from .errors import BlaschkePickError, Inconclusive, RankMismatch
 from .hermitian import HERMITIAN_DEFECT_TOL, HermitianReport, make_report
 from .pick import ADMISSIBLE_TOL
 from .realization import realize, sp_via_realization
-from .schwarz_pick import CONTOUR_NODES, SchwarzPickMatrix, _structured_flat, sp_boundary_radial
+from .schwarz_pick import CONTOUR_NODES, SchwarzPickMatrix, _structured_flat, _structured_geometry, sp_boundary_radial
 from .uniqueness import (
     ContactProblem,
     NonUniqueCertificate,
@@ -222,13 +222,14 @@ def _compare_routes(
     structured entry, whose 1 + scales the difference (:func:`_residual`).
 
     The structured matrix is built as `decide` builds it: the structured
-    identity on one jet evaluation of all points.  Points and orders get
+    geometry, then one jet evaluation of all points.  Points and orders get
     the layout check of every route, so a bad layout is refused with the
     type and message of :func:`sp_boundary_structured` and
     :func:`sp_boundary_radial`."""
     pts, ks = _require_layout(points, ks, "orders")
+    geometry = _structured_geometry(pts, ks)
     jets = _finite_jets(b, pts, 2 * max(ks) - 1)
-    structured = SchwarzPickMatrix(flat=_structured_flat(jets, pts, ks), points=pts, orders=ks)
+    structured = SchwarzPickMatrix(flat=_structured_flat(jets, *geometry), points=pts, orders=ks)
     via_real = sp_via_realization(realize(b), pts, ks)
     diff = float(np.max(np.abs(structured.flat - via_real)))
     norm = float(np.max(np.abs(structured.flat)))

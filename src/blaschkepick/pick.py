@@ -192,10 +192,10 @@ def _complete(
     # With an empty complement this only checks that the whole matrix is PD.
     s = _schur(matrix, head, comp)
     shift = max(0.0, -s.lambda_min) + float(margin) if comp.size else 0.0
-    modified_flat = flat.copy()
-    modified_flat[comp, comp] += shift
-    modified_h = matrix.copy()
-    modified_h[comp, comp] += shift
+    # The complement's diagonal entries are at comp (n + 1) in the raveled matrix.
+    modified_flat, modified_h, at = flat.copy(), matrix.copy(), comp * (len(matrix) + 1)
+    for modified in (modified_flat, modified_h):
+        modified.put(at, modified.take(at) + shift)
     return Completion(
         modified=SchwarzPickMatrix(modified_flat, p_tilde.points, p_tilde.orders) if is_pick else modified_flat,
         shift=shift,

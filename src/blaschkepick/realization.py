@@ -134,7 +134,8 @@ def resolvent_rows(r: UnitaryRealization, points, orders) -> np.ndarray:
     Raises :class:`SingularResolvent` at the first point whose I - z A has
     reciprocal condition below ``RESOLVENT_RCOND``.  The points need only
     be finite numbers; the orders get the order check, one per point, and
-    the (n, d, d) stacks of I - z A, its inverse and the step the size check.
+    the (n, d, d) stacks of I - z A, its inverse and the step and the
+    (n, max(orders), d) rows the size check.
     """
     zs = np.array([_require_finite(z, "point") for z in points], dtype=complex)
     ks = _require_orders(orders, "orders", count=zs.size)
@@ -142,6 +143,7 @@ def resolvent_rows(r: UnitaryRealization, points, orders) -> np.ndarray:
     if d == 0 or zs.size == 0:
         return np.zeros((sum(ks), d), dtype=complex)
     _require_size(zs.size * d * d, "the resolvent stack")
+    _require_size(zs.size * max(ks) * d, "the resolvent rows")
     m = np.eye(d) - zs[:, None, None] * r.A
     try:
         inverse = np.linalg.inv(m)
@@ -180,9 +182,12 @@ def sp_via_realization(r: UnitaryRealization, points, orders) -> np.ndarray:
     Hermitian positive semidefinite by construction, with rank
     min(sum(orders), d) when the realization is minimal.  At points of the
     open disk it is the interior matrix, with no entry formed by a
-    subtraction that cancels as the points approach the circle.
+    subtraction that cancels as the points approach the circle.  The orders,
+    and then the Gram matrix's size, are checked before R is formed.
     """
-    rr = resolvent_rows(r, points, orders)
+    ks = _require_orders(orders, "orders")
+    _require_size(sum(ks) ** 2, "the Gram matrix R R*")
+    rr = resolvent_rows(r, points, ks)
     return rr @ rr.conj().T
 
 

@@ -257,14 +257,11 @@ def _coefficient_table(rows, ks: tuple[int, ...]) -> np.ndarray:
     return table
 
 
-def _structured_flat(jets: np.ndarray, pts: tuple[complex, ...], ks: tuple[int, ...]) -> np.ndarray:
-    """The flat matrix of :func:`sp_boundary_structured` from the
-    (n, 2 max(ks)) jets at checked points, with ks a tuple of positive ints.
-
-    Row i is read below column 2 k_i only, so anything may stand beyond it.
-    M and Psi share one power array: base^(x + y + 1) with base t_i - t_j
-    off the diagonal blocks and t_i on them.
-    """
+def _structured_geometry(pts: tuple[complex, ...], ks: tuple[int, ...]) -> tuple[_ShapePlan, np.ndarray, np.ndarray]:
+    """The part of the structured identity that reads no jet: the plan of
+    ks, with its refusals, and M and Psi at checked points.  M and Psi share
+    one power array, base^(x + y + 1) with base t_i - t_j off the diagonal
+    blocks and t_i on them."""
     plan = _shape_plan(ks)
     t = np.array(pts, dtype=complex)
     base = t[:, None] - t
@@ -272,6 +269,13 @@ def _structured_flat(jets: np.ndarray, pts: tuple[complex, ...], ks: tuple[int, 
     powers = base.ravel()[plan.pair_index] ** plan.exponent
     m = np.where(plan.same, 0.0, plan.factor / powers)
     psi = np.where(plan.same, plan.factor * powers, 0.0)
+    return plan, m, psi
+
+
+def _structured_flat(jets: np.ndarray, plan: _ShapePlan, m: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """The flat matrix of :func:`sp_boundary_structured` from the (n, 2 max(ks))
+    jets and the :func:`_structured_geometry` of the points and orders ks;
+    row i is read below column 2 k_i only, so anything may stand beyond it."""
     coeff = np.concatenate((jets.ravel(), [0.0]))
     tri = coeff[plan.tri_index]
     hankel = coeff[plan.hankel_index]
@@ -308,7 +312,7 @@ def sp_boundary_structured(jets: Sequence[Sequence[complex]], points, orders) ->
     coefficients 0 .. 2 k_i - 1 finite numbers (:func:`blaschke._require_numbers`).
     """
     pts, ks = _require_layout(points, orders, "orders")
-    flat = _structured_flat(_coefficient_table(jets, ks), pts, ks)
+    flat = _structured_flat(_coefficient_table(jets, ks), *_structured_geometry(pts, ks))
     return SchwarzPickMatrix(flat=flat, points=pts, orders=ks)
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -39,13 +40,14 @@ from .hermitian import (
     DEFAULT_PD_TOL,
     DEFAULT_RANK_TOL,
     HermitianReport,
+    _read,
     _require_hermitian,
     _require_tolerance,
     _split,
-    make_report,
+    eigen_h,
 )
 from .pick import Completion, _complete, extract_data
-from .schwarz_pick import SchwarzPickMatrix, _structured_flat
+from .schwarz_pick import PLAN_CACHE_SIZE, SchwarzPickMatrix, _structured_flat, _structured_geometry
 
 SUPPLEMENTARY_RESIDUAL_TOL = 1e-10
 # The completion's slack beyond the minimal shift, relative to max(1, lambda_max).
@@ -142,38 +144,42 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
 
     The Pick matrix is built once from jets of b, at orders k_i + 1 on the
     even-order points of a non-unique problem and k_i everywhere else, as
-    :func:`sp_boundary_structured` builds it at those orders; the truncated
-    matrix at orders k_i is its principal submatrix without the bottom rows
-    of the extended blocks (see :mod:`blaschkepick.pick`).  When the
-    criterion says unique, the truncated matrix's numerical rank must equal
-    deg b (strictly less than sum k_i); when it says non-unique, it must be
-    positive definite, and the extension is completed and must be positive
-    definite too.  Any of these checks failing raises RankMismatch, since
-    that means the numerics contradict an exact statement.  The truncated
-    and the completed matrix get the strict Hermitian test of
-    :func:`make_report`; failing it raises Inconclusive, since the data were
-    valid but the rounding of the build hides the spectrum.  Each supplement
-    is b_{2k+1} + shift / slope; a rebuilt corner that misses its completed
-    value by more than SUPPLEMENTARY_RESIDUAL_TOL max(1, |value|) raises
-    Inconclusive too, a build of the package's own that failed on valid data.
+    :func:`sp_boundary_structured` builds it at those orders.  One geometry,
+    formed before any jet, serves that build and the roundtrip rebuild; one
+    symmetrization serves the truncated matrix at orders k_i, its principal
+    block without the bottom rows of the extended blocks (see
+    :mod:`blaschkepick.pick`), and the completion.  When the criterion says
+    unique, the truncated matrix's numerical rank must equal deg b (strictly
+    less than sum k_i); when it says non-unique, it must be positive
+    definite, and the extension is completed and must be positive definite
+    too.  Any of these checks failing raises RankMismatch, since that means
+    the numerics contradict an exact statement.  The truncated and the
+    completed matrix get the strict Hermitian test of :func:`make_report`;
+    failing it raises Inconclusive, since the data were valid but the
+    rounding of the build hides the spectrum.  Each supplement is b_{2k+1} +
+    shift / slope; a rebuilt corner that misses its completed value by more
+    than SUPPLEMENTARY_RESIDUAL_TOL max(1, |value|) raises Inconclusive too,
+    a build of the package's own that failed on valid data.
     """
     ks = tuple((m + 1) // 2 for m in problem.contact_orders)
     k_total, d = sum(ks), problem.b.degree
     unique = k_total > d
     even = () if unique else tuple(i for i, m in enumerate(problem.contact_orders) if m % 2 == 0)
     built = tuple(k + (i in even) for i, k in enumerate(ks))
+    geometry = _structured_geometry(problem.points, built)
     # The matrix at orders built reads coefficients below 2 built_i at point
     # i, so one evaluation through 2 max(built) - 1 covers it.
     jets = _finite_jets(problem.b, problem.points, 2 * max(built) - 1)
-    p_tilde = SchwarzPickMatrix(
-        flat=_structured_flat(jets, problem.points, built), points=problem.points, orders=built
-    )
-    p_flat = p_tilde.flat
+    flat = _structured_flat(jets, *geometry)
+    # (M + M*) / 2 and |M - M*| act entry by entry, so P's are the principal block of P~'s.
+    flat_h = flat.conj().T
+    sym, gap = 0.5 * (flat + flat_h), np.abs(flat - flat_h)
+    p_flat, p_sym, p_gap = flat, sym, gap
     if even:
         # The bottom row of each extended block is its corner; the rest is P.
-        corners, principal = _split(len(p_flat), [p_tilde.row_index(i, ks[i]) for i in even])
-        p_flat = p_flat[principal[:, None], principal]
-    pick = make_report(p_flat, rank_tol=tolerances.rank, pd_tol=tolerances.pd, strict=False)
+        corners, principal, block, diagonal = _corner_split(built, even)
+        p_flat, p_sym, p_gap = flat.take(block), sym.take(block), gap.take(block)
+    pick = _read(p_sym, _defect(p_gap), eigen_h(p_sym), tolerances.rank, tolerances.pd)
     _require_hermitian(pick.defect, p_flat, built="the Pick matrix")
     if unique and pick.numerical_rank != d:
         raise RankMismatch(
@@ -189,6 +195,7 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
     if unique:
         certificate = UniqueCertificate(rank=pick.numerical_rank)
     else:
+        p_tilde = SchwarzPickMatrix(flat=flat, points=problem.points, orders=built)
         supplementary, roundtrip = [], 0.0
         if not even:
             # Nothing to extend: the completed matrix is the truncated one,
@@ -196,12 +203,9 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
             margin = COMPLETION_MARGIN * max(1.0, pick.lambda_max)
             completion = Completion(modified=p_tilde, shift=0.0, complementary=(), margin=margin, report=pick)
         else:
-            h_tilde = make_report(p_tilde.flat, tolerances.rank, tolerances.pd, strict=False)
-            margin = COMPLETION_MARGIN * max(1.0, h_tilde.lambda_max)
-            completion = _complete(
-                p_tilde, h_tilde.matrix, h_tilde.defect, tolerances.rank, tolerances.pd,
-                principal, corners, margin,
-            )
+            defect = _defect(gap)
+            margin = COMPLETION_MARGIN * max(1.0, float(eigen_h(sym)[-1]))
+            completion = _complete(p_tilde, sym, defect, tolerances.rank, tolerances.pd, principal, corners, margin)
             completed = completion.modified.flat
 
             # Only the corner moves with the top coefficient b_{2k+1}, with
@@ -217,13 +221,16 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
 
             # Rebuild the extended matrix from the jets with the supplements
             # in place of the product's own top coefficients.
-            redone = _structured_flat(supplemented, problem.points, built)
-            for idx in corners:
-                residual = abs(redone[idx, idx] - completed[idx, idx])
-                bound = SUPPLEMENTARY_RESIDUAL_TOL * max(1.0, abs(completed[idx, idx]))
-                if residual > bound:
-                    message = f"supplemented corner misses its target by {residual}, above {bound}"
-                    raise Inconclusive(message, residual, bound)
+            redone = _structured_flat(supplemented, *geometry)
+            # Each |miss| and |target| is abs() of one complex number, which
+            # np.hypot gives bit for bit; the array np.abs may differ in the last bit.
+            target = completed.take(diagonal)
+            miss = redone.take(diagonal) - target
+            residual = np.hypot(miss.real, miss.imag)
+            bound = SUPPLEMENTARY_RESIDUAL_TOL * np.maximum(1.0, np.hypot(target.real, target.imag))
+            for j in np.flatnonzero(residual > bound)[:1]:
+                message = f"supplemented corner misses its target by {residual[j]}, above {bound[j]}"
+                raise Inconclusive(message, float(residual[j]), float(bound[j]))
             roundtrip = float(np.abs(redone - completed).max())
             # The strict Hermitian check of the completed matrix, whose
             # report the completion read at these tolerances.
@@ -240,6 +247,27 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
             roundtrip_residual=roundtrip,
         )
     return Verdict(unique=unique, derivative_orders=ks, degree=d, pick=pick, certificate=certificate)
+
+
+def _defect(gap: np.ndarray) -> float:
+    """The largest entry of |M - M*|, refused as :func:`make_report` refuses a non-finite entry."""
+    defect = float(gap.max())
+    if not np.isfinite(defect):
+        raise ValueError("matrix has a non-finite entry")
+    return defect
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _corner_split(built: tuple[int, ...], even: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Read-only indices at orders built: the rows of the corners, the bottom
+    row of each block in even, and of P, ascending, then the places of P and
+    of the corners' diagonal entries in the raveled matrix, for ndarray.take."""
+    n = sum(built)
+    corners, principal = _split(n, [sum(built[: i + 1]) - 1 for i in even])
+    split = corners, principal, principal[:, None] * n + principal, corners * (n + 1)
+    for array in split:
+        array.flags.writeable = False
+    return split
 
 
 def matches_jets(candidate: BlaschkeProduct, problem: ContactProblem, tol: float = 1e-9) -> bool:

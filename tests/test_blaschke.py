@@ -27,6 +27,7 @@ from blaschkepick import (
     resolvent_rows,
     sp_boundary_radial,
     sp_boundary_structured,
+    sp_via_realization,
     taylor_jet,
 )
 from blaschkepick.blaschke import ARRAY_ENTRIES_MAX, _jet_array
@@ -320,10 +321,10 @@ class TestLevelSet:
 
 
 class TestSizeLimit:
-    """One limit, ARRAY_ENTRIES_MAX entries, on each of the five arrays that
+    """One limit, ARRAY_ENTRIES_MAX entries, on each of the seven arrays that
     grow with the problem (the jet gather, a shape plan, a realization's run
-    products, the radial kernel stack, the resolvent stack), checked before
-    the array is allocated."""
+    products, the radial kernel stack, the resolvent stack and rows, the Gram
+    matrix R R*), checked before the array is allocated."""
 
     @pytest.fixture
     def limit(self, monkeypatch):
@@ -378,6 +379,26 @@ class TestSizeLimit:
         with pytest.raises(ValueError, match=r"^the resolvent stack would hold 18 entries, above the limit of 17$"):
             resolvent_rows(r, [1.0, -1.0], [1, 2])
 
+    def test_resolvent_rows_count_points_longest_order_and_degree(self, limit):
+        # Orders (1, 5) at degree 3: the rows' 2 x 5 x 3 entries outnumber
+        # the stack's 2 x 3^2.
+        r = realize(make_blaschke([0.1, 0.2j, -0.3]))
+        limit(2 * 5 * 3)
+        assert resolvent_rows(r, [1.0, -1.0], [1, 5]).shape == (6, 3)
+        limit(2 * 5 * 3 - 1)
+        with pytest.raises(ValueError, match=r"^the resolvent rows would hold 30 entries, above the limit of 29$"):
+            resolvent_rows(r, [1.0, -1.0], [1, 5])
+
+    def test_gram_matrix_counts_its_square(self, limit):
+        # Orders (1, 5) at degree 3: the Gram matrix's 6^2 entries outnumber
+        # the rows' 30.
+        r = realize(make_blaschke([0.1, 0.2j, -0.3]))
+        limit(6**2)
+        assert sp_via_realization(r, [1.0, -1.0], [1, 5]).shape == (6, 6)
+        limit(6**2 - 1)
+        with pytest.raises(ValueError, match=r"^the Gram matrix R R\* would hold 36 entries, above the limit of 35$"):
+            sp_via_realization(r, [1.0, -1.0], [1, 5])
+
     @staticmethod
     def refused_peak(call, message: str) -> int:
         """Peak bytes traced while call raises ValueError with message."""
@@ -400,6 +421,18 @@ class TestSizeLimit:
         r = UnitaryRealization(A=np.zeros((d, d), dtype=complex), B=np.zeros((d, 1)), C=np.zeros((1, d)), D=1.0)
         message = f"^the resolvent stack would hold {4 * d**2} entries, above the limit of {ARRAY_ENTRIES_MAX}$"
         assert self.refused_peak(lambda: resolvent_rows(r, [1.0, 1j, -1.0, -1j], [1] * 4), message) < 2**20
+
+    def test_order_100000_is_refused_before_the_gram_matrix(self):
+        # 10^10 entries, 149 GiB: refused before a resolvent row is formed.
+        r = realize(make_blaschke([0.5]))
+        message = f"^the Gram matrix R R\\* would hold {10**10} entries, above the limit of {ARRAY_ENTRIES_MAX}$"
+        assert self.refused_peak(lambda: sp_via_realization(r, [0.5], [100000]), message) < 2**20
+
+    def test_order_500000_at_degree_20_is_refused_before_the_resolvent_rows(self):
+        # 1 x 500,000 x 20 rows: refused before I - z A is formed.
+        r = realize(make_blaschke([0.04 * j for j in range(20)]))
+        message = f"^the resolvent rows would hold {10**7} entries, above the limit of {ARRAY_ENTRIES_MAX}$"
+        assert self.refused_peak(lambda: resolvent_rows(r, [0.5j], [500000]), message) < 2**20
 
     @pytest.mark.parametrize(
         "call, entries",

@@ -390,7 +390,7 @@ class TestRefusals:
         assert time.perf_counter() - start < 1.0
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: the jet gather would hold ")
+        assert captured.err.startswith("error: the shape plan would hold ")
         assert captured.err.endswith(f" entries, above the limit of {ARRAY_ENTRIES_MAX}\n")
 
     @pytest.mark.parametrize("command", ["analyze", "crosscheck"])
@@ -594,8 +594,8 @@ class TestFuzz:
         assert report["counterexample"]["orders"] == [1]
 
     def test_rank_property_fires_on_a_robustly_wrong_matrix(self, monkeypatch, capsys):
-        def identity_instead(jets, points, orders):
-            return np.eye(sum(orders), dtype=complex)
+        def identity_instead(jets, plan, m, psi):
+            return np.eye(len(m), dtype=complex)
 
         monkeypatch.setattr(cli, "_structured_flat", identity_instead)
         code = main(

@@ -23,7 +23,7 @@ from blaschkepick import (
     sp_via_realization,
     taylor_jet,
 )
-from blaschkepick.schwarz_pick import _structured_flat
+from blaschkepick.schwarz_pick import _structured_flat, _structured_geometry
 from helpers import random_blaschke, random_circle_points
 
 
@@ -200,7 +200,7 @@ class TestExtractAndBuild:
             assert np.all(jets != 0.0)
             junk_rows = sp_boundary_structured(values, pts, ks).flat
             assert np.array_equal(junk_rows, clean)
-            assert np.array_equal(_structured_flat(jets, pts, ks), clean)
+            assert np.array_equal(_structured_flat(jets, *_structured_geometry(pts, ks)), clean)
 
     def test_top_coefficient_moves_its_corner_alone(self):
         # Replacing b_{2k+1} at an extended point moves the bottom diagonal

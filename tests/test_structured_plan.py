@@ -7,6 +7,7 @@ however many shapes pass through the cache.
 """
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -176,3 +177,25 @@ def test_contact_order_1031_is_refused_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^derivative order 516 is above the limit of 515$"):
             decide(problem)
+
+
+@pytest.mark.parametrize("route", ["decide", "compare-routes"])
+def test_contact_order_1031_is_refused_before_any_jet(route):
+    # The plan refuses derivative order 516 before the jets through order
+    # 1,031 (1.07 M entries, 17 MB) are gathered, in decide and in the
+    # route comparison that analyze runs first.
+    from blaschkepick.cli import _compare_routes
+
+    b = make_blaschke([0.5])
+    calls = {
+        "decide": lambda: decide(ContactProblem(b=b, points=(1.0,), contact_orders=(1031,))),
+        "compare-routes": lambda: _compare_routes(b, [1.0], [516]),
+    }
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^derivative order 516 is above the limit of 515$"):
+            calls[route]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -259,42 +259,77 @@ class TestNonUniqueVerdicts:
         ids=["even-and-odd", "odd-only", "unique", "even-only"],
     )
     def test_one_structured_build_plus_the_roundtrip(self, orders, builds, jet_order, monkeypatch):
-        # The truncated matrix is read from the extended one, and the
-        # supplements need no Psi product of their own.  The jets are
-        # evaluated once, through 2 max(k_i') - 1 for the built orders k_i',
+        # One geometry of the points and built orders k_i', formed before any
+        # jet, serves the build and the roundtrip rebuild: two jet-to-matrix
+        # passes on the even path and one elsewhere.  The truncated matrix is
+        # read from the extended one, and the supplements need no Psi product
+        # of their own.  The jets are evaluated once, through 2 max(k_i') - 1,
         # and no eigenbasis or np.ix_ gather is formed.
         import blaschkepick.blaschke as blaschke_module
         import blaschkepick.pick as pick_module
         import blaschkepick.schwarz_pick as schwarz_pick_module
         import blaschkepick.uniqueness as uniqueness_module
         from blaschkepick.blaschke import _jet_array
-        from blaschkepick.schwarz_pick import _structured_flat
+        from blaschkepick.schwarz_pick import _structured_flat, _structured_geometry
 
-        calls, jet_orders = [], []
+        events, jet_orders = [], []
 
-        def counted(jets, points, orders):
+        def counted_geometry(points, orders):
+            events.append("geometry")
+            return _structured_geometry(points, orders)
+
+        def counted(jets, plan, m, psi):
             # The evaluator's jets as they are: 2 max(k_i') columns, none padded.
-            assert jets.shape == (len(orders), 2 * max(orders))
-            calls.append(orders)
-            return _structured_flat(jets, points, orders)
+            assert jets.shape == (len(orders), jet_order + 1)
+            events.append("flat")
+            return _structured_flat(jets, plan, m, psi)
 
         def counted_jets(b, centers, order):
+            events.append("jets")
             jet_orders.append(order)
             return _jet_array(b, centers, order)
 
         def refused(*args):
             raise AssertionError("decide must not call this")
 
-        monkeypatch.setattr(schwarz_pick_module, "_structured_flat", counted)
-        monkeypatch.setattr(uniqueness_module, "_structured_flat", counted)
+        for module in (schwarz_pick_module, uniqueness_module):
+            monkeypatch.setattr(module, "_structured_geometry", counted_geometry)
+            monkeypatch.setattr(module, "_structured_flat", counted)
         monkeypatch.setattr(blaschke_module, "_jet_array", counted_jets)
         monkeypatch.setattr(pick_module, "psi_matrix", refused)
         monkeypatch.setattr(np.linalg, "eigh", refused)
         monkeypatch.setattr(np, "ix_", refused)
         b = make_blaschke([0.3, -0.2j, 0.1 + 0.4j])
         decide(ContactProblem(b=b, points=(1.0, -1.0)[: len(orders)], contact_orders=orders))
-        assert len(calls) == builds
+        assert events == ["geometry", "jets"] + ["flat"] * builds
         assert jet_orders == [jet_order]
+
+
+class TestSingleRead:
+    @pytest.mark.parametrize("orders", [(2, 1), (1, 3), (3, 3)], ids=["even", "odd", "unique"])
+    def test_decide_reads_what_the_public_path_reads(self, orders):
+        # The one symmetrization of the built matrix, read at P's rows, and
+        # the completion from it are bit for bit the public functions' own.
+        b = make_blaschke([0.3, -0.2j, 0.1 + 0.4j])
+        problem = ContactProblem(b=b, points=(1.0, -1.0), contact_orders=orders)
+        verdict = decide(problem)
+        ks = verdict.derivative_orders
+        even = [] if verdict.unique else [i for i, m in enumerate(orders) if m % 2 == 0]
+        built = [k + (i in even) for i, k in enumerate(ks)]
+        data = extract_data(b, problem.points, [2 * k - 1 for k in built])
+        p_tilde = sp_boundary_structured(data.values, data.points, built)
+        corners = [p_tilde.row_index(i, ks[i]) for i in even]
+        principal = [j for j in range(len(p_tilde.flat)) if j not in corners]
+        want, got = make_report(p_tilde.flat[np.ix_(principal, principal)], strict=False), verdict.pick
+        assert np.array_equal(got.matrix, want.matrix)
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert (got.defect, got.numerical_rank, got.psd, got.pd) == (want.defect, want.numerical_rank, want.psd, want.pd)
+        if even:
+            margin = max(1.0, make_report(p_tilde.flat, strict=False).lambda_max)
+            completion, cert = complete_to_pd(p_tilde, principal, margin), verdict.certificate.completion
+            assert (cert.shift, cert.margin, cert.complementary) == (completion.shift, margin, tuple(corners))
+            assert np.array_equal(cert.modified.flat, completion.modified.flat)
+            assert np.array_equal(cert.report.eigenvalues, completion.report.eigenvalues)
 
 
 class TestEvidenceContradictions:
@@ -333,6 +368,34 @@ class TestInconclusive:
         with pytest.raises(Inconclusive, match="^supplemented corner misses its target") as exc:
             decide(problem)
         assert exc.value.value >= 0.0 > exc.value.limit
+
+    def test_the_first_missed_corner_is_reported_with_its_scalar_residual(self, monkeypatch):
+        # Both corners are checked in one pass; the refusal names the first
+        # that misses, with |miss| and its bound as abs() of the complex
+        # entries reads them.  Here the first corner misses by 2e-17 of its
+        # scale and the second by 1.5e-16, whose abs() differs from the
+        # array np.abs in the last bit.
+        import blaschkepick.uniqueness as uniqueness_module
+
+        tol = 7e-17
+        b, points, orders = make_blaschke([-0.66 - 0.35j, 0.44 - 0.32j, 0.09 - 0.28j]), (1.0, -1.0), (4, 2)
+        cert = decide(ContactProblem(b=b, points=points, contact_orders=orders)).certificate
+        data = extract_data(b, points, [5, 3])
+        rows = [list(row) for row in data.values]
+        for i, value in cert.supplementary:
+            rows[i][2 * (orders[i] // 2) + 1] = value
+        redone = sp_boundary_structured(rows, points, [3, 2]).flat
+        completed = cert.completion.modified.flat
+        residuals, bounds = [], []
+        for j in cert.completion.complementary:
+            residuals.append(abs(complex(redone[j, j] - completed[j, j])))
+            bounds.append(tol * max(1.0, abs(complex(completed[j, j]))))
+        assert residuals[0] <= bounds[0] and residuals[1] > bounds[1]
+        monkeypatch.setattr(uniqueness_module, "SUPPLEMENTARY_RESIDUAL_TOL", tol)
+        with pytest.raises(Inconclusive) as exc:
+            decide(ContactProblem(b=b, points=points, contact_orders=orders))
+        assert str(exc.value) == f"supplemented corner misses its target by {residuals[1]}, above {bounds[1]}"
+        assert (exc.value.value, exc.value.limit) == (residuals[1], bounds[1])
 
 
 class TestTolerances:
