@@ -24,19 +24,17 @@ from .errors import (
     Inconclusive,
     InsufficientJet,
     PoleEvaluation,
-    PrincipalNotPD,
     RankMismatch,
     RootFindingFailure,
     SingularResolvent,
     ZeroOnOrOutsideDisk,
 )
-from .hermitian import HermitianReport, make_report, schur_complement
+from .hermitian import HermitianReport, make_report
 from .pick import (
     AdmissibilityReport,
     Completion,
     JetData,
     admissible,
-    complete_to_pd,
     corner_value,
     extract_data,
 )
@@ -86,7 +84,6 @@ __all__ = [
     "JetData",
     "NonUniqueCertificate",
     "PoleEvaluation",
-    "PrincipalNotPD",
     "RadialDiagnostics",
     "RankMismatch",
     "RootFindingFailure",
@@ -99,7 +96,6 @@ __all__ = [
     "ZeroOnOrOutsideDisk",
     "admissible",
     "check_minimality",
-    "complete_to_pd",
     "corner_value",
     "criterion",
     "decide",
@@ -114,7 +110,6 @@ __all__ = [
     "psi_matrix",
     "realize",
     "resolvent_rows",
-    "schur_complement",
     "sp_boundary_radial",
     "sp_boundary_structured",
     "sp_via_realization",

@@ -224,6 +224,13 @@ def _finite_jets(b: BlaschkeProduct, centers, order: int) -> np.ndarray:
     return jets
 
 
+def _require_jet_gather(b: BlaschkeProduct, count: int, order: int) -> None:
+    """The size rule of :func:`_jet_array` at `count` centers and coefficients
+    through `order`, which callers that plan around the jets check first."""
+    n = order + 1
+    _require_size(max(1, b.degree) * count * n * n, "the jet gather")
+
+
 def _jet_array(b: BlaschkeProduct, centers: np.ndarray, order: int) -> np.ndarray:
     """Coefficients w_0 .. w_order of b at every entry of `centers`.
 
@@ -249,8 +256,8 @@ def _jet_array(b: BlaschkeProduct, centers: np.ndarray, order: int) -> np.ndarra
     points in one call.  Raises PoleEvaluation for a center within 1e-12
     of a pole 1 / conj(a), read as |D| < |a| 1e-12.
     """
+    _require_jet_gather(b, centers.size, order)
     n = order + 1
-    _require_size(max(1, b.degree) * centers.size * n * n, "the jet gather")
     a, d = _denominators(b, centers)
     ac = a.conj()
     # A last column of zeros fills the Toeplitz gather above the diagonal.

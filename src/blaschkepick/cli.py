@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from ._pcg64 import PCG64Stream
-from .blaschke import BlaschkeProduct, _finite_jets, _require_layout, make_blaschke
+from .blaschke import BlaschkeProduct, _finite_jets, _require_jet_gather, _require_layout, make_blaschke
 from .errors import BlaschkePickError, Inconclusive, RankMismatch
 from .hermitian import HERMITIAN_DEFECT_TOL, HermitianReport, make_report
 from .pick import ADMISSIBLE_TOL
@@ -221,12 +221,13 @@ def _compare_routes(
     realization matrices, their max-abs difference, and the largest
     structured entry, whose 1 + scales the difference (:func:`_residual`).
 
-    The structured matrix is built as `decide` builds it: the structured
-    geometry, then one jet evaluation of all points.  Points and orders get
-    the layout check of every route, so a bad layout is refused with the
-    type and message of :func:`sp_boundary_structured` and
-    :func:`sp_boundary_radial`."""
+    The structured matrix is built as `decide` builds it: the jet gather's
+    size rule, the structured geometry, then one jet evaluation of all
+    points.  Points and orders get the layout check of every route, so a
+    bad layout is refused with the type and message of
+    :func:`sp_boundary_structured` and :func:`sp_boundary_radial`."""
     pts, ks = _require_layout(points, ks, "orders")
+    _require_jet_gather(b, len(pts), 2 * max(ks) - 1)
     geometry = _structured_geometry(pts, ks)
     jets = _finite_jets(b, pts, 2 * max(ks) - 1)
     structured = SchwarzPickMatrix(flat=_structured_flat(jets, *geometry), points=pts, orders=ks)

@@ -37,10 +37,6 @@ class InsufficientJet(BlaschkePickError):
     """A jet is too short for the requested derivative orders."""
 
 
-class PrincipalNotPD(BlaschkePickError):
-    """The selected principal submatrix is not positive definite."""
-
-
 class RankMismatch(BlaschkePickError):
     """Matrix evidence contradicts the combinatorial uniqueness criterion."""
 

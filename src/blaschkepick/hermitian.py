@@ -10,14 +10,12 @@ lambda_min against the same scale.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .blaschke import _require_numbers
-from .errors import ConvergenceFailure, Inconclusive, PrincipalNotPD
+from .errors import ConvergenceFailure, Inconclusive
 
 HERMITIAN_DEFECT_TOL = 1e-9
 DEFAULT_RANK_TOL = 1e-8
@@ -83,61 +81,6 @@ def _rank_above(w: np.ndarray, tol: float) -> int:
     if w.size == 0:
         return 0
     return int(np.count_nonzero(w > tol * max(1.0, float(w[-1]))))
-
-
-def schur_complement(m, head: Sequence[int]) -> HermitianReport:
-    """Report of the complement D - R P^{-1} R* of the principal block on
-    `head`, at the default tolerances.
-
-    `head` selects the rows/columns of the leading block P in the partition
-    [[P, R*], [R, D]]; the complement lives on the remaining indices in
-    ascending order.  m gets the strict Hermitian check of
-    :func:`make_report`, and P must be positive definite (Cholesky is the
-    test).
-
-    With P = L L*, the complement is formed as D - Y* Y with Y = L^{-1} R*,
-    which is Hermitian up to the rounding of Y* Y however much D and
-    R P^{-1} R* cancel; the strict Hermitian test reads that rounding
-    against the scale of Y* Y.
-    """
-    matrix, _ = _symmetrize(_require_numbers(m, "matrix", None), strict=True)
-    return _schur(matrix, *_split(matrix.shape[0], head))
-
-
-def _split(n: int, head: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Integer arrays of the distinct indices in head, in order of first
-    appearance, and of the other indices of an n x n matrix, ascending.
-
-    Raises ValueError for an index outside 0 .. n - 1.
-    """
-    head = list(dict.fromkeys(operator.index(i) for i in head))
-    for i in head:
-        if not 0 <= i < n:
-            raise ValueError(f"index {i} out of range for a {n} x {n} matrix")
-    in_head = set(head)
-    tail = [i for i in range(n) if i not in in_head]
-    return np.array(head, dtype=np.intp), np.array(tail, dtype=np.intp)
-
-
-def _schur(mat: np.ndarray, head: np.ndarray, tail: np.ndarray) -> HermitianReport:
-    """:func:`schur_complement` of the Hermitian matrix mat, given integer
-    index arrays head and tail that partition its rows, tail ascending."""
-    if not head.size:
-        return make_report(mat[tail[:, None], tail])
-    p = mat[head[:, None], head]
-    try:
-        chol = np.linalg.cholesky(p)
-    except np.linalg.LinAlgError as exc:
-        raise PrincipalNotPD(f"principal block on {head.tolist()} is not positive definite") from exc
-    if not tail.size:
-        return make_report(np.zeros((0, 0), dtype=complex))
-    y = np.linalg.solve(chol, mat[tail[:, None], head].conj().T)
-    yy = y.conj().T @ y
-    s, defect = _symmetrize(mat[tail[:, None], tail] - yy, strict=False)
-    # D is exactly Hermitian, so any defect is rounding in Y* Y; judge it on
-    # that product's scale, not on the complement's, which can be far smaller.
-    _require_hermitian(defect, yy)
-    return _read(s, defect, eigen_h(s), DEFAULT_RANK_TOL, DEFAULT_PD_TOL)
 
 
 @dataclass(frozen=True, eq=False)

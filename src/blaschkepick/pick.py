@@ -1,4 +1,4 @@
-"""Pick matrices from raw boundary jet data: feasibility, corners, completion.
+"""Pick matrices from raw boundary jet data: feasibility, corners, the completion record.
 
 The data, ``JetData``, is a list of Taylor-type coefficients prescribed
 at distinct points of the unit circle.  ``sp_boundary_structured`` on its
@@ -17,11 +17,8 @@ entry (:func:`corner_value`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .blaschke import (
     BlaschkeProduct,
@@ -31,18 +28,7 @@ from .blaschke import (
     _require_orders,
     validate_points,
 )
-from .hermitian import (
-    DEFAULT_PD_TOL,
-    DEFAULT_RANK_TOL,
-    HermitianReport,
-    _read,
-    _require_tolerance,
-    _schur,
-    _split,
-    _symmetrize,
-    eigen_h,
-    make_report,
-)
+from .hermitian import HermitianReport, _require_tolerance, make_report
 from .schwarz_pick import SchwarzPickMatrix, _coefficient_table, psi_matrix, sp_boundary_structured
 
 ADMISSIBLE_TOL = 1e-8
@@ -81,14 +67,17 @@ class AdmissibilityReport:
 
 @dataclass(frozen=True, eq=False)
 class Completion:
-    """Record of a positive definite completion.
+    """Record of the positive definite completion that ``decide`` certifies.
 
     `shift` was added to the diagonal entries listed in `complementary`
-    (flat indices); everything else is unchanged.  `report` reads the
-    modified matrix at the tolerances of the report it was completed from.
+    (flat indices); everything else is unchanged.  It is the margin when
+    any entry is listed and 0 otherwise: the extended matrix of a product's
+    own jets is PSD by structure, so with its principal block positive
+    definite any positive shift completes it.  `report` reads the modified
+    matrix at the tolerances ``decide`` was given.
     """
 
-    modified: object
+    modified: SchwarzPickMatrix
     shift: float
     complementary: tuple[int, ...]
     margin: float
@@ -140,67 +129,3 @@ def corner_value(values: Sequence[complex], point: complex, order: int) -> compl
     (k,) = _require_orders((order,), "order", least=0)
     coeffs = _coefficient_table([values], (k + 1,))[0]
     return complex(coeffs[k + 1 : 2 * k + 2] @ psi_matrix(point, k + 1) @ coeffs[k::-1].conj())
-
-
-def complete_to_pd(p_tilde, principal, margin: float = 1.0) -> Completion:
-    """Raise the complementary diagonal until the whole matrix is PD.
-
-    Args:
-        p_tilde: SchwarzPickMatrix or plain square array.
-        principal: flat indices of the block that must already be PD.
-        margin: extra slack beyond the minimal shift; the shift is
-            max(0, -lambda_min(S)) + margin with S the Schur complement of
-            the principal block.  It must be finite and positive
-            (ValueError otherwise), or the result need not be PD.
-
-    Only the diagonal entries outside `principal` change.  Raises
-    PrincipalNotPD when the principal block is not positive definite, and
-    what :func:`make_report` raises for a matrix that is not square, holds
-    a non-number or a non-finite entry.
-    """
-    _require_margin(margin)
-    is_pick = isinstance(p_tilde, SchwarzPickMatrix)
-    if not is_pick:
-        p_tilde = _require_numbers(p_tilde, "matrix", None)
-    matrix, defect = _symmetrize(p_tilde.flat if is_pick else p_tilde, strict=False)
-    head, comp = _split(matrix.shape[0], principal)
-    return _complete(p_tilde, matrix, defect, DEFAULT_RANK_TOL, DEFAULT_PD_TOL, head, comp, margin)
-
-
-def _require_margin(margin: float) -> None:
-    """Raise ValueError unless the completion margin is finite and positive."""
-    if not (math.isfinite(margin) and margin > 0.0):
-        raise ValueError(f"completion margin must be finite and positive, got {margin!r}")
-
-
-def _complete(
-    p_tilde, matrix: np.ndarray, defect: float, rank_tol: float, pd_tol: float,
-    head: np.ndarray, comp: np.ndarray, margin: float,
-) -> Completion:
-    """:func:`complete_to_pd` given p_tilde, a SchwarzPickMatrix or a
-    complex array, symmetrized as matrix with its defect, the checked
-    tolerances that the completion's report reads at, and the principal
-    indices split into integer arrays head and ascending complement comp.
-
-    A real shift on the diagonal commutes with the symmetrization (M + M*) / 2
-    bit for bit and leaves M - M* as it was, so the symmetrized modified
-    matrix is `matrix` with the shift on the complement's diagonal, with the
-    same defect.
-    """
-    is_pick = isinstance(p_tilde, SchwarzPickMatrix)
-    flat = p_tilde.flat if is_pick else p_tilde
-    # With an empty complement this only checks that the whole matrix is PD.
-    s = _schur(matrix, head, comp)
-    shift = max(0.0, -s.lambda_min) + float(margin) if comp.size else 0.0
-    # The complement's diagonal entries are at comp (n + 1) in the raveled matrix.
-    modified_flat, modified_h, at = flat.copy(), matrix.copy(), comp * (len(matrix) + 1)
-    for modified in (modified_flat, modified_h):
-        modified.put(at, modified.take(at) + shift)
-    return Completion(
-        modified=SchwarzPickMatrix(modified_flat, p_tilde.points, p_tilde.orders) if is_pick else modified_flat,
-        shift=shift,
-        complementary=tuple(comp.tolist()),
-        margin=float(margin),
-        report=_read(modified_h, defect, eigen_h(modified_h), rank_tol, pd_tol),
-    )
-

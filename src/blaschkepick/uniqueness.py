@@ -16,10 +16,14 @@ criterion and backs the verdict with matrix evidence:
               below its size, so no positive definite completion exists.
 * NonUnique:  the truncated matrix is positive definite; extending each
               even-order point by one derivative and raising the new
-              bottom diagonal entries yields a positive definite extended
-              matrix, and the raised entries are realized by explicit
-              supplementary jet coefficients, so the jet problem stays
-              solvable with room to spare.
+              bottom diagonal entries by the completion margin yields a
+              positive definite extended matrix, and the raised entries
+              are realized by explicit supplementary jet coefficients, so
+              the jet problem stays solvable with room to spare.  Any
+              positive shift completes: the extended matrix of b's own
+              jets is P~ = R R*, positive semidefinite by structure, so
+              with P positive definite the Schur complement of P in the
+              shifted matrix is P~'s, PSD, plus the shift times I.
 
 The evidence is required to agree with the criterion; a contradiction
 raises RankMismatch instead of silently overriding either side.
@@ -34,7 +38,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, _finite_jets, _require_finite, _require_layout, _require_orders
+from .blaschke import (
+    BlaschkeProduct,
+    _finite_jets,
+    _require_finite,
+    _require_jet_gather,
+    _require_layout,
+    _require_orders,
+)
 from .errors import Inconclusive, RankMismatch
 from .hermitian import (
     DEFAULT_PD_TOL,
@@ -43,14 +54,13 @@ from .hermitian import (
     _read,
     _require_hermitian,
     _require_tolerance,
-    _split,
     eigen_h,
 )
-from .pick import Completion, _complete, extract_data
+from .pick import Completion, extract_data
 from .schwarz_pick import PLAN_CACHE_SIZE, SchwarzPickMatrix, _structured_flat, _structured_geometry
 
 SUPPLEMENTARY_RESIDUAL_TOL = 1e-10
-# The completion's slack beyond the minimal shift, relative to max(1, lambda_max).
+# The completion's shift on the corner diagonal, relative to max(1, lambda_max(P~)).
 COMPLETION_MARGIN = 1.0
 
 
@@ -99,7 +109,8 @@ class NonUniqueCertificate:
     supplementary lists, per point whose block was extended by one row (the
     other points keep their orders), its index and the jet coefficient
     b_{2k+1} realizing the completed corner: the bottom diagonal entry the
-    completion raised, at the flat index in `completion.complementary`.
+    completion raised by its shift, the margin, at the flat index in
+    `completion.complementary`.
     roundtrip_residual is the max-abs difference between the completed
     matrix and the one rebuilt from the supplemented data.  extended_report
     reads the completed matrix.
@@ -153,23 +164,30 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
     less than sum k_i); when it says non-unique, it must be positive
     definite, and the extension is completed and must be positive definite
     too.  Any of these checks failing raises RankMismatch, since that means
-    the numerics contradict an exact statement.  The truncated and the
-    completed matrix get the strict Hermitian test of :func:`make_report`;
-    failing it raises Inconclusive, since the data were valid but the
-    rounding of the build hides the spectrum.  Each supplement is b_{2k+1} +
-    shift / slope; a rebuilt corner that misses its completed value by more
-    than SUPPLEMENTARY_RESIDUAL_TOL max(1, |value|) raises Inconclusive too,
-    a build of the package's own that failed on valid data.
+    the numerics contradict an exact statement.  The completion adds shift =
+    margin = COMPLETION_MARGIN max(1, lambda_max(P~)) to the corners'
+    diagonal: P~ = R R* is PSD by structure, so once P reads positive
+    definite every positive shift completes, and the completed matrix's own
+    checks are the certificate.  The truncated and the completed matrix get
+    the strict Hermitian test of :func:`make_report`; failing it raises
+    Inconclusive, since the data were valid but the rounding of the build
+    hides the spectrum.  Each supplement is b_{2k+1} + shift / slope; a
+    rebuilt corner that misses its completed value by more than
+    SUPPLEMENTARY_RESIDUAL_TOL max(1, |value|) raises Inconclusive too, a
+    build of the package's own that failed on valid data.  The jet gather's
+    size rule is checked before the geometry is planned.
     """
     ks = tuple((m + 1) // 2 for m in problem.contact_orders)
     k_total, d = sum(ks), problem.b.degree
     unique = k_total > d
     even = () if unique else tuple(i for i, m in enumerate(problem.contact_orders) if m % 2 == 0)
     built = tuple(k + (i in even) for i, k in enumerate(ks))
-    geometry = _structured_geometry(problem.points, built)
     # The matrix at orders built reads coefficients below 2 built_i at point
     # i, so one evaluation through 2 max(built) - 1 covers it.
-    jets = _finite_jets(problem.b, problem.points, 2 * max(built) - 1)
+    jet_order = 2 * max(built) - 1
+    _require_jet_gather(problem.b, len(problem.points), jet_order)
+    geometry = _structured_geometry(problem.points, built)
+    jets = _finite_jets(problem.b, problem.points, jet_order)
     flat = _structured_flat(jets, *geometry)
     # (M + M*) / 2 and |M - M*| act entry by entry, so P's are the principal block of P~'s.
     flat_h = flat.conj().T
@@ -177,7 +195,7 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
     p_flat, p_sym, p_gap = flat, sym, gap
     if even:
         # The bottom row of each extended block is its corner; the rest is P.
-        corners, principal, block, diagonal = _corner_split(built, even)
+        corners, block, diagonal = _corner_split(built, even)
         p_flat, p_sym, p_gap = flat.take(block), sym.take(block), gap.take(block)
     pick = _read(p_sym, _defect(p_gap), eigen_h(p_sym), tolerances.rank, tolerances.pd)
     _require_hermitian(pick.defect, p_flat, built="the Pick matrix")
@@ -195,27 +213,38 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
     if unique:
         certificate = UniqueCertificate(rank=pick.numerical_rank)
     else:
-        p_tilde = SchwarzPickMatrix(flat=flat, points=problem.points, orders=built)
         supplementary, roundtrip = [], 0.0
         if not even:
             # Nothing to extend: the completed matrix is the truncated one,
             # whose report has just shown it positive definite.
             margin = COMPLETION_MARGIN * max(1.0, pick.lambda_max)
+            p_tilde = SchwarzPickMatrix(flat=flat, points=problem.points, orders=built)
             completion = Completion(modified=p_tilde, shift=0.0, complementary=(), margin=margin, report=pick)
         else:
-            defect = _defect(gap)
             margin = COMPLETION_MARGIN * max(1.0, float(eigen_h(sym)[-1]))
-            completion = _complete(p_tilde, sym, defect, tolerances.rank, tolerances.pd, principal, corners, margin)
-            completed = completion.modified.flat
+            # A real shift on the diagonal commutes with (M + M*) / 2 bit for
+            # bit and leaves M - M* as it was, so sym with the shift is the
+            # completed matrix symmetrized, with gap's defect.
+            completed, completed_h = flat.copy(), sym.copy()
+            completed.put(diagonal, flat.take(diagonal) + margin)
+            completed_h.put(diagonal, sym.take(diagonal) + margin)
+            report = _read(completed_h, _defect(gap), eigen_h(completed_h), tolerances.rank, tolerances.pd)
+            completion = Completion(
+                modified=SchwarzPickMatrix(flat=completed, points=problem.points, orders=built),
+                shift=margin,
+                complementary=tuple(corners.tolist()),
+                margin=margin,
+                report=report,
+            )
 
             # Only the corner moves with the top coefficient b_{2k+1}, with
             # slope (-1)^k t^(2k+1) conj(b_0) (corner_value); the supplement
-            # moves it by the shift.
+            # moves it by the shift, the margin.
             supplemented = jets.copy()
             for i in even:
                 k, t = ks[i], problem.points[i]
                 slope = (-1.0) ** k * t ** (2 * k + 1) * complex(jets[i, 0]).conjugate()
-                value = _require_finite(complex(jets[i, 2 * k + 1]) + completion.shift / slope, "value")
+                value = _require_finite(complex(jets[i, 2 * k + 1]) + margin / slope, "value")
                 supplemented[i, 2 * k + 1] = value
                 supplementary.append((i, value))
 
@@ -233,12 +262,12 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
                 raise Inconclusive(message, float(residual[j]), float(bound[j]))
             roundtrip = float(np.abs(redone - completed).max())
             # The strict Hermitian check of the completed matrix, whose
-            # report the completion read at these tolerances.
-            _require_hermitian(completion.report.defect, completed, built="the completed matrix")
-            if not completion.report.pd:
+            # report was read at these tolerances.
+            _require_hermitian(report.defect, completed, built="the completed matrix")
+            if not report.pd:
                 raise RankMismatch(
                     f"completed extension failed to be positive definite "
-                    f"(lambda_min = {completion.report.lambda_min})"
+                    f"(lambda_min = {report.lambda_min})"
                 )
         certificate = NonUniqueCertificate(
             completion=completion,
@@ -260,11 +289,13 @@ def _defect(gap: np.ndarray) -> float:
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _corner_split(built: tuple[int, ...], even: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Read-only indices at orders built: the rows of the corners, the bottom
-    row of each block in even, and of P, ascending, then the places of P and
-    of the corners' diagonal entries in the raveled matrix, for ndarray.take."""
+    row of each block in even, ascending, then the places of P, the matrix
+    without those rows, and of the corners' diagonal entries in the raveled
+    matrix, for ndarray.take."""
     n = sum(built)
-    corners, principal = _split(n, [sum(built[: i + 1]) - 1 for i in even])
-    split = corners, principal, principal[:, None] * n + principal, corners * (n + 1)
+    corners = (np.cumsum(built) - 1)[list(even)]
+    principal = np.delete(np.arange(n), corners)
+    split = corners, principal[:, None] * n + principal, corners * (n + 1)
     for array in split:
         array.flags.writeable = False
     return split

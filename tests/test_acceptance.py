@@ -18,7 +18,6 @@ from blaschkepick import (
     ContactProblem,
     NonUniqueCertificate,
     check_minimality,
-    complete_to_pd,
     decide,
     extract_data,
     level_set,
@@ -218,15 +217,22 @@ def test_criterion_7_first_order_boundary_value(capsys):
 
 
 def test_criterion_8_completion_worked_example(capsys):
-    completion = complete_to_pd(np.array([[1.0, 2.0], [2.0, 1.0]]), principal=[0], margin=1.0)
-    assert completion.shift == pytest.approx(4.0, abs=1e-12)
-    assert_allclose(completion.modified, [[1.0, 2.0], [2.0, 5.0]], atol=1e-12)
-    assert completion.report.lambda_min > 0.0
-    assert np.linalg.det(completion.modified) == pytest.approx(1.0, abs=1e-12)
+    # b(z) = (z - 0.5) / (1 - 0.5 z) with second-order contact at t = 1:
+    # P = [3] is PD and P~ = [[3, 3], [3, 3]] is PSD and singular, so the
+    # margin max(1, lambda_max(P~)) = 6 on the corner completes it.
+    verdict = decide(ContactProblem(b=make_blaschke([0.5]), points=(1.0,), contact_orders=(2,)))
+    completion = verdict.certificate.completion
+    assert not verdict.unique
+    assert_allclose(verdict.pick.matrix, [[3.0]], atol=1e-12)
+    assert completion.complementary == (1,)
+    assert completion.shift == pytest.approx(6.0, abs=1e-12)
+    assert_allclose(completion.modified.flat, [[3.0, 3.0], [3.0, 9.0]], atol=1e-12)
+    assert completion.report.pd
+    assert np.linalg.det(completion.modified.flat) == pytest.approx(18.0, abs=1e-12)
     with capsys.disabled():
         print(
-            "PASS criterion 8: [[1, 2], [2, 1]] over principal {0} completes to "
-            "[[1, 2], [2, 5]] with shift 4, PD, det 1"
+            "PASS criterion 8: P~ = [[3, 3], [3, 3]] of b = (z - 0.5) / (1 - 0.5 z) at t = 1 completes "
+            "over its corner to [[3, 3], [3, 9]] with shift = margin = 6, PD, det 18"
         )
 
 

@@ -9,12 +9,10 @@ from numpy.testing import assert_allclose
 from blaschkepick import (
     ConvergenceFailure,  # noqa: F401  (re-export check)
     Inconclusive,
-    PrincipalNotPD,
     admissible,
     extract_data,
     make_blaschke,
     make_report,
-    schur_complement,
 )
 
 
@@ -33,11 +31,10 @@ class TestMakeHermitian:
         with pytest.raises(ValueError):
             make_report(m)
 
-    @pytest.mark.parametrize("read", [make_report, lambda m: schur_complement(m, [0])], ids=["report", "schur"])
-    def test_a_callers_non_hermitian_matrix_is_a_value_error(self, read):
+    def test_a_callers_non_hermitian_matrix_is_a_value_error(self):
         # Inconclusive is for matrices the package built itself.
         with pytest.raises(ValueError, match="matrix is not Hermitian") as exc:
-            read(np.array([[1.0, 5.0], [0.0, 1.0]]))
+            make_report(np.array([[1.0, 5.0], [0.0, 1.0]]))
         assert not isinstance(exc.value, Inconclusive)
 
     def test_non_strict_carries_on(self):
@@ -110,68 +107,6 @@ def test_gram_matrices_report_psd_with_factor_rank(seed, n, r):
     report = make_report(f @ f.conj().T)
     assert report.psd
     assert report.numerical_rank == np.linalg.matrix_rank(f)
-
-
-class TestSchurComplement:
-    def test_two_by_two_worked_value(self):
-        s = schur_complement(np.array([[1.0, 2.0], [2.0, 1.0]]), head=[0])
-        assert_allclose(s.matrix, [[-3.0]])
-        assert s.lambda_min == pytest.approx(-3.0)
-        assert not s.psd
-
-    def test_block_identity(self):
-        rng = np.random.default_rng(9)
-        f = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        m = f @ f.conj().T + np.eye(5)
-        s = schur_complement(m, head=[0, 1]).matrix
-        # det(M) = det(P) det(S).
-        det_p = np.linalg.det(m[:2, :2])
-        assert np.linalg.det(m) == pytest.approx(det_p * np.linalg.det(s), rel=1e-9)
-
-    def test_cancelling_complement_stays_hermitian(self):
-        # D = R P^{-1} R* + I/2 with |R| ~ 1e3: the complement cancels terms
-        # of size 1e6 down to I/2, which must not leave a Hermitian defect
-        # large enough to be rejected.
-        for seed in range(200):
-            rng = np.random.default_rng(seed)
-            f = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            p = f @ f.conj().T + np.eye(4)
-            r = 1e3 * (rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)))
-            d = r @ np.linalg.solve(p, r.conj().T) + 0.5 * np.eye(3)
-            m = np.block([[p, r.conj().T], [r, d]])
-            s = schur_complement(0.5 * (m + m.conj().T), head=range(4))
-            assert_allclose(s.matrix, 0.5 * np.eye(3), atol=1e-6)
-
-    def test_complement_cancelling_terms_of_1e8(self):
-        # As above with |R| ~ 1e4: the rounding of R P^{-1} R* is about
-        # 1e-8, above 1e-9 times the complement's scale of one but not
-        # above it times the scale of the cancelled terms.
-        for seed in range(50):
-            rng = np.random.default_rng(seed)
-            f = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            p = f @ f.conj().T + np.eye(4)
-            r = 1e4 * (rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)))
-            d = r @ np.linalg.solve(p, r.conj().T) + 0.5 * np.eye(3)
-            m = np.block([[p, r.conj().T], [r, d]])
-            s = schur_complement(0.5 * (m + m.conj().T), head=range(4))
-            assert_allclose(s.matrix, 0.5 * np.eye(3), atol=1e-13 * np.abs(d).max())
-
-    def test_principal_block_must_be_pd(self):
-        with pytest.raises(PrincipalNotPD):
-            schur_complement(np.array([[-1.0, 0.0], [0.0, 2.0]]), head=[0])
-
-    def test_empty_head_returns_tail_block(self):
-        m = np.array([[1.0, 2.0], [2.0, 5.0]])
-        s = schur_complement(m, head=[])
-        assert_allclose(s.matrix, m)
-
-    def test_full_head_returns_empty(self):
-        s = schur_complement(np.eye(2), head=[0, 1])
-        assert s.matrix.shape == (0, 0)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            schur_complement(np.eye(2), head=[3])
 
 
 class TestMakeReport:

@@ -14,7 +14,6 @@ from blaschkepick import (
     ContactProblem,
     JetData,
     UnitaryRealization,
-    complete_to_pd,
     corner_value,
     evaluate,
     level_set,
@@ -22,7 +21,6 @@ from blaschkepick import (
     make_report,
     realize,
     resolvent_rows,
-    schur_complement,
     sp_boundary_structured,
     taylor_jet,
 )
@@ -199,16 +197,12 @@ _ONE = [[1.0]]
 _RAGGED = [[1.0], [1.0, 2.0]]
 MATRIX_ENTRIES = {
     "make_report": ("matrix", lambda x: make_report([[2.0, 0.5], [0.5, x]], strict=False).matrix),
-    "schur_complement": ("matrix", lambda x: schur_complement([[2.0, 0.5], [0.5, x]], [0]).matrix),
-    "complete_to_pd": ("matrix", lambda x: complete_to_pd([[2.0, 0.5], [0.5, x]], [0]).modified),
     "UnitaryRealization-A": ("A", lambda x: UnitaryRealization(A=[[x]], B=_ONE, C=_ONE, D=0.5).A),
     "UnitaryRealization-B": ("B", lambda x: UnitaryRealization(A=_ONE, B=[[x]], C=_ONE, D=0.5).B),
     "UnitaryRealization-C": ("C", lambda x: UnitaryRealization(A=_ONE, B=_ONE, C=[[x]], D=0.5).C),
 }
 RAGGED_MATRICES = {
     "make_report": ("matrix", lambda: make_report(_RAGGED)),
-    "schur_complement": ("matrix", lambda: schur_complement(_RAGGED, [0])),
-    "complete_to_pd": ("matrix", lambda: complete_to_pd(_RAGGED, [0])),
     "UnitaryRealization-A": ("A", lambda: UnitaryRealization(A=_RAGGED, B=_ONE, C=_ONE, D=0.5)),
     "UnitaryRealization-B": ("B", lambda: UnitaryRealization(A=_ONE, B=_RAGGED, C=_ONE, D=0.5)),
     "UnitaryRealization-C": ("C", lambda: UnitaryRealization(A=_ONE, B=_ONE, C=_RAGGED, D=0.5)),

@@ -1,4 +1,4 @@
-"""Pick matrices from raw boundary data, corner algebra, and completion."""
+"""Pick matrices from raw boundary data and corner algebra."""
 
 import cmath
 
@@ -10,15 +10,12 @@ from blaschkepick import (
     CoincidentPoints,
     InsufficientJet,
     JetData,
-    PrincipalNotPD,
     SchwarzPickMatrix,
     admissible,
-    complete_to_pd,
     corner_value,
     extract_data,
     make_blaschke,
     realize,
-    schur_complement,
     sp_boundary_structured,
     sp_via_realization,
     taylor_jet,
@@ -313,90 +310,3 @@ class TestCornerValue:
     def test_non_numeric_value_is_a_type_error(self, read, row):
         with pytest.raises(TypeError):
             read(row)
-
-
-class TestCompleteToPd:
-    def test_two_by_two_worked_example(self):
-        completion = complete_to_pd(np.array([[1.0, 2.0], [2.0, 1.0]]), principal=[0], margin=1.0)
-        assert completion.shift == pytest.approx(4.0)
-        assert_allclose(completion.modified, [[1.0, 2.0], [2.0, 5.0]])
-        assert completion.complementary == (1,)
-        assert completion.report.lambda_min == pytest.approx(3.0 - 2.0 * np.sqrt(2.0))
-        assert np.linalg.det(completion.modified) == pytest.approx(1.0)
-
-    def test_modified_matrix_is_pd(self):
-        rng = np.random.default_rng(47)
-        f = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-        singular_psd = f @ f.conj().T + 1e-3 * np.diag([1.0, 1.0, 0.0, 0.0])
-        completion = complete_to_pd(singular_psd, principal=[0, 1], margin=0.5)
-        assert completion.report.lambda_min > 0.0
-        w = np.linalg.eigvalsh(completion.modified)
-        assert completion.report.lambda_min == pytest.approx(w[0])
-        # Only the complementary diagonal moved.
-        diff = completion.modified - singular_psd
-        off = diff - np.diag(np.diag(diff))
-        assert_allclose(off, np.zeros_like(off), atol=1e-14)
-        assert_allclose(np.diag(diff)[2:], completion.shift * np.ones(2))
-        assert_allclose(np.diag(diff)[:2], np.zeros(2), atol=1e-14)
-
-    def test_shift_is_read_from_the_schur_complement_report(self):
-        rng = np.random.default_rng(48)
-        for _ in range(20):
-            n = int(rng.integers(2, 7))
-            f = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            # The complement is indefinite on about two draws in three.
-            m = f @ f.conj().T - rng.uniform(0.0, 2.0 * n) * np.eye(n)
-            m = 0.5 * (m + m.conj().T) + np.diag(np.r_[np.full(n // 2, 10.0 * n), np.zeros(n - n // 2)])
-            head = list(range(n // 2))
-            margin = float(rng.uniform(0.1, 2.0))
-            want = max(0.0, -schur_complement(m, head).lambda_min) + margin
-            assert complete_to_pd(m, head, margin).shift == want
-
-    def test_spectra_are_those_of_the_complement_and_the_completed_matrix(self, monkeypatch):
-        # The input's own spectrum is never read, so it is not computed.
-        import blaschkepick.hermitian as hermitian
-        import blaschkepick.pick as pick
-
-        seen = []
-
-        def counted(matrix):
-            seen.append(matrix.shape[0])
-            return np.linalg.eigvalsh(matrix)
-
-        monkeypatch.setattr(hermitian, "eigen_h", counted)
-        monkeypatch.setattr(pick, "eigen_h", counted)
-        rng = np.random.default_rng(49)
-        for n in range(2, 7):
-            f = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            m = f @ f.conj().T + np.eye(n)
-            seen.clear()
-            completion = complete_to_pd(m, list(range(n // 2)), 1.0)
-            assert seen == [n - n // 2, n]
-            assert completion.report.pd
-
-    def test_pick_matrix_input_round_trips_layout(self):
-        b = make_blaschke([0.5])
-        data = extract_data(b, [1.0, -1.0], [1, 1])
-        p = sp_boundary_structured(data.values, data.points, (1, 1))
-        completion = complete_to_pd(p, principal=[0], margin=1.0)
-        assert isinstance(completion.modified, SchwarzPickMatrix)
-        assert completion.modified.points == p.points
-        assert completion.modified.orders == p.orders
-
-    @pytest.mark.parametrize("margin", [-5.0, 0.0, float("nan"), float("inf"), float("-inf")])
-    def test_margin_must_be_finite_and_positive(self, margin):
-        # A negative margin would return a matrix that is not PD, and a
-        # non-finite one a NaN spectrum.
-        with pytest.raises(ValueError, match="must be finite and positive"):
-            complete_to_pd(np.array([[2.0, 1.0], [1.0, 1.0]]), [0], margin=margin)
-
-    def test_principal_must_be_pd(self):
-        with pytest.raises(PrincipalNotPD):
-            complete_to_pd(np.array([[-1.0, 0.0], [0.0, 1.0]]), principal=[0])
-
-    def test_empty_complement_requires_pd_and_shifts_nothing(self):
-        completion = complete_to_pd(np.eye(2), principal=[0, 1])
-        assert completion.shift == 0.0
-        assert completion.complementary == ()
-        with pytest.raises(PrincipalNotPD):
-            complete_to_pd(np.array([[1.0, 2.0], [2.0, 1.0]]), principal=[0, 1])

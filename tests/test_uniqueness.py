@@ -16,7 +16,6 @@ from blaschkepick import (
     RankMismatch,
     Tolerances,
     UniqueCertificate,
-    complete_to_pd,
     corner_value,
     criterion,
     decide,
@@ -26,7 +25,6 @@ from blaschkepick import (
     make_report,
     matches_jets,
     psi_matrix,
-    schur_complement,
     sp_boundary_structured,
     taylor_jet,
 )
@@ -242,12 +240,14 @@ class TestNonUniqueVerdicts:
             cert = verdict.certificate
             assert [i for i, _ in cert.supplementary] == even
             extended = sp_boundary_structured(data.values, data.points, [k + (i in even) for i, k in enumerate(ks)])
-            corners = {extended.row_index(i, ks[i]) for i in even}
-            principal = [j for j in range(extended.flat.shape[0]) if j not in corners]
+            corners = [extended.row_index(i, ks[i]) for i in even]
             margin = max(1.0, make_report(extended.flat, strict=False).lambda_max)
-            completion = complete_to_pd(extended, principal, margin)
-            scale = max(1.0, float(np.max(np.abs(completion.modified.flat))))
-            assert abs(cert.completion.shift - completion.shift) <= 1e-13 * scale
+            completed = extended.flat.copy()
+            completed[corners, corners] += margin
+            ref = make_report(completed, strict=False)
+            scale = max(1.0, float(np.max(np.abs(completed))))
+            assert abs(cert.completion.shift - margin) <= 1e-13 * scale
+            assert cert.extended_report.pd == ref.pd
             targets = completed_corners(cert)
             for i, b_sup in cert.supplementary:
                 vals = list(data.values[i][: 2 * ks[i] + 1]) + [b_sup]
@@ -264,7 +264,8 @@ class TestNonUniqueVerdicts:
         # passes on the even path and one elsewhere.  The truncated matrix is
         # read from the extended one, and the supplements need no Psi product
         # of their own.  The jets are evaluated once, through 2 max(k_i') - 1,
-        # and no eigenbasis or np.ix_ gather is formed.
+        # and no eigenbasis or np.ix_ gather is formed; the completion is the
+        # margin on the corners, with no Cholesky factor or solve.
         import blaschkepick.blaschke as blaschke_module
         import blaschkepick.pick as pick_module
         import blaschkepick.schwarz_pick as schwarz_pick_module
@@ -298,6 +299,8 @@ class TestNonUniqueVerdicts:
         monkeypatch.setattr(blaschke_module, "_jet_array", counted_jets)
         monkeypatch.setattr(pick_module, "psi_matrix", refused)
         monkeypatch.setattr(np.linalg, "eigh", refused)
+        monkeypatch.setattr(np.linalg, "cholesky", refused)
+        monkeypatch.setattr(np.linalg, "solve", refused)
         monkeypatch.setattr(np, "ix_", refused)
         b = make_blaschke([0.3, -0.2j, 0.1 + 0.4j])
         decide(ContactProblem(b=b, points=(1.0, -1.0)[: len(orders)], contact_orders=orders))
@@ -309,7 +312,8 @@ class TestSingleRead:
     @pytest.mark.parametrize("orders", [(2, 1), (1, 3), (3, 3)], ids=["even", "odd", "unique"])
     def test_decide_reads_what_the_public_path_reads(self, orders):
         # The one symmetrization of the built matrix, read at P's rows, and
-        # the completion from it are bit for bit the public functions' own.
+        # the completion from it, the margin on the corners' diagonal, are
+        # bit for bit what the public functions read.
         b = make_blaschke([0.3, -0.2j, 0.1 + 0.4j])
         problem = ContactProblem(b=b, points=(1.0, -1.0), contact_orders=orders)
         verdict = decide(problem)
@@ -326,10 +330,13 @@ class TestSingleRead:
         assert (got.defect, got.numerical_rank, got.psd, got.pd) == (want.defect, want.numerical_rank, want.psd, want.pd)
         if even:
             margin = max(1.0, make_report(p_tilde.flat, strict=False).lambda_max)
-            completion, cert = complete_to_pd(p_tilde, principal, margin), verdict.certificate.completion
-            assert (cert.shift, cert.margin, cert.complementary) == (completion.shift, margin, tuple(corners))
-            assert np.array_equal(cert.modified.flat, completion.modified.flat)
-            assert np.array_equal(cert.report.eigenvalues, completion.report.eigenvalues)
+            completed = p_tilde.flat.copy()
+            completed[corners, corners] += margin
+            want, cert = make_report(completed, strict=False), verdict.certificate.completion
+            assert (cert.shift, cert.margin, cert.complementary) == (margin, margin, tuple(corners))
+            assert np.array_equal(cert.modified.flat, completed)
+            assert np.array_equal(cert.report.matrix, want.matrix)
+            assert np.array_equal(cert.report.eigenvalues, want.eigenvalues)
 
 
 class TestEvidenceContradictions:
@@ -342,6 +349,32 @@ class TestEvidenceContradictions:
         problem = ContactProblem(b=make_blaschke([0.0]), points=(1.0,), contact_orders=(2,))
         with pytest.raises(RankMismatch):
             decide(problem, Tolerances(pd=1e30))
+
+    def test_a_lowered_corner_is_refused_not_absorbed(self, monkeypatch):
+        # The fault: the build lowers each corner's diagonal entry by
+        # 3 max(1, |P~|_2), in the built matrix and the roundtrip rebuild
+        # alike, so the extended matrix is no longer PSD.  The margin is at
+        # most max(1, |P~|_2), and the completed matrix's PD check refuses;
+        # a shift read from the Schur complement would absorb the drop.
+        import blaschkepick.uniqueness as uniqueness_module
+        from blaschkepick.schwarz_pick import _structured_flat
+
+        b, points, orders, built = make_blaschke([0.3, -0.2j, 0.1 + 0.4j]), (1.0, -1.0), (2, 4), (2, 3)
+        data = extract_data(b, points, [2 * k - 1 for k in built])
+        p_tilde = sp_boundary_structured(data.values, points, built)
+        corners = [p_tilde.row_index(i, k - 1) for i, k in enumerate(built)]
+        drop = 3.0 * max(1.0, float(np.linalg.norm(p_tilde.flat, 2)))
+        problem = ContactProblem(b=b, points=points, contact_orders=orders)
+        assert decide(problem).certificate.extended_report.pd
+
+        def lowered(jets, *geometry):
+            flat = _structured_flat(jets, *geometry)
+            flat[corners, corners] -= drop
+            return flat
+
+        monkeypatch.setattr(uniqueness_module, "_structured_flat", lowered)
+        with pytest.raises(RankMismatch, match="^completed extension failed to be positive definite"):
+            decide(problem)
 
 
 class TestInconclusive:
@@ -591,6 +624,22 @@ class TestMatchesJets:
             matches_jets(make_blaschke([-0.5]), problem, tol=tol)
 
 
+def test_an_oversize_jet_gather_is_refused_before_the_plan(monkeypatch):
+    # Ten points of contact order 578 at degree 3 gather 3 x 10 x 578^2
+    # entries, above the limit, while the plan of orders 289, with 2,890^2
+    # entries, is within it and would allocate its arrays first.
+    import blaschkepick.uniqueness as uniqueness_module
+
+    def refused(*args):
+        raise AssertionError("decide must not plan an oversize problem")
+
+    monkeypatch.setattr(uniqueness_module, "_structured_geometry", refused)
+    points = tuple(cmath.exp(2j * math.pi * j / 10) for j in range(10))
+    problem = ContactProblem(b=make_blaschke([0.1, 0.2j, -0.3]), points=points, contact_orders=(578,) * 10)
+    with pytest.raises(ValueError, match=f"^the jet gather would hold {3 * 10 * 578**2} entries"):
+        decide(problem)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -599,8 +648,6 @@ class TestMatchesJets:
         lambda order: taylor_jet(make_blaschke([0.5]), 1.0, order),
         lambda order: psi_matrix(1.0, order),
         lambda order: corner_value([1.0] * 6, 1.0, order),
-        lambda order: schur_complement(np.eye(2), [order - 2]),
-        lambda order: complete_to_pd(np.eye(2), [order - 2]),
         lambda order: criterion([order], 1),
         lambda order: criterion([3], order),
         lambda order: derivative_orders([order]),
@@ -611,8 +658,6 @@ class TestMatchesJets:
         "taylor-jet",
         "psi-matrix",
         "corner-value",
-        "schur-complement-index",
-        "complete-to-pd-index",
         "criterion",
         "criterion-degree",
         "derivative-orders",
