@@ -14,8 +14,10 @@ from blaschkepick import (
     Inconclusive,
     NonUniqueCertificate,
     RankMismatch,
+    SchwarzPickMatrix,
     Tolerances,
     UniqueCertificate,
+    admissible,
     corner_value,
     criterion,
     decide,
@@ -25,7 +27,11 @@ from blaschkepick import (
     make_report,
     matches_jets,
     psi_matrix,
+    realize,
+    resolvent_rows,
+    sp_boundary_radial,
     sp_boundary_structured,
+    sp_via_realization,
     taylor_jet,
 )
 from helpers import CLUSTERED_PROBLEMS, random_blaschke, random_circle_points
@@ -337,6 +343,141 @@ class TestSingleRead:
             assert np.array_equal(cert.modified.flat, completed)
             assert np.array_equal(cert.report.matrix, want.matrix)
             assert np.array_equal(cert.report.eigenvalues, want.eigenvalues)
+
+
+# Non-unique problems with at least one even contact order, whose blocks
+# decide extends by one row and completes.  "margin-floor" has
+# lambda_max(P~) < 1, so its margin is COMPLETION_MARGIN itself.
+EVEN_PROBLEMS = {
+    "one-zero": (make_blaschke([0.5]), (1.0,), (2,)),
+    "margin-floor": (make_blaschke([-0.5]), (1.0,), (2,)),
+    "two-even": (make_blaschke([0.3, -0.2j, 0.1 + 0.4j]), (1.0, -1.0), (2, 4)),
+    "even-and-odd": (make_blaschke([0.3, -0.2j, 0.1 + 0.4j]), (1.0, -1.0), (2, 1)),
+    "three-points": (make_blaschke([0.2, 0.5j, -0.4, 0.1 - 0.3j]), (1.0, 1j, cmath.exp(2.5j)), (2, 1, 2)),
+    "near-circle": (make_blaschke([0.9, -0.6j]), (1.0,), (2,)),
+}
+# Problems decide does not extend: non-unique with odd orders only, and unique.
+UNEXTENDED_PROBLEMS = {
+    "odd": (make_blaschke([0.3, -0.2j, 0.1 + 0.4j]), (1.0, -1.0), (1, 3)),
+    "odd-three-points": (make_blaschke([0.2, 0.5j, -0.4, 0.1 - 0.3j]), (1.0, 1j, -1.0), (1, 3, 1)),
+    "unique": (make_blaschke([0.3, -0.2j, 0.1 + 0.4j]), (1.0, -1.0), (3, 3)),
+    "unique-one-point": (make_blaschke([0.5]), (1.0,), (3,)),
+}
+
+
+def extension(name: str):
+    """An even problem's verdict, P~ built by the public path at decide's
+    orders, and the points it extends."""
+    b, points, orders = EVEN_PROBLEMS[name]
+    problem = ContactProblem(b=b, points=points, contact_orders=orders)
+    verdict = decide(problem)
+    assert not verdict.unique
+    even = [i for i, m in enumerate(orders) if m % 2 == 0]
+    built = [k + (i in even) for i, k in enumerate(verdict.derivative_orders)]
+    data = extract_data(b, points, [2 * k - 1 for k in built])
+    return verdict, sp_boundary_structured(data.values, data.points, built), even
+
+
+class TestCompletion:
+    """decide completes P~ by the margin on the corners' diagonal alone."""
+
+    @pytest.mark.parametrize("name", EVEN_PROBLEMS)
+    def test_only_the_corner_diagonal_moves_by_the_shift(self, name):
+        verdict, p_tilde, even = extension(name)
+        completion = verdict.certificate.completion
+        corners = list(completion.complementary)
+        moved = np.zeros(p_tilde.flat.shape, dtype=bool)
+        moved[corners, corners] = True
+        assert np.array_equal(completion.modified.flat[~moved], p_tilde.flat[~moved])
+        assert np.array_equal(completion.modified.flat[moved], p_tilde.flat[moved] + completion.shift)
+
+    @pytest.mark.parametrize("name", EVEN_PROBLEMS)
+    def test_shift_is_the_margin_of_the_extended_matrix(self, name):
+        from blaschkepick.uniqueness import COMPLETION_MARGIN
+
+        verdict, p_tilde, _ = extension(name)
+        completion = verdict.certificate.completion
+        lambda_max = make_report(p_tilde.flat, strict=False).lambda_max
+        assert completion.shift == completion.margin == COMPLETION_MARGIN * max(1.0, lambda_max)
+        assert (completion.shift == COMPLETION_MARGIN) == (name == "margin-floor")
+
+    @pytest.mark.parametrize("name", EVEN_PROBLEMS)
+    def test_the_report_reads_the_completed_matrix_as_positive_definite(self, name):
+        verdict, _, _ = extension(name)
+        cert = verdict.certificate
+        want = make_report(cert.completion.modified.flat, cert.extended_report.rank_tol, cert.extended_report.pd_tol)
+        assert cert.extended_report is cert.completion.report
+        assert np.array_equal(cert.extended_report.matrix, want.matrix)
+        assert np.array_equal(cert.extended_report.eigenvalues, want.eigenvalues)
+        assert cert.extended_report.pd and want.pd
+        assert cert.extended_report.lambda_min > 0.0
+
+    @pytest.mark.parametrize("name", EVEN_PROBLEMS)
+    def test_complementary_lists_the_corner_of_each_even_point(self, name):
+        verdict, p_tilde, even = extension(name)
+        cert = verdict.certificate
+        corners = tuple(p_tilde.row_index(i, p_tilde.orders[i] - 1) for i in even)
+        assert cert.completion.complementary == corners
+        assert [i for i, _ in cert.supplementary] == even
+
+    @pytest.mark.parametrize("name", EVEN_PROBLEMS)
+    def test_the_completed_matrix_keeps_the_layout_of_the_extension(self, name):
+        verdict, p_tilde, _ = extension(name)
+        modified = verdict.certificate.completion.modified
+        assert isinstance(modified, SchwarzPickMatrix)
+        assert (modified.points, modified.orders) == (p_tilde.points, p_tilde.orders)
+        assert modified.flat.shape == p_tilde.flat.shape
+
+    @pytest.mark.parametrize("name", ["odd", "odd-three-points"])
+    def test_odd_orders_only_complete_with_no_shift(self, name):
+        b, points, orders = UNEXTENDED_PROBLEMS[name]
+        verdict = decide(ContactProblem(b=b, points=points, contact_orders=orders))
+        completion = verdict.certificate.completion
+        assert not verdict.unique
+        assert (completion.shift, completion.complementary) == (0.0, ())
+        assert completion.margin == max(1.0, verdict.pick.lambda_max)
+        assert completion.report is verdict.pick
+        assert completion.modified.orders == verdict.derivative_orders
+
+    @pytest.mark.parametrize("name", [*EVEN_PROBLEMS, *UNEXTENDED_PROBLEMS])
+    def test_decide_reads_one_spectrum_per_matrix(self, name, monkeypatch):
+        # An extended problem reads P, P~ for the margin and the completed
+        # matrix: three spectra.  Any other problem reads P alone.
+        sizes, eigvalsh = [], np.linalg.eigvalsh
+
+        def counted(matrix):
+            sizes.append(matrix.shape[0])
+            return eigvalsh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        b, points, orders = {**EVEN_PROBLEMS, **UNEXTENDED_PROBLEMS}[name]
+        verdict = decide(ContactProblem(b=b, points=points, contact_orders=orders))
+        n = sum(verdict.derivative_orders)
+        if name in EVEN_PROBLEMS:
+            extended = n + len(verdict.certificate.supplementary)
+            assert sizes == [n, extended, extended]
+        else:
+            assert sizes == [n]
+
+
+@pytest.mark.parametrize(
+    "built, even",
+    [((2,), (0,)), ((2, 1), (0,)), ((2, 3), (0, 1)), ((1, 2, 2), (1, 2)), ((3, 1, 2, 2), (0, 3))],
+    ids=["one-point", "first-of-two", "both-of-two", "last-two-of-three", "ends-of-four"],
+)
+def test_corner_split_indexes_as_fancy_indexing_does(built, even):
+    # The corners are the bottom rows of the even blocks; P is the rest.
+    from blaschkepick.uniqueness import _corner_split
+
+    n = sum(built)
+    m = np.arange(n * n, dtype=float).reshape(n, n)
+    corners, block, diagonal = _corner_split(built, even)
+    want = [sum(built[: i + 1]) - 1 for i in even]
+    rest = [j for j in range(n) if j not in want]
+    assert corners.tolist() == want
+    assert np.array_equal(m.take(block), m[np.ix_(rest, rest)])
+    assert np.array_equal(m.take(diagonal), m[want, want])
+    assert not any(array.flags.writeable for array in (corners, block, diagonal))
 
 
 class TestEvidenceContradictions:
@@ -651,6 +792,11 @@ def test_an_oversize_jet_gather_is_refused_before_the_plan(monkeypatch):
         lambda order: criterion([order], 1),
         lambda order: criterion([3], order),
         lambda order: derivative_orders([order]),
+        lambda order: extract_data(make_blaschke([0.5]), [1.0], [order]),
+        lambda order: admissible(extract_data(make_blaschke([0.5]), [1.0], [5]), [order]),
+        lambda order: sp_boundary_radial(make_blaschke([0.5]), [1.0], [order]),
+        lambda order: sp_via_realization(realize(make_blaschke([0.5])), [1.0], [order]),
+        lambda order: resolvent_rows(realize(make_blaschke([0.5])), [1.0], [order]),
     ],
     ids=[
         "contact-problem",
@@ -661,6 +807,11 @@ def test_an_oversize_jet_gather_is_refused_before_the_plan(monkeypatch):
         "criterion",
         "criterion-degree",
         "derivative-orders",
+        "extract-data",
+        "admissible",
+        "radial",
+        "via-realization",
+        "resolvent-rows",
     ],
 )
 def test_orders_must_be_integral(call):
