@@ -12,7 +12,6 @@ reflected points 1 / conj(a_k), all of modulus greater than one.
 from __future__ import annotations
 
 import cmath
-import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -170,36 +169,18 @@ def make_blaschke(zeros: Sequence[complex], unimodular_constant: complex = 1.0) 
 
 
 def evaluate(b: BlaschkeProduct, z: complex) -> complex:
-    """Value b(z), for z away from the poles.
+    """Value b(z), for z away from the poles: coefficient w_0 of
+    :func:`_finite_jets` at z.
 
     Raises PoleEvaluation when z lies within 1e-12 of some 1 / conj(a_k),
-    by the test of :func:`_denominators`.
+    by the test of :func:`_jet_array`, and ValueError for an overflow.
     """
-    z = _require_finite(z, "z")
-    a, den = _denominators(b, np.array(z))
-    return complex(math.prod(((z - a) / den).tolist(), start=b.unimodular_constant))
+    return complex(_finite_jets(b, _require_finite(z, "z"), 0)[0])
 
 
 def poles(b: BlaschkeProduct) -> list[complex]:
     """Reflected points 1 / conj(a_k) for the nonzero zeros, with multiplicity."""
     return [1.0 / a.conjugate() for a in b.zeros if a != 0]
-
-
-def _denominators(b: BlaschkeProduct, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The zeros a, shaped to broadcast against `centers` along a leading
-    axis, and D = 1 - conj(a) z at every center.
-
-    Raises PoleEvaluation for a center within 1e-12 of a pole 1 / conj(a),
-    read as |D| < |a| 1e-12.
-    """
-    a = np.array(b.zeros, dtype=complex).reshape((-1,) + (1,) * centers.ndim)
-    d = 1.0 - a.conj() * centers
-    near = np.abs(d) < np.abs(a) * POLE_TOL
-    if near.any():
-        k, *at = np.argwhere(near)[0]
-        z, pole = complex(centers[tuple(at)]), 1.0 / complex(a.flat[k].conjugate())
-        raise PoleEvaluation(f"{z!r} lies within {POLE_TOL} of the pole at {pole!r}")
-    return a, d
 
 
 def taylor_jet(b: BlaschkeProduct, z0: complex, order: int) -> np.ndarray:
@@ -250,7 +231,8 @@ def _jet_array(b: BlaschkeProduct, centers: np.ndarray, order: int) -> np.ndarra
     of max(1, |w_j|).
 
     Every jet of the package comes from here: the radial route for every
-    radius and point, and, through the finite check of :func:`_finite_jets`,
+    radius and point, :func:`level_set` for its root check, and, through
+    the finite check of :func:`_finite_jets`, :func:`evaluate` and
     :func:`taylor_jet` at one center and ``decide``, ``extract_data``,
     ``matches_jets`` and the CLI route comparison for all of a problem's
     points in one call.  Raises PoleEvaluation for a center within 1e-12
@@ -258,7 +240,13 @@ def _jet_array(b: BlaschkeProduct, centers: np.ndarray, order: int) -> np.ndarra
     """
     _require_jet_gather(b, centers.size, order)
     n = order + 1
-    a, d = _denominators(b, centers)
+    a = np.array(b.zeros, dtype=complex).reshape((-1,) + (1,) * centers.ndim)
+    d = 1.0 - a.conj() * centers
+    near = np.abs(d) < np.abs(a) * POLE_TOL
+    if near.any():
+        k, *at = np.argwhere(near)[0]
+        z, pole = complex(centers[tuple(at)]), 1.0 / complex(a.flat[k].conjugate())
+        raise PoleEvaluation(f"{z!r} lies within {POLE_TOL} of the pole at {pole!r}")
     ac = a.conj()
     # A last column of zeros fills the Toeplitz gather above the diagonal.
     f = np.zeros(d.shape + (n + 1,), dtype=complex)
@@ -291,7 +279,7 @@ def level_set(b: BlaschkeProduct, tau: complex) -> list[complex]:
     For |tau| = 1 those d roots are simple and lie on the circle.
 
     Raises RootFindingFailure when a polished root leaves |b(root) - tau|
-    above 1e-8.
+    above 1e-8, and ValueError above degree 2,896, by the jet gather's size rule.
     """
     tau = _require_finite(tau, "tau")
     if abs(abs(tau) - 1.0) > CIRCLE_TOL:
@@ -311,8 +299,7 @@ def level_set(b: BlaschkeProduct, tau: complex) -> list[complex]:
     slope = np.polyval(np.polyder(p_desc), roots)
     step = np.divide(np.polyval(p_desc, roots), slope, out=np.zeros_like(roots), where=slope != 0)
     polished = roots - step
-    a, den = _denominators(b, polished)
-    residual = np.abs(b.unimodular_constant * np.prod((polished - a) / den, axis=0) - tau)
+    residual = np.abs(_jet_array(b, polished, 0)[:, 0] - tau)
     # Written so that a NaN residual fails too.
     bad = ~(residual <= LEVEL_SET_RESIDUAL)
     if bad.any():

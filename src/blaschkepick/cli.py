@@ -10,7 +10,7 @@ Problem files are JSON objects of the form
     }
 
 `analyze` reads `orders` as contact orders m_i; `crosscheck` reads them as
-derivative orders k_i.  Reports carry a top-level "schema": 2 and encode
+derivative orders k_i.  Reports carry a top-level "schema": 3 and encode
 complex numbers as [re, im] pairs.  Exit codes: 0 success, 2 validation
 error, 3 rank mismatch, 4 cross-route residual breach, 5 fuzz
 counterexample found, 6 inconclusive.  Commands raise their refusals, and
@@ -30,12 +30,12 @@ import numpy as np
 
 from . import __version__
 from ._pcg64 import PCG64Stream
-from .blaschke import BlaschkeProduct, _finite_jets, _require_jet_gather, _require_layout, make_blaschke
+from .blaschke import BlaschkeProduct, _require_layout, make_blaschke
 from .errors import BlaschkePickError, Inconclusive, RankMismatch
 from .hermitian import HERMITIAN_DEFECT_TOL, HermitianReport, make_report
 from .pick import ADMISSIBLE_TOL
 from .realization import realize, sp_via_realization
-from .schwarz_pick import CONTOUR_NODES, SchwarzPickMatrix, _structured_flat, _structured_geometry, sp_boundary_radial
+from .schwarz_pick import CONTOUR_NODES, SchwarzPickMatrix, _structured_build, sp_boundary_radial
 from .uniqueness import (
     ContactProblem,
     NonUniqueCertificate,
@@ -48,7 +48,7 @@ from .uniqueness import (
 
 ROUTE_RESIDUAL_LIMIT = 1e-8
 POINT_MODULUS_SLACK = 1e-6
-SCHEMA = 2
+SCHEMA = 3
 # Fuzz points are redrawn until they sit FUZZ_SPACING radians apart.  The
 # acceptance rate collapses with the point count: a draw takes over a tenth
 # of a second from 11 points and never ends from 18 (18 * 0.35 > 2 pi).
@@ -191,7 +191,6 @@ def _certificate_json(verdict: Verdict) -> dict:
     return {
         "type": "completed_extension",
         "diagonal_shift": comp.shift,
-        "margin": comp.margin,
         "complementary_indices": list(comp.complementary),
         "corner_values": [
             {"point_index": i, "value": complex_to_pair(comp.modified.flat[j, j])}
@@ -221,16 +220,13 @@ def _compare_routes(
     realization matrices, their max-abs difference, and the largest
     structured entry, whose 1 + scales the difference (:func:`_residual`).
 
-    The structured matrix is built as `decide` builds it: the jet gather's
-    size rule, the structured geometry, then one jet evaluation of all
-    points.  Points and orders get the layout check of every route, so a
+    The structured matrix comes from the :func:`_structured_build` of
+    `decide`.  Points and orders get the layout check of every route, so a
     bad layout is refused with the type and message of
     :func:`sp_boundary_structured` and :func:`sp_boundary_radial`."""
     pts, ks = _require_layout(points, ks, "orders")
-    _require_jet_gather(b, len(pts), 2 * max(ks) - 1)
-    geometry = _structured_geometry(pts, ks)
-    jets = _finite_jets(b, pts, 2 * max(ks) - 1)
-    structured = SchwarzPickMatrix(flat=_structured_flat(jets, *geometry), points=pts, orders=ks)
+    _, jets, flat = _structured_build(b, pts, ks)
+    structured = SchwarzPickMatrix(flat=flat, points=pts, orders=ks)
     via_real = sp_via_realization(realize(b), pts, ks)
     diff = float(np.max(np.abs(structured.flat - via_real)))
     norm = float(np.max(np.abs(structured.flat)))

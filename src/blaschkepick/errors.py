@@ -43,9 +43,10 @@ class RankMismatch(BlaschkePickError):
 
 class Inconclusive(BlaschkePickError):
     """A build of the package's own from valid data failed its check: a
-    matrix failed its Hermitian test, so its spectrum cannot back a verdict,
-    or a rebuilt supplemented corner missed its completed value.  `value` is
-    the measured defect or residual and `limit` the bound it exceeds."""
+    matrix overflowed or failed its Hermitian test, so its spectrum cannot
+    back a verdict, or a rebuilt supplemented corner missed its completed
+    value.  `value` is the measured defect or residual and `limit` the
+    bound it exceeds, the largest float for an overflow."""
 
     def __init__(self, message: str, value: float, limit: float):
         super().__init__(message)

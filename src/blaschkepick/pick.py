@@ -70,17 +70,16 @@ class Completion:
     """Record of the positive definite completion that ``decide`` certifies.
 
     `shift` was added to the diagonal entries listed in `complementary`
-    (flat indices); everything else is unchanged.  It is the margin when
-    any entry is listed and 0 otherwise: the extended matrix of a product's
-    own jets is PSD by structure, so with its principal block positive
-    definite any positive shift completes it.  `report` reads the modified
-    matrix at the tolerances ``decide`` was given.
+    (flat indices); everything else is unchanged.  It is the completion
+    margin when any entry is listed and 0 otherwise: the extended matrix of
+    a product's own jets is PSD by structure, so with its principal block
+    positive definite any positive shift completes it.  `report` reads the
+    modified matrix at the tolerances ``decide`` was given.
     """
 
     modified: SchwarzPickMatrix
     shift: float
     complementary: tuple[int, ...]
-    margin: float
     report: HermitianReport
 
 

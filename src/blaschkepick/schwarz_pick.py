@@ -40,12 +40,15 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, _jet_array, _require_layout, _require_numbers, _require_size, poles
+from .blaschke import (
+    BlaschkeProduct, _finite_jets, _jet_array, _require_jet_gather, _require_layout, _require_numbers, _require_size,
+    poles,
+)
 from .errors import ConvergenceFailure, DegenerateDenominator, InsufficientJet
 
 DEGENERATE_DENOMINATOR_TOL = 1e-13
@@ -73,23 +76,14 @@ DERIVATIVE_ORDER_MAX = 515
 class SchwarzPickMatrix:
     """Flat Hermitian-structured matrix plus its (point, derivative) block layout.
 
-    Row block i spans offsets[i] .. offsets[i] + orders[i] - 1 and holds the
-    derivative directions at points[i].  Schwarz-Pick matrices of functions
-    and Pick matrices of raw jet data share this layout.
+    Row block i spans orders[i] rows, after those of the points before it,
+    and holds the derivative directions at points[i].  Schwarz-Pick matrices
+    of functions and Pick matrices of raw jet data share this layout.
     """
 
     flat: np.ndarray
     points: tuple[complex, ...]
     orders: tuple[int, ...]
-
-    @cached_property
-    def offsets(self) -> tuple[int, ...]:
-        return tuple(itertools.accumulate(self.orders, initial=0))[:-1]
-
-    def row_index(self, point_index: int, derivative: int) -> int:
-        if not 0 <= derivative < self.orders[point_index]:
-            raise IndexError(f"derivative {derivative} out of range for order {self.orders[point_index]}")
-        return self.offsets[point_index] + derivative
 
 
 class _ShapePlan(NamedTuple):
@@ -280,6 +274,18 @@ def _structured_flat(jets: np.ndarray, plan: _ShapePlan, m: np.ndarray, psi: np.
     tri = coeff[plan.tri_index]
     hankel = coeff[plan.hankel_index]
     return (hankel + tri @ m - m @ tri.T) @ psi @ tri.conj().T
+
+
+def _structured_build(b: BlaschkeProduct, pts, ks) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """(geometry, jets, flat) of :func:`sp_boundary_structured` on b's own
+    jets at checked points and orders ks, in the order that refuses an
+    oversize problem cheapest: the jet gather's size rule, the geometry,
+    then one jet evaluation through 2 max(ks) - 1, as row i reads below 2 k_i."""
+    jet_order = 2 * max(ks) - 1
+    _require_jet_gather(b, len(pts), jet_order)
+    geometry = _structured_geometry(pts, ks)
+    jets = _finite_jets(b, pts, jet_order)
+    return geometry, jets, _structured_flat(jets, *geometry)
 
 
 def sp_boundary_structured(jets: Sequence[Sequence[complex]], points, orders) -> SchwarzPickMatrix:

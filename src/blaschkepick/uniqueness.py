@@ -38,14 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blaschke import (
-    BlaschkeProduct,
-    _finite_jets,
-    _require_finite,
-    _require_jet_gather,
-    _require_layout,
-    _require_orders,
-)
+from .blaschke import BlaschkeProduct, _require_finite, _require_layout, _require_orders
 from .errors import Inconclusive, RankMismatch
 from .hermitian import (
     DEFAULT_PD_TOL,
@@ -57,7 +50,7 @@ from .hermitian import (
     eigen_h,
 )
 from .pick import Completion, extract_data
-from .schwarz_pick import PLAN_CACHE_SIZE, SchwarzPickMatrix, _structured_flat, _structured_geometry
+from .schwarz_pick import PLAN_CACHE_SIZE, SchwarzPickMatrix, _structured_build, _structured_flat
 
 SUPPLEMENTARY_RESIDUAL_TOL = 1e-10
 # The completion's shift on the corner diagonal, relative to max(1, lambda_max(P~)).
@@ -109,7 +102,7 @@ class NonUniqueCertificate:
     supplementary lists, per point whose block was extended by one row (the
     other points keep their orders), its index and the jet coefficient
     b_{2k+1} realizing the completed corner: the bottom diagonal entry the
-    completion raised by its shift, the margin, at the flat index in
+    completion raised by its shift, at the flat index in
     `completion.complementary`.
     roundtrip_residual is the max-abs difference between the completed
     matrix and the one rebuilt from the supplemented data.  extended_report
@@ -154,41 +147,34 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
     """Decide the contact problem and assemble the matching certificate.
 
     The Pick matrix is built once from jets of b, at orders k_i + 1 on the
-    even-order points of a non-unique problem and k_i everywhere else, as
-    :func:`sp_boundary_structured` builds it at those orders.  One geometry,
-    formed before any jet, serves that build and the roundtrip rebuild; one
-    symmetrization serves the truncated matrix at orders k_i, its principal
-    block without the bottom rows of the extended blocks (see
+    even-order points of a non-unique problem and k_i everywhere else, by
+    :func:`_structured_build`, whose geometry serves the roundtrip rebuild
+    too; one symmetrization serves the truncated matrix at orders k_i, its
+    principal block without the bottom rows of the extended blocks (see
     :mod:`blaschkepick.pick`), and the completion.  When the criterion says
     unique, the truncated matrix's numerical rank must equal deg b (strictly
     less than sum k_i); when it says non-unique, it must be positive
     definite, and the extension is completed and must be positive definite
     too.  Any of these checks failing raises RankMismatch, since that means
-    the numerics contradict an exact statement.  The completion adds shift =
-    margin = COMPLETION_MARGIN max(1, lambda_max(P~)) to the corners'
-    diagonal: P~ = R R* is PSD by structure, so once P reads positive
+    the numerics contradict an exact statement.  The completion adds the
+    margin COMPLETION_MARGIN max(1, lambda_max(P~)) to the corners' diagonal
+    as its shift: P~ = R R* is PSD by structure, so once P reads positive
     definite every positive shift completes, and the completed matrix's own
     checks are the certificate.  The truncated and the completed matrix get
-    the strict Hermitian test of :func:`make_report`; failing it raises
-    Inconclusive, since the data were valid but the rounding of the build
-    hides the spectrum.  Each supplement is b_{2k+1} + shift / slope; a
-    rebuilt corner that misses its completed value by more than
-    SUPPLEMENTARY_RESIDUAL_TOL max(1, |value|) raises Inconclusive too, a
-    build of the package's own that failed on valid data.  The jet gather's
-    size rule is checked before the geometry is planned.
+    the strict Hermitian test of :func:`make_report`; failing it, or a
+    non-finite entry, raises Inconclusive, since the data were valid but
+    the rounding or overflow of the build hides the spectrum.  Each
+    supplement is b_{2k+1} + shift / slope; a rebuilt corner that misses its
+    completed value by more than SUPPLEMENTARY_RESIDUAL_TOL max(1, |value|)
+    raises Inconclusive too, a build of the package's own that failed on
+    valid data.
     """
     ks = tuple((m + 1) // 2 for m in problem.contact_orders)
     k_total, d = sum(ks), problem.b.degree
     unique = k_total > d
     even = () if unique else tuple(i for i, m in enumerate(problem.contact_orders) if m % 2 == 0)
     built = tuple(k + (i in even) for i, k in enumerate(ks))
-    # The matrix at orders built reads coefficients below 2 built_i at point
-    # i, so one evaluation through 2 max(built) - 1 covers it.
-    jet_order = 2 * max(built) - 1
-    _require_jet_gather(problem.b, len(problem.points), jet_order)
-    geometry = _structured_geometry(problem.points, built)
-    jets = _finite_jets(problem.b, problem.points, jet_order)
-    flat = _structured_flat(jets, *geometry)
+    geometry, jets, flat = _structured_build(problem.b, problem.points, built)
     # (M + M*) / 2 and |M - M*| act entry by entry, so P's are the principal block of P~'s.
     flat_h = flat.conj().T
     sym, gap = 0.5 * (flat + flat_h), np.abs(flat - flat_h)
@@ -197,7 +183,7 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
         # The bottom row of each extended block is its corner; the rest is P.
         corners, block, diagonal = _corner_split(built, even)
         p_flat, p_sym, p_gap = flat.take(block), sym.take(block), gap.take(block)
-    pick = _read(p_sym, _defect(p_gap), eigen_h(p_sym), tolerances.rank, tolerances.pd)
+    pick = _read(p_sym, _defect(p_gap, "the Pick matrix"), eigen_h(p_sym), tolerances.rank, tolerances.pd)
     _require_hermitian(pick.defect, p_flat, built="the Pick matrix")
     if unique and pick.numerical_rank != d:
         raise RankMismatch(
@@ -217,34 +203,33 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
         if not even:
             # Nothing to extend: the completed matrix is the truncated one,
             # whose report has just shown it positive definite.
-            margin = COMPLETION_MARGIN * max(1.0, pick.lambda_max)
             p_tilde = SchwarzPickMatrix(flat=flat, points=problem.points, orders=built)
-            completion = Completion(modified=p_tilde, shift=0.0, complementary=(), margin=margin, report=pick)
+            completion = Completion(modified=p_tilde, shift=0.0, complementary=(), report=pick)
         else:
-            margin = COMPLETION_MARGIN * max(1.0, float(eigen_h(sym)[-1]))
+            shift = COMPLETION_MARGIN * max(1.0, float(eigen_h(sym)[-1]))
             # A real shift on the diagonal commutes with (M + M*) / 2 bit for
             # bit and leaves M - M* as it was, so sym with the shift is the
             # completed matrix symmetrized, with gap's defect.
             completed, completed_h = flat.copy(), sym.copy()
-            completed.put(diagonal, flat.take(diagonal) + margin)
-            completed_h.put(diagonal, sym.take(diagonal) + margin)
-            report = _read(completed_h, _defect(gap), eigen_h(completed_h), tolerances.rank, tolerances.pd)
+            completed.put(diagonal, flat.take(diagonal) + shift)
+            completed_h.put(diagonal, sym.take(diagonal) + shift)
+            defect = _defect(gap, "the completed matrix")
+            report = _read(completed_h, defect, eigen_h(completed_h), tolerances.rank, tolerances.pd)
             completion = Completion(
                 modified=SchwarzPickMatrix(flat=completed, points=problem.points, orders=built),
-                shift=margin,
+                shift=shift,
                 complementary=tuple(corners.tolist()),
-                margin=margin,
                 report=report,
             )
 
             # Only the corner moves with the top coefficient b_{2k+1}, with
             # slope (-1)^k t^(2k+1) conj(b_0) (corner_value); the supplement
-            # moves it by the shift, the margin.
+            # moves it by the shift.
             supplemented = jets.copy()
             for i in even:
                 k, t = ks[i], problem.points[i]
                 slope = (-1.0) ** k * t ** (2 * k + 1) * complex(jets[i, 0]).conjugate()
-                value = _require_finite(complex(jets[i, 2 * k + 1]) + margin / slope, "value")
+                value = _require_finite(complex(jets[i, 2 * k + 1]) + shift / slope, "value")
                 supplemented[i, 2 * k + 1] = value
                 supplementary.append((i, value))
 
@@ -278,11 +263,13 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
     return Verdict(unique=unique, derivative_orders=ks, degree=d, pick=pick, certificate=certificate)
 
 
-def _defect(gap: np.ndarray) -> float:
-    """The largest entry of |M - M*|, refused as :func:`make_report` refuses a non-finite entry."""
+def _defect(gap: np.ndarray, built: str) -> float:
+    """The largest entry of |M - M*| of the matrix `built` names; a non-finite
+    one, an overflowed build of the package's own, raises Inconclusive."""
     defect = float(gap.max())
     if not np.isfinite(defect):
-        raise ValueError("matrix has a non-finite entry")
+        message = f"{built} has a non-finite entry, so its spectrum cannot back a verdict"
+        raise Inconclusive(message, defect, float(np.finfo(float).max))
     return defect
 
 

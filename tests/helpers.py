@@ -39,6 +39,15 @@ def random_circle_points(rng: np.random.Generator, n: int, min_separation: float
     return [complex(math.cos(a), math.sin(a)) for a in angles]
 
 
+def flat_row(orders, point_index: int, derivative: int = 0) -> int:
+    """Flat row of (point_index, derivative) in the block layout of a
+    SchwarzPickMatrix of these orders: block i starts after the rows of the
+    points before it.  IndexError unless 0 <= derivative < orders[point_index]."""
+    if not 0 <= derivative < orders[point_index]:
+        raise IndexError(f"derivative {derivative} out of range for order {orders[point_index]}")
+    return sum(orders[:point_index]) + derivative
+
+
 def random_interior_points(rng: np.random.Generator, n: int, radius: float = 0.9) -> list[complex]:
     """n distinct points inside the disk of the given radius."""
     pts: list[complex] = []

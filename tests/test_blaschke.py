@@ -32,7 +32,7 @@ from blaschkepick import (
 )
 from blaschkepick.blaschke import ARRAY_ENTRIES_MAX, _jet_array
 from blaschkepick.schwarz_pick import _shape_plan
-from helpers import random_blaschke, random_circle_points
+from helpers import random_blaschke, random_circle_points, random_interior_points
 
 
 class TestConstruction:
@@ -86,6 +86,39 @@ class TestEvaluate:
         b = make_blaschke([0.5])
         with pytest.raises(PoleEvaluation):
             evaluate(b, 2.0)
+
+    def test_a_point_near_a_pole_is_named_with_the_pole(self):
+        b = make_blaschke([0.5, 0.25j])
+        with pytest.raises(PoleEvaluation) as exc:
+            evaluate(b, 2.0 + 1e-13)
+        assert str(exc.value) == "(2.0000000000001+0j) lies within 1e-12 of the pole at (2+0j)"
+
+    def test_the_value_is_the_leading_jet_coefficient_bit_for_bit(self):
+        # Degree 0 to 12, half of the products with a zero at the origin,
+        # at points inside the disk and on the circle.
+        rng = np.random.default_rng(61)
+        for degree in range(13):
+            for draw in range(20):
+                b = random_blaschke(rng, degree)
+                if degree and draw % 2:
+                    b = make_blaschke((0.0,) + b.zeros[1:], b.unimodular_constant)
+                for z in random_interior_points(rng, 2, 0.99) + random_circle_points(rng, 2):
+                    assert evaluate(b, z) == taylor_jet(b, z, 0)[0]
+
+    def test_evaluate_and_level_set_read_the_jet_evaluator(self, monkeypatch):
+        import blaschkepick.blaschke as blaschke_module
+
+        calls = []
+
+        def counted(b, centers, order):
+            calls.append((centers.shape, order))
+            return _jet_array(b, centers, order)
+
+        monkeypatch.setattr(blaschke_module, "_jet_array", counted)
+        b = make_blaschke([0.5, -0.3j, 0.0])
+        evaluate(b, 0.2 + 0.1j)
+        level_set(b, 1j)
+        assert calls == [((), 0), ((3,), 0)]
 
     def test_poles_reflect_nonzero_zeros(self):
         b = make_blaschke([0.0, 0.5, 0.5, 0.25j])

@@ -15,6 +15,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import blaschkepick.cli as cli
+import blaschkepick.schwarz_pick as schwarz_pick
 import blaschkepick.uniqueness as uniqueness
 from blaschkepick import (
     BlaschkePickError,
@@ -54,7 +55,7 @@ class TestAnalyze:
         path = write_problem(tmp_path)
         assert main(["analyze", path, "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == 2
+        assert report["schema"] == 3
         assert report["command"] == "analyze"
         assert report["verdict"] == "unique"
         assert report["derivative_orders"] == [2]
@@ -73,6 +74,7 @@ class TestAnalyze:
         cert = report["certificate"]
         assert cert["type"] == "completed_extension"
         assert cert["diagonal_shift"] == pytest.approx(1.0)
+        assert "margin" not in cert
         assert cert["supplementary_values"][0]["coefficient_index"] == 3
         assert cert["supplementary_values"][0]["value"] == pytest.approx([-1.0, 0.0])
         assert cert["roundtrip_residual"] <= 1e-12
@@ -112,7 +114,7 @@ class TestAnalyze:
         path = write_problem(tmp_path)
         assert main(["analyze", path]) == 0
         out = capsys.readouterr().out
-        assert out.splitlines()[0] == "schema: 2"
+        assert out.splitlines()[0] == "schema: 3"
         assert 'verdict: "unique"' in out
 
     def test_angle_form_points(self, tmp_path, capsys):
@@ -382,6 +384,21 @@ class TestRefusals:
         assert out == ""
         assert err.startswith("inconclusive: the Pick matrix is not Hermitian") and err.count("\n") == 1
 
+    def test_an_overflowed_build_is_inconclusive(self, tmp_path, capsys):
+        # Points 0.01 rad apart at contact orders 160 overflow the Pick
+        # matrix decide builds: a valid problem, so exit 6, not 2.
+        path = write_problem(
+            tmp_path,
+            blaschke={"zeros": [[0.5, 0.0]], "u": [1.0, 0.0]},
+            points=[{"angle": 0.3}, {"angle": 0.31}],
+            orders=[160, 160],
+        )
+        with np.errstate(all="ignore"):
+            assert main(["analyze", path]) == 6
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "inconclusive: the Pick matrix has a non-finite entry, so its spectrum cannot back a verdict\n"
+
     @pytest.mark.parametrize("command", ["analyze", "crosscheck"])
     def test_a_huge_order_is_refused_before_any_allocation(self, tmp_path, capsys, command):
         path = write_problem(tmp_path, orders=[1000000])
@@ -454,7 +471,7 @@ class TestCrosscheck:
         )
         assert main(["crosscheck", path, "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == 2
+        assert report["schema"] == 3
         assert report["command"] == "crosscheck"
         assert report["orders"] == [1, 1]
         assert report["structured_vs_realization"] <= 1e-10
@@ -598,7 +615,7 @@ class TestFuzz:
         def identity_instead(jets, plan, m, psi):
             return np.eye(len(m), dtype=complex)
 
-        monkeypatch.setattr(cli, "_structured_flat", identity_instead)
+        monkeypatch.setattr(schwarz_pick, "_structured_flat", identity_instead)
         code = main(
             ["fuzz", "--trials", "1", "--seed", "0", "--degree-max", "0", "--format", "json"]
         )
@@ -693,6 +710,19 @@ class TestRouteComparison:
         for entry in (cli._compare_routes, sp_boundary_radial):
             with pytest.raises(type(want.value), match=re.escape(str(want.value))):
                 entry(b, pts, ks)
+
+    def test_the_structured_matrix_is_one_structured_build(self, monkeypatch):
+        calls, build = [], schwarz_pick._structured_build
+
+        def counted(b, pts, ks):
+            calls.append((pts, ks))
+            return build(b, pts, ks)
+
+        monkeypatch.setattr(cli, "_structured_build", counted)
+        b = make_blaschke([0.3, -0.2j])
+        _, structured, _, _, _ = cli._compare_routes(b, [1.0, -1.0], [2, 1])
+        assert calls == [((1.0 + 0j, -1.0 + 0j), (2, 1))]
+        assert_array_equal(structured.flat, build(b, *calls[0])[2])
 
     def test_orders_are_checked(self):
         b = make_blaschke([0.5])

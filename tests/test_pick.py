@@ -21,7 +21,7 @@ from blaschkepick import (
     taylor_jet,
 )
 from blaschkepick.schwarz_pick import _structured_flat, _structured_geometry
-from helpers import random_blaschke, random_circle_points
+from helpers import flat_row, random_blaschke, random_circle_points
 
 
 class TestJetData:
@@ -148,14 +148,14 @@ class TestExtractAndBuild:
                         want[offsets[i] + r, offsets[j] + ell] = complex(b[r, ell])
         assert np.max(np.abs(p - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_row_index_and_blocks(self):
+    def test_flat_rows_slice_blocks(self):
         p = SchwarzPickMatrix(flat=np.arange(9.0).reshape(3, 3), points=(1.0, -1.0), orders=(2, 1))
-        assert p.offsets == (0, 2)
-        assert p.row_index(0, 1) == 1
-        assert p.row_index(1, 0) == 2
+        first, second = flat_row(p.orders, 0), flat_row(p.orders, 1)
+        assert (first, second) == (0, 2)
+        assert flat_row(p.orders, 0, 1) == 1
         with pytest.raises(IndexError):
-            p.row_index(1, 1)
-        assert_allclose(p.flat[p.offsets[0] : p.offsets[0] + 2, p.offsets[1] : p.offsets[1] + 1], [[2.0], [5.0]])
+            flat_row(p.orders, 1, 1)
+        assert_allclose(p.flat[first : first + 2, second : second + 1], [[2.0], [5.0]])
 
     def test_truncated_matrix_is_principal_submatrix_of_extension(self):
         # Entry ((i, x), (j, y)) reads coefficients through index x + y + 1
@@ -170,7 +170,7 @@ class TestExtractAndBuild:
             data = JetData(points=tuple(random_circle_points(rng, n)), values=values)
             p = sp_boundary_structured(data.values, data.points, ks).flat
             extended = sp_boundary_structured(data.values, data.points, [k + (i in extend) for i, k in enumerate(ks)])
-            corners = {extended.row_index(i, ks[i]) for i in extend}
+            corners = {flat_row(extended.orders, i, ks[i]) for i in extend}
             keep = [j for j in range(extended.flat.shape[0]) if j not in corners]
             sub = extended.flat[np.ix_(keep, keep)]
             assert np.max(np.abs(sub - p)) <= 1e-14 * max(1.0, float(np.max(np.abs(p))))
@@ -215,7 +215,7 @@ class TestExtractAndBuild:
             step = complex(*rng.normal(size=2))
             values[i][2 * ks[i] + 1] += step
             after = sp_boundary_structured(values, pts, raised)
-            corner = before.row_index(i, ks[i])
+            corner = flat_row(before.orders, i, ks[i])
             moved = after.flat - before.flat
             slope = (-1.0) ** ks[i] * pts[i] ** (2 * ks[i] + 1) * values[i][0].conjugate()
             scale = max(1.0, float(np.max(np.abs(before.flat))))

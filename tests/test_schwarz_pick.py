@@ -34,7 +34,7 @@ from blaschkepick.schwarz_pick import (
     _kernel_stack,
     _shape_plan,
 )
-from helpers import random_blaschke, random_circle_points, random_interior_points
+from helpers import flat_row, random_blaschke, random_circle_points, random_interior_points
 
 
 def conjugated_jet(center: complex, row) -> tuple[complex, np.ndarray]:
@@ -418,7 +418,8 @@ class TestBoundaryRadial:
         for i, (zi, ki) in enumerate(zip(centers[0], ks)):
             for j, (zj, kj) in enumerate(zip(centers[0], ks)):
                 pair = kernel_at(b, zi, zj, max(ki, kj))[:ki, :kj]
-                block = stack.flat[stack.offsets[i] : stack.offsets[i] + ki, stack.offsets[j] : stack.offsets[j] + kj]
+                row, col = flat_row(ks, i), flat_row(ks, j)
+                block = stack.flat[row : row + ki, col : col + kj]
                 assert np.max(np.abs(block - pair)) <= 1e-13 * scale
 
     def test_stack_split_into_pieces_matches_separate_radii(self):

@@ -34,7 +34,7 @@ from blaschkepick import (
     sp_via_realization,
     taylor_jet,
 )
-from helpers import CLUSTERED_PROBLEMS, random_blaschke, random_circle_points
+from helpers import CLUSTERED_PROBLEMS, flat_row, random_blaschke, random_circle_points
 
 
 class TestCriterion:
@@ -246,7 +246,7 @@ class TestNonUniqueVerdicts:
             cert = verdict.certificate
             assert [i for i, _ in cert.supplementary] == even
             extended = sp_boundary_structured(data.values, data.points, [k + (i in even) for i, k in enumerate(ks)])
-            corners = [extended.row_index(i, ks[i]) for i in even]
+            corners = [flat_row(extended.orders, i, ks[i]) for i in even]
             margin = max(1.0, make_report(extended.flat, strict=False).lambda_max)
             completed = extended.flat.copy()
             completed[corners, corners] += margin
@@ -265,21 +265,26 @@ class TestNonUniqueVerdicts:
         ids=["even-and-odd", "odd-only", "unique", "even-only"],
     )
     def test_one_structured_build_plus_the_roundtrip(self, orders, builds, jet_order, monkeypatch):
-        # One geometry of the points and built orders k_i', formed before any
-        # jet, serves the build and the roundtrip rebuild: two jet-to-matrix
-        # passes on the even path and one elsewhere.  The truncated matrix is
-        # read from the extended one, and the supplements need no Psi product
-        # of their own.  The jets are evaluated once, through 2 max(k_i') - 1,
-        # and no eigenbasis or np.ix_ gather is formed; the completion is the
-        # margin on the corners, with no Cholesky factor or solve.
+        # One structured build, whose geometry of the points and built orders
+        # k_i' is formed before any jet, serves the matrix and the roundtrip
+        # rebuild: two jet-to-matrix passes on the even path and one
+        # elsewhere.  The truncated matrix is read from the extended one, and
+        # the supplements need no Psi product of their own.  The jets are
+        # evaluated once, through 2 max(k_i') - 1, and no eigenbasis or np.ix_
+        # gather is formed; the completion is the margin on the corners, with
+        # no Cholesky factor or solve.
         import blaschkepick.blaschke as blaschke_module
         import blaschkepick.pick as pick_module
         import blaschkepick.schwarz_pick as schwarz_pick_module
         import blaschkepick.uniqueness as uniqueness_module
         from blaschkepick.blaschke import _jet_array
-        from blaschkepick.schwarz_pick import _structured_flat, _structured_geometry
+        from blaschkepick.schwarz_pick import _structured_build, _structured_flat, _structured_geometry
 
         events, jet_orders = [], []
+
+        def counted_build(b, points, orders):
+            events.append("build")
+            return _structured_build(b, points, orders)
 
         def counted_geometry(points, orders):
             events.append("geometry")
@@ -299,8 +304,9 @@ class TestNonUniqueVerdicts:
         def refused(*args):
             raise AssertionError("decide must not call this")
 
+        monkeypatch.setattr(uniqueness_module, "_structured_build", counted_build)
+        monkeypatch.setattr(schwarz_pick_module, "_structured_geometry", counted_geometry)
         for module in (schwarz_pick_module, uniqueness_module):
-            monkeypatch.setattr(module, "_structured_geometry", counted_geometry)
             monkeypatch.setattr(module, "_structured_flat", counted)
         monkeypatch.setattr(blaschke_module, "_jet_array", counted_jets)
         monkeypatch.setattr(pick_module, "psi_matrix", refused)
@@ -310,7 +316,7 @@ class TestNonUniqueVerdicts:
         monkeypatch.setattr(np, "ix_", refused)
         b = make_blaschke([0.3, -0.2j, 0.1 + 0.4j])
         decide(ContactProblem(b=b, points=(1.0, -1.0)[: len(orders)], contact_orders=orders))
-        assert events == ["geometry", "jets"] + ["flat"] * builds
+        assert events == ["build", "geometry", "jets"] + ["flat"] * builds
         assert jet_orders == [jet_order]
 
 
@@ -328,7 +334,7 @@ class TestSingleRead:
         built = [k + (i in even) for i, k in enumerate(ks)]
         data = extract_data(b, problem.points, [2 * k - 1 for k in built])
         p_tilde = sp_boundary_structured(data.values, data.points, built)
-        corners = [p_tilde.row_index(i, ks[i]) for i in even]
+        corners = [flat_row(p_tilde.orders, i, ks[i]) for i in even]
         principal = [j for j in range(len(p_tilde.flat)) if j not in corners]
         want, got = make_report(p_tilde.flat[np.ix_(principal, principal)], strict=False), verdict.pick
         assert np.array_equal(got.matrix, want.matrix)
@@ -339,7 +345,7 @@ class TestSingleRead:
             completed = p_tilde.flat.copy()
             completed[corners, corners] += margin
             want, cert = make_report(completed, strict=False), verdict.certificate.completion
-            assert (cert.shift, cert.margin, cert.complementary) == (margin, margin, tuple(corners))
+            assert (cert.shift, cert.complementary) == (margin, tuple(corners))
             assert np.array_equal(cert.modified.flat, completed)
             assert np.array_equal(cert.report.matrix, want.matrix)
             assert np.array_equal(cert.report.eigenvalues, want.eigenvalues)
@@ -398,7 +404,7 @@ class TestCompletion:
         verdict, p_tilde, _ = extension(name)
         completion = verdict.certificate.completion
         lambda_max = make_report(p_tilde.flat, strict=False).lambda_max
-        assert completion.shift == completion.margin == COMPLETION_MARGIN * max(1.0, lambda_max)
+        assert completion.shift == COMPLETION_MARGIN * max(1.0, lambda_max)
         assert (completion.shift == COMPLETION_MARGIN) == (name == "margin-floor")
 
     @pytest.mark.parametrize("name", EVEN_PROBLEMS)
@@ -416,7 +422,7 @@ class TestCompletion:
     def test_complementary_lists_the_corner_of_each_even_point(self, name):
         verdict, p_tilde, even = extension(name)
         cert = verdict.certificate
-        corners = tuple(p_tilde.row_index(i, p_tilde.orders[i] - 1) for i in even)
+        corners = tuple(flat_row(p_tilde.orders, i, p_tilde.orders[i] - 1) for i in even)
         assert cert.completion.complementary == corners
         assert [i for i, _ in cert.supplementary] == even
 
@@ -435,7 +441,6 @@ class TestCompletion:
         completion = verdict.certificate.completion
         assert not verdict.unique
         assert (completion.shift, completion.complementary) == (0.0, ())
-        assert completion.margin == max(1.0, verdict.pick.lambda_max)
         assert completion.report is verdict.pick
         assert completion.modified.orders == verdict.derivative_orders
 
@@ -497,13 +502,14 @@ class TestEvidenceContradictions:
         # alike, so the extended matrix is no longer PSD.  The margin is at
         # most max(1, |P~|_2), and the completed matrix's PD check refuses;
         # a shift read from the Schur complement would absorb the drop.
+        import blaschkepick.schwarz_pick as schwarz_pick_module
         import blaschkepick.uniqueness as uniqueness_module
         from blaschkepick.schwarz_pick import _structured_flat
 
         b, points, orders, built = make_blaschke([0.3, -0.2j, 0.1 + 0.4j]), (1.0, -1.0), (2, 4), (2, 3)
         data = extract_data(b, points, [2 * k - 1 for k in built])
         p_tilde = sp_boundary_structured(data.values, points, built)
-        corners = [p_tilde.row_index(i, k - 1) for i, k in enumerate(built)]
+        corners = [flat_row(built, i, k - 1) for i, k in enumerate(built)]
         drop = 3.0 * max(1.0, float(np.linalg.norm(p_tilde.flat, 2)))
         problem = ContactProblem(b=b, points=points, contact_orders=orders)
         assert decide(problem).certificate.extended_report.pd
@@ -513,7 +519,8 @@ class TestEvidenceContradictions:
             flat[corners, corners] -= drop
             return flat
 
-        monkeypatch.setattr(uniqueness_module, "_structured_flat", lowered)
+        for module in (schwarz_pick_module, uniqueness_module):
+            monkeypatch.setattr(module, "_structured_flat", lowered)
         with pytest.raises(RankMismatch, match="^completed extension failed to be positive definite"):
             decide(problem)
 
@@ -531,6 +538,15 @@ class TestInconclusive:
         assert exc.value.limit == pytest.approx(1e-9, rel=0.1)
         assert exc.value.value > 100 * exc.value.limit
 
+    def test_an_overflowed_build_is_inconclusive(self):
+        # Points 0.01 rad apart at contact orders 160 overflow the Pick
+        # matrix: a build of the package's own on valid data, not a caller error.
+        points = tuple(cmath.exp(1j * a) for a in (0.3, 0.31))
+        problem = ContactProblem(b=make_blaschke([0.5]), points=points, contact_orders=(160, 160))
+        with np.errstate(all="ignore"), pytest.raises(Inconclusive) as exc:
+            decide(problem)
+        assert str(exc.value) == "the Pick matrix has a non-finite entry, so its spectrum cannot back a verdict"
+        assert not math.isfinite(exc.value.value) and exc.value.limit == np.finfo(float).max
 
     def test_a_missed_supplemented_corner_is_inconclusive(self, monkeypatch):
         # The rebuilt corner is a build of the package's own from valid
@@ -768,17 +784,22 @@ class TestMatchesJets:
 def test_an_oversize_jet_gather_is_refused_before_the_plan(monkeypatch):
     # Ten points of contact order 578 at degree 3 gather 3 x 10 x 578^2
     # entries, above the limit, while the plan of orders 289, with 2,890^2
-    # entries, is within it and would allocate its arrays first.
-    import blaschkepick.uniqueness as uniqueness_module
+    # entries, is within it and would allocate its arrays first.  decide and
+    # the CLI's route comparison share the one structured build.
+    import blaschkepick.cli as cli
+    import blaschkepick.schwarz_pick as schwarz_pick_module
 
     def refused(*args):
-        raise AssertionError("decide must not plan an oversize problem")
+        raise AssertionError("an oversize problem must not be planned")
 
-    monkeypatch.setattr(uniqueness_module, "_structured_geometry", refused)
-    points = tuple(cmath.exp(2j * math.pi * j / 10) for j in range(10))
-    problem = ContactProblem(b=make_blaschke([0.1, 0.2j, -0.3]), points=points, contact_orders=(578,) * 10)
-    with pytest.raises(ValueError, match=f"^the jet gather would hold {3 * 10 * 578**2} entries"):
+    monkeypatch.setattr(schwarz_pick_module, "_structured_geometry", refused)
+    b, points = make_blaschke([0.1, 0.2j, -0.3]), tuple(cmath.exp(2j * math.pi * j / 10) for j in range(10))
+    problem = ContactProblem(b=b, points=points, contact_orders=(578,) * 10)
+    message = f"^the jet gather would hold {3 * 10 * 578**2} entries"
+    with pytest.raises(ValueError, match=message):
         decide(problem)
+    with pytest.raises(ValueError, match=message):
+        cli._compare_routes(b, points, (289,) * 10)
 
 
 @pytest.mark.parametrize(
