@@ -220,10 +220,10 @@ def _compare_routes(
     realization matrices, their max-abs difference, and the largest
     structured entry, whose 1 + scales the difference (:func:`_residual`).
 
-    The structured matrix comes from the :func:`_structured_build` of
-    `decide`.  Points and orders get the layout check of every route, so a
-    bad layout is refused with the type and message of
-    :func:`sp_boundary_structured` and :func:`sp_boundary_radial`."""
+    The structured matrix and its overflow refusal come from the
+    :func:`_structured_build` of `decide`.  Points and orders get the layout
+    check of every route, so a bad layout is refused with the type and
+    message of :func:`sp_boundary_structured` and :func:`sp_boundary_radial`."""
     pts, ks = _require_layout(points, ks, "orders")
     _, jets, flat = _structured_build(b, pts, ks)
     structured = SchwarzPickMatrix(flat=flat, points=pts, orders=ks)

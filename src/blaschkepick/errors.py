@@ -42,11 +42,12 @@ class RankMismatch(BlaschkePickError):
 
 
 class Inconclusive(BlaschkePickError):
-    """A build of the package's own from valid data failed its check: a
-    matrix overflowed or failed its Hermitian test, so its spectrum cannot
-    back a verdict, or a rebuilt supplemented corner missed its completed
-    value.  `value` is the measured defect or residual and `limit` the
-    bound it exceeds, the largest float for an overflow."""
+    """A build of the package's own from valid data failed its check: the
+    structured matrix or the radial mean overflowed, a matrix failed its
+    Hermitian test, so its spectrum cannot back a verdict, or a rebuilt
+    supplemented corner missed its completed value.  `value` is the measured
+    defect or residual and `limit` the bound it exceeds, the largest float
+    for an overflow."""
 
     def __init__(self, message: str, value: float, limit: float):
         super().__init__(message)
@@ -55,5 +56,4 @@ class Inconclusive(BlaschkePickError):
 
 
 class ConvergenceFailure(BlaschkePickError):
-    """A numerical method did not converge: an iterative eigenvalue
-    computation, or a contour mean that cannot be formed finite."""
+    """The iterative eigenvalue computation of eigvalsh did not converge."""

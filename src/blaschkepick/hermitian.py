@@ -25,8 +25,8 @@ DEFAULT_PD_TOL = 1e-10
 def _symmetrize(m: np.ndarray, strict: bool) -> tuple[np.ndarray, float]:
     """(M + M*) / 2 and the defect, the max-abs entry of M - M*, of a complex
     array, with the square and strict checks that :func:`make_report`
-    states; a defect that is not finite, as a package-built matrix that
-    overflowed gives, raises ValueError."""
+    states; a defect that is not finite, as M - M* of finite entries near
+    the largest float gives, raises ValueError."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.size == 0:
@@ -46,8 +46,6 @@ def _require_hermitian(defect: float, m, built: str | None = None) -> None:
     HERMITIAN_DEFECT_TOL * max(1, |m|_inf).  A matrix the package built
     itself, named by `built`, raises Inconclusive instead: the caller's data
     were valid, but rounding in the build leaves its spectrum unreadable."""
-    if m.size == 0:
-        return
     limit = HERMITIAN_DEFECT_TOL * max(1.0, float(np.abs(m).max()))
     if defect > limit:
         if built is not None:

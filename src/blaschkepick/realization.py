@@ -148,13 +148,11 @@ def resolvent_rows(r: UnitaryRealization, points, orders) -> np.ndarray:
     try:
         inverse = np.linalg.inv(m)
     except np.linalg.LinAlgError:
-        # Some point is exactly singular, which np.linalg.cond reads as rcond 0.
-        rcond = np.zeros(zs.size)
+        # Some point is exactly singular; np.linalg.cond reads it as rcond 0.
+        rcond = 1.0 / np.linalg.cond(m, 1)
     else:
         rcond = _reciprocal_condition(m, inverse)
     if not (rcond >= RESOLVENT_RCOND).all():
-        # Only a refusal pays for np.linalg.cond, to name the first bad point.
-        rcond = 1.0 / np.linalg.cond(m, 1)
         i = int(np.flatnonzero(~(rcond >= RESOLVENT_RCOND))[0])
         raise SingularResolvent(
             f"I - z A at z = {complex(zs[i])!r} has reciprocal condition {float(rcond[i])}, "

@@ -49,7 +49,7 @@ from .blaschke import (
     BlaschkeProduct, _finite_jets, _jet_array, _require_jet_gather, _require_layout, _require_numbers, _require_size,
     poles,
 )
-from .errors import ConvergenceFailure, DegenerateDenominator, InsufficientJet
+from .errors import DegenerateDenominator, Inconclusive, InsufficientJet
 
 DEGENERATE_DENOMINATOR_TOL = 1e-13
 RADIAL_CONVERGENCE_TOL = 1e-3
@@ -280,12 +280,19 @@ def _structured_build(b: BlaschkeProduct, pts, ks) -> tuple[tuple, np.ndarray, n
     """(geometry, jets, flat) of :func:`sp_boundary_structured` on b's own
     jets at checked points and orders ks, in the order that refuses an
     oversize problem cheapest: the jet gather's size rule, the geometry,
-    then one jet evaluation through 2 max(ks) - 1, as row i reads below 2 k_i."""
+    then one jet evaluation through 2 max(ks) - 1, as row i reads below 2 k_i.
+    A flat matrix with a non-finite entry, an overflow of a build from valid
+    data, raises Inconclusive, its `value` the largest |entry| and its
+    `limit` the largest float."""
     jet_order = 2 * max(ks) - 1
     _require_jet_gather(b, len(pts), jet_order)
     geometry = _structured_geometry(pts, ks)
     jets = _finite_jets(b, pts, jet_order)
-    return geometry, jets, _structured_flat(jets, *geometry)
+    flat = _structured_flat(jets, *geometry)
+    if not np.isfinite(flat).all():
+        message = "the structured matrix has a non-finite entry, so it cannot back a verdict or a route comparison"
+        raise Inconclusive(message, float(np.abs(flat).max()), sys.float_info.max)
+    return geometry, jets, flat
 
 
 def sp_boundary_structured(jets: Sequence[Sequence[complex]], points, orders) -> SchwarzPickMatrix:
@@ -349,8 +356,9 @@ def sp_boundary_radial(b: BlaschkeProduct, points, orders) -> tuple[SchwarzPickM
     max(1, largest entry of the mean).  Raises PoleEvaluation or
     DegenerateDenominator when a zero of b lies so close to the circle, or
     two points so close to each other, that a node meets a pole or a
-    vanishing denominator, and ConvergenceFailure when the radius is so
-    small for the orders that the mean or its estimate overflows.  Points
+    vanishing denominator, and Inconclusive, its `value` the non-finite
+    estimate or entry and its `limit` the largest float, when the radius is
+    so small for the orders that the mean or its estimate overflows.  Points
     and orders get the layout check of every route, and the kernel stack
     the size check, before any jet is read.
     """
@@ -377,10 +385,8 @@ def sp_boundary_radial(b: BlaschkeProduct, points, orders) -> tuple[SchwarzPickM
         estimate = float(np.abs(alternating - alternating.conj().T).max() / CONTOUR_NODES + rounding)
     scale = float(np.abs(mean).max())
     if not (math.isfinite(estimate) and math.isfinite(scale)):
-        raise ConvergenceFailure(
-            f"the contour mean at radius {radius} overflows (error estimate {estimate}, "
-            f"largest entry {scale})"
-        )
+        message = f"the contour mean at radius {radius} overflows (error estimate {estimate}, largest entry {scale})"
+        raise Inconclusive(message, scale if math.isfinite(estimate) else estimate, sys.float_info.max)
     converged = estimate <= RADIAL_CONVERGENCE_TOL * max(1.0, scale)
     diags = RadialDiagnostics(radius, estimate, converged)
     # Each step above acts entry by entry or takes a maximum, so only the mean leaves the kernel rows.

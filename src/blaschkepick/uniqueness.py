@@ -161,9 +161,9 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
     as its shift: P~ = R R* is PSD by structure, so once P reads positive
     definite every positive shift completes, and the completed matrix's own
     checks are the certificate.  The truncated and the completed matrix get
-    the strict Hermitian test of :func:`make_report`; failing it, or a
-    non-finite entry, raises Inconclusive, since the data were valid but
-    the rounding or overflow of the build hides the spectrum.  Each
+    the strict Hermitian test of :func:`make_report`; failing it raises
+    Inconclusive, since the data were valid but the rounding of the build
+    hides the spectrum (the build refuses a non-finite entry so too).  Each
     supplement is b_{2k+1} + shift / slope; a rebuilt corner that misses its
     completed value by more than SUPPLEMENTARY_RESIDUAL_TOL max(1, |value|)
     raises Inconclusive too, a build of the package's own that failed on
@@ -183,7 +183,7 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
         # The bottom row of each extended block is its corner; the rest is P.
         corners, block, diagonal = _corner_split(built, even)
         p_flat, p_sym, p_gap = flat.take(block), sym.take(block), gap.take(block)
-    pick = _read(p_sym, _defect(p_gap, "the Pick matrix"), eigen_h(p_sym), tolerances.rank, tolerances.pd)
+    pick = _read(p_sym, float(p_gap.max()), eigen_h(p_sym), tolerances.rank, tolerances.pd)
     _require_hermitian(pick.defect, p_flat, built="the Pick matrix")
     if unique and pick.numerical_rank != d:
         raise RankMismatch(
@@ -213,8 +213,7 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
             completed, completed_h = flat.copy(), sym.copy()
             completed.put(diagonal, flat.take(diagonal) + shift)
             completed_h.put(diagonal, sym.take(diagonal) + shift)
-            defect = _defect(gap, "the completed matrix")
-            report = _read(completed_h, defect, eigen_h(completed_h), tolerances.rank, tolerances.pd)
+            report = _read(completed_h, float(gap.max()), eigen_h(completed_h), tolerances.rank, tolerances.pd)
             completion = Completion(
                 modified=SchwarzPickMatrix(flat=completed, points=problem.points, orders=built),
                 shift=shift,
@@ -261,16 +260,6 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
             roundtrip_residual=roundtrip,
         )
     return Verdict(unique=unique, derivative_orders=ks, degree=d, pick=pick, certificate=certificate)
-
-
-def _defect(gap: np.ndarray, built: str) -> float:
-    """The largest entry of |M - M*| of the matrix `built` names; a non-finite
-    one, an overflowed build of the package's own, raises Inconclusive."""
-    defect = float(gap.max())
-    if not np.isfinite(defect):
-        message = f"{built} has a non-finite entry, so its spectrum cannot back a verdict"
-        raise Inconclusive(message, defect, float(np.finfo(float).max))
-    return defect
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)

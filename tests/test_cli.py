@@ -1,5 +1,6 @@
 """Command line interface: analyze, crosscheck, fuzz."""
 
+import dataclasses
 import json
 import math
 import os
@@ -146,6 +147,28 @@ class TestValidation:
         path.write_text(json.dumps({"points": [[1.0, 0.0]], "orders": [1]}))
         assert main(["analyze", str(path)]) == 2
         assert "blaschke" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (None, "problem file must be a JSON object"),
+            ({"blaschke": {"zeros": []}}, '"blaschke" must contain "zeros" and "u"'),
+            ({"points": []}, '"points" must be a nonempty list'),
+            ({"points": [{"angle": 0.0, "radius": 1.0}]}, 'points[0]: point objects must be {"angle": radians}'),
+            ({"points": [[1.0, 0.0], 1.0], "orders": [1, 1]}, 'points[1]: points must be [re, im] or {"angle": radians}'),
+            ({"tolerances": [1e-8]}, '"tolerances" must be an object'),
+        ],
+        ids=["array", "no-u", "no-points", "point-key", "point-kind", "tolerances"],
+    )
+    def test_a_malformed_field_is_named(self, tmp_path, capsys, fields, message):
+        # fields replace those of a valid problem; None writes a top-level array.
+        if fields is None:
+            path = tmp_path / "array.json"
+            path.write_text(json.dumps([[1.0, 0.0]]))
+        else:
+            path = write_problem(tmp_path, **fields)
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("command", ["analyze", "crosscheck"])
     def test_zero_contact_order(self, tmp_path, capsys, command):
@@ -384,20 +407,26 @@ class TestRefusals:
         assert out == ""
         assert err.startswith("inconclusive: the Pick matrix is not Hermitian") and err.count("\n") == 1
 
-    def test_an_overflowed_build_is_inconclusive(self, tmp_path, capsys):
-        # Points 0.01 rad apart at contact orders 160 overflow the Pick
-        # matrix decide builds: a valid problem, so exit 6, not 2.
+    def test_an_overflowed_build_is_inconclusive(self, tmp_path, capsys, monkeypatch):
+        # Points 0.01 rad apart at contact orders 160 overflow the structured
+        # matrix that decide and the route comparison share: a valid problem,
+        # so both commands exit 6, not 2, before the realization is built.
         path = write_problem(
             tmp_path,
             blaschke={"zeros": [[0.5, 0.0]], "u": [1.0, 0.0]},
             points=[{"angle": 0.3}, {"angle": 0.31}],
             orders=[160, 160],
         )
-        with np.errstate(all="ignore"):
-            assert main(["analyze", path]) == 6
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "inconclusive: the Pick matrix has a non-finite entry, so its spectrum cannot back a verdict\n"
+        monkeypatch.setattr(cli, "realize", None)
+        for command in ("analyze", "crosscheck"):
+            with np.errstate(all="ignore"):
+                assert main([command, path]) == 6
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == (
+                "inconclusive: the structured matrix has a non-finite entry, "
+                "so it cannot back a verdict or a route comparison\n"
+            )
 
     @pytest.mark.parametrize("command", ["analyze", "crosscheck"])
     def test_a_huge_order_is_refused_before_any_allocation(self, tmp_path, capsys, command):
@@ -507,17 +536,18 @@ class TestCrosscheck:
         # Points 1e-6 rad apart leave the radial contour a radius near 8e-8,
         # where the rounding term (order 24: also the kernel recurrence)
         # overflows; the report would otherwise carry Infinity, which is not
-        # JSON.
+        # JSON.  A valid problem, so the refusal is inconclusive, not a
+        # validation error.
         path = write_problem(
             tmp_path,
             blaschke={"zeros": [[0.3, 0.0]], "u": [1.0, 0.0]},
             points=[{"angle": 0.4}, {"angle": 0.400001}],
             orders=[order, order],
         )
-        assert main(["crosscheck", path, "--format", "json"]) == 2
+        assert main(["crosscheck", path, "--format", "json"]) == 6
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: the contour mean at radius ") and err.count("\n") == 1
+        assert err.startswith("inconclusive: the contour mean at radius ") and err.count("\n") == 1
 
 
 class TestFuzz:
@@ -623,6 +653,30 @@ class TestFuzz:
         report = json.loads(capsys.readouterr().out)
         assert report["property"] == "rank_law"
         assert "bracket" in report["detail"]
+
+    @pytest.mark.parametrize(
+        "prop, index, tamper",
+        [
+            # An anti-Hermitian part, defect 2, far above the limit.
+            ("hermitian", 1, lambda sp: dataclasses.replace(sp, flat=sp.flat + 1j * np.eye(len(sp.flat)))),
+            ("route_agreement", 3, lambda diff: 1.0),
+            ("admissibility", 0, lambda leading: 0.5 * leading),
+        ],
+        ids=["hermitian", "route_agreement", "admissibility"],
+    )
+    def test_each_property_fires_on_its_own_fault(self, monkeypatch, capsys, prop, index, tamper):
+        # The routes are computed, then one of leading values, structured
+        # matrix, realization, difference and norm is spoiled.
+        compare = cli._compare_routes
+
+        def tampered(*args):
+            routes = list(compare(*args))
+            routes[index] = tamper(routes[index])
+            return tuple(routes)
+
+        monkeypatch.setattr(cli, "_compare_routes", tampered)
+        assert main(["fuzz", "--trials", "1", "--seed", "0", "--format", "json"]) == 5
+        assert json.loads(capsys.readouterr().out)["property"] == prop
 
 
 def _numpy_random_instance(rng, degree_max, points_max, order_max):

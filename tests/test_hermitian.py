@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from blaschkepick import (
-    ConvergenceFailure,  # noqa: F401  (re-export check)
+    ConvergenceFailure,
     Inconclusive,
     admissible,
     extract_data,
     make_blaschke,
     make_report,
 )
+from blaschkepick.hermitian import eigen_h
 
 
 class TestMakeHermitian:
@@ -69,8 +70,23 @@ class TestMakeHermitian:
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
             make_report(np.array(m, dtype=complex), strict=strict)
 
+    def test_an_overflowing_defect_is_rejected(self):
+        # Every entry is finite, but M - M* overflows at (0, 1).
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as exc:
+            make_report([[1e308, -1e308], [1e308, 0.0]])
+        assert str(exc.value) == "matrix entries must be finite, got a Hermitian defect of inf"
+
 
 class TestEigenAndRank:
+    def test_an_eigensolver_that_does_not_converge_is_refused(self, monkeypatch):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(ConvergenceFailure) as exc:
+            eigen_h(np.eye(2))
+        assert str(exc.value) == "eigvalsh did not converge: Eigenvalues did not converge"
+
     def test_eigen_ascending(self):
         w = make_report(np.diag([3.0, 1.0, 2.0])).eigenvalues
         assert_allclose(w, [1.0, 2.0, 3.0])

@@ -13,8 +13,8 @@ from numpy.testing import assert_allclose
 
 from blaschkepick import (
     BlaschkePickError,
-    ConvergenceFailure,
     DegenerateDenominator,
+    Inconclusive,
     InsufficientJet,
     PoleEvaluation,
     make_blaschke,
@@ -478,9 +478,11 @@ class TestBoundaryRadial:
         # Points 1e-6 rad apart leave a contour radius near 8e-8.  At order
         # 20 the rounding term (2R)^(1 - 2K) overflows, at order 24 the
         # kernel recurrence too; neither may pass as a result or a warning.
+        # The refusal carries the non-finite estimate and the largest float.
         b = make_blaschke([0.3])
         pts = [complex(math.cos(0.4), math.sin(0.4)), complex(math.cos(0.400001), math.sin(0.400001))]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConvergenceFailure, match="overflows"):
+            with pytest.raises(Inconclusive, match="overflows") as exc:
                 sp_boundary_radial(b, pts, [order, order])
+        assert not math.isfinite(exc.value.value) and exc.value.limit == sys.float_info.max

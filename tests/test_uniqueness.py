@@ -539,13 +539,15 @@ class TestInconclusive:
         assert exc.value.value > 100 * exc.value.limit
 
     def test_an_overflowed_build_is_inconclusive(self):
-        # Points 0.01 rad apart at contact orders 160 overflow the Pick
+        # Points 0.01 rad apart at contact orders 160 overflow the structured
         # matrix: a build of the package's own on valid data, not a caller error.
         points = tuple(cmath.exp(1j * a) for a in (0.3, 0.31))
         problem = ContactProblem(b=make_blaschke([0.5]), points=points, contact_orders=(160, 160))
         with np.errstate(all="ignore"), pytest.raises(Inconclusive) as exc:
             decide(problem)
-        assert str(exc.value) == "the Pick matrix has a non-finite entry, so its spectrum cannot back a verdict"
+        assert str(exc.value) == (
+            "the structured matrix has a non-finite entry, so it cannot back a verdict or a route comparison"
+        )
         assert not math.isfinite(exc.value.value) and exc.value.limit == np.finfo(float).max
 
     def test_a_missed_supplemented_corner_is_inconclusive(self, monkeypatch):
