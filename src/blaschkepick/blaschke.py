@@ -198,7 +198,7 @@ def taylor_jet(b: BlaschkeProduct, z0: complex, order: int) -> np.ndarray:
 
 def _finite_jets(b: BlaschkeProduct, centers, order: int) -> np.ndarray:
     """:func:`_jet_array` at np.array(centers), shape that array's shape +
-    (order + 1,); raises ValueError unless every coefficient is finite."""
+    (order + 1,), for the public readers: ValueError unless every coefficient is finite."""
     jets = _jet_array(b, np.array(centers), order)
     if np.count_nonzero(np.isfinite(jets)) != jets.size:
         raise ValueError(f"jet coefficients of b must be finite at {centers!r}")
@@ -230,13 +230,13 @@ def _jet_array(b: BlaschkeProduct, centers: np.ndarray, order: int) -> np.ndarra
     centers on the circle or at r = 1 - 2^-m, it stays within about 1e-14
     of max(1, |w_j|).
 
-    Every jet of the package comes from here: the radial route for every
-    radius and point, :func:`level_set` for its root check, and, through
-    the finite check of :func:`_finite_jets`, :func:`evaluate` and
-    :func:`taylor_jet` at one center and ``decide``, ``extract_data``,
-    ``matches_jets`` and the CLI route comparison for all of a problem's
-    points in one call.  Raises PoleEvaluation for a center within 1e-12
-    of a pole 1 / conj(a), read as |D| < |a| 1e-12.
+    Every jet of the package comes from here, read raw by the builds that
+    refuse an overflow in their own result: the structured build of
+    ``decide`` and the CLI route comparison, the radial route and
+    :func:`level_set`'s root check.  :func:`evaluate`, :func:`taylor_jet`,
+    ``extract_data`` and ``matches_jets`` read it through the finite check
+    of :func:`_finite_jets`.  Raises PoleEvaluation for a center within
+    1e-12 of a pole 1 / conj(a), read as |D| < |a| 1e-12.
     """
     _require_jet_gather(b, centers.size, order)
     n = order + 1

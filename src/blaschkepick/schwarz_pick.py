@@ -46,8 +46,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .blaschke import (
-    BlaschkeProduct, _finite_jets, _jet_array, _require_jet_gather, _require_layout, _require_numbers, _require_size,
-    poles,
+    BlaschkeProduct, _jet_array, _require_jet_gather, _require_layout, _require_numbers, _require_size, poles,
 )
 from .errors import DegenerateDenominator, Inconclusive, InsufficientJet
 
@@ -280,14 +279,14 @@ def _structured_build(b: BlaschkeProduct, pts, ks) -> tuple[tuple, np.ndarray, n
     """(geometry, jets, flat) of :func:`sp_boundary_structured` on b's own
     jets at checked points and orders ks, in the order that refuses an
     oversize problem cheapest: the jet gather's size rule, the geometry,
-    then one jet evaluation through 2 max(ks) - 1, as row i reads below 2 k_i.
-    A flat matrix with a non-finite entry, an overflow of a build from valid
-    data, raises Inconclusive, its `value` the largest |entry| and its
-    `limit` the largest float."""
+    then one raw jet evaluation through 2 max(ks) - 1, as row i reads below
+    2 k_i.  A flat matrix with a non-finite entry, an overflow of a build
+    from valid data or of a jet coefficient it reads, raises Inconclusive,
+    its `value` the largest |entry| and its `limit` the largest float."""
     jet_order = 2 * max(ks) - 1
     _require_jet_gather(b, len(pts), jet_order)
     geometry = _structured_geometry(pts, ks)
-    jets = _finite_jets(b, pts, jet_order)
+    jets = _jet_array(b, np.array(pts), jet_order)
     flat = _structured_flat(jets, *geometry)
     if not np.isfinite(flat).all():
         message = "the structured matrix has a non-finite entry, so it cannot back a verdict or a route comparison"

@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, _require_finite, _require_layout, _require_orders
+from .blaschke import BlaschkeProduct, _require_layout, _require_orders
 from .errors import Inconclusive, RankMismatch
 from .hermitian import (
     DEFAULT_PD_TOL,
@@ -165,9 +165,9 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
     Inconclusive, since the data were valid but the rounding of the build
     hides the spectrum (the build refuses a non-finite entry so too).  Each
     supplement is b_{2k+1} + shift / slope; a rebuilt corner that misses its
-    completed value by more than SUPPLEMENTARY_RESIDUAL_TOL max(1, |value|)
-    raises Inconclusive too, a build of the package's own that failed on
-    valid data.
+    completed value by more than SUPPLEMENTARY_RESIDUAL_TOL max(1, |value|),
+    or by NaN, raises Inconclusive too, a build of the package's own that
+    failed on valid data.
     """
     ks = tuple((m + 1) // 2 for m in problem.contact_orders)
     k_total, d = sum(ks), problem.b.degree
@@ -228,7 +228,7 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
             for i in even:
                 k, t = ks[i], problem.points[i]
                 slope = (-1.0) ** k * t ** (2 * k + 1) * complex(jets[i, 0]).conjugate()
-                value = _require_finite(complex(jets[i, 2 * k + 1]) + shift / slope, "value")
+                value = complex(jets[i, 2 * k + 1]) + shift / slope
                 supplemented[i, 2 * k + 1] = value
                 supplementary.append((i, value))
 
@@ -241,7 +241,8 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
             miss = redone.take(diagonal) - target
             residual = np.hypot(miss.real, miss.imag)
             bound = SUPPLEMENTARY_RESIDUAL_TOL * np.maximum(1.0, np.hypot(target.real, target.imag))
-            for j in np.flatnonzero(residual > bound)[:1]:
+            # Written so that a NaN residual misses too.
+            for j in np.flatnonzero(~(residual <= bound))[:1]:
                 message = f"supplemented corner misses its target by {residual[j]}, above {bound[j]}"
                 raise Inconclusive(message, float(residual[j]), float(bound[j]))
             roundtrip = float(np.abs(redone - completed).max())

@@ -187,10 +187,14 @@ class TestTaylorJet:
 
     def test_overflowing_jet_rejected(self):
         # |1 - conj(a) z0| = 2e-12 at z0 = 1: the coefficients grow like
-        # (5e11)^j and overflow well before order 30.
+        # (5e11)^j and overflow well before order 30.  The public readers
+        # return every coefficient, so both refuse the overflow.
         b = make_blaschke([1.0 - 2e-12])
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
-            taylor_jet(b, 1.0, 30)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^jet coefficients of b must be finite"):
+                taylor_jet(b, 1.0, 30)
+            with pytest.raises(ValueError, match="^jet coefficients of b must be finite"):
+                extract_data(b, [1.0], [30])
 
 
 # Jets of taylor_jet, extract_data and the stacked evaluation behind both

@@ -407,18 +407,27 @@ class TestRefusals:
         assert out == ""
         assert err.startswith("inconclusive: the Pick matrix is not Hermitian") and err.count("\n") == 1
 
-    def test_an_overflowed_build_is_inconclusive(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "zero, points, analyze_orders, crosscheck_orders",
+        [
+            (0.5, [{"angle": 0.3}, {"angle": 0.31}], [160, 160], [160, 160]),
+            (1.0 - 2e-12, [[1.0, 0.0]], [30], [15]),
+        ],
+        ids=["close-points", "overflowed-jet"],
+    )
+    def test_an_overflowed_build_is_inconclusive(
+        self, tmp_path, capsys, monkeypatch, zero, points, analyze_orders, crosscheck_orders
+    ):
         # Points 0.01 rad apart at contact orders 160 overflow the structured
-        # matrix that decide and the route comparison share: a valid problem,
-        # so both commands exit 6, not 2, before the realization is built.
-        path = write_problem(
-            tmp_path,
-            blaschke={"zeros": [[0.5, 0.0]], "u": [1.0, 0.0]},
-            points=[{"angle": 0.3}, {"angle": 0.31}],
-            orders=[160, 160],
-        )
+        # matrix that decide and the route comparison share, and so do jets
+        # through index 29 at 2e-12 from a pole, which the build reads: a
+        # valid problem, so both commands exit 6, not 2, before the
+        # realization is built.
         monkeypatch.setattr(cli, "realize", None)
-        for command in ("analyze", "crosscheck"):
+        for command, orders in (("analyze", analyze_orders), ("crosscheck", crosscheck_orders)):
+            path = write_problem(
+                tmp_path, blaschke={"zeros": [[zero, 0.0]], "u": [1.0, 0.0]}, points=points, orders=orders
+            )
             with np.errstate(all="ignore"):
                 assert main([command, path]) == 6
             out, err = capsys.readouterr()
@@ -427,6 +436,21 @@ class TestRefusals:
                 "inconclusive: the structured matrix has a non-finite entry, "
                 "so it cannot back a verdict or a route comparison\n"
             )
+
+    def test_an_overflowed_jet_no_row_reads_is_decided(self, tmp_path, capsys):
+        # At t = 1 the build reads w_0 and w_1 only, so the jets that
+        # overflow there, evaluated for t = -1 at contact order 30, refuse
+        # nothing.
+        path = write_problem(
+            tmp_path,
+            blaschke={"zeros": [[1.0 - 2e-12, 0.0]], "u": [1.0, 0.0]},
+            points=[[1.0, 0.0], [-1.0, 0.0]],
+            orders=[2, 30],
+        )
+        with np.errstate(all="ignore"):
+            assert main(["analyze", path, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "unique" and report["pick"]["numerical_rank"] == 1
 
     @pytest.mark.parametrize("command", ["analyze", "crosscheck"])
     def test_a_huge_order_is_refused_before_any_allocation(self, tmp_path, capsys, command):

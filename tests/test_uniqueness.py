@@ -308,7 +308,9 @@ class TestNonUniqueVerdicts:
         monkeypatch.setattr(schwarz_pick_module, "_structured_geometry", counted_geometry)
         for module in (schwarz_pick_module, uniqueness_module):
             monkeypatch.setattr(module, "_structured_flat", counted)
-        monkeypatch.setattr(blaschke_module, "_jet_array", counted_jets)
+        # The build reads the raw jets through its own import; the readers through blaschke's.
+        for module in (blaschke_module, schwarz_pick_module):
+            monkeypatch.setattr(module, "_jet_array", counted_jets)
         monkeypatch.setattr(pick_module, "psi_matrix", refused)
         monkeypatch.setattr(np.linalg, "eigh", refused)
         monkeypatch.setattr(np.linalg, "cholesky", refused)
@@ -538,17 +540,33 @@ class TestInconclusive:
         assert exc.value.limit == pytest.approx(1e-9, rel=0.1)
         assert exc.value.value > 100 * exc.value.limit
 
-    def test_an_overflowed_build_is_inconclusive(self):
+    @pytest.mark.parametrize(
+        "zero, points, orders",
+        [(0.5, (cmath.exp(0.3j), cmath.exp(0.31j)), (160, 160)), (1.0 - 2e-12, (1.0,), (30,))],
+        ids=["close-points", "overflowed-jet"],
+    )
+    def test_an_overflowed_build_is_inconclusive(self, zero, points, orders):
         # Points 0.01 rad apart at contact orders 160 overflow the structured
-        # matrix: a build of the package's own on valid data, not a caller error.
-        points = tuple(cmath.exp(1j * a) for a in (0.3, 0.31))
-        problem = ContactProblem(b=make_blaschke([0.5]), points=points, contact_orders=(160, 160))
+        # matrix, and so do the jets through index 29 that contact order 30
+        # reads at 2e-12 from a pole: a build of the package's own on valid
+        # data, not a caller error, nor the readers' ValueError.
+        problem = ContactProblem(b=make_blaschke([zero]), points=points, contact_orders=orders)
         with np.errstate(all="ignore"), pytest.raises(Inconclusive) as exc:
             decide(problem)
         assert str(exc.value) == (
             "the structured matrix has a non-finite entry, so it cannot back a verdict or a route comparison"
         )
         assert not math.isfinite(exc.value.value) and exc.value.limit == np.finfo(float).max
+
+    def test_an_overflowed_jet_no_row_reads_refuses_nothing(self):
+        # At t = 1 the build reads only w_0 and w_1; the evaluation through
+        # index 29 for t = -1 overflows at t = 1 unread.
+        b = make_blaschke([1.0 - 2e-12])
+        problem = ContactProblem(b=b, points=(1.0, -1.0), contact_orders=(2, 30))
+        with np.errstate(all="ignore"):
+            verdict = decide(problem)
+        assert verdict.unique and verdict.derivative_orders == (1, 15)
+        assert verdict.pick.numerical_rank == 1
 
     def test_a_missed_supplemented_corner_is_inconclusive(self, monkeypatch):
         # The rebuilt corner is a build of the package's own from valid
@@ -560,6 +578,20 @@ class TestInconclusive:
         with pytest.raises(Inconclusive, match="^supplemented corner misses its target") as exc:
             decide(problem)
         assert exc.value.value >= 0.0 > exc.value.limit
+
+    def test_a_nan_rebuilt_corner_is_inconclusive(self, monkeypatch):
+        # A NaN residual compares false with its bound either way; it must
+        # count as a miss, not pass as a certificate with a NaN roundtrip.
+        import blaschkepick.uniqueness as uniqueness_module
+
+        def nan_rebuild(jets, plan, m, psi):
+            return np.full(m.shape, np.nan, dtype=complex)
+
+        monkeypatch.setattr(uniqueness_module, "_structured_flat", nan_rebuild)
+        problem = ContactProblem(b=make_blaschke([0.0, 0.5], 1j), points=(1.0, -1.0), contact_orders=(2, 1))
+        with pytest.raises(Inconclusive, match="^supplemented corner misses its target by nan, above ") as exc:
+            decide(problem)
+        assert math.isnan(exc.value.value) and exc.value.limit >= 1e-10
 
     def test_the_first_missed_corner_is_reported_with_its_scalar_residual(self, monkeypatch):
         # Both corners are checked in one pass; the refusal names the first
