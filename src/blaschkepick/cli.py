@@ -32,8 +32,8 @@ from . import __version__
 from ._pcg64 import PCG64Stream
 from .blaschke import BlaschkeProduct, _require_layout, make_blaschke
 from .errors import BlaschkePickError, Inconclusive, RankMismatch
-from .hermitian import HERMITIAN_DEFECT_TOL, HermitianReport, make_report
-from .pick import ADMISSIBLE_TOL
+from .hermitian import HERMITIAN_DEFECT_TOL, HermitianReport
+from .pick import ADMISSIBLE_TOL, _admissibility
 from .realization import realize, sp_via_realization
 from .schwarz_pick import CONTOUR_NODES, SchwarzPickMatrix, _structured_build, sp_boundary_radial
 from .uniqueness import (
@@ -362,11 +362,11 @@ def _check_instance(inst) -> tuple[str, str] | None:
     try:
         b = make_blaschke(inst["zeros"], inst["u"])
         leading, sp, _, diff, norm = _compare_routes(b, inst["points"], ks)
-        structured = sp.flat
-        # One report serves every property: the rank law reads the default
-        # rank cutoff (also 1e-8), and admissibility the PSD test that
-        # `admissible` makes on the same matrix at its default tolerance.
-        report = make_report(structured, rank_tol=ADMISSIBLE_TOL, pd_tol=ADMISSIBLE_TOL, strict=False)
+        # One report serves every property: admissibility is the test of
+        # `admissible` at its default tolerance, and the rank law reads the
+        # same matrix's report at the default rank cutoff (also 1e-8).
+        admissibility = _admissibility(leading, sp.flat, ADMISSIBLE_TOL)
+        report = admissibility.pick
     except (BlaschkePickError, ValueError) as exc:
         # A drawn instance is valid, so a refusal is a finding, not a bad flag.
         return ("refused", f"{type(exc).__name__}: {exc}")
@@ -394,9 +394,8 @@ def _check_instance(inst) -> tuple[str, str] | None:
             f"max abs diff {diff} exceeds {ROUTE_RESIDUAL_LIMIT * (1.0 + norm)}",
         )
 
-    modulus_ok = bool(np.all(np.abs(np.abs(leading) - 1.0) <= ADMISSIBLE_TOL))
-    if not (modulus_ok and report.psd):
-        return ("admissibility", f"modulus_ok={modulus_ok} psd_ok={report.psd}")
+    if not admissibility:
+        return ("admissibility", f"modulus_ok={admissibility.modulus_ok} psd_ok={report.psd}")
     return None
 
 

@@ -46,8 +46,8 @@ class Inconclusive(BlaschkePickError):
     structured matrix or the radial mean overflowed, a matrix failed its
     Hermitian test, so its spectrum cannot back a verdict, or a rebuilt
     supplemented corner missed its completed value.  `value` is the measured
-    defect or residual and `limit` the bound it exceeds, the largest float
-    for an overflow."""
+    defect or residual and `limit` the bound it exceeds; an overflow has an
+    infinite `value` and the largest float as its `limit`."""
 
     def __init__(self, message: str, value: float, limit: float):
         super().__init__(message)

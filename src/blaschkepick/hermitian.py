@@ -85,13 +85,12 @@ def _rank_above(w: np.ndarray, tol: float) -> int:
 class HermitianReport:
     """Eigenvalue evidence for one symmetrized matrix, with the tolerances
     that read it; `defect` is the max-abs entry of M - M* before
-    symmetrization."""
+    symmetrization.  Rank, PSD and PD are read from them on each access by
+    the rule of the module docstring; an empty spectrum has rank 0 and is
+    PSD and PD."""
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
-    numerical_rank: int
-    psd: bool
-    pd: bool
     rank_tol: float
     pd_tol: float
     defect: float
@@ -103,6 +102,20 @@ class HermitianReport:
     @property
     def lambda_max(self) -> float:
         return float(self.eigenvalues[-1]) if self.eigenvalues.size else 0.0
+
+    @property
+    def numerical_rank(self) -> int:
+        return _rank_above(self.eigenvalues, self.rank_tol)
+
+    @property
+    def psd(self) -> bool:
+        w = self.eigenvalues
+        return not w.size or bool(w[0] >= -self.pd_tol * max(1.0, float(w[-1])))
+
+    @property
+    def pd(self) -> bool:
+        w = self.eigenvalues
+        return not w.size or bool(w[0] > self.pd_tol * max(1.0, float(w[-1])))
 
     def rank_at(self, tol: float) -> int:
         """Numerical rank read at another cutoff, from the same eigenvalues."""
@@ -132,27 +145,4 @@ def make_report(
     _require_tolerance("rank", rank_tol)
     _require_tolerance("pd", pd_tol)
     matrix, defect = _symmetrize(_require_numbers(m, "matrix", None), strict)
-    return _read(matrix, defect, eigen_h(matrix), rank_tol, pd_tol)
-
-
-def _read(matrix: np.ndarray, defect: float, w: np.ndarray, rank_tol: float, pd_tol: float) -> HermitianReport:
-    """The report of :func:`make_report` from the ascending spectrum w of the
-    symmetrized matrix, at tolerances already checked.  Rank counts
-    eigenvalues above rank_tol * max(1, lambda_max); PSD and PD compare
-    lambda_min with -pd_tol and +pd_tol times the same scale."""
-    if w.size:
-        scale = max(1.0, float(w[-1]))
-        psd = bool(w[0] >= -pd_tol * scale)
-        pd = bool(w[0] > pd_tol * scale)
-    else:
-        psd, pd = True, True
-    return HermitianReport(
-        matrix=matrix,
-        eigenvalues=w,
-        numerical_rank=_rank_above(w, rank_tol),
-        psd=psd,
-        pd=pd,
-        rank_tol=rank_tol,
-        pd_tol=pd_tol,
-        defect=defect,
-    )
+    return HermitianReport(matrix, eigen_h(matrix), rank_tol, pd_tol, defect)

@@ -107,10 +107,15 @@ def admissible(data: JetData, orders, tol: float = ADMISSIBLE_TOL) -> Admissibil
     """
     _require_tolerance("admissibility", tol)
     p = sp_boundary_structured(data.values, data.points, orders)
-    defects = tuple(abs(abs(row[0]) - 1.0) for row in data.values)
-    modulus_ok = all(d <= tol for d in defects)
-    report = make_report(p.flat, rank_tol=tol, pd_tol=tol, strict=False)
-    return AdmissibilityReport(modulus_ok=modulus_ok, modulus_defects=defects, pick=report)
+    return _admissibility([row[0] for row in data.values], p.flat, tol)
+
+
+def _admissibility(leading, flat, tol: float) -> AdmissibilityReport:
+    """The test of :func:`admissible` on the leading values w_0 and the
+    structured matrix flat, at a tolerance already checked."""
+    defects = tuple(abs(abs(complex(w)) - 1.0) for w in leading)
+    report = make_report(flat, rank_tol=tol, pd_tol=tol, strict=False)
+    return AdmissibilityReport(modulus_ok=all(d <= tol for d in defects), modulus_defects=defects, pick=report)
 
 
 def corner_value(values: Sequence[complex], point: complex, order: int) -> complex:

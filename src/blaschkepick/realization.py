@@ -163,9 +163,11 @@ def resolvent_rows(r: UnitaryRealization, points, orders) -> np.ndarray:
     rows[:, 0] = x[:, 0]
     if rows.shape[1] > 1:
         step = r.A @ inverse
-        for ell in range(1, rows.shape[1]):
-            x = x @ step
-            rows[:, ell] = x[:, 0]
+        # Every point runs to the largest order; a power no row reads may overflow.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for ell in range(1, rows.shape[1]):
+                x = x @ step
+                rows[:, ell] = x[:, 0]
     return rows[np.arange(rows.shape[1]) < np.array(ks)[:, None]]
 
 

@@ -280,17 +280,19 @@ def _structured_build(b: BlaschkeProduct, pts, ks) -> tuple[tuple, np.ndarray, n
     jets at checked points and orders ks, in the order that refuses an
     oversize problem cheapest: the jet gather's size rule, the geometry,
     then one raw jet evaluation through 2 max(ks) - 1, as row i reads below
-    2 k_i.  A flat matrix with a non-finite entry, an overflow of a build
-    from valid data or of a jet coefficient it reads, raises Inconclusive,
-    its `value` the largest |entry| and its `limit` the largest float."""
+    2 k_i, all three with numpy's divide, overflow and invalid warnings off.
+    A flat matrix with a non-finite entry, an overflow of a build from valid
+    data or of a jet coefficient it reads, raises Inconclusive, its `value`
+    infinite and its `limit` the largest float."""
     jet_order = 2 * max(ks) - 1
     _require_jet_gather(b, len(pts), jet_order)
-    geometry = _structured_geometry(pts, ks)
-    jets = _jet_array(b, np.array(pts), jet_order)
-    flat = _structured_flat(jets, *geometry)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        geometry = _structured_geometry(pts, ks)
+        jets = _jet_array(b, np.array(pts), jet_order)
+        flat = _structured_flat(jets, *geometry)
     if not np.isfinite(flat).all():
         message = "the structured matrix has a non-finite entry, so it cannot back a verdict or a route comparison"
-        raise Inconclusive(message, float(np.abs(flat).max()), sys.float_info.max)
+        raise Inconclusive(message, math.inf, sys.float_info.max)
     return geometry, jets, flat
 
 
@@ -355,11 +357,11 @@ def sp_boundary_radial(b: BlaschkeProduct, points, orders) -> tuple[SchwarzPickM
     max(1, largest entry of the mean).  Raises PoleEvaluation or
     DegenerateDenominator when a zero of b lies so close to the circle, or
     two points so close to each other, that a node meets a pole or a
-    vanishing denominator, and Inconclusive, its `value` the non-finite
-    estimate or entry and its `limit` the largest float, when the radius is
-    so small for the orders that the mean or its estimate overflows.  Points
-    and orders get the layout check of every route, and the kernel stack
-    the size check, before any jet is read.
+    vanishing denominator, and Inconclusive, its `value` infinite and its
+    `limit` the largest float, when the radius is so small for the orders
+    that the jets, the mean or its estimate overflow.  Points and orders get
+    the layout check of every route, and the kernel stack the size check,
+    before any jet is read.
     """
     pts, ks = _require_layout(points, orders, "orders")
     _require_size(CONTOUR_NODES // 2 * sum(ks) ** 2, "the radial kernel stack")
@@ -373,9 +375,9 @@ def sp_boundary_radial(b: BlaschkeProduct, points, orders) -> tuple[SchwarzPickM
     half = CONTOUR_NODES // 2
     centers = np.multiply.outer(1.0 - radius * _CONTOUR_UNITS, units)
     k = max(ks)
-    jets = _jet_array(b, centers, k - 1)
     # Overflow shows as an infinite or NaN mean or estimate, refused below.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        jets = _jet_array(b, centers, k - 1)
         values = _kernel_stack(jets[:half], jets[half:].conj(), centers[:half], centers[half:].conj(), ks)
         total, alternating = (_CONTOUR_WEIGHTS @ values.reshape(half, -1)).reshape((2,) + values.shape[1:])
         mean = (total + total.conj().T) / CONTOUR_NODES
@@ -385,7 +387,7 @@ def sp_boundary_radial(b: BlaschkeProduct, points, orders) -> tuple[SchwarzPickM
     scale = float(np.abs(mean).max())
     if not (math.isfinite(estimate) and math.isfinite(scale)):
         message = f"the contour mean at radius {radius} overflows (error estimate {estimate}, largest entry {scale})"
-        raise Inconclusive(message, scale if math.isfinite(estimate) else estimate, sys.float_info.max)
+        raise Inconclusive(message, math.inf, sys.float_info.max)
     converged = estimate <= RADIAL_CONVERGENCE_TOL * max(1.0, scale)
     diags = RadialDiagnostics(radius, estimate, converged)
     # Each step above acts entry by entry or takes a maximum, so only the mean leaves the kernel rows.

@@ -44,7 +44,6 @@ from .hermitian import (
     DEFAULT_PD_TOL,
     DEFAULT_RANK_TOL,
     HermitianReport,
-    _read,
     _require_hermitian,
     _require_tolerance,
     eigen_h,
@@ -105,14 +104,17 @@ class NonUniqueCertificate:
     completion raised by its shift, at the flat index in
     `completion.complementary`.
     roundtrip_residual is the max-abs difference between the completed
-    matrix and the one rebuilt from the supplemented data.  extended_report
-    reads the completed matrix.
+    matrix and the one rebuilt from the supplemented data.
     """
 
     completion: Completion
-    extended_report: HermitianReport
     supplementary: tuple[tuple[int, complex], ...]
     roundtrip_residual: float
+
+    @property
+    def extended_report(self) -> HermitianReport:
+        """The completion's report, which reads the completed matrix."""
+        return self.completion.report
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,10 +134,10 @@ class Verdict:
 
 def criterion(contact_orders: Sequence[int], degree: int) -> bool:
     """The sharp combinatorial test: sum of floor((m_i + 1) / 2) > degree."""
-    ms = _require_orders(contact_orders, "contact orders")
+    ks = derivative_orders(contact_orders)
     if operator.index(degree) < 0:
         raise ValueError("degree must be nonnegative")
-    return sum((m + 1) // 2 for m in ms) > degree
+    return sum(ks) > degree
 
 
 def derivative_orders(contact_orders: Sequence[int]) -> tuple[int, ...]:
@@ -169,7 +171,7 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
     or by NaN, raises Inconclusive too, a build of the package's own that
     failed on valid data.
     """
-    ks = tuple((m + 1) // 2 for m in problem.contact_orders)
+    ks = derivative_orders(problem.contact_orders)
     k_total, d = sum(ks), problem.b.degree
     unique = k_total > d
     even = () if unique else tuple(i for i, m in enumerate(problem.contact_orders) if m % 2 == 0)
@@ -183,7 +185,7 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
         # The bottom row of each extended block is its corner; the rest is P.
         corners, block, diagonal = _corner_split(built, even)
         p_flat, p_sym, p_gap = flat.take(block), sym.take(block), gap.take(block)
-    pick = _read(p_sym, float(p_gap.max()), eigen_h(p_sym), tolerances.rank, tolerances.pd)
+    pick = HermitianReport(p_sym, eigen_h(p_sym), tolerances.rank, tolerances.pd, float(p_gap.max()))
     _require_hermitian(pick.defect, p_flat, built="the Pick matrix")
     if unique and pick.numerical_rank != d:
         raise RankMismatch(
@@ -213,7 +215,7 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
             completed, completed_h = flat.copy(), sym.copy()
             completed.put(diagonal, flat.take(diagonal) + shift)
             completed_h.put(diagonal, sym.take(diagonal) + shift)
-            report = _read(completed_h, float(gap.max()), eigen_h(completed_h), tolerances.rank, tolerances.pd)
+            report = HermitianReport(completed_h, eigen_h(completed_h), tolerances.rank, tolerances.pd, float(gap.max()))
             completion = Completion(
                 modified=SchwarzPickMatrix(flat=completed, points=problem.points, orders=built),
                 shift=shift,
@@ -256,7 +258,6 @@ def decide(problem: ContactProblem, tolerances: Tolerances = Tolerances()) -> Ve
                 )
         certificate = NonUniqueCertificate(
             completion=completion,
-            extended_report=completion.report,
             supplementary=tuple(supplementary),
             roundtrip_residual=roundtrip,
         )

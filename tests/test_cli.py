@@ -23,8 +23,10 @@ from blaschkepick import (
     CoincidentPoints,
     ContactProblem,
     Inconclusive,
+    JetData,
     RankMismatch,
     SingularResolvent,
+    admissible,
     decide,
     extract_data,
     make_blaschke,
@@ -428,8 +430,7 @@ class TestRefusals:
             path = write_problem(
                 tmp_path, blaschke={"zeros": [[zero, 0.0]], "u": [1.0, 0.0]}, points=points, orders=orders
             )
-            with np.errstate(all="ignore"):
-                assert main([command, path]) == 6
+            assert main([command, path]) == 6
             out, err = capsys.readouterr()
             assert out == ""
             assert err == (
@@ -447,8 +448,7 @@ class TestRefusals:
             points=[[1.0, 0.0], [-1.0, 0.0]],
             orders=[2, 30],
         )
-        with np.errstate(all="ignore"):
-            assert main(["analyze", path, "--format", "json"]) == 0
+        assert main(["analyze", path, "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "unique" and report["pick"]["numerical_rank"] == 1
 
@@ -555,18 +555,26 @@ class TestCrosscheck:
         assert report["radial_gap_max_abs"] <= 1e-12
         assert report["radial_error_estimate"] <= 1e-8
 
-    @pytest.mark.parametrize("order", [20, 24])
-    def test_overflowing_radial_mean_is_refused(self, tmp_path, capsys, order):
+    @pytest.mark.parametrize(
+        "zero, points, orders",
+        [
+            (0.3, [{"angle": 0.4}, {"angle": 0.400001}], [20, 20]),
+            (0.3, [{"angle": 0.4}, {"angle": 0.400001}], [24, 24]),
+            (1.0 - 2e-12, [[1.0, 0.0], [-1.0, 0.0]], [2, 30]),
+        ],
+        ids=["20", "24", "pole-unread"],
+    )
+    def test_overflowing_radial_mean_is_refused(self, tmp_path, capsys, zero, points, orders):
         # Points 1e-6 rad apart leave the radial contour a radius near 8e-8,
         # where the rounding term (order 24: also the kernel recurrence)
         # overflows; the report would otherwise carry Infinity, which is not
-        # JSON.  A valid problem, so the refusal is inconclusive, not a
-        # validation error.
+        # JSON.  A zero 2e-12 inside t = 1 leaves a radius near 3e-13, where
+        # the contour's jets through order 29 overflow, after a structured
+        # and a realization matrix whose unread coefficients and powers
+        # overflow at t = 1.  A valid problem, so the refusal is
+        # inconclusive, not a validation error, and no numpy warning.
         path = write_problem(
-            tmp_path,
-            blaschke={"zeros": [[0.3, 0.0]], "u": [1.0, 0.0]},
-            points=[{"angle": 0.4}, {"angle": 0.400001}],
-            orders=[order, order],
+            tmp_path, blaschke={"zeros": [[zero, 0.0]], "u": [1.0, 0.0]}, points=points, orders=orders
         )
         assert main(["crosscheck", path, "--format", "json"]) == 6
         out, err = capsys.readouterr()
@@ -701,6 +709,28 @@ class TestFuzz:
         monkeypatch.setattr(cli, "_compare_routes", tampered)
         assert main(["fuzz", "--trials", "1", "--seed", "0", "--format", "json"]) == 5
         assert json.loads(capsys.readouterr().out)["property"] == prop
+
+    def test_admissibility_reads_as_admissible_on_a_spoiled_instance(self, monkeypatch):
+        # A constant b has the zero matrix at any equal leading values, so
+        # halving them spoils the modulus alone; the fuzz's verdict and
+        # detail are those of `admissible` on the same spoiled jet data.
+        inst = {"zeros": [], "u": 1j, "points": [1.0, -1.0], "orders": [2, 1]}
+        compare = cli._compare_routes
+
+        def spoiled(*args):
+            leading, *routes = compare(*args)
+            return (0.5 * leading, *routes)
+
+        monkeypatch.setattr(cli, "_compare_routes", spoiled)
+        data = extract_data(make_blaschke([], 1j), inst["points"], [3, 1])
+        data = JetData(data.points, tuple((0.5 * row[0], *row[1:]) for row in data.values))
+        report = admissible(data, inst["orders"])
+        assert not report and not report.modulus_ok and report.pick.psd
+        assert report.modulus_defects == (0.5, 0.5)
+        assert cli._check_instance(inst) == (
+            "admissibility",
+            f"modulus_ok={report.modulus_ok} psd_ok={report.pick.psd}",
+        )
 
 
 def _numpy_random_instance(rng, degree_max, points_max, order_max):

@@ -1,5 +1,7 @@
 """Hermitian linear algebra helpers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,6 +159,16 @@ class TestMakeReport:
         assert report.psd and report.pd
         assert report.numerical_rank == 0
         assert report.lambda_min == 0.0
+
+    def test_readings_follow_the_record(self):
+        # Rank, PSD and PD are read from the eigenvalues and the tolerances
+        # on each access, so a copy at another tolerance reads anew.
+        report = make_report(np.diag([1.0, 1e-4, 1e-12]))
+        assert report.numerical_rank == 2 and report.psd and not report.pd
+        assert dataclasses.replace(report, rank_tol=1e-2).numerical_rank == 1
+        assert dataclasses.replace(report, rank_tol=1e-13).numerical_rank == 3
+        assert dataclasses.replace(report, pd_tol=1e-13).pd
+        assert not dataclasses.replace(report, pd_tol=1e-13, eigenvalues=np.array([-1.0, 1.0])).psd
 
 
 _DIAG = np.diag([1.0, 0.5])

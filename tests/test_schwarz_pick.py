@@ -473,16 +473,24 @@ class TestBoundaryRadial:
         with pytest.raises(PoleEvaluation):
             sp_boundary_radial(make_blaschke([1.0 - 1.1e-12]), [1.0], [1])
 
-    @pytest.mark.parametrize("order", [20, 24])
-    def test_overflowing_mean_is_refused(self, order):
+    @pytest.mark.parametrize(
+        "zero, pts, orders",
+        [
+            (0.3, [cmath.exp(0.4j), cmath.exp(0.400001j)], [20, 20]),
+            (0.3, [cmath.exp(0.4j), cmath.exp(0.400001j)], [24, 24]),
+            (1.0 - 2e-12, [1.0, -1.0], [2, 30]),
+        ],
+        ids=["20", "24", "pole-unread"],
+    )
+    def test_overflowing_mean_is_refused(self, zero, pts, orders):
         # Points 1e-6 rad apart leave a contour radius near 8e-8.  At order
         # 20 the rounding term (2R)^(1 - 2K) overflows, at order 24 the
-        # kernel recurrence too; neither may pass as a result or a warning.
-        # The refusal carries the non-finite estimate and the largest float.
-        b = make_blaschke([0.3])
-        pts = [complex(math.cos(0.4), math.sin(0.4)), complex(math.cos(0.400001), math.sin(0.400001))]
+        # kernel recurrence too.  A zero 2e-12 inside t = 1 leaves a radius
+        # near 3e-13, where the jets through order 29 overflow to NaN
+        # entries.  None may pass as a result or a warning, and the refusal
+        # carries an infinite value, never NaN, and the largest float.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(Inconclusive, match="overflows") as exc:
-                sp_boundary_radial(b, pts, [order, order])
-        assert not math.isfinite(exc.value.value) and exc.value.limit == sys.float_info.max
+                sp_boundary_radial(make_blaschke([zero]), pts, orders)
+        assert exc.value.value == math.inf and exc.value.limit == sys.float_info.max
